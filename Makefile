@@ -4,12 +4,12 @@ PYTHON ?= python
 # make targets work from a clean checkout, without `pip install -e .`
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: install test lint bench bench-smoke bench-service bench-multidevice bench-queue bench-slo bench-fuse bench-stream trace-smoke cache-smoke multidevice-smoke ir-smoke queue-smoke slo-smoke fuse-smoke stream-smoke experiments examples results clean
+.PHONY: install test lint bench bench-smoke perfbench-smoke bench-service bench-multidevice bench-queue bench-slo bench-fuse bench-stream trace-smoke cache-smoke multidevice-smoke ir-smoke queue-smoke slo-smoke fuse-smoke stream-smoke experiments examples results clean
 
 install:
 	pip install -e . --no-build-isolation
 
-test: lint bench-smoke trace-smoke cache-smoke multidevice-smoke ir-smoke queue-smoke slo-smoke fuse-smoke stream-smoke
+test: lint bench-smoke perfbench-smoke trace-smoke cache-smoke multidevice-smoke ir-smoke queue-smoke slo-smoke fuse-smoke stream-smoke
 	$(PYTHON) -m pytest tests/
 
 # ruff when installed, stdlib fallback (syntax, unused imports, debug
@@ -30,6 +30,14 @@ bench-smoke:
 	$(PYTHON) benchmarks/bench_harness_speed.py --smoke \
 		--gate-tolerance 0.4 \
 		--out .bench_smoke.json --gate BENCH_harness_speed.json
+
+# repo benchmark smoke: the perfbench self-tests, then a short loops run
+# whose result line must report correct outputs and no failed ops
+perfbench-smoke:
+	$(PYTHON) -m pytest -q perfbench/test_perfbench.py
+	$(PYTHON) perfbench/run.py --workload loops --seed 1 --seconds 4 --trace 0 > .perfbench_smoke.out
+	tail -n 1 .perfbench_smoke.out | $(PYTHON) -c "import json, sys; r = json.load(sys.stdin); \
+		sys.exit(0 if r['correct'] is True and r['failed'] == 0 else 'perfbench-smoke: ' + json.dumps(r)[:400])"
 
 # disk artifact cache end-to-end: a second process must hit the plan/run
 # tiers the first one wrote, a different template must reuse the shared

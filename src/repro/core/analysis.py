@@ -8,7 +8,10 @@ This module hoists those facts out of the per-``(template, params)`` build
 path into a :class:`WorkloadAnalysis` / :class:`TreeAnalysis` artifact
 keyed on the workload fingerprint alone, so a parameter sweep over N
 points computes them once and the cheap ``specialize`` stage assembles the
-remaining launch graph N times.
+remaining launch graph N times.  The warp-window table
+(:class:`WarpWindows`) carries the same idea into the cost model: the
+per-issue-slot memory and atomic facts of block-mapped phases are computed
+once per workload, and each schedule only relabels them onto warps.
 
 Artifacts are cached twice: in a process-wide in-memory map, and (when a
 cache directory is configured) in the ``analysis`` tier of the disk-backed
@@ -18,16 +21,25 @@ service pool processes share them.
 
 from __future__ import annotations
 
+import hashlib
+import threading
+
 import numpy as np
 
 from repro import obs
 from repro.core.artifactcache import get_artifact_cache
 from repro.core.mutation import TRACE_SEGMENT_BYTES, splice
 from repro.errors import WorkloadError
+from repro.gpusim.coalesce import transaction_counts
+from repro.graphs.csr import concat_ranges
 
 __all__ = [
     "WorkloadAnalysis",
     "TreeAnalysis",
+    "WindowFacts",
+    "WarpWindows",
+    "BufferWindows",
+    "WINDOW_STEPS",
     "get_analysis",
     "get_tree_analysis",
     "analysis_stats",
@@ -54,6 +66,182 @@ _COMPACT_AFTER = 4
 #: shared empty index array for insert-only splice calls
 _NO_DELETES = np.empty(0, dtype=np.int64)
 
+#: inner-loop steps per warp window: the lanes of one warp at one issue
+#: slot.  The window tables are built for this warp size; phases on a
+#: device with another warp size take the per-pair path.
+WINDOW_STEPS = 32
+
+#: (row set, grid) buffer-window sets kept per analysis
+_MAX_BUFFER_WINDOWS = 8
+#: serializes evictions from the buffer-window memos (service threads
+#: specialize concurrently against one shared analysis)
+_BUFFER_WINDOWS_LOCK = threading.Lock()
+
+
+def _issues_whole_windows(block_size: int, warp_size: int) -> bool:
+    """Whether every issue slot of a block-mapped phase covers exactly
+    one warp window: true when blocks are whole warps of
+    :data:`WINDOW_STEPS` lanes.  Otherwise a warp's lanes straddle two
+    loop steps of a row and the mapping layer costs the phase per pair."""
+    return warp_size == WINDOW_STEPS and block_size % WINDOW_STEPS == 0
+
+
+class WindowFacts:
+    """Per-window work facts of a pair stream cut into warp windows.
+
+    ``window_of[e]`` names the window of stream entry ``e``, and ``pairs``
+    its global pair index (None: entry ``e`` is pair ``e``).  One window is
+    one warp issue slot, so these are exactly the per-slot facts the cost
+    model reads.  Per window:
+
+    * ``segments[s]`` — distinct 128-byte segments of access stream ``s``;
+    * ``staged[s]`` — the same for a staged store stream flushed from
+      shared memory in pair order (``pair * element_bytes``); None for
+      every other stream;
+    * ``live`` / ``mult`` — live atomics, and the most of them aimed at
+      one target (both None for workloads without atomics).
+
+    A window holds at most 32 entries, so every count fits in ``uint8``.
+    ``live_keys`` gives each live atomic, in entry order, a dense target
+    id, for the phase-wide hottest-target statistic.
+    """
+
+    def __init__(self, workload, analysis: "WorkloadAnalysis",
+                 window_of: np.ndarray, n_windows: int,
+                 pairs: np.ndarray | None = None) -> None:
+        def distinct(segments: np.ndarray, span: int) -> np.ndarray:
+            return transaction_counts(
+                window_of, window_of, None, n_windows, agg_divisor=1,
+                segments=segments, spans=(n_windows, span),
+            ).astype(np.uint8)
+
+        self.segments: list[np.ndarray] = []
+        self.staged: list[np.ndarray | None] = []
+        for si, stream in enumerate(workload.streams):
+            segments = analysis.stream_segments(si)
+            self.segments.append(distinct(
+                segments if pairs is None else segments[pairs],
+                analysis.stream_seg_span(si),
+            ))
+            staged = None
+            if stream.kind == "store" and stream.staged_in_shared:
+                index = np.arange(window_of.size) if pairs is None else pairs
+                flushed = index * stream.element_bytes // _TRACE_SEGMENT_BYTES
+                span = int(flushed.max()) + 1 if flushed.size else 1
+                staged = distinct(flushed, span)
+            self.staged.append(staged)
+        self.live = self.mult = self.live_keys = None
+        if workload.atomic_targets is not None:
+            targets = workload.atomic_targets
+            if pairs is not None:
+                targets = targets[pairs]
+            live_entries = np.flatnonzero(targets >= 0)
+            live_targets = targets[live_entries]
+            live_windows = window_of[live_entries]
+            self.live = np.bincount(
+                live_windows, minlength=n_windows
+            ).astype(np.uint8)
+            mult = np.zeros(n_windows, dtype=np.int64)
+            if live_windows.size:
+                order = np.lexsort((live_targets, live_windows))
+                w, t = live_windows[order], live_targets[order]
+                starts = np.flatnonzero(np.concatenate(
+                    ([True], (w[1:] != w[:-1]) | (t[1:] != t[:-1]))
+                ))
+                runs = np.diff(np.append(starts, w.size))
+                np.maximum.at(mult, w[starts], runs)
+            self.mult = mult.astype(np.uint8)
+            _, keys = np.unique(live_targets, return_inverse=True)
+            self.live_keys = keys.astype(np.int32)
+
+
+class WarpWindows(WindowFacts):
+    """The warp-window table of one workload: :class:`WindowFacts` over
+    every row's own windows.
+
+    Window ``offsets[i] + k`` holds steps ``[32k, 32k + 32)`` of row ``i``
+    (a row's last window may be short; zero-trip rows have none).  When a
+    block-mapped phase's block size is a multiple of the warp size, lane
+    ``j % B`` at loop step ``j // B`` puts steps ``[32k, 32k + 32)`` on
+    one warp at one issue slot, whichever block hosts the row and whatever
+    ``B`` is — so these facts belong to the workload, and each schedule
+    only relabels windows onto warps (window ``k`` of a row hosted by
+    block ``b`` issues on warp ``b * B/32 + k % (B/32)``).
+    """
+
+    def __init__(self, workload, analysis: "WorkloadAnalysis") -> None:
+        trips = workload.trip_counts
+        self.n_rows = int(trips.size)
+        #: windows per row, and each row's first window id
+        self.counts = -(-trips // WINDOW_STEPS)
+        self.offsets = np.zeros(trips.size + 1, dtype=np.int64)
+        np.cumsum(self.counts, out=self.offsets[1:])
+        # window of pair p in row i: offsets[i] + (p - pair_offsets[i]) // 32
+        base = np.repeat(
+            self.offsets[:-1] * WINDOW_STEPS - workload.pair_offsets[:-1],
+            trips,
+        )
+        window_of = (base + np.arange(base.size)) // WINDOW_STEPS
+        super().__init__(workload, analysis, window_of, int(self.offsets[-1]))
+        #: row of each live atomic, aligned with ``live_keys``
+        self.live_rows = None
+        if self.live is not None:
+            live_pairs = np.flatnonzero(workload.atomic_targets >= 0)
+            rows = np.searchsorted(workload.pair_offsets, live_pairs,
+                                   side="right") - 1
+            self.live_rows = rows.astype(np.int32)
+
+    def windows_of(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                                    np.ndarray]:
+        """``(window ids, rank k within the row, windows per row)`` of
+        ``rows``' windows, concatenated in ``rows`` order."""
+        counts = self.counts[rows]
+        starts = self.offsets[rows]
+        windows = concat_ranges(starts, counts)
+        return windows, windows - np.repeat(starts, counts), counts
+
+    def hot_degree(self, rows: np.ndarray) -> int:
+        """Most live atomics the pairs of ``rows`` aim at one target (a row
+        listed twice counts twice) — the phase-wide hot-address degree."""
+        weight = np.bincount(rows, minlength=self.n_rows)[self.live_rows]
+        return int(np.bincount(self.live_keys, weights=weight).max())
+
+
+class BufferWindows(WindowFacts):
+    """:class:`WindowFacts` of a buffered pair stream split evenly across
+    ``n_blocks`` blocks — dbuf-global's second kernel.
+
+    The rows' pairs are concatenated and cut into contiguous chunks of
+    ``ceil(P / n_blocks)``; window ``(block[w], rank[w])`` covers chunk
+    positions ``[32 * rank, 32 * rank + 32)`` of its block.  The windows
+    depend on the row set and the grid, not on the block size: a block of
+    ``B`` threads (a warp multiple) issues window ``rank`` on its warp
+    ``rank % (B/32)``.
+    """
+
+    def __init__(self, workload, analysis: "WorkloadAnalysis",
+                 outer_ids: np.ndarray, n_blocks: int) -> None:
+        pairs, _ = workload.pairs_of(outer_ids)
+        self.n_pairs = int(pairs.size)
+        chunk = max(1, -(-self.n_pairs // n_blocks))
+        bounds = np.minimum(
+            np.arange(n_blocks + 1, dtype=np.int64) * chunk, self.n_pairs
+        )
+        per_block = -(-np.diff(bounds) // WINDOW_STEPS)
+        offsets = np.zeros(n_blocks + 1, dtype=np.int64)
+        np.cumsum(per_block, out=offsets[1:])
+        position = np.arange(self.n_pairs, dtype=np.int64)
+        block = position // chunk
+        window_of = offsets[block] + (position - block * chunk) // WINDOW_STEPS
+        n_windows = int(offsets[-1])
+        self.block = np.repeat(np.arange(n_blocks, dtype=np.int64), per_block)
+        self.rank = (np.arange(n_windows, dtype=np.int64)
+                     - np.repeat(offsets[:-1], per_block))
+        super().__init__(workload, analysis, window_of, n_windows, pairs)
+        self.hot = 0
+        if self.live_keys is not None and self.live_keys.size:
+            self.hot = int(np.bincount(self.live_keys).max())
+
 
 class WorkloadAnalysis:
     """Template-independent facts about one :class:`NestedLoopWorkload`.
@@ -62,7 +250,8 @@ class WorkloadAnalysis:
     are keyed on the workload fingerprint and shared by every template and
     every ``(block size, lbTHRES)`` point.  Threshold partitions and
     per-stream segment ids are memoized on the instance, so they also ride
-    along through the disk cache.
+    along through the disk cache; so is the warp-window table
+    (:meth:`warp_windows`), built on first use.
     """
 
     def __init__(self, fingerprint: str, trip_counts: np.ndarray,
@@ -82,6 +271,8 @@ class WorkloadAnalysis:
         self._partitions: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._trip_cumsum: np.ndarray | None = None
         self._seg_spans: dict[int, int] = {}
+        self._windows: WarpWindows | None = None
+        self._buffer_windows: dict[tuple, BufferWindows] = {}
 
     def trip_summary(self) -> tuple[int, int, int, int]:
         """``(count, total, lo, hi)`` of the inner loop — the trip-count
@@ -157,6 +348,46 @@ class WorkloadAnalysis:
             spans[stream_index] = span
         return span
 
+    def warp_windows(self, workload, block_size: int,
+                     warp_size: int) -> WarpWindows | None:
+        """The warp-window table, or None when a block-mapped phase with
+        this block and warp size does not issue whole windows (the
+        mapping layer then costs the phase per pair).
+
+        Built on first use (one sort per access stream) and memoized;
+        ``workload`` must be the trace this analysis describes.
+        """
+        if not _issues_whole_windows(block_size, warp_size):
+            return None
+        # getattr: instances unpickled from an older disk cache lack the slot
+        table = getattr(self, "_windows", None)
+        if table is None:
+            table = self._windows = WarpWindows(workload, self)
+        return table
+
+    def buffer_windows(self, workload, outer_ids: np.ndarray, n_blocks: int,
+                       block_size: int, warp_size: int) -> BufferWindows | None:
+        """The :class:`BufferWindows` of ``outer_ids`` split across
+        ``n_blocks`` blocks, or None under the same warp-multiple condition
+        as :meth:`warp_windows`.  Memoized per (row set, grid): an
+        ``lb_block`` sweep that keeps the grid reuses one entry."""
+        if not _issues_whole_windows(block_size, warp_size):
+            return None
+        memo = getattr(self, "_buffer_windows", None)
+        if memo is None:
+            memo = self._buffer_windows = {}
+        rows = np.ascontiguousarray(outer_ids, dtype=np.int64)
+        key = (hashlib.blake2b(rows.tobytes(), digest_size=16).digest(),
+               int(n_blocks))
+        entry = memo.get(key)
+        if entry is None:
+            entry = BufferWindows(workload, self, rows, n_blocks)
+            with _BUFFER_WINDOWS_LOCK:
+                if len(memo) >= _MAX_BUFFER_WINDOWS:
+                    memo.pop(next(iter(memo)))
+                memo[key] = entry
+        return entry
+
     def apply_delta(self, delta) -> "WorkloadAnalysis | None":
         """Derive the child analysis from a
         :class:`~repro.core.mutation.MutationDelta`, without rebuilding.
@@ -179,7 +410,9 @@ class WorkloadAnalysis:
           ids are masked out of both sides and re-inserted (with the
           added ids) on the side their new trip selects, ascending;
         * per-stream segment ids — the same ``(deleted, inserted)``
-          pair-splice the workload commit ran over its address arrays.
+          pair-splice the workload commit ran over its address arrays;
+        * window tables — dropped, and rebuilt from the mutated trace on
+          first use.
         """
         if delta.parent_fingerprint != self.fingerprint:
             raise WorkloadError(
@@ -284,6 +517,8 @@ class WorkloadAnalysis:
             child._partitions[threshold] = (small, large)
         child._trip_cumsum = None
         child._seg_spans = {}
+        child._windows = None
+        child._buffer_windows = {}
         return child
 
 

@@ -271,13 +271,21 @@ def configure_artifact_cache(
     spawned afterwards share the same directory without explicit plumbing.
     ``max_bytes`` caps disk usage (None defers to ``REPRO_CACHE_MAX_BYTES``
     or the 1 GiB default; 0 disables the cap).
+
+    Reconfiguring with the same resolved directory and size cap keeps the
+    live instance — its counters and tracked size — so callers that
+    configure per batch do not reset the process cache mid-window.
     """
     global _cache
     if cache_dir is None:
         _cache = None
         os.environ.pop(ENV_VAR, None)
         return None
-    _cache = ArtifactCache(cache_dir, max_bytes=max_bytes)
+    live = _cache if isinstance(_cache, ArtifactCache) else None
+    cap = _default_max_bytes() if max_bytes is None else max(0, int(max_bytes))
+    if (live is None or live.max_bytes != cap
+            or live.cache_dir.resolve() != Path(cache_dir).resolve()):
+        _cache = ArtifactCache(cache_dir, max_bytes=cap)
     os.environ[ENV_VAR] = str(_cache.cache_dir)
     return _cache
 

@@ -85,6 +85,8 @@ class DelayedBufferGlobalTemplate(NestedLoopTemplate):
     """dbuf-global: global-memory buffer + fair cross-block second kernel."""
 
     name = "dbuf-global"
+    PLAN_RELEVANT_PARAMS = ("lb_threshold", "thread_block", "lb_block",
+                            "registers_per_thread", "max_grid_blocks")
 
     def specialize(self, workload: NestedLoopWorkload, analysis,
                    config: DeviceConfig, params: TemplateParams):
@@ -116,6 +118,9 @@ class DelayedBufferSharedTemplate(NestedLoopTemplate):
     """dbuf-shared: per-block shared-memory buffer, single kernel."""
 
     name = "dbuf-shared"
+    #: the in-block phase reuses the thread-mapped blocks: no lb_block
+    PLAN_RELEVANT_PARAMS = ("lb_threshold", "thread_block",
+                            "registers_per_thread", "max_grid_blocks")
     #: the in-kernel two-phase handoff (fill shared buffer, then drain it
     #: block-wide) assumes every thread of the bulk launch reaches the
     #: phase boundary together — persistent workers pulling tasks give no

@@ -43,6 +43,8 @@ class DualQueueTemplate(NestedLoopTemplate):
     """Two queues, two kernels, plus the queue-construction cost."""
 
     name = "dual-queue"
+    PLAN_RELEVANT_PARAMS = ("lb_threshold", "thread_block", "lb_block",
+                            "registers_per_thread", "max_grid_blocks")
 
     def specialize(self, workload: NestedLoopWorkload, analysis,
                    config: DeviceConfig, params: TemplateParams):

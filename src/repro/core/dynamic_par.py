@@ -19,6 +19,7 @@ import numpy as np
 from repro.core.base import NestedLoopTemplate
 from repro.core.mapping import (
     _sequence_within,
+    _window_atomic_cycles,
     add_block_mapped_inner,
     add_outer_setup,
     add_thread_mapped_inner,
@@ -90,50 +91,83 @@ def _bulk_single_block_children(
 
     Computes, for every large iteration, the SM-cycles of the child grid
     that block-maps it (64-thread block striding over its inner loop) —
-    all children at once, without instantiating per-child builders.
+    all children at once, without instantiating per-child builders.  With
+    a warp-multiple block size, memory and atomics come from the
+    analysis's warp-window table (one window per issue slot), else from a
+    per-pair pass.
     Returns (block_cycles, warp stats, [load traffic, store traffic],
     atomic stats).
     """
     B = params.lb_block
-    wpb = -(-B // config.warp_size)
+    ws = config.warp_size
+    wpb = -(-B // ws)
     n_children = large.size
     trips = workload.subset_trips(large)
+    n_pairs = int(trips.sum())
 
-    # divergence: lane L runs ceil(max(f - L, 0) / B) strided iterations
-    lanes = np.arange(B, dtype=np.int64)[None, :]
-    per_lane = -(-(trips[:, None] - lanes).clip(min=0) // B)
-    active = per_lane.sum(axis=1)
-    issued = per_lane.reshape(n_children, wpb, config.warp_size).max(axis=2)
-    stats = WarpExecStats(warp_size=config.warp_size)
+    # divergence: lane L runs ceil(max(f - L, 0) / B) strided iterations,
+    # non-increasing in L, so each warp issues its first lane's count; and
+    # every inner iteration lands on one lane, so the lane-steps sum to
+    # the pair count
+    first_lane = (np.arange(wpb, dtype=np.int64) * ws)[None, :]
+    issued = np.clip((trips[:, None] - first_lane + B - 1) // B, 0, None)
+    stats = WarpExecStats(warp_size=ws)
     stats.add_counts(
         int(round(issued.sum() * workload.inner_insts)),
-        int(round(active.sum() * workload.inner_insts)),
+        int(round(n_pairs * workload.inner_insts)),
     )
     compute_slots = issued.sum(axis=1) * workload.inner_insts + workload.outer_insts
 
     # memory: exact coalescing per (child, chunk, warp) issue slot
-    pair_idx, steps = workload.pairs_of(large)
-    child = np.repeat(np.arange(n_children, dtype=np.int64), trips)
-    chunk = steps // B
-    warp_in_child = (steps % B) // config.warp_size
-    max_chunk = int(chunk.max()) + 1 if chunk.size else 1
-    group = (child * max_chunk + chunk) * wpb + warp_in_child
+    atomics = None
+    table = (analysis.warp_windows(workload, B, ws)
+             if analysis is not None else None)
+    if table is not None:
+        # each issue slot is one window of the child's row
+        windows, _, counts = table.windows_of(large)
+        child = np.repeat(np.arange(n_children, dtype=np.int64), counts)
+        stream_tx = [
+            np.bincount(child, weights=segments[windows], minlength=n_children)
+            for segments in table.segments
+        ]
+        atomics = _window_atomic_cycles(
+            table, windows, child, n_children, config,
+            hot=lambda: table.hot_degree(large),
+        )
+    else:
+        pair_idx, steps = workload.pairs_of(large)
+        child = np.repeat(np.arange(n_children, dtype=np.int64), trips)
+        chunk = steps // B
+        warp_in_child = (steps % B) // ws
+        max_chunk = int(chunk.max()) + 1 if chunk.size else 1
+        group = (child * max_chunk + chunk) * wpb + warp_in_child
+        group_span = n_children * max_chunk * wpb
+        stream_tx = []
+        for si, stream in enumerate(workload.streams):
+            if analysis is not None:
+                addr, segments = None, analysis.stream_segments(si)[pair_idx]
+                spans = (group_span, analysis.stream_seg_span(si))
+            else:
+                addr, segments, spans = stream.addresses[pair_idx], None, None
+            stream_tx.append(transaction_counts(
+                child, group, addr, n_children, agg_divisor=max_chunk * wpb,
+                segments=segments, spans=spans,
+            ))
+        if workload.atomic_targets is not None:
+            targets = workload.atomic_targets[pair_idx]
+            live = targets >= 0
+            if np.any(live):
+                atomics = flat_atomic_cycles(
+                    child[live], group[live], targets[live], n_children,
+                    config,
+                )
     tx_per_child = np.zeros(n_children, dtype=np.float64)
     load_traffic = MemoryTraffic(segment_bytes=config.mem_segment_bytes)
     store_traffic = MemoryTraffic(segment_bytes=config.mem_segment_bytes)
-    group_span = n_children * max_chunk * wpb
-    for si, stream in enumerate(workload.streams):
-        if analysis is not None:
-            addr, segments = None, analysis.stream_segments(si)[pair_idx]
-            spans = (group_span, analysis.stream_seg_span(si))
-        else:
-            addr, segments, spans = stream.addresses[pair_idx], None, None
-        tx = transaction_counts(child, group, addr, n_children,
-                                agg_divisor=max_chunk * wpb,
-                                segments=segments, spans=spans)
+    for stream, tx in zip(workload.streams, stream_tx):
         tx_per_child += tx
         record = MemoryTraffic(
-            requested_bytes=int(pair_idx.size) * stream.element_bytes,
+            requested_bytes=n_pairs * stream.element_bytes,
             transactions=int(tx.sum()),
             segment_bytes=config.mem_segment_bytes,
         )
@@ -141,16 +175,10 @@ def _bulk_single_block_children(
             load_traffic = load_traffic.merge(record)
         else:
             store_traffic = store_traffic.merge(record)
-
-    atomic_cycles = np.zeros(n_children)
-    atomic_stats = AtomicStats()
-    if workload.atomic_targets is not None:
-        targets = workload.atomic_targets[pair_idx]
-        live = targets >= 0
-        if np.any(live):
-            atomic_cycles, atomic_stats = flat_atomic_cycles(
-                child[live], group[live], targets[live], n_children, config,
-            )
+    atomic_cycles, atomic_stats = (
+        atomics if atomics is not None
+        else (np.zeros(n_children), AtomicStats())
+    )
 
     # tiny grids: latency hiding only from concurrently resident siblings
     resident = resident_warps_estimate(
@@ -183,9 +211,11 @@ def _bulk_opt_children(
     Each child grid block-maps exactly one buffered large iteration (block
     ids are ``arange`` within the child), so the per-block divergence and
     coalescing math is identical for every row regardless of which child
-    owns it.  This costs all rows at once — one ``pairs_of`` walk, one
-    ``transaction_counts`` call per stream — and assembles each child's
-    builder from slices, bit-identical to per-child
+    owns it.  This costs all rows at once — one ``bincount`` per stream
+    over the rows' warp windows (one ``pairs_of`` walk and one
+    ``transaction_counts`` call per stream when the block size is not a
+    warp multiple) — and assembles each child's builder from slices,
+    bit-identical to per-child
     :func:`~repro.core.mapping.add_block_mapped_inner` builds: transaction
     counts are integers, each per-warp array receives the same
     single-expression adds, and every counter reproduces the per-call
@@ -216,14 +246,26 @@ def _bulk_opt_children(
 
     # exact coalescing for all rows at once; groups are the serial path's
     # (block, chunk, warp) issue slots under a globally injective packing
-    pair_idx, steps = workload.pairs_of(large)
     mem_flat = np.zeros(n_rows * wpb, dtype=np.float64)
     stream_tx: list[np.ndarray] = []
-    if pair_idx.size:
+    table = (analysis.warp_windows(workload, B, ws)
+             if analysis is not None else None)
+    if table is not None:
+        # window k of a row is one issue slot of the row's warp k % wpb
+        windows, rank, counts = table.windows_of(large)
+        agg = (np.repeat(np.arange(n_rows, dtype=np.int64) * wpb, counts)
+               + rank % wpb)
+        for segments in table.segments:
+            tx = np.bincount(agg, weights=segments[windows],
+                             minlength=n_rows * wpb).astype(np.int64)
+            stream_tx.append(tx)
+            mem_flat += tx
+    else:
+        pair_idx, steps = workload.pairs_of(large)
         row = np.repeat(np.arange(n_rows, dtype=np.int64), trips)
         chunk = steps // B
         warp_in_row = (steps % B) // ws
-        max_chunk = int(chunk.max()) + 1
+        max_chunk = int(chunk.max()) + 1 if chunk.size else 1
         agg = row * wpb + warp_in_row
         group = agg * max_chunk + chunk
         group_span = n_rows * wpb * max_chunk
@@ -311,7 +353,7 @@ def _bulk_opt_children(
         store_req, store_tx = s_store.requested_bytes, s_store.transactions
         pairs_c = int(trips_cum[r1] - trips_cum[r0])
         for si, stream in enumerate(workload.streams):
-            tx_c = int(tx_cums[si][w1] - tx_cums[si][w0]) if stream_tx else 0
+            tx_c = int(tx_cums[si][w1] - tx_cums[si][w0])
             req_c = pairs_c * stream.element_bytes
             if stream.kind == "load":
                 load_req += req_c
@@ -332,6 +374,10 @@ class DparNaiveTemplate(NestedLoopTemplate):
 
     name = "dpar-naive"
     uses_dynamic_parallelism = True
+    #: the only template whose children spread over device streams
+    PLAN_RELEVANT_PARAMS = ("lb_threshold", "thread_block", "lb_block",
+                            "registers_per_thread", "streams_per_block",
+                            "max_grid_blocks")
 
     def specialize(self, workload: NestedLoopWorkload, analysis,
                    config: DeviceConfig, params: TemplateParams):
@@ -395,6 +441,8 @@ class DparOptTemplate(NestedLoopTemplate):
 
     name = "dpar-opt"
     uses_dynamic_parallelism = True
+    PLAN_RELEVANT_PARAMS = ("lb_threshold", "thread_block", "lb_block",
+                            "registers_per_thread", "max_grid_blocks")
 
     def specialize(self, workload: NestedLoopWorkload, analysis,
                    config: DeviceConfig, params: TemplateParams):

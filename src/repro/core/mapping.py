@@ -14,6 +14,16 @@ per-thread trip counts (divergence), exact (warp, step)-grouped
 transactions (coalescing) and grouped atomic conflicts.  They are the only
 place where the pair-trace encoding is interpreted, so every template
 shares one implementation of the memory model.
+
+When the block size is a multiple of the warp size, every issue slot of
+the block-mapped and partitioned moves is one warp-aligned 32-step window
+of the pair stream, so those moves cost a phase from the analysis
+artifact's window facts (:class:`~repro.core.analysis.WarpWindows`,
+:class:`~repro.core.analysis.BufferWindows`): per-warp divergence in
+closed form plus one ``bincount`` per stream over the selected windows,
+with no per-pair expansion or sort.  The per-pair path remains for other
+block sizes and for callers without an analysis; both give bit-identical
+builders.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.errors import PlanError
+from repro.errors import PlanError, WorkloadError
 from repro.core.workload import NestedLoopWorkload
 from repro.gpusim.atomics import AtomicStats, flat_atomic_cycles
 from repro.gpusim.coalesce import (
@@ -32,6 +42,7 @@ from repro.gpusim.coalesce import (
     contiguous_transactions,
     transaction_counts,
 )
+from repro.gpusim.config import DeviceConfig
 from repro.gpusim.costmodel import KernelCostBuilder
 
 __all__ = [
@@ -243,6 +254,69 @@ def _apply_streams(
             builder.add_atomic_cycles(cycles, stats)
 
 
+def _window_atomic_cycles(
+    facts,
+    windows: np.ndarray | None,
+    agg: np.ndarray,
+    n_agg: int,
+    config: DeviceConfig,
+    hot,
+) -> tuple[np.ndarray, AtomicStats] | None:
+    """:func:`flat_atomic_cycles` from window facts.
+
+    Window ``windows[k]`` (all of ``facts``' windows when None) issues
+    into bucket ``agg[k]``; each window with live atomics costs
+    ``atomic_cycles + (mult - 1) * atomic_conflict_cycles``.  ``hot()``
+    returns the phase-wide hottest-target count and is called only when
+    some window has a live atomic.  Returns None when none does.  Windows
+    arrive in issue-slot order within each bucket, so the per-bucket float
+    sums match the per-pair path bit for bit.
+    """
+    if facts.live is None:
+        return None
+    live = facts.live if windows is None else facts.live[windows]
+    has = live > 0
+    if not has.any():
+        return None
+    mult = facts.mult if windows is None else facts.mult[windows]
+    mult = mult[has].astype(np.int64)
+    cost = (config.atomic_cycles
+            + (mult - 1).clip(min=0) * config.atomic_conflict_cycles)
+    cycles = np.bincount(agg[has], weights=cost, minlength=n_agg)
+    stats = AtomicStats(n_atomics=int(live.sum(dtype=np.int64)),
+                        max_address_multiplicity=hot())
+    return cycles, stats
+
+
+def _apply_windows(
+    builder: KernelCostBuilder,
+    workload: NestedLoopWorkload,
+    facts,
+    windows: np.ndarray | None,
+    warps: np.ndarray,
+    n_pairs: int,
+    coalesce_stores: bool,
+    hot,
+) -> None:
+    """The window twin of :func:`_apply_streams`: window ``windows[k]``
+    (all of ``facts``' windows when None) is one issue slot of warp
+    ``warps[k]``, so a warp's transactions are the sum of its windows'
+    distinct segments."""
+    for si, stream in enumerate(workload.streams):
+        counts = facts.segments[si]
+        if coalesce_stores and facts.staged[si] is not None:
+            counts = facts.staged[si]
+            builder.add_shared_accesses(2 * n_pairs)  # stage in + flush out
+        if windows is not None:
+            counts = counts[windows]
+        tx = np.bincount(warps, weights=counts, minlength=builder.n_warps)
+        builder.add_traffic(tx, n_pairs * stream.element_bytes, stream.kind)
+    atomics = _window_atomic_cycles(facts, windows, warps, builder.n_warps,
+                                   builder.config, hot)
+    if atomics is not None:
+        builder.add_atomic_cycles(*atomics)
+
+
 def add_outer_setup(
     builder: KernelCostBuilder,
     workload: NestedLoopWorkload,
@@ -361,10 +435,30 @@ def add_block_mapped_inner(
         return
     if block_ids.size and (block_ids.min() < 0 or block_ids.max() >= builder.n_blocks):
         raise PlanError("block_ids out of range for the builder's grid")
+    if outer_ids.min() < 0 or outer_ids.max() >= workload.outer_size:
+        raise WorkloadError("outer_ids out of range")
 
     def body(b: KernelCostBuilder) -> None:
         B = b.block_size
         trips = workload.subset_trips(outer_ids)
+        table = (analysis.warp_windows(workload, B, b.config.warp_size)
+                 if analysis is not None else None)
+        if table is not None:
+            # Window k of a row hosted by block blk is one issue slot of
+            # warp blk * wpb + k % wpb, so a warp issues one loop step per
+            # window (its first lane's trip count) and the lane-steps sum
+            # to the pair count.
+            windows, rank, counts = table.windows_of(outer_ids)
+            wpb = b.warps_per_block
+            warps = np.repeat(block_ids * wpb, counts) + rank % wpb
+            n_pairs = int(trips.sum())
+            b.add_warp_steps(np.bincount(warps, minlength=b.n_warps),
+                             n_pairs, workload.inner_insts)
+            if n_pairs:
+                _apply_windows(b, workload, table, windows, warps, n_pairs,
+                               coalesce_stores,
+                               hot=lambda: table.hot_degree(outer_ids))
+            return
 
         # Per-thread divergence: lane L of block blk runs ceil((f - L) / B)
         # iterations of each outer it hosts; accumulate over hosted outers.
@@ -419,6 +513,21 @@ def add_partitioned_pairs(
         return
 
     def body(b: KernelCostBuilder) -> None:
+        buffer = (analysis.buffer_windows(workload, outer_ids, b.n_blocks,
+                                          b.block_size, b.config.warp_size)
+                  if analysis is not None else None)
+        if buffer is not None:
+            if buffer.n_pairs == 0:
+                return
+            # window (block, rank) issues on warp rank % wpb of its block
+            wpb = b.warps_per_block
+            warps = buffer.block * wpb + buffer.rank % wpb
+            b.add_warp_steps(np.bincount(warps, minlength=b.n_warps),
+                             buffer.n_pairs, workload.inner_insts + 1.0)
+            _apply_windows(b, workload, buffer, None, warps, buffer.n_pairs,
+                           coalesce_stores, hot=lambda: buffer.hot)
+            return
+
         pair_idx, _ = workload.pairs_of(outer_ids)
         P = pair_idx.size
         if P == 0:

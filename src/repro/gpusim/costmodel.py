@@ -174,10 +174,16 @@ class KernelCostBuilder:
             raise WorkloadError("n_threads out of range for this grid")
         if n_threads == 0 or insts <= 0:
             return
-        flags = np.zeros(self.n_threads, dtype=np.int64)
-        flags[:n_threads] = 1
-        shape = self._form(flags)
-        issued, active = divergence_steps(shape)
+        # closed form of warp formation over a thread prefix: warp w of
+        # block b holds lanes [b*B + w*ws, +min(ws, B - w*ws)), of which
+        # those below n_threads are active; it issues once if any is
+        warp_size = self.config.warp_size
+        starts = np.arange(self.warps_per_block, dtype=np.int64) * warp_size
+        lanes = np.minimum(warp_size, self.block_size - starts)
+        first = (np.arange(self.n_blocks, dtype=np.int64)[:, None]
+                 * self.block_size + starts).ravel()
+        active = np.clip(n_threads - first, 0, np.tile(lanes, self.n_blocks))
+        issued = (active > 0).astype(np.int64)
         self._arrays.compute_slots += issued * insts
         self.counters.warp.add_counts(
             int(issued.sum() * insts), int(active.sum() * insts)
@@ -193,10 +199,17 @@ class KernelCostBuilder:
             raise WorkloadError("insts_per_iter cannot be negative")
         shape = self._form(np.asarray(trip_counts, dtype=np.int64))
         issued, active = divergence_steps(shape)
+        self.add_warp_steps(issued, active.sum(), insts_per_iter)
+
+    def add_warp_steps(self, issued: np.ndarray, active_slots: int,
+                       insts_per_iter: float) -> None:
+        """A divergent loop given in closed form: ``issued[w]`` loop steps
+        issued by warp ``w`` and ``active_slots`` lane-steps in total —
+        what :meth:`add_loop` derives from per-thread trip counts."""
         self._arrays.compute_slots += issued * insts_per_iter
         self.counters.warp.add_counts(
             int(round(issued.sum() * insts_per_iter)),
-            int(round(active.sum() * insts_per_iter)),
+            int(round(active_slots * insts_per_iter)),
         )
 
     # ----------------------------------------------------------------- memory

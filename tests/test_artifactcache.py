@@ -222,3 +222,42 @@ class TestConfigure:
 
     def test_unconfigured_without_env_is_disabled(self):
         assert get_artifact_cache() is None
+
+    def test_same_directory_keeps_the_live_instance(self, tmp_path):
+        """Per-batch reconfiguration must not reset the process cache:
+        same object, counters and tracked size carry on."""
+        cache = configure_artifact_cache(tmp_path)
+        cache.put("plan", ("k",), 1)
+        assert cache.get("plan", ("k",)) == 1
+        assert cache.get("plan", ("missing",)) is None
+        before = cache.snapshot()
+        # the same directory spelled differently resolves to one place
+        (tmp_path / "sub").mkdir()
+        for spelling in (tmp_path, str(tmp_path), tmp_path / "sub" / ".."):
+            assert configure_artifact_cache(spelling) is cache
+        assert get_artifact_cache() is cache
+        assert cache.snapshot() == before
+        assert before["hits"] == 1 and before["misses"] == 1
+        assert before["writes"] == 1
+
+    def test_env_adopted_instance_is_kept(self, tmp_path):
+        os.environ[artifactcache.ENV_VAR] = str(tmp_path)
+        adopted = get_artifact_cache()
+        assert configure_artifact_cache(tmp_path) is adopted
+
+    def test_other_directory_or_cap_replaces_it(self, tmp_path):
+        cache = configure_artifact_cache(tmp_path / "a")
+        cache.put("plan", ("k",), 1)
+        other = configure_artifact_cache(tmp_path / "b")
+        assert other is not cache
+        assert other.cache_dir == tmp_path / "b"
+        assert other.snapshot()["writes"] == 0
+        assert os.environ[artifactcache.ENV_VAR] == str(tmp_path / "b")
+        capped = configure_artifact_cache(tmp_path / "b", max_bytes=1 << 20)
+        assert capped is not other and capped.max_bytes == 1 << 20
+        assert configure_artifact_cache(tmp_path / "b",
+                                        max_bytes=1 << 20) is capped
+        assert configure_artifact_cache(None) is None
+        assert get_artifact_cache() is None
+        again = configure_artifact_cache(tmp_path / "b", max_bytes=1 << 20)
+        assert again is not capped

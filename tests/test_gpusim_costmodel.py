@@ -10,6 +10,7 @@ from repro.gpusim.costmodel import (
     effective_segment_cycles,
     resident_warps_estimate,
 )
+from repro.gpusim.warps import divergence_steps
 
 
 class TestEffectiveSegmentCycles:
@@ -72,6 +73,22 @@ class TestKernelCostBuilder:
         cycles = launch.costs.block_cycles
         assert np.allclose(cycles, cycles[0])
         assert cycles[0] > 0
+
+    @pytest.mark.parametrize("block_size", [32, 48, 64, 100, 192])
+    def test_uniform_prefix_matches_warp_formation(self, block_size):
+        """The closed-form prefix equals forming warps over 0/1 flags."""
+        for n_threads in (1, 31, 33, block_size, 2 * block_size + 17,
+                          5 * block_size):
+            b = KernelCostBuilder(KEPLER_K20, "k", block_size=block_size,
+                                  n_blocks=5)
+            b.add_uniform(n_threads, insts=3.0)
+            flags = np.zeros(b.n_threads, dtype=np.int64)
+            flags[:n_threads] = 1
+            issued, active = divergence_steps(b._form(flags))
+            np.testing.assert_array_equal(b._arrays.compute_slots,
+                                          issued * 3.0)
+            assert b.counters.warp.issued_steps == int(issued.sum() * 3.0)
+            assert b.counters.warp.active_slots == int(active.sum() * 3.0)
 
     def test_divergent_loop_inflates_issue(self):
         trips = np.zeros(256, dtype=np.int64)

@@ -1,14 +1,20 @@
 """Plan-cache hardening: hit/cold equivalence, LRU eviction order,
 counter accuracy under eviction, and the exposed helpers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import repro
+from repro.core.analysis import WorkloadAnalysis
+from repro.core.params import TemplateParams
 from repro.core.plancache import PlanCache, default_cache, fingerprint_of
+from repro.core.registry import NESTED_LOOP_TEMPLATES
 from repro.core.recursive import RecursiveTreeWorkload
 from repro.core.workload import AccessStream, NestedLoopWorkload
 from repro.errors import ConfigError
+from repro.gpusim.config import KEPLER_K20
 from repro.trees.generator import generate_tree
 
 
@@ -127,3 +133,55 @@ class TestExposedHelpers:
         assert cache.get(("a",)) is None
         assert cache.snapshot()["enabled"] is False
         assert cache.snapshot()["size"] == 0
+
+
+#: alternative values for every TemplateParams field (all valid)
+_ALTERNATIVES = {
+    "lb_threshold": (1, 8, 200),
+    "thread_block": (64, 256),
+    "lb_block": (32, 48, 128),
+    "registers_per_thread": (16, 64),
+    "streams_per_block": (2, 3),
+    "max_grid_blocks": (2_000,),
+}
+
+
+def _plan_state(graph, schedule):
+    launches = []
+    for launch in graph.launches:
+        state = {k: v for k, v in vars(launch).items()
+                 if k not in ("costs", "counters")}
+        launches.append((
+            state,
+            launch.costs.block_cycles.tobytes(),
+            launch.costs.block_floor.tobytes(),
+            launch.costs.serial_tail,
+            dataclasses.asdict(launch.counters),
+        ))
+    return launches, {k: v.tolist() for k, v in schedule.items()}
+
+
+class TestPlanRelevantParams:
+    """A plan is keyed only on its template's declared params, so a field
+    outside that set must never change the built graph — otherwise the
+    plan cache would serve one point's plan for another."""
+
+    @pytest.mark.parametrize("name", sorted(NESTED_LOOP_TEMPLATES))
+    def test_undeclared_fields_leave_the_plan_unchanged(self, name):
+        template = NESTED_LOOP_TEMPLATES[name]()
+        declared = template.PLAN_RELEVANT_PARAMS
+        assert declared is not None, f"{name} keys plans on every field"
+        fields = {f.name for f in dataclasses.fields(TemplateParams)}
+        assert set(declared) <= fields
+        assert set(_ALTERNATIVES) == fields
+        workload = make_workload(seed=5, outer=600)
+        analysis = WorkloadAnalysis.from_workload(workload)
+        base = TemplateParams()
+        want = _plan_state(*template.specialize(workload, analysis,
+                                                KEPLER_K20, base))
+        for field in sorted(fields - set(declared)):
+            for value in _ALTERNATIVES[field]:
+                params = base.replace(**{field: value})
+                got = template.specialize(workload, analysis, KEPLER_K20,
+                                          params)
+                assert _plan_state(*got) == want, (field, value)

@@ -71,10 +71,10 @@ queue-smoke:
 ir-smoke:
 	$(PYTHON) tools/ir_smoke.py
 
-# fused batch execution end-to-end: execute_fused over a mixed batch
-# (block-mapped + dynamic-parallelism graphs) bit-identical to sequential
-# runs, empty/singleton demux, vectorized == serial placement, backend
-# accounting, and the executor.fused_graphs counter
+# fused batch execution end-to-end: GpuExecutor.run_many over a mixed
+# batch (block-mapped + dynamic-parallelism graphs) bit-identical to
+# sequential runs, empty/singleton demux, backend accounting, and the
+# executor.fused_graphs counter
 fuse-smoke:
 	$(PYTHON) tools/fuse_smoke.py
 

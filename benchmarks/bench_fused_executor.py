@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Fused batch execution benchmark: one event loop for N mixed graphs.
 
-Three measurements around ``execute_fused`` / ``run_many``:
+Three measurements around ``GpuExecutor.run_many`` / ``run_many``:
 
 1. **sweep fusion** (the gated headline): the Fig. 4 block-size sweep
    executed as one fused in-process pass per repetition versus the
@@ -10,12 +10,13 @@ Three measurements around ``execute_fused`` / ``run_many``:
    BENCH_harness_speed.json.  Table cells must agree **bit-for-bit**
    (``rel_tol=0.0``), proving fusion changes wall time only;
 2. **mixed-fingerprint serving**: a request mix over many distinct
-   (workload, template) fingerprints driven through ``repro.serve`` with
-   window fusion on vs off.  Identical-fingerprint coalescing handles
-   none of the cross-fingerprint traffic — only ``fuse_batches`` merges
-   those windows into single executor passes;
-3. **executor micro-batch**: ``execute_fused`` over a mixed graph batch
-   vs sequential ``GpuExecutor.run`` calls, with field-exact demux
+   (workload, template) fingerprints driven through ``repro.serve``.
+   Identical-fingerprint coalescing handles none of the
+   cross-fingerprint traffic — window fusion merges those windows into
+   single executor passes; the record keeps the fused-window throughput
+   and how many passes and batches fused (no gate reads it);
+3. **executor micro-batch**: ``GpuExecutor.run_many`` over a mixed graph
+   batch vs sequential ``GpuExecutor.run`` calls, with field-exact demux
    checks (per-graph cycles and counters).
 
 The record lands in ``BENCH_fused_executor.json``::
@@ -110,12 +111,12 @@ def _sweep_comparison(args) -> dict:
 
 
 def _service_comparison(args) -> dict:
-    """Mixed-fingerprint closed-loop serving, window fusion on vs off.
+    """Mixed-fingerprint closed-loop serving through fused windows.
 
     ``hot_fraction`` is kept low and ``distinct`` high so most windows
     gather *different* fingerprints — traffic the identical-fingerprint
-    coalescer cannot batch.  Each side keeps its best-of-``trials``
-    throughput (serving walls this short are scheduler-noisy).
+    coalescer cannot batch.  Keeps the best-of-``trials`` throughput
+    (serving walls this short are scheduler-noisy).
     """
     mix = build_request_mix(
         args.requests, distinct=args.distinct, hot_fraction=0.5,
@@ -124,51 +125,37 @@ def _service_comparison(args) -> dict:
     )
     profile = mix_profile(mix)
     print(f"service mix: {json.dumps(profile)}")
-    sides: dict[bool, dict] = {}
-    fused_stats = None
-    for fuse in (False, True):
-        best = None
-        for _ in range(args.trials):
-            with serve(workers=1, max_batch=args.max_batch,
-                       batch_window_s=args.window_ms / 1e3,
-                       fuse_batches=fuse,
-                       inline_cost_threshold=10**9) as svc:
-                run = run_closed_loop(svc, mix, clients=args.clients)
-                stats = svc.stats()
-            if run.get("failed"):
-                raise SystemExit(f"{run['failed']} requests failed "
-                                 f"(fuse_batches={fuse})")
-            if best is None or run["throughput_rps"] > best["throughput_rps"]:
-                best = run
-                if fuse:
-                    fused_stats = stats
-        sides[fuse] = best
-        label = "fused windows" if fuse else "per-batch passes"
-        print(f"  {label}: {best['wall_s']:.2f}s wall, "
-              f"{best['throughput_rps']:.0f} req/s")
-    ratio = (sides[True]["throughput_rps"] / sides[False]["throughput_rps"]
-             if sides[False]["throughput_rps"] else 0.0)
-    batching = (fused_stats or {}).get("batching", {})
-    print(f"service: fused windows are {ratio:.2f}x per-batch passes "
+    best = best_stats = None
+    for _ in range(args.trials):
+        with serve(workers=1, max_batch=args.max_batch,
+                   batch_window_s=args.window_ms / 1e3,
+                   inline_cost_threshold=10**9) as svc:
+            run = run_closed_loop(svc, mix, clients=args.clients)
+            stats = svc.stats()
+        if run.get("failed"):
+            raise SystemExit(f"{run['failed']} requests failed")
+        if best is None or run["throughput_rps"] > best["throughput_rps"]:
+            best, best_stats = run, stats
+    batching = best_stats.get("batching", {})
+    print(f"service: fused windows {best['wall_s']:.2f}s wall, "
+          f"{best['throughput_rps']:.0f} req/s "
           f"({batching.get('fused_passes', 0)} fused passes covering "
           f"{batching.get('fused_batches', 0)} batches)")
     return {
         "mix": profile,
-        "unfused": sides[False],
-        "fused": sides[True],
-        "throughput_ratio": round(ratio, 3),
+        "fused": best,
         "fused_passes": batching.get("fused_passes", 0),
         "fused_batches": batching.get("fused_batches", 0),
     }
 
 
 def _micro_comparison(args) -> dict:
-    """``execute_fused`` vs sequential runs on one mixed in-memory batch."""
+    """``run_many`` vs sequential runs on one mixed in-memory batch."""
     import numpy as np
 
     from repro.core import AccessStream, NestedLoopWorkload, TemplateParams
     from repro.core.registry import resolve
-    from repro.gpusim import KEPLER_K20, GpuExecutor, execute_fused
+    from repro.gpusim import KEPLER_K20, GpuExecutor
 
     rng = np.random.default_rng(args.seed)
     graphs = []
@@ -190,7 +177,7 @@ def _micro_comparison(args) -> dict:
     sequential = [executor.run(g) for g in graphs]
     seq_wall = time.perf_counter() - t0
     t0 = time.perf_counter()
-    fused = execute_fused(graphs, KEPLER_K20, engine="fast")
+    fused = executor.run_many(graphs)
     fused_wall = time.perf_counter() - t0
     for i, (a, b) in enumerate(zip(fused, sequential)):
         if (a.cycles != b.cycles or a.sm_busy_cycles != b.sm_busy_cycles

@@ -86,7 +86,7 @@ def run_routed(units: list[dict], devices: int) -> dict:
         idx = group.acquire()
         run = tmpl.run(unit["workload"], KEPLER_K20,
                        TemplateParams(lb_threshold=unit["lbt"]),
-                       executor=group.members[idx])
+                       backend=group.members[idx])
         group.complete(idx, busy_ms=run.result.time_ms)
         total_pairs += unit["workload"].n_pairs
     busy = [member.busy_ms for member in group.members]

@@ -14,14 +14,12 @@ executing anything beyond what selection itself needs.  ``repro.serve``
 brings up the long-lived serving runtime (:mod:`repro.service`).
 
 Both run functions accept a template *instance* in place of a name, for
-custom templates that never entered the registry.  The legacy
-template-first argument order (``run("dbuf-shared", workload)``) still
-works with a :class:`DeprecationWarning`.
+custom templates that never entered the registry.  The workload always
+comes first; anything else in that position is a :class:`WorkloadError`.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Iterable
 
 from repro.core.base import TemplateRun
@@ -31,7 +29,7 @@ from repro.core.registry import resolve
 from repro.core.workload import NestedLoopWorkload
 from repro.errors import ConfigError, WorkloadError
 from repro.gpusim.config import DeviceConfig, KEPLER_K20
-from repro.gpusim.executor import GpuExecutor, resolve_engine
+from repro.gpusim.executor import resolve_engine
 from repro.ir.select import auto_select, is_auto
 
 __all__ = ["run", "compare", "explain", "serve"]
@@ -46,35 +44,6 @@ def _kind_of(workload) -> str:
         "workload must be a NestedLoopWorkload or RecursiveTreeWorkload, "
         f"got {type(workload).__name__}"
     )
-
-
-def _is_workload(obj) -> bool:
-    return isinstance(obj, (NestedLoopWorkload, RecursiveTreeWorkload))
-
-
-def _resolve_engine(engine: str | None) -> str | None:
-    """Validate the engine choice (one shared check; see
-    :func:`repro.gpusim.executor.resolve_engine`)."""
-    return resolve_engine(engine)
-
-
-def _accept_legacy_order(first, second, caller: str):
-    """Support the pre-IR ``caller(template, workload)`` argument order.
-
-    The modern order is workload first.  A workload in the first position
-    passes straight through; a workload in the *second* position is the
-    legacy order — swapped back with a :class:`DeprecationWarning`.
-    """
-    if _is_workload(first) or not _is_workload(second):
-        return first, second
-    warnings.warn(
-        f"repro.{caller}() now takes the workload first: "
-        f"{caller}(workload, template). The template-first order is "
-        "deprecated.",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return second, first
 
 
 def _coerce_backend_arg(backend, device, devices, engine):
@@ -151,9 +120,9 @@ def run(
         may derive a different ``lb_threshold`` (the race winner's).
     engine:
         ``"fast"`` (cohort-batched executor, the default) or ``"exact"``
-        (the reference event-per-block engine; same results to within
-        1e-6 — see ``docs/performance.md``).  None defers to the
-        process-wide default engine.
+        (the reference event-per-block engine; bit-identical results —
+        see ``docs/performance.md``).  None defers to the process-wide
+        default engine.
     backend:
         execution model: ``"sim"`` (bulk-synchronous, the default) or
         ``"queue"`` (Atos-style persistent task queues, single device —
@@ -163,9 +132,8 @@ def run(
         its capability reasons (``run.selection`` / ``repro.explain``);
         queue-incompatible templates fall back to BSP execution.
     """
-    workload, template = _accept_legacy_order(workload, template, "run")
     kind = _kind_of(workload)
-    engine = _resolve_engine(engine)
+    engine = resolve_engine(engine)
     if devices < 1:
         raise ConfigError(f"devices must be >= 1, got {devices}")
     backend_obj, backend_kind = _coerce_backend_arg(
@@ -177,19 +145,16 @@ def run(
                                 backend=backend_kind)
         template, params = selection.template, selection.params
     tmpl = resolve(template, kind=kind) if isinstance(template, str) else template
-    if backend_obj is not None:
-        result = tmpl.run(workload, device, params or TemplateParams(),
-                          backend=backend_obj)
-    elif devices > 1:
+    if backend_obj is None and devices > 1:
         from repro.backends import backend_for
 
-        group = backend_for(device, devices, engine=engine)
-        result = tmpl.run(workload, device, params or TemplateParams(),
-                          backend=group)
-    else:
-        executor = GpuExecutor(device, engine=engine) if engine is not None else None
-        result = tmpl.run(workload, device, params or TemplateParams(),
-                          executor=executor)
+        backend_obj = backend_for(device, devices, engine=engine)
+    elif backend_obj is None and engine is not None:
+        from repro.backends import SimBackend
+
+        backend_obj = SimBackend(device, engine=engine)
+    result = tmpl.run(workload, device, params or TemplateParams(),
+                      backend=backend_obj)
     result.selection = selection
     return result
 
@@ -212,7 +177,6 @@ def compare(
     without restating the list: ``compare(wl, ["thread-mapped"],
     include="auto")`` runs the named template plus the auto pick.
     """
-    workload, templates = _accept_legacy_order(workload, templates, "compare")
     if templates is None:
         templates = ("auto",)
     elif isinstance(templates, str) or not isinstance(templates, Iterable):
@@ -224,7 +188,7 @@ def compare(
             isinstance(include, str) or not isinstance(include, Iterable)
         ) else tuple(include)
         templates = templates + extra
-    engine = _resolve_engine(engine)
+    engine = resolve_engine(engine)
     return [
         run(workload, t, device=device, devices=devices, params=params,
             engine=engine, backend=backend)
@@ -254,7 +218,7 @@ def explain(
     """
     from repro.backends import resolve_backend
 
-    engine = _resolve_engine(engine)
+    engine = resolve_engine(engine)
     kind = resolve_backend(backend) or "sim"
     return auto_select(workload, device, params, engine,
                        backend=kind).to_dict()

@@ -29,7 +29,6 @@ from repro.backends.group import DeviceGroup, GroupExecutionResult, run_sharded
 from repro.backends.sim import SimBackend
 from repro.errors import ConfigError
 from repro.gpusim.config import DeviceConfig, KEPLER_K20
-from repro.gpusim.executor import GpuExecutor
 
 __all__ = [
     "BACKENDS",
@@ -93,7 +92,7 @@ def get_default_backend() -> str:
 
 
 def set_default_devices(n: int) -> None:
-    """Select the device count used when no backend/executor is passed.
+    """Select the device count used when no backend is passed.
 
     The multi-device analogue of
     :func:`~repro.gpusim.executor.set_default_engine`: the bench runner's
@@ -170,36 +169,17 @@ def backend_for(
     return group
 
 
-def coerce_backend(
-    backend: Backend | None,
-    executor,
-    config: DeviceConfig,
-) -> Backend:
-    """Resolve what a template run executes on.
-
-    Precedence: an explicit ``backend``; then ``executor`` (a legacy
-    :class:`GpuExecutor` — wrapped without touching its engine/timeline
-    flags, so caller-supplied executors keep their exact semantics and
-    cache keys — or already a backend); else the process default
-    topology for ``config``.
-    """
-    if backend is not None:
-        if not isinstance(backend, Backend):
-            raise ConfigError(
-                f"backend must be a repro.backends.Backend, "
-                f"got {type(backend).__name__}"
-            )
-        return backend
-    if executor is not None:
-        if isinstance(executor, Backend):
-            return executor
-        if isinstance(executor, GpuExecutor):
-            return SimBackend.from_executor(executor)
+def coerce_backend(backend: Backend | None, config: DeviceConfig) -> Backend:
+    """Resolve what a template run executes on: an explicit ``backend``,
+    else the process default topology for ``config``."""
+    if backend is None:
+        return backend_for(config)
+    if not isinstance(backend, Backend):
         raise ConfigError(
-            f"executor must be a GpuExecutor or Backend, "
-            f"got {type(executor).__name__}"
+            f"backend must be a repro.backends.Backend, "
+            f"got {type(backend).__name__}"
         )
-    return backend_for(config)
+    return backend
 
 
 def effective_backend(backend: Backend, template) -> Backend:

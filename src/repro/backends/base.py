@@ -3,9 +3,10 @@
 A :class:`Backend` is the seam between the template layer (which decides
 *how* an irregular loop or recursion maps onto kernels) and the execution
 substrate (which decides *what it costs to run them*).  Templates build a
-:class:`~repro.gpusim.kernels.LaunchGraph`; backends accept one through
-:meth:`Backend.submit` and return an
-:class:`~repro.gpusim.executor.ExecutionResult`.
+:class:`~repro.gpusim.kernels.LaunchGraph`; backends accept a batch of
+them through :meth:`Backend.submit_many` (:meth:`Backend.submit` is the
+one-graph batch) and return one
+:class:`~repro.gpusim.executor.ExecutionResult` per graph.
 
 Separating the two follows the same decomposition Atos and the GPU
 load-balancing programming-model literature make: scheduling policy
@@ -130,18 +131,18 @@ class Backend(ABC):
         return self.capabilities.devices
 
     @abstractmethod
-    def submit(self, graph: LaunchGraph) -> ExecutionResult:
-        """Execute one launch graph and return its timing + counters."""
-
     def submit_many(self, graphs: list[LaunchGraph]) -> list[ExecutionResult]:
         """Execute a batch of launch graphs; results align with ``graphs``.
 
-        The default runs each graph through :meth:`submit` sequentially.
-        Backends that can amortize work across a batch (one fused event
-        loop, one device pass) override this — results must stay
-        bit-identical to the sequential path.
+        The one execution method a backend implements.  Backends that can
+        amortize work across a batch (one fused event loop, one device
+        pass) do so here — each result must stay bit-identical to
+        executing its graph alone.
         """
-        return [self.submit(graph) for graph in graphs]
+
+    def submit(self, graph: LaunchGraph) -> ExecutionResult:
+        """Execute one launch graph: the one-graph batch."""
+        return self.submit_many([graph])[0]
 
     def fingerprint(self) -> str:
         """Repr-stable identity for cache keys incorporating the backend.

@@ -3,10 +3,10 @@
 :class:`DeviceGroup` owns N :class:`~repro.backends.sim.SimBackend`
 members (identical device configs) and supports two modes of use:
 
-* **Graph routing** (:meth:`DeviceGroup.submit`) — one launch graph goes
-  to the least-loaded member, where load is the simulated busy time it
-  has accumulated plus its in-flight submissions.  This is how the
-  serving layer spreads independent batches over devices.
+* **Graph routing** (:meth:`DeviceGroup.submit_many`) — each launch
+  graph goes to the least-loaded member, where load is the simulated busy
+  time it has accumulated plus its in-flight submissions.  This is how
+  the serving layer spreads independent batches over devices.
 * **Sharded runs** (:func:`run_sharded`) — one workload is split by the
   planner in :mod:`repro.core.sharding`, each shard builds and executes
   its own plan on its member device (concurrently, on a thread pool —
@@ -128,15 +128,19 @@ class DeviceGroup(Backend):
         with self._lock:
             return self._pick_locked()
 
-    def _pick_locked(self) -> int:
+    def _loads_locked(self) -> tuple[list[float], float]:
+        """Per-member load (busy + in-flight) and the average busy time
+        one in-flight graph is assumed to add."""
         avg = (sum(m.busy_ms for m in self.members)
                / len(self.members)) or 1.0
-        best, best_load = 0, float("inf")
-        for i, member in enumerate(self.members):
-            load = member.busy_ms + self._inflight[i] * avg
-            if load < best_load:
-                best, best_load = i, load
-        return best
+        load = [m.busy_ms + self._inflight[i] * avg
+                for i, m in enumerate(self.members)]
+        return load, avg
+
+    def _pick_locked(self) -> int:
+        load, _ = self._loads_locked()
+        # least load, lowest index on ties
+        return min(range(len(load)), key=lambda j: (load[j], j))
 
     def acquire(self) -> int:
         """Reserve the least-loaded member for an external execution.
@@ -207,35 +211,20 @@ class DeviceGroup(Backend):
             )
             return True
 
-    def submit(self, graph: LaunchGraph) -> ExecutionResult:
-        """Execute one graph on the least-loaded member."""
-        with self._lock:
-            i = self._pick_locked()
-            self._inflight[i] += 1
-        try:
-            return self.members[i].submit(graph)
-        finally:
-            with self._lock:
-                self._inflight[i] -= 1
-
     def submit_many(self, graphs: list[LaunchGraph]) -> list[ExecutionResult]:
         """Spread a batch over members, fusing each member's share.
 
         Graphs are dealt greedily: each graph goes to the member that is
-        least loaded *including the graphs already dealt this batch*, then
-        every member executes its share as one fused pass.  Results come
-        back in input order; each graph's result is bit-identical to a
-        standalone :meth:`submit` on that member.
+        least loaded *including the graphs already dealt this batch*
+        (lowest index on ties — a single graph lands on
+        :meth:`least_loaded`), then every member executes its share as
+        one fused pass.  Results come back in input order; each graph's
+        result is bit-identical to executing it alone on that member.
         """
         if not graphs:
             return []
         with self._lock:
-            avg = (sum(m.busy_ms for m in self.members)
-                   / len(self.members)) or 1.0
-            load = [
-                m.busy_ms + self._inflight[i] * avg
-                for i, m in enumerate(self.members)
-            ]
+            load, avg = self._loads_locked()
             shares: list[list[int]] = [[] for _ in self.members]
             for pos in range(len(graphs)):
                 i = min(range(len(self.members)), key=lambda j: (load[j], j))
@@ -484,7 +473,7 @@ def run_sharded(template, workload, group: DeviceGroup,
                               template=template.name,
                               workload=shard.workload.name):
                     return template.run(shard.workload, config, params,
-                                        executor=scratch)
+                                        backend=scratch)
 
             with ThreadPoolExecutor(max_workers=n) as pool:
                 chunk_runs = list(pool.map(run_chunk, chunks))
@@ -500,7 +489,7 @@ def run_sharded(template, workload, group: DeviceGroup,
         with obs.span("device.run", device=shard.index,
                       template=template.name, workload=shard.workload.name):
             run = template.run(shard.workload, config, params,
-                               executor=member)
+                               backend=member)
         if shard.kind == "nested-loop":
             obs.add_counter(f"device.{shard.index}.outer", shard.n_members)
             obs.add_counter(f"device.{shard.index}.pairs",

@@ -1,15 +1,16 @@
 """Single simulated device: :class:`GpuExecutor` behind the backend seam.
 
-:class:`SimBackend` is a thin adapter — it owns (or wraps) one
-:class:`~repro.gpusim.executor.GpuExecutor` and forwards :meth:`submit`
-to it.  Its job is fidelity: everything the template layer used to read
-off the executor (engine, ``record_timeline``, the device config) is
-exposed unchanged, so plan/run cache keys and results for ``devices=1``
-are bit-for-bit identical to the pre-backend code path.
+:class:`SimBackend` is a thin adapter — it owns one
+:class:`~repro.gpusim.executor.GpuExecutor` and forwards
+:meth:`~SimBackend.submit_many` to its ``run_many``.  Its job is
+fidelity: everything the template layer used to read off the executor
+(engine, ``record_timeline``, the device config) is exposed unchanged, so
+plan/run cache keys and results for ``devices=1`` are bit-for-bit
+identical to the pre-backend code path.
 
 When the backend is a member of a :class:`~repro.backends.group.DeviceGroup`
 it carries a ``device_index`` and stamps per-device obs counters
-(``device.<i>.launches`` / ``device.<i>.busy_cycles``) on every submit;
+(``device.<i>.launches`` / ``device.<i>.busy_cycles``) per executed graph;
 standalone backends leave the obs stream untouched.
 """
 
@@ -35,10 +36,6 @@ class SimBackend(Backend):
         executor engine override, or ``None`` for the process default.
     record_timeline:
         keep per-launch timing records on every submit.
-    executor:
-        an existing executor to wrap instead of constructing one — used
-        by the template layer to preserve caller-supplied executors
-        exactly (their engine/timeline flags decide the cache keys).
     device_index:
         position within a :class:`DeviceGroup`, or ``None`` when
         standalone.  Indexed backends emit ``device.<i>.*`` obs counters.
@@ -52,15 +49,11 @@ class SimBackend(Backend):
         *,
         engine: str | None = None,
         record_timeline: bool = False,
-        executor: GpuExecutor | None = None,
         device_index: int | None = None,
     ) -> None:
-        if executor is not None:
-            self.executor = executor
-        else:
-            self.executor = GpuExecutor(
-                device, record_timeline=record_timeline, engine=engine
-            )
+        self.executor = GpuExecutor(
+            device, record_timeline=record_timeline, engine=engine
+        )
         self.device_index = device_index
         self._capabilities = capabilities_of(self.executor.config)
         #: simulated busy time submitted through this backend (ms) — the
@@ -68,13 +61,6 @@ class SimBackend(Backend):
         self.busy_ms = 0.0
         #: graphs submitted through this backend
         self.submissions = 0
-
-    @classmethod
-    def from_executor(cls, executor: GpuExecutor,
-                      device_index: int | None = None) -> "SimBackend":
-        """Wrap an existing executor without changing any of its state."""
-        return cls(executor.config, executor=executor,
-                   device_index=device_index)
 
     @property
     def device(self) -> DeviceConfig:
@@ -92,25 +78,18 @@ class SimBackend(Backend):
     def record_timeline(self) -> bool:
         return self.executor.record_timeline
 
-    def submit(self, graph: LaunchGraph) -> ExecutionResult:
-        result = self.executor.run(graph)
-        self._account(result)
-        return result
-
     def submit_many(self, graphs: list[LaunchGraph]) -> list[ExecutionResult]:
-        """Execute ``graphs`` as one fused executor pass (bit-exact)."""
+        """Execute ``graphs`` as one executor pass (bit-exact per graph)."""
         results = self.executor.run_many(graphs)
         for result in results:
-            self._account(result)
+            self.busy_ms += result.time_ms
+            self.submissions += 1
+            if self.device_index is not None:
+                i = self.device_index
+                obs.add_counter(f"device.{i}.launches", result.n_launches)
+                obs.add_counter(f"device.{i}.busy_cycles",
+                                result.sm_busy_cycles)
         return results
-
-    def _account(self, result: ExecutionResult) -> None:
-        self.busy_ms += result.time_ms
-        self.submissions += 1
-        if self.device_index is not None:
-            i = self.device_index
-            obs.add_counter(f"device.{i}.launches", result.n_launches)
-            obs.add_counter(f"device.{i}.busy_cycles", result.sm_busy_cycles)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         idx = "" if self.device_index is None else f" index={self.device_index}"

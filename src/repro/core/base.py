@@ -100,15 +100,15 @@ def check_schedule(schedule: dict[str, np.ndarray], outer_size: int) -> None:
 class _PreparedRun:
     """A template run with its plan resolved but execution still pending.
 
-    The single-device half of :meth:`NestedLoopTemplate.run`, split out so
-    batch entry points (:func:`run_many`, the service fusion path) can
-    resolve many plans first, execute every run-tier miss as **one** fused
-    backend pass, and only then finalize — without duplicating any of the
-    plan-cache / disk-cache / run-tier logic.
+    What :meth:`_TemplateBase._prepare` returns, so batch entry points
+    (:func:`run_many`, the service workers) can resolve many plans first,
+    execute every run-tier miss as **one** fused backend pass, and only
+    then finalize — without duplicating any of the plan-cache /
+    disk-cache / run-tier logic.
     """
 
-    template: "NestedLoopTemplate"
-    workload: NestedLoopWorkload
+    template: "_TemplateBase"
+    workload: object
     config: DeviceConfig
     params: TemplateParams
     graph: LaunchGraph
@@ -141,8 +141,15 @@ class _PreparedRun:
         )
 
 
-class NestedLoopTemplate(ABC):
-    """A parallelization template for irregular nested loops (Fig. 1)."""
+class _TemplateBase:
+    """What the nested-loop and tree template families share: identity
+    flags and the one run path.
+
+    A family supplies only what differs — :meth:`_build_plan` (the value
+    the plan caches store) and :meth:`_split_plan` (the launch graph and
+    the schedule a plan reports); :meth:`run` and :meth:`_prepare` are
+    common.
+    """
 
     #: template identifier (paper name)
     name: str = "abstract"
@@ -155,6 +162,102 @@ class NestedLoopTemplate(ABC):
     #: :class:`TemplateParams` fields this template's build() reads; the
     #: plan cache keys only on these (None = key on every field)
     PLAN_RELEVANT_PARAMS: tuple[str, ...] | None = None
+
+    def _build_plan(self, workload, config: DeviceConfig,
+                    params: TemplateParams):
+        """Build the value the memory and disk plan caches store."""
+        raise NotImplementedError
+
+    def _split_plan(self, plan, workload) -> tuple[LaunchGraph, dict[str, np.ndarray]]:
+        """The launch graph and the schedule a plan value reports."""
+        raise NotImplementedError
+
+    def run(
+        self,
+        workload,
+        config: DeviceConfig,
+        params: TemplateParams | None = None,
+        backend=None,
+    ) -> TemplateRun:
+        """Build, validate, execute and profile in one call.
+
+        Execution goes through a :class:`~repro.backends.Backend` —
+        ``backend``, or the process's default device topology.  A
+        multi-device backend shards the workload and merges the
+        per-device runs (see :func:`repro.backends.run_sharded`).  This is
+        the one-item case of :func:`run_many`.
+
+        Plans are served from the process-wide plan cache when an identical
+        (workload, template, plan-relevant params, device) build was done
+        before, falling back to the disk artifact cache (shared across
+        bench/service worker processes) when one is configured; cached
+        graphs are shared, so treat them as read-only.  Execution results
+        are themselves cached in the disk ``run`` tier — the simulator is
+        deterministic — except when a timeline or tracing is requested,
+        which needs a live run.
+        """
+        return run_many([(self, workload, params)], config, backend=backend)[0]
+
+    def _prepare(self, workload, config: DeviceConfig, params: TemplateParams,
+                 backend) -> _PreparedRun:
+        """Resolve the plan and probe the run tier; execution stays pending.
+
+        Single source of the caching ladder: process plan cache → disk
+        plan tier → live build, then a disk run-tier probe (skipped when a
+        timeline or tracing is requested, which needs a live run).  The
+        returned :class:`_PreparedRun` carries ``result`` when the run
+        tier hit; callers execute the graph themselves otherwise
+        (:func:`run_many`, the service workers).
+        """
+        cache = default_cache()
+        key = plan_key(self, workload.fingerprint(), config, params)
+        disk = get_artifact_cache()
+        plan = cache.get(key)
+        if plan is not None:
+            if obs.enabled():
+                obs.instant("plan.cache_hit", template=self.name,
+                            workload=workload.name)
+                obs.add_counter("plan_cache.hits")
+        else:
+            plan = disk.get("plan", key) if disk is not None else None
+            if plan is None:
+                with obs.span("plan.build", template=self.name,
+                              workload=workload.name):
+                    plan = self._build_plan(workload, config, params)
+                if disk is not None:
+                    disk.put("plan", key, plan)
+            cache.put(key, plan)
+            obs.add_counter("plan_cache.misses")
+        graph, schedule = self._split_plan(plan, workload)
+        use_run_tier = (
+            disk is not None
+            and not backend.record_timeline
+            and not obs.enabled()
+        )
+        run_key = None
+        result = None
+        if use_run_tier:
+            run_key = (key, backend.engine or get_default_engine())
+            # non-BSP execution models tag their run entries; the classic
+            # (untagged) key stays byte-identical for sim backends
+            tag = backend.run_cache_tag
+            if tag is not None:
+                run_key = run_key + (tag,)
+            result = disk.get("run", run_key)
+        return _PreparedRun(
+            template=self,
+            workload=workload,
+            config=config,
+            params=params,
+            graph=graph,
+            schedule=schedule,
+            run_key=run_key,
+            result=result,
+        )
+
+
+class NestedLoopTemplate(_TemplateBase, ABC):
+    """A parallelization template for irregular nested loops (Fig. 1)."""
 
     def build(
         self,
@@ -188,110 +291,15 @@ class NestedLoopTemplate(ABC):
         parameter points and (via the disk cache) processes.
         """
 
-    def run(
-        self,
-        workload: NestedLoopWorkload,
-        config: DeviceConfig,
-        params: TemplateParams | None = None,
-        executor=None,
-        *,
-        backend=None,
-    ) -> TemplateRun:
-        """Build, validate, execute and profile in one call.
+    def _build_plan(self, workload, config, params):
+        """``(graph, schedule)``, with the schedule checked for work
+        conservation."""
+        graph, schedule = self.build(workload, config, params)
+        check_schedule(schedule, workload.outer_size)
+        return graph, schedule
 
-        Execution goes through a :class:`~repro.backends.Backend` —
-        resolved from ``backend``, a legacy ``executor`` (wrapped
-        unchanged), or the process's default device topology.  A
-        multi-device backend shards the workload and merges the
-        per-device runs (see :func:`repro.backends.run_sharded`).
-
-        Plans are served from the process-wide plan cache when an identical
-        (workload, template, plan-relevant params, device) build was done
-        before, falling back to the disk artifact cache (shared across
-        bench/service worker processes) when one is configured; cached
-        graphs are shared, so treat them as read-only.  Execution results
-        are themselves cached in the disk ``run`` tier — the simulator is
-        deterministic — except when a timeline or tracing is requested,
-        which needs a live run.
-        """
-        params = params or TemplateParams()
-        backend = effective_backend(
-            coerce_backend(backend, executor, config), self
-        )
-        if backend.n_devices > 1:
-            merged = run_sharded(self, workload, backend, config, params)
-            if merged is not None:
-                return merged
-            backend = backend.members[0]
-        prep = self._prepare(workload, config, params, backend)
-        if prep.result is None:
-            prep.record(backend.submit(prep.graph))
-        return prep.finish()
-
-    def _prepare(
-        self,
-        workload: NestedLoopWorkload,
-        config: DeviceConfig,
-        params: TemplateParams,
-        backend,
-    ) -> _PreparedRun:
-        """Resolve the plan and probe the run tier; execution stays pending.
-
-        Single source of the caching ladder: process plan cache → disk
-        plan tier → live build, then a disk run-tier probe (skipped when a
-        timeline or tracing is requested, which needs a live run).  The
-        returned :class:`_PreparedRun` carries ``result`` when the run
-        tier hit; callers execute the graph themselves otherwise — one at
-        a time (:meth:`run`) or fused (:func:`run_many`).
-        """
-        cache = default_cache()
-        key = plan_key(self, workload.fingerprint(), config, params)
-        disk = get_artifact_cache()
-        cached = cache.get(key)
-        if cached is not None:
-            graph, schedule = cached
-            if obs.enabled():
-                obs.instant("plan.cache_hit", template=self.name,
-                            workload=workload.name)
-                obs.add_counter("plan_cache.hits")
-        else:
-            plan = disk.get("plan", key) if disk is not None else None
-            if plan is None:
-                with obs.span("plan.build", template=self.name,
-                              workload=workload.name):
-                    graph, schedule = self.build(workload, config, params)
-                    check_schedule(schedule, workload.outer_size)
-                if disk is not None:
-                    disk.put("plan", key, (graph, schedule))
-            else:
-                graph, schedule = plan
-            cache.put(key, (graph, schedule))
-            obs.add_counter("plan_cache.misses")
-        use_run_tier = (
-            disk is not None
-            and not backend.record_timeline
-            and not obs.enabled()
-        )
-        run_key = None
-        result = None
-        if use_run_tier:
-            run_key = (key, backend.engine or get_default_engine())
-            # non-BSP execution models tag their run entries; the classic
-            # (untagged) key stays byte-identical for sim backends
-            tag = backend.run_cache_tag
-            if tag is not None:
-                run_key = run_key + (tag,)
-            result = disk.get("run", run_key)
-        return _PreparedRun(
-            template=self,
-            workload=workload,
-            config=config,
-            params=params,
-            graph=graph,
-            schedule=schedule,
-            run_key=run_key,
-            result=result,
-        )
+    def _split_plan(self, plan, workload):
+        return plan
 
     # convenience used by all subclasses
     @staticmethod
@@ -312,25 +320,24 @@ def run_many(
     config: DeviceConfig,
     *,
     backend=None,
-    executor=None,
 ) -> list[TemplateRun]:
     """Execute several template runs, fusing executor passes where legal.
 
     ``items`` is a sequence of ``(template, workload)`` or ``(template,
-    workload, params)`` tuples sharing one device config.  Every item goes
-    through the same caching ladder as :meth:`NestedLoopTemplate.run`;
-    the run-tier *misses* that land on the same single-device backend are
+    workload, params)`` tuples sharing one device config; a template's
+    :meth:`~_TemplateBase.run` is the one-item call.  Every item goes
+    through the caching ladder of :meth:`~_TemplateBase._prepare`; the
+    run-tier *misses* that land on the same single-device backend are
     then executed as **one** fused event-loop pass via
-    :meth:`~repro.backends.Backend.submit_many` instead of N sequential
-    passes.  Results are bit-identical to calling ``run`` per item (fused
-    lanes share only the event heap, never state) and come back in input
-    order.
+    :meth:`~repro.backends.Backend.submit_many`.  Results are
+    bit-identical to running each item alone (fused lanes share only the
+    event heap, never state) and come back in input order.
 
-    Items whose effective backend cannot fuse — multi-device groups (they
-    shard whole workloads) or per-item fallback backends — drop back to
-    the plain per-item ``run`` path.
+    Items on a multi-device backend are sharded and merged by
+    :func:`~repro.backends.run_sharded` instead (on the group's first
+    member when the workload cannot shard).
     """
-    base = coerce_backend(backend, executor, config)
+    base = coerce_backend(backend, config)
     runs: list[TemplateRun | None] = [None] * len(items)
     pending: list[tuple[int, object, _PreparedRun]] = []
     for idx, item in enumerate(items):
@@ -338,8 +345,11 @@ def run_many(
         params = (item[2] if len(item) > 2 else None) or TemplateParams()
         eff = effective_backend(base, template)
         if eff.n_devices > 1:
-            runs[idx] = template.run(workload, config, params, backend=eff)
-            continue
+            merged = run_sharded(template, workload, eff, config, params)
+            if merged is not None:
+                runs[idx] = merged
+                continue
+            eff = eff.members[0]
         prep = template._prepare(workload, config, params, eff)
         if prep.result is not None:
             runs[idx] = prep.finish()

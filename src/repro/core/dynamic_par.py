@@ -112,10 +112,7 @@ def _bulk_single_block_children(
     first_lane = (np.arange(wpb, dtype=np.int64) * ws)[None, :]
     issued = np.clip((trips[:, None] - first_lane + B - 1) // B, 0, None)
     stats = WarpExecStats(warp_size=ws)
-    stats.add_counts(
-        int(round(issued.sum() * workload.inner_insts)),
-        int(round(n_pairs * workload.inner_insts)),
-    )
+    stats.add_scaled(issued.sum(), n_pairs, workload.inner_insts)
     compute_slots = issued.sum(axis=1) * workload.inner_insts + workload.outer_insts
 
     # memory: exact coalescing per (child, chunk, warp) issue slot
@@ -346,9 +343,7 @@ def _bulk_opt_children(
         counters.warp.add_counts(s_iss, s_act)
         iss_c = int(issued_cum[w1] - issued_cum[w0])
         act_c = int(active_cum[r1] - active_cum[r0])
-        counters.warp.add_counts(
-            int(round(iss_c * insts)), int(round(act_c * insts))
-        )
+        counters.warp.add_scaled(iss_c, act_c, insts)
         load_req, load_tx = s_load.requested_bytes, s_load.transactions
         store_req, store_tx = s_store.requested_bytes, s_store.transactions
         pairs_c = int(trips_cum[r1] - trips_cum[r0])

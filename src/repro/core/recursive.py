@@ -26,13 +26,9 @@ from typing import Literal
 
 import numpy as np
 
-from repro import obs
-from repro.backends import coerce_backend, effective_backend, run_sharded
 from repro.core.analysis import TreeAnalysis, get_tree_analysis
-from repro.core.artifactcache import get_artifact_cache
-from repro.core.base import TemplateRun, plan_key
+from repro.core.base import _TemplateBase
 from repro.core.params import TemplateParams
-from repro.core.plancache import default_cache
 from repro.errors import WorkloadError
 from repro.gpusim.atomics import AtomicStats
 from repro.gpusim.coalesce import MemoryTraffic, contiguous_transactions, transaction_counts
@@ -43,7 +39,6 @@ from repro.gpusim.costmodel import (
     resident_warps_estimate,
 )
 from repro.gpusim.dynpar import require_device_support
-from repro.gpusim.executor import get_default_engine
 from repro.gpusim.kernels import KernelCosts, Launch, LaunchGraph, ProfileCounters
 from repro.gpusim.warps import WarpExecStats
 from repro.trees.metrics import node_heights, subtree_sizes
@@ -106,15 +101,10 @@ class RecursiveTreeWorkload:
         self._fingerprint = None
 
 
-class _TreeTemplateBase:
-    """Shared run() wrapper for the tree templates."""
-
-    name = "abstract"
-    uses_dynamic_parallelism = False
-    #: legal under persistent-queue execution (see NestedLoopTemplate)
-    queue_compatible = True
-    #: params fields the build reads (see NestedLoopTemplate); None = all
-    PLAN_RELEVANT_PARAMS: tuple[str, ...] | None = None
+class _TreeTemplateBase(_TemplateBase):
+    """What the tree templates share: the plan is the bare launch graph,
+    and the schedule reports every node (the functional result is checked
+    against ``RecursiveTreeWorkload.reference_result``)."""
 
     def build(self, workload: RecursiveTreeWorkload, config: DeviceConfig,
               params: TemplateParams) -> LaunchGraph:
@@ -128,87 +118,11 @@ class _TreeTemplateBase:
         """Assemble the launch graph for one concrete parameter point."""
         raise NotImplementedError
 
-    def run(
-        self,
-        workload: RecursiveTreeWorkload,
-        config: DeviceConfig,
-        params: TemplateParams | None = None,
-        executor=None,
-        *,
-        backend=None,
-    ) -> TemplateRun:
-        """Build, execute and profile; the functional result is attached
-        to the run's schedule under ``"result"`` for equality testing."""
-        params = params or TemplateParams()
-        backend = effective_backend(
-            coerce_backend(backend, executor, config), self
-        )
-        if backend.n_devices > 1:
-            merged = run_sharded(self, workload, backend, config, params)
-            if merged is not None:
-                return merged
-            backend = backend.members[0]
-        prep = self._prepare(workload, config, params, backend)
-        if prep.result is None:
-            prep.record(backend.submit(prep.graph))
-        return prep.finish()
+    def _build_plan(self, workload, config, params):
+        return self.build(workload, config, params)
 
-    def _prepare(
-        self,
-        workload: RecursiveTreeWorkload,
-        config: DeviceConfig,
-        params: TemplateParams,
-        backend,
-    ):
-        """Resolve the plan and probe the run tier (execution pending);
-        the tree-template counterpart of ``NestedLoopTemplate._prepare``
-        so batch entry points (``repro.core.base.run_many``) can fuse
-        tree runs the same way."""
-        from repro.core.base import _PreparedRun
-
-        cache = default_cache()
-        key = plan_key(self, workload.fingerprint(), config, params)
-        disk = get_artifact_cache()
-        graph = cache.get(key)
-        if graph is None:
-            graph = disk.get("plan", key) if disk is not None else None
-            if graph is None:
-                with obs.span("plan.build", template=self.name,
-                              workload=workload.name):
-                    graph = self.build(workload, config, params)
-                if disk is not None:
-                    disk.put("plan", key, graph)
-            cache.put(key, graph)
-            obs.add_counter("plan_cache.misses")
-        elif obs.enabled():
-            obs.instant("plan.cache_hit", template=self.name,
-                        workload=workload.name)
-            obs.add_counter("plan_cache.hits")
-        use_run_tier = (
-            disk is not None
-            and not backend.record_timeline
-            and not obs.enabled()
-        )
-        run_key = None
-        result = None
-        if use_run_tier:
-            run_key = (key, backend.engine or get_default_engine())
-            # non-BSP execution models tag their run entries (see
-            # NestedLoopTemplate.run)
-            tag = backend.run_cache_tag
-            if tag is not None:
-                run_key = run_key + (tag,)
-            result = disk.get("run", run_key)
-        return _PreparedRun(
-            template=self,
-            workload=workload,
-            config=config,
-            params=params,
-            graph=graph,
-            schedule={"nodes": np.arange(workload.tree.n_nodes)},
-            run_key=run_key,
-            result=result,
-        )
+    def _split_plan(self, plan, workload):
+        return plan, {"nodes": np.arange(workload.tree.n_nodes)}
 
 
 class FlatTreeTemplate(_TreeTemplateBase):
@@ -350,11 +264,7 @@ class RecNaiveTreeTemplate(_TreeTemplateBase):
 
         # aggregate counters attached to the root launch
         counters = ProfileCounters(warp=WarpExecStats(warp_size=cfg.warp_size))
-        lane_slots = wpb_of * cfg.warp_size
-        counters.warp.add_counts(
-            int((lane_slots // cfg.warp_size).sum() * workload.inner_insts),
-            int(d.sum() * workload.inner_insts),
-        )
+        counters.warp.add_scaled(wpb_of.sum(), d.sum(), workload.inner_insts)
         counters.load_traffic = MemoryTraffic(
             requested_bytes=int(d.sum()) * 8,
             transactions=int(_child_list_tx(cfg, d).sum()),
@@ -463,10 +373,9 @@ class RecHierTreeTemplate(_TreeTemplateBase):
             )
             # divergence stats: grandchildren fill warps of width gdeg
             if gdeg.size:
-                issued = int((-(-np.maximum(gdeg, 1) // cfg.warp_size)).sum()
-                             * workload.inner_insts)
-                active = int(gdeg.sum() * workload.inner_insts)
-                total_counters.warp.add_counts(issued, max(min(active, issued * 32), 0))
+                total_counters.warp.add_scaled(
+                    (-(-np.maximum(gdeg, 1) // cfg.warp_size)).sum(),
+                    gdeg.sum(), workload.inner_insts)
                 total_counters.load_traffic = total_counters.load_traffic.merge(
                     MemoryTraffic(
                         requested_bytes=int(gdeg.sum()) * 8,

@@ -52,12 +52,7 @@ from repro.gpusim.dynpar import (
     issue_cost_cycles,
     require_device_support,
 )
-from repro.gpusim.executor import (
-    ExecutionResult,
-    GpuExecutor,
-    LaunchRecord,
-    execute_fused,
-)
+from repro.gpusim.executor import ExecutionResult, GpuExecutor, LaunchRecord
 from repro.gpusim.kernels import (
     HOST,
     KernelCosts,
@@ -95,7 +90,7 @@ __all__ = [
     "KernelCostBuilder", "effective_segment_cycles", "resident_warps_estimate",
     # kernels / execution
     "HOST", "KernelCosts", "Launch", "LaunchGraph", "ProfileCounters",
-    "GpuExecutor", "ExecutionResult", "LaunchRecord", "execute_fused",
+    "GpuExecutor", "ExecutionResult", "LaunchRecord",
     # dynamic parallelism
     "require_device_support", "issue_cost_cycles", "estimate_bulk_overhead",
     "DynParOverheadEstimate",

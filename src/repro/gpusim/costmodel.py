@@ -185,9 +185,7 @@ class KernelCostBuilder:
         active = np.clip(n_threads - first, 0, np.tile(lanes, self.n_blocks))
         issued = (active > 0).astype(np.int64)
         self._arrays.compute_slots += issued * insts
-        self.counters.warp.add_counts(
-            int(issued.sum() * insts), int(active.sum() * insts)
-        )
+        self.counters.warp.add_scaled(issued.sum(), active.sum(), insts)
 
     def add_loop(self, trip_counts: np.ndarray, insts_per_iter: float | None = None) -> None:
         """A divergent inner loop: ``trip_counts[t]`` iterations by linear
@@ -207,10 +205,8 @@ class KernelCostBuilder:
         issued by warp ``w`` and ``active_slots`` lane-steps in total —
         what :meth:`add_loop` derives from per-thread trip counts."""
         self._arrays.compute_slots += issued * insts_per_iter
-        self.counters.warp.add_counts(
-            int(round(issued.sum() * insts_per_iter)),
-            int(round(active_slots * insts_per_iter)),
-        )
+        self.counters.warp.add_scaled(issued.sum(), active_slots,
+                                      insts_per_iter)
 
     # ----------------------------------------------------------------- memory
     def add_traffic(

@@ -31,18 +31,13 @@ Model
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro import obs
 from repro.errors import ConfigError, LaunchError
-from repro.gpusim.config import (
-    KEPLER_K20,
-    DeviceConfig,
-    supports_dynamic_parallelism,
-)
+from repro.gpusim.config import DeviceConfig, supports_dynamic_parallelism
 from repro.gpusim.kernels import Launch, LaunchGraph, ProfileCounters
 from repro.gpusim.occupancy import occupancy
 
@@ -51,23 +46,12 @@ __all__ = [
     "ExecutionResult",
     "LaunchRecord",
     "ENGINES",
-    "execute_fused",
     "resolve_engine",
     "set_default_engine",
     "get_default_engine",
 ]
 
 _EPS = 1e-9
-
-#: thresholds below which the fast engine's dispatch keeps the serial
-#: per-chunk SM scan instead of building the vectorized slot partition:
-#: the launch must have at least ``_VECTOR_MIN_BLOCKS`` blocks left *and*
-#: the device at least ``_VECTOR_MIN_SLOTS`` free admission slots for the
-#: footprint (the NumPy setup only pays for itself on placement waves that
-#: yield many chunks; a near-full device yields one or two).  Tests
-#: monkeypatch both to 1 to force the vectorized path everywhere.
-_VECTOR_MIN_BLOCKS = 48
-_VECTOR_MIN_SLOTS = 48
 
 #: available execution engines: ``"fast"`` batches homogeneous blocks into
 #: cohort events, ``"exact"`` is the reference event-per-block engine.
@@ -285,49 +269,22 @@ class GpuExecutor:
     # ------------------------------------------------------------------- API
     def run(self, graph: LaunchGraph) -> ExecutionResult:
         """Simulate the graph; returns timing + aggregated counters."""
-        graph.validate(self.config)
-        if not graph.launches:
-            return ExecutionResult(
-                cycles=0.0, time_ms=0.0, counters=ProfileCounters(),
-                sm_busy_cycles=0.0, sm_count=self.config.sm_count,
-                n_launches=0, n_device_launches=0, pool_overflows=0,
-            )
-        has_device = any(l.is_device for l in graph.launches)
-        if has_device and not supports_dynamic_parallelism(self.config):
-            raise LaunchError(
-                f"{self.config.name} does not support dynamic parallelism"
-            )
-        engine = self.engine or _default_engine
-        sim_cls = _FastSimulation if engine == "fast" else _Simulation
-        tracing = obs.enabled()
-        # while tracing, collect launch records even when the caller did
-        # not ask for a timeline — they become per-kernel trace events
-        sim = sim_cls(self.config, graph, self.record_timeline or tracing,
-                      self.max_launch_instances)
-        if not tracing:
-            return sim.run()
-        with obs.span("gpusim.execute", engine=engine,
-                      launches=len(graph.launches)):
-            result = sim.run()
-        scans = getattr(sim, "_vector_scans", 0)
-        if scans:
-            obs.add_counter("executor.vectorized_scans", scans)
-        obs.emit_launch_records(result.records, self.config)
-        if not self.record_timeline:
-            result.records = []  # keep the no-timeline contract lean
-        return result
+        return self._execute([graph])[0]
 
     def run_many(self, graphs) -> list[ExecutionResult]:
-        """Simulate N graphs (same device) in one fused event-loop pass.
+        """Simulate N graphs (same device) in one event-loop pass.
 
         Results are per graph and bit-identical to N sequential
         :meth:`run` calls: every lane keeps fully disjoint simulation
         state; only the event heap — and therefore the Python-level loop
-        and setup overhead — is shared (see :class:`_FusedSimulation`).
-        Empty graphs yield the same zero result ``run`` returns, at their
-        original positions.
+        and setup overhead — is shared (see :func:`_drive`).  Empty graphs
+        yield the same zero result ``run`` returns, at their original
+        positions.
         """
-        graphs = list(graphs)
+        return self._execute(list(graphs))
+
+    def _execute(self, graphs: list[LaunchGraph]) -> list[ExecutionResult]:
+        """The one execution body behind :meth:`run` and :meth:`run_many`."""
         results: list[ExecutionResult | None] = [None] * len(graphs)
         live: list[int] = []
         for i, graph in enumerate(graphs):
@@ -348,62 +305,62 @@ class GpuExecutor:
         if not live:
             return results
         engine = self.engine or _default_engine
+        lane_cls = _FastSimulation if engine == "fast" else _Simulation
+        lane_graphs = [graphs[i] for i in live]
         tracing = obs.enabled()
-        sim = _FusedSimulation(
-            self.config, [graphs[i] for i in live],
-            self.record_timeline or tracing, self.max_launch_instances,
-            engine,
-        )
-        if not tracing:
-            lane_results = sim.run()
-        else:
-            with obs.span("gpusim.execute_fused", engine=engine,
-                          graphs=len(live),
-                          launches=sum(len(graphs[i].launches)
-                                       for i in live)):
-                lane_results = sim.run()
+        with obs.span("gpusim.execute", engine=engine, graphs=len(live),
+                      launches=sum(len(g.launches) for g in lane_graphs)):
+            # while tracing, collect launch records even when the caller
+            # did not ask for a timeline — they become per-kernel trace
+            # events
+            lane_results = _drive(lane_cls, self.config, lane_graphs,
+                                  self.record_timeline or tracing,
+                                  self.max_launch_instances)
+        if tracing:
             obs.add_counter("executor.fused_graphs", len(live))
-            scans = sum(getattr(lane, "_vector_scans", 0)
-                        for lane in sim.lanes)
-            if scans:
-                obs.add_counter("executor.vectorized_scans", scans)
             for result in lane_results:
                 obs.emit_launch_records(result.records, self.config)
                 if not self.record_timeline:
-                    result.records = []
+                    result.records = []  # keep the no-timeline contract lean
         for i, result in zip(live, lane_results):
             results[i] = result
         return results
 
 
-def execute_fused(
-    graphs,
-    config: DeviceConfig = KEPLER_K20,
-    *,
-    engine: str | None = None,
-    record_timeline: bool = False,
-    max_launch_instances: int = 2_000_000,
-) -> list[ExecutionResult]:
-    """Execute N launch graphs on one device config in a single fused pass.
+def _drive(lane_cls, config: DeviceConfig, graphs: list[LaunchGraph],
+           record_timeline: bool, max_instances: int) -> list[ExecutionResult]:
+    """Run one lane per graph off a single shared event heap.
 
-    The batch-fusion front door: graphs from one scheduling window —
-    *different* workloads, templates and fingerprints — are merged into
-    one event-loop drain and demuxed back into exact per-graph
-    :class:`ExecutionResult` objects, bit-identical to running each graph
-    through :meth:`GpuExecutor.run` on its own.  Used by
-    :meth:`~repro.backends.sim.SimBackend.submit_many` and, through it,
-    the serving tier's window fusion (see docs/performance.md).
+    The driver owns the heap and its sequence counter; each lane pushes
+    ``(time, seq, lane, kind, payload)`` entries and this loop hands every
+    popped event back to its lane.  Lanes keep fully disjoint state —
+    SMs, GMU, clocks, stream queues, instances — and per-lane relative
+    event order is exactly that of a lane running alone, so results
+    demux bit-identically to sequential runs
+    (``tests/test_executor_fused.py``).  A single run is the N=1 case.
     """
-    executor = GpuExecutor(
-        config, record_timeline=record_timeline,
-        max_launch_instances=max_launch_instances, engine=engine,
-    )
-    return executor.run_many(graphs)
+    events: list[tuple] = []
+    seq = itertools.count()
+    lanes = [lane_cls(config, graph, record_timeline, max_instances,
+                      events, seq) for graph in graphs]
+    for lane in lanes:
+        lane._setup()
+    pop = heapq.heappop
+    while events:
+        time, _, lane, kind, payload = pop(events)
+        lane._handle(time, kind, payload)
+    return [lane._finalize() for lane in lanes]
 
 
 class _Simulation:
-    """One executor run (separate from GpuExecutor so the executor object
-    stays reusable and stateless between runs).
+    """One graph's lane of a :func:`_drive` pass (separate from
+    GpuExecutor so the executor object stays reusable and stateless
+    between runs).
+
+    All simulation state is lane-local except the event heap and its
+    sequence counter, which the driver owns: the lane pushes
+    ``(time, seq, lane, kind, payload)`` entries and the driver hands each
+    popped event back to :meth:`_handle`.
 
     This is the **exact** reference engine: one heap entry per dispatched
     block.  The fast engine (:class:`_FastSimulation`) subclasses it and
@@ -419,6 +376,8 @@ class _Simulation:
         graph: LaunchGraph,
         record_timeline: bool,
         max_instances: int,
+        events: list[tuple],
+        seq: itertools.count,
     ) -> None:
         self.config = config
         self.graph = graph
@@ -426,8 +385,10 @@ class _Simulation:
         self.max_instances = max_instances
 
         self.now = 0.0
-        self.events: list[tuple[float, int, str, object]] = []
-        self._seq = 0
+        #: the driver's event heap and sequence counter (shared by lanes;
+        #: the counter also orders same-target entries of SM serving heaps)
+        self.events = events
+        self._seq = seq
         self.sms = [self.sm_class(i, config) for i in range(config.sm_count)]
         self.records: list[LaunchRecord] = []
 
@@ -470,8 +431,7 @@ class _Simulation:
         return fp
 
     def _push_event(self, time: float, kind: str, payload: object) -> None:
-        self._seq += 1
-        heapq.heappush(self.events, (time, self._seq, kind, payload))
+        heapq.heappush(self.events, (time, next(self._seq), self, kind, payload))
 
     def _new_instance(self, spec: Launch, graph_index: int, replica: int) -> _LaunchState:
         if len(self.instances) >= self.max_instances:
@@ -485,6 +445,7 @@ class _Simulation:
         return state
 
     def _setup(self) -> None:
+        self._host_queues: dict[int, list[_LaunchState]] = {}
         host_overhead = self.config.us_to_cycles(self.config.host_launch_overhead_us)
         # Build instances for host launches immediately; device launches are
         # instantiated per replica and wait for their parent block.
@@ -510,21 +471,6 @@ class _Simulation:
             self._push_event(ready_hint, "host_ready", state)
 
     # ------------------------------------------------------------------- run
-    def run(self) -> ExecutionResult:
-        self._begin()
-        events = self.events
-        while events:
-            time, _, kind, payload = heapq.heappop(events)
-            self._handle(time, kind, payload)
-        return self._finalize()
-
-    # The run loop is split into begin/handle/finalize so a fused run
-    # (:class:`_FusedSimulation`) can drive many independent simulations
-    # off one shared event heap without duplicating the event semantics.
-    def _begin(self) -> None:
-        self._host_queues: dict[int, list[_LaunchState]] = {}
-        self._setup()
-
     def _handle(self, time: float, kind: str, payload: object) -> None:
         self.now = max(self.now, time)
         if kind == "host_ready":
@@ -757,8 +703,8 @@ class _Simulation:
                         self._retire_block(sm, block)
                 else:
                     block.target_v = sm.virtual + block.work
-                    self._seq += 1
-                    heapq.heappush(sm.serving, (block.target_v, self._seq, block))
+                    heapq.heappush(sm.serving,
+                                   (block.target_v, next(self._seq), block))
                     sm.version += 1
                     changed_sms.add(sm.index)
             if not state.fully_dispatched:
@@ -856,25 +802,12 @@ class _FastSimulation(_Simulation):
     pops equal-target blocks back-to-back in one ``sm_check`` anyway), and
     floor lingers retire block-by-block with a dispatch pass in between
     (the exact engine interleaves exactly this way).  The equivalence
-    suite (``tests/test_executor_fastpath.py``) asserts cycle-count
-    agreement with the exact engine to 1e-6 relative.
+    suite (``tests/test_executor_fastpath.py``) asserts every
+    :class:`ExecutionResult` field equal to the exact engine's, bit for
+    bit.
     """
 
     sm_class = _FastSM
-
-    def __init__(
-        self,
-        config: DeviceConfig,
-        graph: LaunchGraph,
-        record_timeline: bool,
-        max_instances: int,
-    ) -> None:
-        super().__init__(config, graph, record_timeline, max_instances)
-        self._dispatch_dirty = True
-        self._parent_gis: set[int] = set()
-        #: vectorized slot-partition placements this run (obs counter
-        #: ``executor.vectorized_scans`` when tracing)
-        self._vector_scans = 0
 
     def _setup(self) -> None:
         super()._setup()
@@ -1053,26 +986,6 @@ class _FastSimulation(_Simulation):
                 runs = state.runs = state.spec.costs.block_runs()
             ends, works, floors = runs
             n_blocks = state.n_blocks
-            if n_blocks - state.next_block >= _VECTOR_MIN_BLOCKS:
-                # cheap slot estimate: only build the vectorized partition
-                # for placement waves with enough admission capacity to
-                # yield many chunks (a near-full device yields one or two,
-                # where the serial scan is faster than the NumPy setup)
-                approx = 0
-                for sm in sms:
-                    w = sm.free_warps // fpw
-                    b = sm.free_blocks
-                    approx += w if w < b else b
-                if approx >= _VECTOR_MIN_SLOTS:
-                    if self._place_vectorized(state, fp, ends, works,
-                                              floors, now, pending,
-                                              changed_sms):
-                        progress = True
-                    if state.next_block < n_blocks:
-                        # stopped with blocks left <=> no eligible SM
-                        failed_fps.add(fp_key)
-                        leftover.append(state)
-                    continue
             while state.next_block < n_blocks:
                 best = None
                 best_w = L = R = 0
@@ -1157,9 +1070,9 @@ class _FastSimulation(_Simulation):
             if state.next_block < n_blocks:
                 leftover.append(state)
         for (sm_index, _serial, _work, _floor), cohort in pending.items():
-            self._seq += 1
             sm = self.sms[sm_index]
-            heapq.heappush(sm.serving, (cohort.target_v, self._seq, cohort))
+            heapq.heappush(sm.serving,
+                           (cohort.target_v, next(self._seq), cohort))
             sm.version += 1
         # Anything that became ready while dispatching stays queued for the
         # next pass (the caller loops until no progress).
@@ -1169,200 +1082,3 @@ class _FastSimulation(_Simulation):
         if progress:
             self._dispatch_dirty = True
         return progress
-
-    def _place_vectorized(self, state, fp, ends, works, floors, now,
-                          pending, changed_sms) -> bool:
-        """Merge-path style placement of one launch's remaining blocks.
-
-        Builds the *slot model* of the current SM state: SM ``i`` with
-        free warps ``W_i`` offers ``cap_i`` admission slots at descending
-        free-warp levels ``W_i, W_i - fpw, ...``, where ``cap_i`` folds in
-        every eligibility cap (warps, block slots, shared memory,
-        registers).  Consuming slots in ``(-level, sm index)`` order
-        reproduces the serial best/L/R scan exactly: after ``p`` slots are
-        consumed, the set of eligible SMs is exactly the set with slots
-        left, each at its next slot's level, so the serial scan winner is
-        the owner of slot ``p`` — and the serial chunk bound ``(W - T) //
-        fpw + 1`` (absorb while the winner's free warps stay at or above
-        ``T = max(L + 1, R)``) is precisely the length of the winner's
-        consecutive slot group, tie-break included (equal levels order by
-        SM index in both).  One ``lexsort`` over at most ``sum(cap_i)``
-        slots — bounded by the device's block-slot topology, not the grid
-        — replaces one Python SM scan per chunk.  Placement order, cohort
-        grouping, zero-work retires and event sequencing are bit-identical
-        to the serial path.
-
-        Returns True when at least one block was placed; stopping with
-        blocks remaining means the slots ran dry, i.e. no SM is eligible
-        for this footprint any more (the caller marks it failed).
-        """
-        sms = self.sms
-        n_sms = len(sms)
-        fpw, fps, fpr = fp.warps, fp.smem, fp.regs
-        warps = np.fromiter((sm.free_warps for sm in sms), np.int64, n_sms)
-        slot_cap = warps // fpw
-        np.minimum(
-            slot_cap,
-            np.fromiter((sm.free_blocks for sm in sms), np.int64, n_sms),
-            out=slot_cap,
-        )
-        if fps:
-            np.minimum(
-                slot_cap,
-                np.fromiter((sm.free_smem for sm in sms), np.int64, n_sms)
-                // fps,
-                out=slot_cap,
-            )
-        if fpr:
-            np.minimum(
-                slot_cap,
-                np.fromiter((sm.free_regs for sm in sms), np.int64, n_sms)
-                // fpr,
-                out=slot_cap,
-            )
-        np.maximum(slot_cap, 0, out=slot_cap)
-        elig = np.flatnonzero(slot_cap)
-        if elig.size == 0:
-            return False
-        self._vector_scans += 1
-        counts = slot_cap[elig]
-        n_slots = int(counts.sum())
-        sm_ids = np.repeat(elig, counts)
-        first = np.cumsum(counts) - counts
-        steps = np.arange(n_slots, dtype=np.int64) - np.repeat(first, counts)
-        levels = np.repeat(warps[elig], counts) - steps * fpw
-        order = np.lexsort((sm_ids, -levels))
-        slot_sm = sm_ids[order]
-        change = np.empty(n_slots, dtype=bool)
-        change[0] = True
-        np.not_equal(slot_sm[1:], slot_sm[:-1], out=change[1:])
-        grp = np.cumsum(change) - 1
-        grp_last = np.flatnonzero(np.append(change[1:], True))
-        grp_end = (grp_last[grp] + 1).tolist()
-        slot_sm = slot_sm.tolist()
-
-        pos = 0
-        progress = False
-        serial = state.serial
-        n_blocks = state.n_blocks
-        while state.next_block < n_blocks and pos < n_slots:
-            best = sms[slot_sm[pos]]
-            progress = True
-            if not state.dispatch_started:
-                state.dispatch_started = True
-                state.start_time = now
-            ri = state.run_cursor
-            bi = state.next_block
-            run_end = ends[ri]
-            work = works[ri]
-            floor = floors[ri]
-            best.advance(now)
-            if work <= _EPS and floor <= _EPS:
-                # Zero-work zero-floor run: retires inline on the current
-                # winner without consuming a slot (each retire restores
-                # exactly what its placement took, so the slot model — and
-                # the serial scan it mirrors — is unchanged afterwards).
-                for b in range(bi, run_end):
-                    state.next_block = b + 1
-                    best.free_warps -= fpw
-                    best.free_blocks -= 1
-                    best.free_smem -= fps
-                    best.free_regs -= fpr
-                    self._retire_one(best, state, b)
-                state.run_cursor = ri + 1
-                continue
-            k = min(run_end - bi, grp_end[pos] - pos)
-            best.free_warps -= fpw * k
-            best.free_blocks -= k
-            best.free_smem -= fps * k
-            best.free_regs -= fpr * k
-            state.next_block = bi + k
-            if bi + k == run_end:
-                state.run_cursor = ri + 1
-            pos += k
-            if work <= _EPS:
-                chunk = _Cohort(state, floor, now, 0.0)
-                chunk.indices.extend(range(bi, bi + k))
-                self._push_event(now + floor, "linger_done", (best, chunk))
-            else:
-                key = (best.index, serial, work, floor)
-                cohort = pending.get(key)
-                if cohort is None:
-                    cohort = _Cohort(state, floor, now, best.virtual + work)
-                    pending[key] = cohort
-                cohort.indices.extend(range(bi, bi + k))
-                best.n_serving += k
-                changed_sms.add(best.index)
-        return progress
-
-
-# --------------------------------------------------------------------------
-# Fused heterogeneous batches: N graphs, one event loop
-# --------------------------------------------------------------------------
-
-
-class _FusedLaneMixin:
-    """Lane of a fused run: all simulation state stays lane-local except
-    the event heap, which lives on the owning :class:`_FusedSimulation`
-    (with a shared sequence counter so same-time events across lanes pop
-    in push order).  Per-lane relative event order — the only thing the
-    simulation's results depend on — is identical to a standalone run,
-    which is what makes fused results bit-exact."""
-
-    _fused_owner: "_FusedSimulation"
-    _lane_index: int
-
-    def _push_event(self, time: float, kind: str, payload: object) -> None:
-        owner = self._fused_owner
-        owner._seq += 1
-        heapq.heappush(owner.events,
-                       (time, owner._seq, self._lane_index, kind, payload))
-
-
-class _FusedExactLane(_FusedLaneMixin, _Simulation):
-    pass
-
-
-class _FusedFastLane(_FusedLaneMixin, _FastSimulation):
-    pass
-
-
-class _FusedSimulation:
-    """N independent lane simulations draining one shared event heap.
-
-    Lanes keep fully disjoint state — SMs, GMU, clocks, stream queues,
-    instances — so fusing changes *which* Python loop pops the events,
-    never what any lane computes; results demux per graph bit-identically
-    to sequential runs (``tests/test_executor_fused.py``).  The win is
-    amortization: one heap drain, one tracing span and one Python-level
-    interpreter loop for a whole scheduling window instead of one per
-    graph.
-    """
-
-    def __init__(
-        self,
-        config: DeviceConfig,
-        graphs: list[LaunchGraph],
-        record_timeline: bool,
-        max_instances: int,
-        engine: str,
-    ) -> None:
-        lane_cls = _FusedFastLane if engine == "fast" else _FusedExactLane
-        self.events: list[tuple] = []
-        self._seq = 0
-        self.lanes = []
-        for i, graph in enumerate(graphs):
-            lane = lane_cls(config, graph, record_timeline, max_instances)
-            lane._fused_owner = self
-            lane._lane_index = i
-            self.lanes.append(lane)
-
-    def run(self) -> list[ExecutionResult]:
-        lanes = self.lanes
-        for lane in lanes:
-            lane._begin()
-        events = self.events
-        while events:
-            time, _, lane_index, kind, payload = heapq.heappop(events)
-            lanes[lane_index]._handle(time, kind, payload)
-        return [lane._finalize() for lane in lanes]

@@ -13,6 +13,7 @@ them, fully vectorized.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,6 +154,18 @@ class WarpExecStats:
             )
         self.issued_steps += issued_steps
         self.active_slots += active_slots
+
+    def add_scaled(self, issued_steps, active_slots, insts: float) -> None:
+        """Account a phase whose every issued step costs ``insts``
+        instructions, given its unscaled (issued, active) slot counts.
+
+        A fractional instruction still takes an issue slot, so scaled
+        issued steps round up and scaled active slots round down: any
+        non-negative ``insts`` keeps ``active <= issued * warp_size``
+        (given it held unscaled), and integral counts stay exact.
+        """
+        self.add_counts(math.ceil(issued_steps * insts),
+                        math.floor(active_slots * insts))
 
     def merge(self, other: "WarpExecStats") -> None:
         """Fold another statistics record into this one."""

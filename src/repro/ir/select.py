@@ -39,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields as dataclass_fields
 
 from repro import obs
+from repro.backends import SimBackend
 from repro.core.analysis import get_analysis
 from repro.core.artifactcache import get_artifact_cache
 from repro.core.autotune import best_run
@@ -46,7 +47,7 @@ from repro.core.params import TemplateParams
 from repro.core.registry import canonical_name, resolve
 from repro.errors import IRError
 from repro.gpusim.config import KEPLER_K20, supports_dynamic_parallelism
-from repro.gpusim.executor import GpuExecutor, get_default_engine
+from repro.gpusim.executor import get_default_engine
 from repro.ir.build import from_workload, ir_kind_of
 from repro.ir.nodes import LoopNode
 from repro.ir.passes import (
@@ -187,7 +188,7 @@ def _race(workload, kind, candidates, thresholds, device, params, engine):
     device (through the plan/run caches) and
     :func:`~repro.core.autotune.best_run` breaks ties deterministically.
     """
-    executor = GpuExecutor(device, engine=engine) if engine is not None else None
+    backend = SimBackend(device, engine=engine) if engine is not None else None
     dynpar_ok = supports_dynamic_parallelism(device)
     runs = []
     raced: list[tuple[str, int]] = []
@@ -198,7 +199,7 @@ def _race(workload, kind, candidates, thresholds, device, params, engine):
         lbts = thresholds if kind == "nested-loop" else (params.lb_threshold,)
         for lbt in lbts:
             p = params.replace(lb_threshold=int(lbt))
-            runs.append(template.run(workload, device, p, executor=executor))
+            runs.append(template.run(workload, device, p, backend=backend))
             raced.append((name, int(lbt)))
     if not runs:
         raise IRError(

@@ -36,7 +36,8 @@ Instrumented span names (the stable catalogue):
 ``ir.pass.consolidate``  launch-consolidation pass over the IR
 ``ir.select``         auto-select lowering (includes candidate race runs;
                       ``ir.select.cache_hit`` instant on a cached decision)
-``gpusim.execute``    one executor pass over a launch graph
+``gpusim.execute``    one executor pass over N >= 1 launch graphs (tagged
+                      ``engine``, ``graphs``, ``launches``)
 ``gpusim.profile``    metric extraction from an executed graph
 ``service.coalesce``  micro-batcher grouping one collection window
 ``service.batch``     one batch dispatch (retries + degradation included)

@@ -1,7 +1,7 @@
 """`QueueBackend`: the persistent-queue execution model behind the seam.
 
 Implements the same :class:`~repro.backends.base.Backend` contract as the
-BSP simulator — ``submit(LaunchGraph) -> ExecutionResult`` — so every
+BSP simulator — ``submit_many(graphs) -> [ExecutionResult]`` — so every
 template runs on it unchanged.  A submitted launch graph is converted to
 a :class:`~repro.queue.tasks.TaskGraph`:
 
@@ -203,10 +203,11 @@ class QueueBackend(Backend):
         """Queue runs must never share cache identity with BSP runs."""
         return f"queue[{self.queue_config.key()}]:{self._device.fingerprint()}"
 
-    def submit(self, graph: LaunchGraph) -> QueueExecutionResult:
-        """Convert a launch graph to tasks and drain it through the queues."""
-        tasks = graph_to_tasks(graph, self._device)
-        return self.submit_tasks(tasks)
+    def submit_many(self, graphs: list[LaunchGraph]) -> list[QueueExecutionResult]:
+        """Convert each launch graph to tasks and drain it through the
+        queues, one persistent-kernel run per graph."""
+        return [self.submit_tasks(graph_to_tasks(graph, self._device))
+                for graph in graphs]
 
     def submit_tasks(self, tasks: TaskGraph) -> QueueExecutionResult:
         """Execute an already-built task graph (asynchronous app path)."""

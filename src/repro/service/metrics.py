@@ -92,9 +92,9 @@ class ServiceStats:
       when the service stopped before executing it; a shed response is a
       request dropped by deadline-aware scheduling).
 
-    ``rejected`` in :meth:`snapshot` is the sum of both reject kinds,
-    which are also reported separately.  ``admission_rejected``
-    additionally splits out ``quota_rejected`` (per-tenant quota) and
+    :meth:`snapshot` reports the two reject kinds separately (their sum
+    is every rejected request).  ``admission_rejected`` additionally
+    splits out ``quota_rejected`` (per-tenant quota) and
     ``class_rejected`` (per-priority-class queue bound).
     """
 
@@ -340,7 +340,6 @@ class ServiceStats:
                     "submitted": self.submitted,
                     "served": self.served,
                     "succeeded": self.succeeded,
-                    "rejected": self.admission_rejected + self.drain_rejected,
                     "admission_rejected": self.admission_rejected,
                     "quota_rejected": self.quota_rejected,
                     "class_rejected": self.class_rejected,

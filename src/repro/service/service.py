@@ -86,11 +86,6 @@ class ServiceConfig:
     #: device; queue-incompatible templates are routed back to sim and
     #: counted, see docs/taskqueue.md)
     backend: str = "sim"
-    #: fuse the inline sim batches of one scheduling window — different
-    #: fingerprints, same device/engine — into a single executor pass
-    #: (``execute_fused``) instead of one event loop each; results are
-    #: bit-identical, only wall time changes (see docs/performance.md)
-    fuse_batches: bool = True
     #: template used when ``submit`` is not given one: ``"auto"`` routes
     #: through the IR auto-select pipeline (see ``docs/ir.md``); any
     #: canonical name pins every defaulted request to that template
@@ -610,15 +605,12 @@ class TemplateService:
 
         A group fuses when >= 2 inline ``"sim"`` batches of the window
         share a device config and engine — they become one fused executor
-        pass with per-batch result demux.  Everything else (pool routes,
-        queue backend, device groups, custom run_fn, fusion disabled)
-        keeps the classic one-dispatch-per-batch path, bit-for-bit.
+        pass with per-batch result demux; results are bit-identical, only
+        wall time changes (see docs/performance.md).  Everything else
+        (pool routes, queue backend, device groups, custom run_fn) keeps
+        the classic one-dispatch-per-batch path.
         """
-        if (
-            not self.config.fuse_batches
-            or self.device_group is not None
-            or self._run_fn is not execute_batch
-        ):
+        if self.device_group is not None or self._run_fn is not execute_batch:
             return batches, []
         singles: list[Batch] = []
         groups: dict[tuple, list[Batch]] = {}

@@ -1,9 +1,10 @@
 """Batch execution: the worker function and the process-pool wrapper.
 
-:func:`execute_batch` is the one function that actually runs a template —
-module-level and driven by a picklable :class:`BatchSpec`, so the same
-code serves the inline fast path (a worker thread of the event loop) and
-the :class:`WorkerPool` (a ``ProcessPoolExecutor``).  Pool workers keep
+:func:`execute_batch_fused` is the one function that actually runs
+templates — module-level and driven by picklable :class:`BatchSpec`
+objects, so the same code serves the inline fast path (a worker thread of
+the event loop) and the :class:`WorkerPool` (a ``ProcessPoolExecutor``);
+:func:`execute_batch` is its one-spec case.  Pool workers keep
 their own process-local plan caches, which warm up across batches exactly
 like the bench runner's workers do.
 
@@ -20,7 +21,7 @@ import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from repro.backends import SimBackend
+from repro.backends import SimBackend, effective_backend
 from repro.core.params import TemplateParams
 from repro.core.plancache import default_cache
 from repro.core.registry import resolve
@@ -70,77 +71,34 @@ class BatchSpec:
 def execute_batch(spec: BatchSpec) -> dict:
     """Run one batch's template once; return a picklable result summary.
 
-    The summary — not the full :class:`TemplateRun` — crosses the process
-    boundary: launch graphs of large workloads are megabytes, and every
-    request in the batch only needs the timing/metrics payload.
-
-    ``cache_hits``/``cache_misses`` are the plan-cache probe deltas of this
-    call in the executing process; under concurrent inline batches the
-    attribution is approximate (the counters are process-global).
-    ``disk_hits``/``disk_misses`` are the same-call deltas of the disk
-    artifact cache (zero when none is configured).
+    The one-spec case of :func:`execute_batch_fused`.  The summary — not
+    the full :class:`TemplateRun` — crosses the process boundary: launch
+    graphs of large workloads are megabytes, and every request in the
+    batch only needs the timing/metrics payload.
     """
-    from repro.core.artifactcache import (
-        configure_artifact_cache,
-        get_artifact_cache,
-    )
-
-    if spec.cache_dir is not None:
-        configure_artifact_cache(spec.cache_dir or None)
-    disk = get_artifact_cache()
-    disk0 = disk.snapshot() if disk is not None else None
-    tmpl = (
-        resolve(spec.template, kind=spec.kind)
-        if isinstance(spec.template, str)
-        else spec.template
-    )
-    stats = default_cache().stats
-    hits0, misses0 = stats.hits, stats.misses
-    if spec.backend == "queue":
-        from repro.queue.backend import QueueBackend
-
-        backend = QueueBackend(spec.device, engine=spec.engine)
-    else:
-        backend = SimBackend(spec.device, engine=spec.engine,
-                             device_index=spec.device_index)
-    start = time.perf_counter()
-    run = tmpl.run(spec.workload, spec.device, spec.params, executor=backend)
-    wall = time.perf_counter() - start
-    disk_hits = disk_misses = 0
-    if disk is not None:
-        disk1 = disk.snapshot()
-        disk_hits = disk1["hits"] - disk0["hits"]
-        disk_misses = disk1["misses"] - disk0["misses"]
-    return {
-        "template": run.template,
-        "workload": run.workload,
-        "time_ms": run.time_ms,
-        "metrics": run.metrics.as_dict(),
-        "wall_s": wall,
-        "cache_hits": stats.hits - hits0,
-        "cache_misses": stats.misses - misses0,
-        "disk_hits": disk_hits,
-        "disk_misses": disk_misses,
-        "device": spec.device_index or 0,
-    }
+    return execute_batch_fused([spec])[0]
 
 
 def execute_batch_fused(specs: list[BatchSpec]) -> list[dict]:
-    """Run several batches as **one** fused executor pass; summaries align
-    with ``specs``.
+    """Run several batches with **one** fused executor pass; summaries
+    align with ``specs``.
 
-    The fused sibling of :func:`execute_batch`: all specs must share a
-    device config, engine, cache_dir and backend ``"sim"`` (the service's
-    fusion grouping guarantees this).  Plans resolve per spec through the
-    normal cache ladder (:meth:`~repro.core.base.NestedLoopTemplate._prepare`
-    — plan cache, disk plan tier, run-tier probe); the run-tier misses
-    then execute as a single fused event loop on one
-    :class:`SimBackend`, which is bit-identical to running them
-    sequentially.  Per-spec cache deltas are measured around each spec's
-    own prepare step, so attribution matches the sequential path.
+    All specs must share a device config, engine, cache_dir and backend
+    kind (the service's fusion grouping guarantees this).  Plans resolve
+    per spec through the normal cache ladder
+    (:meth:`~repro.core.base._TemplateBase._prepare` — plan cache, disk
+    plan tier, run-tier probe); the run-tier misses then execute as one
+    :meth:`~repro.backends.Backend.submit_many` call per backend (a
+    queue-incompatible template falls back to its own sim backend), which
+    is bit-identical to running them one at a time.
 
-    Templates that don't expose the prepare seam (custom instances) run
-    sequentially within the same call.
+    ``cache_hits``/``cache_misses`` are the plan-cache probe deltas of
+    each spec's own prepare step in the executing process;
+    ``disk_hits``/``disk_misses`` the same deltas of the disk artifact
+    cache (zero when none is configured).  Under concurrent inline
+    batches the attribution is approximate (the counters are
+    process-global).  Templates that don't expose the prepare seam
+    (custom instances) run one at a time within the same call.
     """
     from repro.core.artifactcache import (
         configure_artifact_cache,
@@ -149,37 +107,46 @@ def execute_batch_fused(specs: list[BatchSpec]) -> list[dict]:
 
     if not specs:
         return []
-    if specs[0].cache_dir is not None:
-        configure_artifact_cache(specs[0].cache_dir or None)
+    first = specs[0]
+    if first.cache_dir is not None:
+        configure_artifact_cache(first.cache_dir or None)
     disk = get_artifact_cache()
     stats = default_cache().stats
-    backend = SimBackend(specs[0].device, engine=specs[0].engine,
-                         device_index=specs[0].device_index)
+    if first.backend == "queue":
+        from repro.queue.backend import QueueBackend
+
+        backend = QueueBackend(first.device, engine=first.engine)
+    else:
+        backend = SimBackend(first.device, engine=first.engine,
+                             device_index=first.device_index)
     start = time.perf_counter()
     summaries: list[dict] = []
-    pending: list[tuple[int, object]] = []  # (spec index, _PreparedRun)
+    #: (summary index, effective backend, _PreparedRun) of run-tier misses
+    pending: list[tuple[int, object, object]] = []
     for spec in specs:
         tmpl = (
             resolve(spec.template, kind=spec.kind)
             if isinstance(spec.template, str)
             else spec.template
         )
+        params = spec.params or TemplateParams()
         hits0, misses0 = stats.hits, stats.misses
         disk0 = disk.snapshot() if disk is not None else None
         prepare = getattr(tmpl, "_prepare", None)
         if prepare is None:
-            run = tmpl.run(spec.workload, spec.device, spec.params,
-                           executor=backend)
+            run = tmpl.run(spec.workload, spec.device, params,
+                           backend=backend)
             prep = None
         else:
-            prep = prepare(spec.workload, spec.device, spec.params, backend)
+            eff = effective_backend(backend, tmpl)
+            prep = prepare(spec.workload, spec.device, params, eff)
             run = prep.finish() if prep.result is not None else None
         disk_hits = disk_misses = 0
         if disk is not None:
             disk1 = disk.snapshot()
             disk_hits = disk1["hits"] - disk0["hits"]
             disk_misses = disk1["misses"] - disk0["misses"]
-        summary = {
+        summaries.append({
             "template": None,
             "workload": getattr(spec.workload, "name", ""),
             "time_ms": None,
@@ -190,29 +157,32 @@ def execute_batch_fused(specs: list[BatchSpec]) -> list[dict]:
             "disk_hits": disk_hits,
             "disk_misses": disk_misses,
             "device": spec.device_index or 0,
-        }
+        })
         if run is not None:
-            summary["template"] = run.template
-            summary["workload"] = run.workload
-            summary["time_ms"] = run.time_ms
-            summary["metrics"] = run.metrics.as_dict()
-        summaries.append(summary)
-        if prep is not None and prep.result is None:
-            pending.append((len(summaries) - 1, prep))
-    if pending:
+            _fill(summaries[-1], run)
+        else:
+            pending.append((len(summaries) - 1, eff, prep))
+    groups: dict[int, tuple[object, list]] = {}
+    for idx, eff, prep in pending:
+        groups.setdefault(id(eff), (eff, []))[1].append((idx, prep))
+    for eff, members in groups.values():
         # one fused event loop over every run-tier miss in the window
-        results = backend.submit_many([prep.graph for _, prep in pending])
-        for (idx, prep), result in zip(pending, results):
+        results = eff.submit_many([prep.graph for _, prep in members])
+        for (idx, prep), result in zip(members, results):
             prep.record(result)
-            run = prep.finish()
-            summaries[idx]["template"] = run.template
-            summaries[idx]["workload"] = run.workload
-            summaries[idx]["time_ms"] = run.time_ms
-            summaries[idx]["metrics"] = run.metrics.as_dict()
+            _fill(summaries[idx], prep.finish())
     wall = time.perf_counter() - start
     for summary in summaries:
         summary["wall_s"] = wall
     return summaries
+
+
+def _fill(summary: dict, run) -> None:
+    """Copy a finished run's payload into its summary."""
+    summary["template"] = run.template
+    summary["workload"] = run.workload
+    summary["time_ms"] = run.time_ms
+    summary["metrics"] = run.metrics.as_dict()
 
 
 class WorkerPool:

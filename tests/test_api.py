@@ -19,6 +19,7 @@ from repro.core.workload import AccessStream, NestedLoopWorkload
 from repro.errors import PlanError, WorkloadError
 from repro.gpusim import FERMI_C2050, KEPLER_K20
 from repro.trees.generator import generate_tree
+from test_executor_fused import assert_result_equal
 
 
 @pytest.fixture(scope="module")
@@ -116,11 +117,9 @@ class TestRunFacade:
         with pytest.raises(WorkloadError, match="NestedLoopWorkload"):
             repro.run(object(), "thread-mapped")
 
-    def test_legacy_argument_order_warns_and_forwards(self, loop_workload):
-        with pytest.warns(DeprecationWarning, match="workload first"):
-            legacy = repro.run("dbuf-shared", loop_workload)
-        modern = repro.run(loop_workload, "dbuf-shared")
-        assert legacy.time_ms == modern.time_ms
+    def test_legacy_argument_order_rejected(self, loop_workload):
+        with pytest.raises(WorkloadError, match="NestedLoopWorkload"):
+            repro.run("dbuf-shared", loop_workload)
 
     def test_exact_kwarg_removed(self, loop_workload):
         with pytest.raises(TypeError):
@@ -131,7 +130,7 @@ class TestEngineSelection:
     def test_engine_kwarg_fast_and_exact_agree(self, loop_workload):
         fast = repro.run(loop_workload, "dbuf-global", engine="fast")
         exact = repro.run(loop_workload, "dbuf-global", engine="exact")
-        assert fast.time_ms == pytest.approx(exact.time_ms, rel=1e-6)
+        assert_result_equal(fast.result, exact.result)
 
     def test_engine_kwarg_no_warning(self, loop_workload):
         with warnings.catch_warnings():
@@ -170,10 +169,9 @@ class TestCompareFacade:
         runs = repro.compare(loop_workload, "dual-queue")
         assert [r.template for r in runs] == ["dual-queue"]
 
-    def test_legacy_argument_order_warns(self, loop_workload):
-        with pytest.warns(DeprecationWarning, match="workload first"):
-            runs = repro.compare(["dual-queue"], loop_workload)
-        assert runs[0].template == "dual-queue"
+    def test_legacy_argument_order_rejected(self, loop_workload):
+        with pytest.raises(WorkloadError, match="NestedLoopWorkload"):
+            repro.compare(["dual-queue"], loop_workload)
 
     def test_positional_args_rejected(self, loop_workload):
         with pytest.raises(TypeError):

@@ -39,6 +39,7 @@ from repro.gpusim.config import KEPLER_K20
 from repro.gpusim.executor import GpuExecutor
 from repro.ir.select import Selection, auto_select
 from repro.trees.generator import generate_tree
+from test_executor_fused import assert_result_equal
 
 
 @pytest.fixture()
@@ -66,11 +67,12 @@ class TestSimBackend:
         tmpl = resolve("dbuf-global")
         via_backend = tmpl.run(loop_wl, KEPLER_K20,
                                backend=SimBackend(KEPLER_K20))
-        via_executor = tmpl.run(loop_wl, KEPLER_K20,
-                                executor=GpuExecutor(KEPLER_K20))
-        assert via_backend.result.cycles == via_executor.result.cycles
-        assert via_backend.result.counters == via_executor.result.counters
-        assert via_backend.metrics.as_dict() == via_executor.metrics.as_dict()
+        graph, _ = tmpl.build(loop_wl, KEPLER_K20, TemplateParams())
+        via_executor = GpuExecutor(KEPLER_K20).run(graph)
+        assert via_backend.result.cycles == via_executor.cycles
+        assert via_backend.result.counters == via_executor.counters
+        default = tmpl.run(loop_wl, KEPLER_K20)
+        assert via_backend.metrics.as_dict() == default.metrics.as_dict()
 
     def test_fingerprint_matches_bare_device(self):
         assert SimBackend(KEPLER_K20).fingerprint() == KEPLER_K20.fingerprint()
@@ -81,17 +83,10 @@ class TestSimBackend:
         assert caps.shared_mem_per_block == KEPLER_K20.shared_mem_per_block
         assert caps.supports(resolve("dpar-opt")) == caps.dynamic_parallelism
 
-    def test_from_executor_preserves_instance(self):
-        ex = GpuExecutor(KEPLER_K20, engine="exact")
-        backend = SimBackend.from_executor(ex)
-        assert backend.executor is ex
-        assert backend.engine == "exact"
-
-    def test_coerce_accepts_legacy_executor(self):
-        ex = GpuExecutor(KEPLER_K20)
-        backend = coerce_backend(None, ex, KEPLER_K20)
-        assert isinstance(backend, SimBackend)
-        assert backend.executor is ex
+    def test_coerce_rejects_legacy_executor(self):
+        with pytest.raises(ConfigError, match="repro.backends.Backend"):
+            coerce_backend(GpuExecutor(KEPLER_K20), KEPLER_K20)
+        assert isinstance(coerce_backend(None, KEPLER_K20), SimBackend)
 
 
 class TestSharding:
@@ -131,6 +126,23 @@ class TestSharding:
 
 
 class TestDeviceGroup:
+    def test_single_graph_routes_to_least_loaded_member(self, loop_wl):
+        group = DeviceGroup(KEPLER_K20, 3, engine="fast")
+        for member, busy in zip(group.members, (5.0, 1.0, 1.0)):
+            member.busy_ms = busy
+        target = group.least_loaded()
+        assert target == 1  # least load, lowest index on ties
+        before = [m.submissions for m in group.members]
+        graph, _ = resolve("dbuf-global").build(loop_wl, KEPLER_K20,
+                                                TemplateParams())
+        result = group.submit(graph)
+        after = [m.submissions for m in group.members]
+        assert after[target] == before[target] + 1
+        assert sum(after) == sum(before) + 1
+        assert all(d["inflight"] == 0
+                   for d in group.snapshot()["per_device"])
+        assert_result_equal(result, SimBackend(KEPLER_K20).submit(graph))
+
     def test_merged_schedule_covers_workload(self, loop_wl):
         group = DeviceGroup(KEPLER_K20, 4)
         run = resolve("dual-queue").run(loop_wl, KEPLER_K20, backend=group)

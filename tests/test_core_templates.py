@@ -142,6 +142,24 @@ class TestTemplateRuns:
         assert run.time_ms > 0
         assert 0 < run.metrics.warp_execution_efficiency <= 1
 
+    @pytest.mark.parametrize("trip", [1, 40])
+    @pytest.mark.parametrize("insts", [
+        {"inner_insts": 2.5}, {"inner_insts": 0.5}, {"outer_insts": 10.5},
+    ], ids=["inner-2.5", "inner-0.5", "outer-10.5"])
+    @pytest.mark.parametrize("name", sorted(NESTED_LOOP_TEMPLATES))
+    def test_fractional_instruction_counts(self, name, insts, trip):
+        """A full warp of rows with fractional per-step instruction counts:
+        issued steps round up and active lane-slots down, so the
+        ``active <= issued * warp_size`` check holds (trip 40 puts every
+        row in the load-balanced phase)."""
+        wl = NestedLoopWorkload("frac", np.full(32, trip, dtype=np.int64),
+                                **insts)
+        run = resolve(name, kind="nested-loop").run(
+            wl, KEPLER_K20, TemplateParams(lb_threshold=16))
+        warp = run.result.counters.warp
+        assert 0 < warp.active_slots <= warp.issued_steps * warp.warp_size
+        assert run.time_ms > 0
+
     @pytest.mark.parametrize("name", sorted(LOAD_BALANCING_TEMPLATES))
     def test_threshold_respected(self, name):
         wl = make_workload(irregular_trips(500, seed=4))

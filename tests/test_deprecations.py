@@ -1,10 +1,14 @@
-"""Contract for the retired and transitional legacy entry points.
+"""Removal contracts for retired entry points and call shapes.
 
-``get_template`` and the ``exact=`` kwarg are **gone** — these tests pin
-the removal (importing or passing them fails loudly, not silently).  The
-one remaining transitional surface is the argument order of the facade:
-``repro.run(name, workload)`` still works but warns, and forwards exactly
-to the modern workload-first call.
+Each of these surfaces is **gone**; the tests pin the removal so that
+using one fails loudly (an import, type or workload error), never
+silently:
+
+* ``get_template`` and the ``exact=`` kwarg;
+* the template-first argument order of ``repro.run``/``repro.compare``;
+* the ``executor=`` argument of template runs (``backend`` replaces it);
+* ``repro.gpusim.execute_fused`` (``GpuExecutor.run_many`` replaces it);
+* the service's ``fuse_batches`` knob (windows always fuse).
 """
 
 import warnings
@@ -13,7 +17,10 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core.registry import resolve
 from repro.core.workload import NestedLoopWorkload
+from repro.errors import WorkloadError
+from repro.gpusim import KEPLER_K20, GpuExecutor
 
 
 @pytest.fixture()
@@ -45,33 +52,41 @@ class TestExactKwargRemoved:
             repro.compare(workload, ["dual-queue"], exact=True)
 
     def test_engine_is_the_replacement(self, workload):
+        from test_executor_fused import assert_result_equal
+
         fast = repro.run(workload, "dbuf-global", engine="fast")
         exact = repro.run(workload, "dbuf-global", engine="exact")
-        assert fast.time_ms == pytest.approx(exact.time_ms, rel=1e-6)
+        assert_result_equal(fast.result, exact.result)
 
 
 class TestLegacyArgumentOrder:
-    def test_run_warns_and_forwards(self, workload):
-        with pytest.warns(DeprecationWarning, match="workload first"):
-            legacy = repro.run("dbuf-global", workload)
-        modern = repro.run(workload, "dbuf-global")
-        assert legacy.time_ms == modern.time_ms
-        assert legacy.metrics.as_dict() == modern.metrics.as_dict()
+    def test_run_rejects_template_first(self, workload):
+        with pytest.raises(WorkloadError, match="NestedLoopWorkload"):
+            repro.run("dbuf-global", workload)
 
-    def test_compare_warns_and_forwards(self, workload):
-        with pytest.warns(DeprecationWarning, match="workload first"):
-            legacy = repro.compare(["dual-queue"], workload)
-        modern = repro.compare(workload, ["dual-queue"])
-        assert legacy[0].time_ms == modern[0].time_ms
-
-    def test_warning_names_the_caller(self, workload):
-        with pytest.warns(DeprecationWarning, match=r"repro\.run\(\)"):
-            repro.run("dual-queue", workload)
-        with pytest.warns(DeprecationWarning, match=r"repro\.compare\(\)"):
-            repro.compare("dual-queue", workload)
+    def test_compare_rejects_template_first(self, workload):
+        with pytest.raises(WorkloadError, match="NestedLoopWorkload"):
+            repro.compare(["dual-queue"], workload)
 
     def test_modern_path_is_warning_free(self, workload):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             repro.run(workload, "dbuf-global", engine="exact")
             repro.compare(workload, ["dual-queue"])
+
+
+class TestExecutorArgumentRemoved:
+    def test_template_run_rejects_executor(self, workload):
+        with pytest.raises(TypeError):
+            resolve("dbuf-global").run(workload, KEPLER_K20,
+                                       executor=GpuExecutor(KEPLER_K20))
+
+    def test_execute_fused_import_fails(self):
+        with pytest.raises(ImportError):
+            from repro.gpusim import execute_fused  # noqa: F401
+
+
+class TestFuseBatchesRemoved:
+    def test_serve_rejects_fuse_batches(self):
+        with pytest.raises(TypeError):
+            repro.serve(fuse_batches=False)

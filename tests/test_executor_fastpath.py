@@ -1,7 +1,8 @@
 """Fast-engine equivalence suite + plan-cache behavior tests.
 
 The cohort-batched fast engine must reproduce the reference
-event-per-block engine's cycle counts to 1e-6 relative on every template,
+event-per-block engine's results bit for bit — every
+:class:`ExecutionResult` field, counters included — on every template,
 across workload shapes that stress different scheduling paths: uniform
 (maximal cohorts), power-law (mixed phases, nested launches), and a
 single hot iteration (one giant block-mapped/nested unit among trivial
@@ -11,6 +12,7 @@ ones).
 import numpy as np
 import pytest
 
+from repro.backends import SimBackend
 from repro.core import (
     AccessStream,
     NestedLoopWorkload,
@@ -28,6 +30,7 @@ from repro.gpusim.executor import (
     set_default_engine,
 )
 from repro.trees.generator import generate_tree
+from test_executor_fused import assert_result_equal
 
 NESTED_NAMES = sorted(n for n, (k, _) in ALL_TEMPLATES.items() if k == "nested-loop")
 TREE_NAMES = sorted(n for n, (k, _) in ALL_TEMPLATES.items() if k == "tree")
@@ -75,14 +78,10 @@ def tree_workloads():
 
 
 def _run_both(template, workload, params=None):
-    exact = template.run(
-        workload, KEPLER_K20, params,
-        executor=GpuExecutor(KEPLER_K20, engine="exact"),
-    )
-    fast = template.run(
-        workload, KEPLER_K20, params,
-        executor=GpuExecutor(KEPLER_K20, engine="fast"),
-    )
+    exact = template.run(workload, KEPLER_K20, params,
+                         SimBackend(KEPLER_K20, engine="exact"))
+    fast = template.run(workload, KEPLER_K20, params,
+                        SimBackend(KEPLER_K20, engine="fast"))
     return exact, fast
 
 
@@ -91,23 +90,24 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("name", NESTED_NAMES)
     def test_nested_loop_templates(self, workloads, name, shape):
         exact, fast = _run_both(resolve(name), workloads[shape])
-        assert fast.time_ms == pytest.approx(exact.time_ms, rel=1e-6)
+        assert_result_equal(fast.result, exact.result, name)
 
     @pytest.mark.parametrize("kind", ("descendants", "heights"))
     @pytest.mark.parametrize("name", TREE_NAMES)
     def test_tree_templates(self, tree_workloads, name, kind):
         exact, fast = _run_both(resolve(name), tree_workloads[kind])
-        assert fast.time_ms == pytest.approx(exact.time_ms, rel=1e-6)
+        assert_result_equal(fast.result, exact.result, name)
 
     def test_timeline_matches_too(self, workloads):
         template = resolve("dbuf-global")
         graph, _ = template.build(workloads["power"], KEPLER_K20,
                                   TemplateParams())
-        exact = GpuExecutor(KEPLER_K20, engine="exact").run(graph)
-        fast = GpuExecutor(KEPLER_K20, engine="fast").run(graph)
-        assert fast.n_launches == exact.n_launches
-        assert fast.n_device_launches == exact.n_device_launches
-        assert fast.time_ms == pytest.approx(exact.time_ms, rel=1e-6)
+        exact = GpuExecutor(KEPLER_K20, engine="exact",
+                            record_timeline=True).run(graph)
+        fast = GpuExecutor(KEPLER_K20, engine="fast",
+                           record_timeline=True).run(graph)
+        assert_result_equal(fast, exact)
+        assert fast.records == exact.records
 
 
 class TestEngineSelection:

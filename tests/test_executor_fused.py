@@ -1,11 +1,11 @@
-"""Fused batch execution: ``execute_fused`` / ``run_many`` equivalence.
+"""Fused batch execution: ``GpuExecutor.run_many`` / ``run_many`` equivalence.
 
 The fused executor merges N heterogeneous launch graphs into one
 event-loop pass and demuxes exact per-graph results.  The contract is
 *bit*-identity — not tolerance-based closeness — with N sequential
 :meth:`GpuExecutor.run` calls on the same engine, across every registry
-template (including dynamic-parallelism graphs), batch sizes down to 1,
-and both the serial and vectorized placement paths.
+template (including dynamic-parallelism graphs) and batch sizes down
+to 1.
 """
 
 import numpy as np
@@ -20,8 +20,8 @@ from repro.core import (
 )
 from repro.core.base import run_many
 from repro.core.registry import ALL_TEMPLATES, resolve
-from repro.gpusim import KEPLER_K20, GpuExecutor, execute_fused
-from repro.gpusim import executor as executor_mod
+import repro
+from repro.gpusim import KEPLER_K20, GpuExecutor
 from repro.gpusim.kernels import LaunchGraph
 from repro.service import ServiceConfig, TemplateService
 from repro.trees.generator import generate_tree
@@ -82,6 +82,11 @@ def all_graphs(nested_workloads, tree_workloads):
     return graphs
 
 
+def fused_pass(graphs, config, engine=None):
+    """One fused executor pass over ``graphs``."""
+    return GpuExecutor(config, engine=engine).run_many(graphs)
+
+
 def assert_result_equal(fused, sequential, label=""):
     """Field-by-field *bit* equality of two ExecutionResults."""
     assert fused.cycles == sequential.cycles, label
@@ -103,7 +108,7 @@ class TestExecuteFused:
         if engine == "exact":  # exact engine is slow; a cross-section is enough
             keys = keys[::4]
         graphs = [all_graphs[k] for k in keys]
-        fused = execute_fused(graphs, KEPLER_K20, engine=engine)
+        fused = fused_pass(graphs, KEPLER_K20, engine=engine)
         for key, graph, got in zip(keys, graphs, fused):
             assert_result_equal(got, executor.run(graph), key)
 
@@ -112,7 +117,7 @@ class TestExecuteFused:
         """N=1 fusion is exactly a plain run, per template."""
         key = next(k for k in sorted(all_graphs) if k.startswith(f"{name}/"))
         graph = all_graphs[key]
-        (fused,) = execute_fused([graph], KEPLER_K20, engine="fast")
+        (fused,) = fused_pass([graph], KEPLER_K20, engine="fast")
         assert_result_equal(
             fused, GpuExecutor(KEPLER_K20, engine="fast").run(graph), key)
 
@@ -121,7 +126,7 @@ class TestExecuteFused:
         keys = [k for k in sorted(all_graphs)
                 if k.startswith(("dpar-", "rec-"))]
         graphs = [all_graphs[k] for k in keys]
-        fused = execute_fused(graphs, KEPLER_K20, engine="fast")
+        fused = fused_pass(graphs, KEPLER_K20, engine="fast")
         executor = GpuExecutor(KEPLER_K20, engine="fast")
         for key, graph, got in zip(keys, graphs, fused):
             assert_result_equal(got, executor.run(graph), key)
@@ -129,9 +134,9 @@ class TestExecuteFused:
         assert any(r.n_device_launches > 0 for r in fused)
 
     def test_empty_batch_and_empty_graphs(self, all_graphs):
-        assert execute_fused([], KEPLER_K20) == []
+        assert fused_pass([], KEPLER_K20) == []
         graph = all_graphs[f"{NESTED_NAMES[0]}/uniform"]
-        results = execute_fused([LaunchGraph(), graph, LaunchGraph()],
+        results = fused_pass([LaunchGraph(), graph, LaunchGraph()],
                                 KEPLER_K20, engine="fast")
         assert results[0].n_launches == 0 and results[0].cycles == 0.0
         assert results[2].n_launches == 0 and results[2].cycles == 0.0
@@ -140,34 +145,11 @@ class TestExecuteFused:
 
     def test_duplicate_graphs_demux_independently(self, all_graphs):
         graph = all_graphs[f"{NESTED_NAMES[0]}/power"]
-        results = execute_fused([graph, graph, graph], KEPLER_K20,
+        results = fused_pass([graph, graph, graph], KEPLER_K20,
                                 engine="fast")
         ref = GpuExecutor(KEPLER_K20, engine="fast").run(graph)
         for got in results:
             assert_result_equal(got, ref)
-
-    def test_vectorized_and_serial_placement_agree(self, all_graphs,
-                                                   monkeypatch):
-        """Merge-path vectorized placement == per-scan serial placement.
-
-        Forcing the vectorized thresholds to extremes steers every
-        placement through one code path; both must reproduce the exact
-        engine bit-for-bit.
-        """
-        keys = sorted(all_graphs)[::5]
-        graphs = [all_graphs[k] for k in keys]
-        exact = execute_fused(graphs, KEPLER_K20, engine="exact")
-
-        monkeypatch.setattr(executor_mod, "_VECTOR_MIN_BLOCKS", 1)
-        monkeypatch.setattr(executor_mod, "_VECTOR_MIN_SLOTS", 1)
-        forced_vector = execute_fused(graphs, KEPLER_K20, engine="fast")
-        monkeypatch.setattr(executor_mod, "_VECTOR_MIN_BLOCKS", 10**9)
-        monkeypatch.setattr(executor_mod, "_VECTOR_MIN_SLOTS", 10**9)
-        forced_serial = execute_fused(graphs, KEPLER_K20, engine="fast")
-
-        for key, ex, fv, fs in zip(keys, exact, forced_vector, forced_serial):
-            assert_result_equal(fv, fs, key)
-            assert fv.cycles == pytest.approx(ex.cycles, rel=1e-6), key
 
 
 class TestBackendSubmitMany:
@@ -219,19 +201,20 @@ class TestRunMany:
 
 
 class TestServiceFusion:
-    def _responses(self, fuse: bool, workloads):
+    TEMPLATES = ("dbuf-global", "dual-queue", "thread-mapped")
+
+    def _responses(self, workloads):
         import asyncio
 
         async def driver():
             config = ServiceConfig(batch_window_s=0.05, max_batch=16,
-                                   fuse_batches=fuse, workers=1,
-                                   inline_cost_threshold=10**9)
+                                   workers=1, inline_cost_threshold=10**9)
             service = TemplateService(config)
             await service.start()
             try:
                 tasks = [
                     asyncio.create_task(service.submit(name, wl))
-                    for name in ("dbuf-global", "dual-queue", "thread-mapped")
+                    for name in self.TEMPLATES
                     for wl in workloads
                 ]
                 responses = await asyncio.gather(*tasks)
@@ -242,16 +225,18 @@ class TestServiceFusion:
         return asyncio.run(driver())
 
     def test_fused_service_equals_unfused(self):
-        """Mixed-fingerprint windows answer identically with fusion on."""
+        """Mixed-fingerprint windows answer exactly as unfused
+        ``repro.run`` calls on each (template, workload)."""
         workloads = [_nested_workload("power", n=400, seed=s)
                      for s in (1, 2)]
-        fused_resp, fused_stats = self._responses(True, workloads)
-        plain_resp, _ = self._responses(False, workloads)
-        assert len(fused_resp) == len(plain_resp) == 6
-        for a, b in zip(fused_resp, plain_resp):
-            assert a.ok and b.ok
+        fused_resp, fused_stats = self._responses(workloads)
+        plain = [repro.run(wl, name)
+                 for name in self.TEMPLATES for wl in workloads]
+        assert len(fused_resp) == len(plain) == 6
+        for a, b in zip(fused_resp, plain):
+            assert a.ok
             assert a.time_ms == b.time_ms
-            assert a.metrics == b.metrics
+            assert a.metrics == b.metrics.as_dict()
         batching = fused_stats["batching"]
         assert batching["fused_passes"] >= 1
         assert batching["fused_batches"] >= 2

@@ -249,7 +249,8 @@ class TestAdmissionControl:
         rejected, stats = run_service(
             scenario, ServiceConfig(max_pending=1), run_fn=slow_run)
         assert rejected.status == "rejected"
-        assert stats["requests"]["rejected"] == 1
+        assert (stats["requests"]["admission_rejected"]
+                + stats["requests"]["drain_rejected"]) == 1
         assert stats["requests"]["succeeded"] == 1
 
 

@@ -110,7 +110,7 @@ class TestServiceStreams:
         wl = make_workload(seed=3)
         ref = repro.run(wl, "dbuf-global")
         rng = np.random.default_rng(2)
-        with repro.serve(max_batch=4, workers=1, fuse_batches=False) as svc:
+        with repro.serve(max_batch=4, workers=1) as svc:
             svc.register_workload("g", wl, keep_versions=8)
             with pytest.raises(ServiceError):
                 svc.register_workload("g", make_workload(seed=4))
@@ -129,7 +129,7 @@ class TestServiceStreams:
             assert stats["streams"]["g"]["mutations"] == 3
 
     def test_structured_errors(self):
-        with repro.serve(max_batch=4, workers=1, fuse_batches=False) as svc:
+        with repro.serve(max_batch=4, workers=1) as svc:
             svc.register_workload("g", make_workload(seed=5), keep_versions=2)
             with pytest.raises(ServiceError):
                 svc.mutate_workload("nope", MutationBatch(append_outer=1))
@@ -153,7 +153,7 @@ class TestServiceStreams:
         stop = threading.Event()
         torn = []
 
-        with repro.serve(max_batch=8, workers=1, fuse_batches=False) as svc:
+        with repro.serve(max_batch=8, workers=1) as svc:
             svc.register_workload("g", wl, keep_versions=10_000)
 
             def mutator():

@@ -4,18 +4,16 @@
 Fast gate (wired into ``make test`` as ``make fuse-smoke``) over the
 batch-fusion invariants:
 
-1. **bit-exact demux** — ``execute_fused`` over a mixed batch (different
-   workloads, templates, block-mapped and dynamic-parallelism graphs)
-   returns results field-for-field identical to sequential
-   ``GpuExecutor.run`` calls, including every profile counter;
+1. **bit-exact demux** — ``GpuExecutor.run_many`` over a mixed batch
+   (different workloads, templates, block-mapped and
+   dynamic-parallelism graphs) returns results field-for-field identical
+   to sequential ``GpuExecutor.run`` calls, including every profile
+   counter;
 2. **degenerate shapes** — an empty batch, a singleton batch, and empty
    graphs interleaved with real ones demux at their original positions;
-3. **placement-path agreement** — forcing the merge-path vectorized
-   placement on and off produces identical results (the two placement
-   code paths may only differ in speed, never in outcome);
-4. **backend seam** — ``SimBackend.submit_many`` matches per-graph
+3. **backend seam** — ``SimBackend.submit_many`` matches per-graph
    ``submit`` and accounts every graph (submissions, busy_ms);
-5. **fusion observability** — a traced fused pass emits the
+4. **fusion observability** — a traced fused pass emits the
    ``executor.fused_graphs`` counter.
 
 Exit code 0 = all checks passed.  Keep this under a few seconds.
@@ -39,8 +37,7 @@ from repro.core import (  # noqa: E402
     TemplateParams,
 )
 from repro.core.registry import resolve  # noqa: E402
-from repro.gpusim import KEPLER_K20, GpuExecutor, execute_fused  # noqa: E402
-from repro.gpusim import executor as executor_mod  # noqa: E402
+from repro.gpusim import KEPLER_K20, GpuExecutor  # noqa: E402
 from repro.gpusim.kernels import LaunchGraph  # noqa: E402
 from repro.trees.generator import generate_tree  # noqa: E402
 
@@ -105,7 +102,7 @@ def main() -> None:
     sequential = [executor.run(g) for g in graphs]
 
     # 1. bit-exact demux over the mixed batch
-    fused = execute_fused(graphs, KEPLER_K20, engine="fast")
+    fused = executor.run_many(graphs)
     if len(fused) != len(graphs):
         fail(f"fused returned {len(fused)} results for {len(graphs)} graphs")
     for label, got, want in zip(labels, fused, sequential):
@@ -115,33 +112,17 @@ def main() -> None:
     print(f"fused == sequential on {len(graphs)} mixed graphs")
 
     # 2. degenerate shapes
-    if execute_fused([], KEPLER_K20) != []:
+    if executor.run_many([]) != []:
         fail("empty batch did not return []")
-    (single,) = execute_fused([graphs[0]], KEPLER_K20, engine="fast")
+    (single,) = executor.run_many([graphs[0]])
     check_equal(single, sequential[0], "singleton batch")
-    mixed = execute_fused([LaunchGraph(), graphs[1], LaunchGraph()],
-                          KEPLER_K20, engine="fast")
+    mixed = executor.run_many([LaunchGraph(), graphs[1], LaunchGraph()])
     if mixed[0].n_launches != 0 or mixed[2].n_launches != 0:
         fail("empty graphs lost their zero results in a mixed batch")
     check_equal(mixed[1], sequential[1], "empty-graph interleave")
     print("degenerate batches demux correctly")
 
-    # 3. vectorized vs serial placement
-    saved = (executor_mod._VECTOR_MIN_BLOCKS, executor_mod._VECTOR_MIN_SLOTS)
-    try:
-        executor_mod._VECTOR_MIN_BLOCKS = 1
-        executor_mod._VECTOR_MIN_SLOTS = 1
-        vectorized = execute_fused(graphs, KEPLER_K20, engine="fast")
-        executor_mod._VECTOR_MIN_BLOCKS = 10**9
-        executor_mod._VECTOR_MIN_SLOTS = 10**9
-        serial = execute_fused(graphs, KEPLER_K20, engine="fast")
-    finally:
-        executor_mod._VECTOR_MIN_BLOCKS, executor_mod._VECTOR_MIN_SLOTS = saved
-    for label, a, b in zip(labels, vectorized, serial):
-        check_equal(a, b, f"vector-vs-serial {label}")
-    print("vectorized placement == serial placement")
-
-    # 4. backend seam + accounting
+    # 3. backend seam + accounting
     backend = SimBackend(KEPLER_K20, engine="fast")
     results = backend.submit_many(graphs)
     for label, got, want in zip(labels, results, sequential):
@@ -153,11 +134,11 @@ def main() -> None:
         fail(f"busy_ms {backend.busy_ms} != sequential total {want_busy}")
     print("SimBackend.submit_many matches submit with full accounting")
 
-    # 5. fused pass is observable
+    # 4. fused pass is observable
     obs.reset()
     obs.set_enabled(True)
     try:
-        execute_fused(graphs[:4], KEPLER_K20, engine="fast")
+        executor.run_many(graphs[:4])
         counters = obs.summary().get("counters", {})
     finally:
         obs.set_enabled(False)

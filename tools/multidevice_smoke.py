@@ -137,7 +137,7 @@ def check_stealing() -> None:
     workload = SpMVApp(citeseer_like(scale=0.05)).workload()
     group = DeviceGroup(n_devices=DEVICES, steal_chunks=4)
     tmpl = resolve("dbuf-global", kind="nested-loop")
-    run = tmpl.run(workload, KEPLER_K20, TemplateParams(), executor=group)
+    run = tmpl.run(workload, KEPLER_K20, TemplateParams(), backend=group)
 
     covered = np.sort(np.concatenate(list(run.schedule.values())))
     if not np.array_equal(covered, np.arange(workload.outer_size)):

@@ -15,7 +15,7 @@ test: lint bench-smoke perfbench-smoke trace-smoke cache-smoke multidevice-smoke
 # ruff when installed, stdlib fallback (syntax, unused imports, debug
 # leftovers) otherwise — style regressions fail alongside tier-1 tests
 lint:
-	$(PYTHON) tools/lint.py src tests benchmarks
+	$(PYTHON) tools/lint.py src tests benchmarks tools
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
@@ -41,7 +41,8 @@ perfbench-smoke:
 
 # disk artifact cache end-to-end: a second process must hit the plan/run
 # tiers the first one wrote, a different template must reuse the shared
-# workload analysis, and corrupted entries must degrade to misses
+# workload analysis, corrupted entries must degrade to misses, and a copy
+# of the source with one cost-model line edited must miss every entry
 cache-smoke:
 	$(PYTHON) tools/cache_smoke.py
 
@@ -139,5 +140,6 @@ examples:
 results: experiments
 
 clean:
-	rm -rf results .pytest_cache .benchmarks .bench_smoke.json .bench_slo_smoke.json .bench_fuse_smoke.json
+	rm -rf results .pytest_cache .benchmarks .bench_smoke.json .bench_slo_smoke.json .bench_fuse_smoke.json \
+		.perfbench_smoke.out .perfbench_tmp
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -116,12 +116,11 @@ class Backend(ABC):
 
     @property
     def run_cache_tag(self) -> str | None:
-        """Extra disk ``run``-tier key component, or None for the classic
-        layout.
+        """The execution model's part of the ``run`` cache key.
 
-        The BSP backends return None so pre-queue run keys stay
-        byte-identical; execution models whose results differ from the
-        plain simulator (the queue backend) return a repr-stable tag.
+        None for the BSP backends; execution models whose results differ
+        from the plain simulator (the queue backend) return a repr-stable
+        tag.
         """
         return None
 

@@ -13,10 +13,10 @@ remaining launch graph N times.  The warp-window table
 per-issue-slot memory and atomic facts of block-mapped phases are computed
 once per workload, and each schedule only relabels them onto warps.
 
-Artifacts are cached twice: in a process-wide in-memory map, and (when a
-cache directory is configured) in the ``analysis`` tier of the disk-backed
-:mod:`~repro.core.artifactcache`, where bench ``--jobs`` workers and
-service pool processes share them.
+Artifacts are the ``analysis`` kind of the tiered cache
+(:mod:`~repro.core.artifactcache`): memory, then — when a cache directory
+is configured — disk, where bench ``--jobs`` workers and service pool
+processes share them.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import threading
 import numpy as np
 
 from repro import obs
-from repro.core.artifactcache import get_artifact_cache
+from repro.core.artifactcache import tiered_cache
 from repro.core.mutation import TRACE_SEGMENT_BYTES, splice
 from repro.errors import WorkloadError
 from repro.gpusim.coalesce import transaction_counts
@@ -290,8 +290,7 @@ class WorkloadAnalysis:
         threshold without materializing :meth:`partition`'s index arrays.
         Consistent with :meth:`partition`: large iff ``f(i) > threshold``.
         """
-        # getattr: instances unpickled from a pre-IR disk cache lack the slot
-        if getattr(self, "_trip_cumsum", None) is None:
+        if self._trip_cumsum is None:
             self._trip_cumsum = np.concatenate(
                 ([0], np.cumsum(self.sorted_trips))
             )
@@ -337,15 +336,11 @@ class WorkloadAnalysis:
         as a trusted span instead of re-scanning the subset per parameter
         point.
         """
-        # getattr: instances unpickled from an older disk cache lack the slot
-        spans = getattr(self, "_seg_spans", None)
-        if spans is None:
-            spans = self._seg_spans = {}
-        span = spans.get(stream_index)
+        span = self._seg_spans.get(stream_index)
         if span is None:
             segments = self._segments[stream_index]
             span = int(segments.max()) + 1 if segments.size else 1
-            spans[stream_index] = span
+            self._seg_spans[stream_index] = span
         return span
 
     def warp_windows(self, workload, block_size: int,
@@ -359,11 +354,9 @@ class WorkloadAnalysis:
         """
         if not _issues_whole_windows(block_size, warp_size):
             return None
-        # getattr: instances unpickled from an older disk cache lack the slot
-        table = getattr(self, "_windows", None)
-        if table is None:
-            table = self._windows = WarpWindows(workload, self)
-        return table
+        if self._windows is None:
+            self._windows = WarpWindows(workload, self)
+        return self._windows
 
     def buffer_windows(self, workload, outer_ids: np.ndarray, n_blocks: int,
                        block_size: int, warp_size: int) -> BufferWindows | None:
@@ -373,9 +366,7 @@ class WorkloadAnalysis:
         ``lb_block`` sweep that keeps the grid reuses one entry."""
         if not _issues_whole_windows(block_size, warp_size):
             return None
-        memo = getattr(self, "_buffer_windows", None)
-        if memo is None:
-            memo = self._buffer_windows = {}
+        memo = self._buffer_windows
         rows = np.ascontiguousarray(outer_ids, dtype=np.int64)
         key = (hashlib.blake2b(rows.tobytes(), digest_size=16).digest(),
                int(n_blocks))
@@ -616,56 +607,44 @@ class TreeAnalysis:
         }
 
 
-#: in-memory analysis store: fingerprint -> analysis artifact
-_memory: dict[str, object] = {}
-_stats = {"hits": 0, "misses": 0, "disk_hits": 0,
-          "incremental_hits": 0, "delta_fallbacks": 0}
-#: keep the in-memory map bounded; analyses are a few arrays each
-_MAX_ENTRIES = 256
+#: outcomes of lineage resolution (the other counters are the cache's)
+_lineage_stats = {"incremental_hits": 0, "delta_fallbacks": 0}
 
 
-def _memoize(fingerprint: str, analysis: object) -> None:
-    if len(_memory) >= _MAX_ENTRIES:
-        _memory.pop(next(iter(_memory)))
-    _memory[fingerprint] = analysis
+def _count(event: str) -> None:
+    _lineage_stats[event] += 1
+    if obs.enabled():
+        obs.add_counter(f"analysis.{event}")
 
 
-def _resolve_incremental(workload, fingerprint: str, disk):
+def _resolve_incremental(workload, fingerprint: str):
     """Nearest-ancestor resolution over the mutation lineage.
 
     Walks the delta chain child → parent (the workload's in-object
-    ``lineage`` first, then the disk ``lineage`` tier) until it reaches a
-    fingerprint whose analysis is already known (memory or disk), then
-    replays the deltas forward with :meth:`WorkloadAnalysis.apply_delta`.
-    Returns ``None`` when no ancestor is reachable within ``_MAX_CHAIN``
-    hops or a delta exceeds the rebuild threshold — the caller falls back
-    to a from-scratch build.
+    ``lineage``, then the ``lineage`` kind) to a fingerprint whose
+    analysis is cached, then replays the deltas forward with
+    :meth:`WorkloadAnalysis.apply_delta`.  ``None`` when no ancestor is
+    within ``_MAX_CHAIN`` hops or a delta exceeds the rebuild threshold.
     """
-    local = {
-        delta.fingerprint: delta
-        for delta in getattr(workload, "lineage", None) or ()
-    }
+    cache = tiered_cache()
+    local = {d.fingerprint: d for d in getattr(workload, "lineage", None) or ()}
     chain = []
     ancestor = None
     current = fingerprint
     while len(chain) < _MAX_CHAIN:
         delta = local.get(current)
-        if delta is None and disk is not None:
-            delta = disk.get("lineage", current)
+        if delta is None:
+            delta = cache.get("lineage", current)
         if delta is None or delta.fingerprint != current:
             break
         chain.append(delta)
         current = delta.parent_fingerprint
-        ancestor = _memory.get(current)
-        if ancestor is None and disk is not None:
-            ancestor = disk.get("analysis", ("nested", current))
+        ancestor = cache.get("analysis", ("nested", current))
         if ancestor is not None:
             break
-    if ancestor is None or not isinstance(ancestor, WorkloadAnalysis):
+    if ancestor is None:
         if chain:
-            _stats["delta_fallbacks"] += 1
-            if obs.enabled():
-                obs.add_counter("analysis.delta_fallbacks")
+            _count("delta_fallbacks")
         return None
     analysis = ancestor
     with obs.span("analysis.apply_delta", hops=len(chain),
@@ -673,48 +652,30 @@ def _resolve_incremental(workload, fingerprint: str, disk):
         for delta in reversed(chain):
             analysis = analysis.apply_delta(delta)
             if analysis is None:
-                _stats["delta_fallbacks"] += 1
-                if obs.enabled():
-                    obs.add_counter("analysis.delta_fallbacks")
+                _count("delta_fallbacks")
                 return None
-            _stats["incremental_hits"] += 1
-            if obs.enabled():
-                obs.add_counter("analysis.incremental_hits")
+            _count("incremental_hits")
             # intermediate fingerprints are live snapshot versions in the
-            # serving layer — memoize the whole replayed prefix
-            _memoize(delta.fingerprint, analysis)
-    if disk is not None and len(chain) >= _COMPACT_AFTER:
+            # serving layer — keep the whole replayed prefix in memory
+            cache.memoize("analysis", ("nested", delta.fingerprint), analysis)
+    if len(chain) >= _COMPACT_AFTER:
         # chain compaction: re-anchor a full artifact so future walks
         # (and other processes) stop after one hop
-        disk.put("analysis", ("nested", fingerprint), analysis)
+        cache.put("analysis", ("nested", fingerprint), analysis)
     return analysis
 
 
 def _get(workload, kind: str, factory) -> object:
-    fingerprint = workload.fingerprint()
-    cached = _memory.get(fingerprint)
-    if cached is not None:
-        _stats["hits"] += 1
-        if obs.enabled():
-            obs.add_counter("analysis_cache.hits")
-        return cached
-    _stats["misses"] += 1
-    if obs.enabled():
-        obs.add_counter("analysis_cache.misses")
-    disk = get_artifact_cache()
-    disk_key = (kind, fingerprint)
-    analysis = disk.get("analysis", disk_key) if disk is not None else None
-    if analysis is not None:
-        _stats["disk_hits"] += 1
+    key = (kind, workload.fingerprint())
+    cache = tiered_cache()
+    analysis = cache.get("analysis", key)
     if analysis is None and kind == "nested":
-        analysis = _resolve_incremental(workload, fingerprint, disk)
+        analysis = _resolve_incremental(workload, key[1])
     if analysis is None:
         with obs.span("analysis.build", kind=kind,
                       workload=getattr(workload, "name", "?")):
             analysis = factory(workload)
-        if disk is not None:
-            disk.put("analysis", disk_key, analysis)
-    _memoize(fingerprint, analysis)
+        cache.put("analysis", key, analysis)
     return analysis
 
 
@@ -729,13 +690,20 @@ def get_tree_analysis(workload) -> TreeAnalysis:
 
 
 def analysis_stats() -> dict[str, int]:
-    """Copy of the in-memory analysis-cache counters."""
-    return dict(_stats)
+    """Analysis cache counters: memory hits and misses, disk hits, and the
+    lineage resolution outcomes."""
+    stats = tiered_cache().stats
+    return {
+        "hits": stats["analysis", "memory"].hits,
+        "misses": stats["analysis", "memory"].misses,
+        "disk_hits": stats["analysis", "disk"].hits,
+        **_lineage_stats,
+    }
 
 
 def clear_analysis_cache(reset_stats: bool = False) -> None:
-    """Drop cached analyses (optionally also the counters)."""
-    _memory.clear()
+    """Drop cached analyses from memory (optionally also the counters)."""
+    tiered_cache().clear("analysis", reset_stats)
     if reset_stats:
-        for k in _stats:
-            _stats[k] = 0
+        for k in _lineage_stats:
+            _lineage_stats[k] = 0

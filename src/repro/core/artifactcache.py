@@ -1,158 +1,234 @@
-"""Disk-backed artifact cache shared across processes.
+"""One tiered cache for every derived artifact, keyed on code identity.
 
-The in-memory plan and analysis caches die with their process, so every
-bench ``--jobs`` worker and every service pool process re-derives the same
-workload analyses, plans and (deterministic) execution results.  This
-module persists those artifacts under a configurable cache directory in
-three tiers:
+Every kind of artifact lives at fixed levels (:data:`KINDS`):
 
-* ``analysis`` — :class:`~repro.core.analysis.WorkloadAnalysis` /
-  ``TreeAnalysis`` artifacts, keyed on the workload fingerprint alone;
-* ``plan`` — built ``(LaunchGraph, schedule)`` plans (bare graphs for tree
-  templates), keyed on the full plan key;
-* ``run`` — :class:`~repro.gpusim.executor.ExecutionResult` objects keyed
-  on ``(plan key, engine)``.  The simulator is deterministic, so a result
-  is a pure function of its key; the run tier is bypassed whenever a
-  caller asks for timelines or tracing is on (those need a live run);
-* ``select`` — :class:`~repro.ir.select.Selection` records of the
-  ``template="auto"`` lowering, keyed on ``(workload fingerprint, device
-  fingerprint, pass-config key, params, engine)``;
-* ``lineage`` — :class:`~repro.core.mutation.MutationDelta` records of
-  committed workload mutations, keyed on the *child* fingerprint.  Each
-  record names its parent fingerprint, so a warm process holding only the
-  mutated workload can walk the chain back to the nearest ancestor with a
-  cached analysis and replay the deltas incrementally
-  (:meth:`WorkloadAnalysis.apply_delta
-  <repro.core.analysis.WorkloadAnalysis.apply_delta>`) instead of
-  rebuilding from scratch.  Chains are compacted: after a few delta hops
-  the resolved analysis is re-anchored into the ``analysis`` tier, which
-  bounds future walks (see ``analysis._COMPACT_AFTER``).
+============  =============  ============================================
+kind          levels         value; key
+============  =============  ============================================
+``analysis``  memory, disk   Workload/TreeAnalysis; (family, workload fp)
+``lineage``   disk           MutationDelta; child workload fingerprint
+``select``    memory, disk   Selection; (workload fp, device fp, pass
+                             config, params, engine, backend)
+``plan``      memory, disk   built plan; plan key
+``phase``     memory         one mapping move's replayable effect
+``run``       disk           ExecutionResult; (plan key, engine, run tag)
+============  =============  ============================================
 
-Entries are pickles named by a blake2b digest of the key's ``repr`` plus a
-format version.  Writes are atomic (temp file + ``os.replace``) so
-concurrent workers never observe a torn entry; reads are
-corruption-tolerant — any unreadable entry counts as a miss (and bumps the
-``corrupt`` counter), never raises.  Keys must therefore be repr-stable
-across processes: fingerprint strings, names and numbers, not live
-objects.
+One probe path (:meth:`TieredCache.fetch`): memory, then disk, then
+build; a disk hit fills memory, a build fills every level of its kind.
+The memory level is one thread-safe LRU over every kind, bounded by
+:data:`MEMORY_MAX_BYTES` of what entries hold (:func:`sizeof`).  Values
+grow after insertion, mostly soon after (an analysis memoizes window
+tables, the executor caches block lists on a plan's kernels), so an
+entry is re-measured on its 1st, 2nd, 4th, 8th, ... hit.  Eviction drops
+the least recently used entries, never the one just stored.
 
-Disk usage is bounded: the cache evicts least-recently-used entries
-(mtime order — hits refresh an entry's mtime) whenever the total size
-exceeds ``max_bytes`` (default 1 GiB, overridable per instance or via the
-``REPRO_CACHE_MAX_BYTES`` environment variable; ``0`` disables the cap).
-Eviction is a plain atomic ``unlink``: a concurrent reader that already
-opened the file keeps reading its snapshot, one that races the unlink
-sees a miss and rebuilds — exactly the corruption-degradation contract
-reads already have.
+The disk level (:class:`ArtifactCache`) pickles entries under a
+directory shared across processes, named by a digest of
+:func:`code_digest` and the key's ``repr`` (keys must be repr-stable), so
+an entry is only ever read by the code that wrote it.  Writes are atomic;
+unreadable entries count as ``corrupt`` misses, never raise; usage is
+bounded by ``max_bytes``, unlinking the least recently used entries
+(mtime order), which a racing reader sees as an ordinary miss.
 
-Configuration is process-wide: :func:`configure_artifact_cache` sets (or
-disables) the cache, and setting it also exports ``REPRO_CACHE_DIR`` so
-pool workers spawned afterwards inherit the same directory;
-:func:`get_artifact_cache` lazily picks that variable up in processes that
-were never configured explicitly.
+Counters: live :class:`LevelStats` per ``(kind, level)``, and with
+tracing on the obs counter ``cache.<kind>.<level>.<event>``.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import os
 import pickle
+import sys
 import tempfile
+import threading
+import types
+from collections import OrderedDict
+from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
+
+import numpy as np
 
 from repro import obs
 from repro.errors import ConfigError
 
 __all__ = [
-    "ArtifactCache",
-    "TIERS",
-    "configure_artifact_cache",
-    "get_artifact_cache",
+    "ArtifactCache", "KINDS", "LevelStats", "MEMORY_MAX_BYTES", "TIERS",
+    "TieredCache", "code_digest", "configure_artifact_cache",
+    "get_artifact_cache", "sizeof", "tiered_cache",
 ]
 
-#: cache tiers, in pipeline order
-TIERS = ("analysis", "lineage", "select", "plan", "run")
+#: artifact kind -> the levels that store it, in probe order
+KINDS = {
+    "analysis": ("memory", "disk"),
+    "lineage": ("disk",),
+    "select": ("memory", "disk"),
+    "plan": ("memory", "disk"),
+    "phase": ("memory",),
+    "run": ("disk",),
+}
 
-#: bump to invalidate every existing cache entry on a format change
-_FORMAT_VERSION = "v1"
+#: kinds with a disk level, in pipeline order (the cache dir's subdirectories)
+TIERS = tuple(kind for kind, levels in KINDS.items() if "disk" in levels)
+
+#: bytes the memory level holds, across every kind
+MEMORY_MAX_BYTES = 128 << 20
 
 #: environment variable carrying the cache dir into pool workers
 ENV_VAR = "REPRO_CACHE_DIR"
-
-#: environment variable overriding the default size cap (bytes; 0 = off)
+#: environment variable overriding the default disk cap (bytes; 0 = off)
 SIZE_ENV_VAR = "REPRO_CACHE_MAX_BYTES"
-
-#: default disk budget when neither the constructor nor the environment
-#: says otherwise
 DEFAULT_MAX_BYTES = 1 << 30  # 1 GiB
 
 #: puts between full directory rescans (concurrent writers drift the
 #: incrementally-tracked total; a periodic rescan re-anchors it)
 _RESCAN_EVERY = 64
 
+_DISK_EVENTS = ("hits", "misses", "writes", "corrupt", "evictions")
 
-def _default_max_bytes() -> int:
-    raw = os.environ.get(SIZE_ENV_VAR)
+
+@cache
+def code_digest() -> str:
+    """Digest of the ``repro`` package source, once per process; part of
+    every disk key."""
+    root = Path(__file__).resolve().parent.parent
+    h = hashlib.blake2b(digest_size=16)
+    for path in sorted(root.rglob("*.py")):
+        h.update(path.relative_to(root).as_posix().encode())
+        h.update(b"\0")
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+# ------------------------------------------------------------------ sizing
+#: objects an entry refers to but does not own
+_SHARED = (type, types.ModuleType, types.FunctionType,
+           types.BuiltinFunctionType, types.MethodType)
+#: containers with more children than twice this are sized from this many
+#: evenly spaced children, scaled up
+_SAMPLE = 8
+
+
+def sizeof(value: object) -> int:
+    """Bytes ``value`` holds: array buffers plus Python object overhead,
+    walking each distinct object once.  Containers with many children (a
+    plan's launch list, a kernel's block lists) are sized from a sample,
+    so a call stays under a millisecond on the largest plans."""
+    seen: set[int] = set()
+    total = 0.0
+    stack = [(value, 1.0)]
+    while stack:
+        obj, weight = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, _SHARED):
+            continue
+        # an array that owns its buffer reports it; a view reports its
+        # header and leads to the owner through ``base``
+        total += weight * sys.getsizeof(obj)
+        if isinstance(obj, np.ndarray):
+            refs = [] if obj.base is None else [obj.base]
+        else:
+            refs = gc.get_referents(obj)
+            if type(obj).__dictoffset__:
+                # instance attributes live in a values array getsizeof misses
+                total += weight * 8 * len(refs)
+        if len(refs) > 2 * _SAMPLE:
+            step = len(refs) / _SAMPLE
+            refs = [refs[int(k * step)] for k in range(_SAMPLE)]
+            weight *= step
+        for ref in refs:
+            if type(ref) is float:
+                # the bulk of a run plan (its kernels' cached block lists),
+                # rarely shared: counted without a visit
+                total += weight * sys.getsizeof(ref)
+            else:
+                stack.append((ref, weight))
+    return int(total)
+
+
+@dataclass
+class LevelStats:
+    """Counters of one kind at one level; the cache increments them in
+    place, and a counter reset replaces the object."""
+
+    hits: int = 0
+    misses: int = 0
+    evictions: int = 0
+
+    @property
+    def lookups(self) -> int:
+        return self.hits + self.misses
+
+    @property
+    def hit_rate(self) -> float:
+        return self.hits / self.lookups if self.lookups else 0.0
+
+
+# --------------------------------------------------------------- disk level
+def _max_bytes(max_bytes) -> int:
+    """The disk cap: ``max_bytes``, else ``REPRO_CACHE_MAX_BYTES``, else
+    1 GiB.  Raises :class:`ConfigError` on a malformed or negative value."""
+    name, raw = "max_bytes", max_bytes
     if raw is None:
-        return DEFAULT_MAX_BYTES
+        name, raw = SIZE_ENV_VAR, os.environ.get(SIZE_ENV_VAR, DEFAULT_MAX_BYTES)
     try:
-        return max(0, int(raw))
-    except ValueError:
-        return DEFAULT_MAX_BYTES
+        cap = int(raw)
+    except (TypeError, ValueError):
+        cap = -1
+    if cap < 0:
+        raise ConfigError(f"{name} must be a whole number of bytes >= 0 "
+                          f"(0 = unbounded), got {raw!r}")
+    return cap
 
 
 class ArtifactCache:
-    """Pickle store under ``cache_dir`` with per-tier hit/miss counters.
-
-    ``max_bytes`` bounds total disk usage (LRU eviction by mtime; 0 means
-    unbounded).  ``None`` defers to ``REPRO_CACHE_MAX_BYTES`` or the
-    1 GiB default.
-    """
+    """The disk level: a pickle store under ``cache_dir`` with per-kind
+    counters; ``max_bytes`` as in :func:`configure_artifact_cache`."""
 
     def __init__(self, cache_dir: str | Path,
                  max_bytes: int | None = None) -> None:
         self.cache_dir = Path(cache_dir)
-        self.max_bytes = _default_max_bytes() if max_bytes is None else max(0, int(max_bytes))
+        self.max_bytes = _max_bytes(max_bytes)
         self.stats: dict[str, dict[str, int]] = {
-            tier: {"hits": 0, "misses": 0, "writes": 0, "corrupt": 0,
-                   "evictions": 0}
-            for tier in TIERS
+            tier: dict.fromkeys(_DISK_EVENTS, 0) for tier in TIERS
         }
         #: incrementally-tracked total size; None = not yet scanned
         self._size_bytes: int | None = None
         self._puts_since_scan = 0
 
+    def _count(self, tier: str, event: str) -> None:
+        self.stats[tier][event] += 1
+        if obs.enabled():
+            obs.add_counter(f"cache.{tier}.disk.{event}")
+
     def _path(self, tier: str, key: object) -> Path:
         if tier not in TIERS:
             raise ConfigError(f"unknown cache tier {tier!r}; known: {TIERS}")
         digest = hashlib.blake2b(
-            f"{_FORMAT_VERSION}|{key!r}".encode(), digest_size=16
+            f"{code_digest()}|{key!r}".encode(), digest_size=16
         ).hexdigest()
         return self.cache_dir / tier / f"{digest}.pkl"
 
     def get(self, tier: str, key: object) -> object | None:
         """The cached artifact, or None.  Never raises on bad entries."""
         path = self._path(tier, key)
-        stats = self.stats[tier]
         try:
             with open(path, "rb") as fh:
                 value = pickle.load(fh)
         except FileNotFoundError:
-            stats["misses"] += 1
-            if obs.enabled():
-                obs.add_counter(f"artifact_cache.{tier}.misses")
+            self._count(tier, "misses")
             return None
         except Exception:
-            # torn/corrupted/alien entry: degrade to a miss, never crash
-            stats["corrupt"] += 1
-            stats["misses"] += 1
-            if obs.enabled():
-                obs.add_counter(f"artifact_cache.{tier}.corrupt")
-                obs.add_counter(f"artifact_cache.{tier}.misses")
+            # torn/corrupted entry: degrade to a miss, never crash
+            self._count(tier, "corrupt")
+            self._count(tier, "misses")
             return None
-        stats["hits"] += 1
-        if obs.enabled():
-            obs.add_counter(f"artifact_cache.{tier}.hits")
+        self._count(tier, "hits")
         try:
             # refresh recency so LRU eviction spares hot entries
             os.utime(path)
@@ -184,20 +260,16 @@ class ArtifactCache:
                 raise
         except Exception:
             return
-        self.stats[tier]["writes"] += 1
-        if obs.enabled():
-            obs.add_counter(f"artifact_cache.{tier}.writes")
+        self._count(tier, "writes")
         if self.max_bytes:
             self._account_and_evict(written - replaced)
 
-    # -------------------------------------------------------- size bounding
-    def _scan_entries(self) -> list[tuple[float, int, str, "Path"]]:
+    def _scan_entries(self) -> list[tuple[float, int, str, Path]]:
         """All cache entries as ``(mtime, size, tier, path)`` tuples."""
         entries = []
         for tier in TIERS:
-            tier_dir = self.cache_dir / tier
             try:
-                with os.scandir(tier_dir) as it:
+                with os.scandir(self.cache_dir / tier) as it:
                     for entry in it:
                         if not entry.name.endswith(".pkl"):
                             continue
@@ -237,26 +309,20 @@ class ArtifactCache:
             except OSError:
                 continue  # already gone (another process evicted it)
             total -= size
-            self.stats[tier]["evictions"] += 1
-            if obs.enabled():
-                obs.add_counter(f"artifact_cache.{tier}.evictions")
+            self._count(tier, "evictions")
         self._size_bytes = total
         self._puts_since_scan = 0
 
     def snapshot(self) -> dict:
         """Per-tier counters plus totals (``--profile`` / BENCH records)."""
-        total = {"hits": 0, "misses": 0, "writes": 0, "corrupt": 0,
-                 "evictions": 0}
-        tiers = {}
-        for tier in TIERS:
-            tiers[tier] = dict(self.stats[tier])
-            for k in total:
-                total[k] += self.stats[tier][k]
+        tiers = {tier: dict(self.stats[tier]) for tier in TIERS}
+        total = {event: sum(t[event] for t in tiers.values())
+                 for event in _DISK_EVENTS}
         return {"cache_dir": str(self.cache_dir), "max_bytes": self.max_bytes,
                 "tiers": tiers, **total}
 
 
-#: process-wide cache instance; ``False`` = not yet configured (allows the
+#: process-wide disk level; ``False`` = not yet configured (allows the
 #: REPRO_CACHE_DIR fallback), ``None`` = explicitly disabled
 _cache: ArtifactCache | None | bool = False
 
@@ -265,16 +331,11 @@ def configure_artifact_cache(
     cache_dir: str | Path | None,
     max_bytes: int | None = None,
 ) -> ArtifactCache | None:
-    """Set the process-wide disk cache (None disables it).
-
-    Enabling also exports ``REPRO_CACHE_DIR`` so worker processes forked or
-    spawned afterwards share the same directory without explicit plumbing.
-    ``max_bytes`` caps disk usage (None defers to ``REPRO_CACHE_MAX_BYTES``
-    or the 1 GiB default; 0 disables the cap).
-
-    Reconfiguring with the same resolved directory and size cap keeps the
-    live instance — its counters and tracked size — so callers that
-    configure per batch do not reset the process cache mid-window.
+    """Set the process-wide disk level (None disables it), exporting
+    ``REPRO_CACHE_DIR`` for worker processes spawned afterwards.
+    ``max_bytes``: None defers to ``REPRO_CACHE_MAX_BYTES`` or 1 GiB; 0
+    means unbounded.  The same resolved directory and cap keep the live
+    instance, so per-batch callers do not reset its counters.
     """
     global _cache
     if cache_dir is None:
@@ -282,7 +343,7 @@ def configure_artifact_cache(
         os.environ.pop(ENV_VAR, None)
         return None
     live = _cache if isinstance(_cache, ArtifactCache) else None
-    cap = _default_max_bytes() if max_bytes is None else max(0, int(max_bytes))
+    cap = _max_bytes(max_bytes)
     if (live is None or live.max_bytes != cap
             or live.cache_dir.resolve() != Path(cache_dir).resolve()):
         _cache = ArtifactCache(cache_dir, max_bytes=cap)
@@ -291,13 +352,140 @@ def configure_artifact_cache(
 
 
 def get_artifact_cache() -> ArtifactCache | None:
-    """The process-wide disk cache, or None when disabled.
-
-    Unconfigured processes adopt ``REPRO_CACHE_DIR`` from the environment
-    (how bench and service pool workers find the shared directory).
-    """
+    """The process-wide disk level, or None when disabled; unconfigured
+    processes (pool workers) adopt ``REPRO_CACHE_DIR``."""
     global _cache
     if _cache is False:
         env = os.environ.get(ENV_VAR)
         _cache = ArtifactCache(env) if env else None
     return _cache
+
+
+# ------------------------------------------------------------- the one path
+class TieredCache:
+    """The memory LRU over the disk level: one probe path for every kind.
+    Entries are shared, not copied — treat them as read-only."""
+
+    def __init__(self) -> None:
+        self.stats = {(kind, level): LevelStats()
+                      for kind, levels in KINDS.items() for level in levels}
+        #: ``(kind, key) -> (value, bytes, hits)``, least recently used first
+        self._entries: OrderedDict = OrderedDict()
+        #: bytes the memory level holds
+        self.nbytes = 0
+        #: kinds whose memory level is switched off
+        self._off: set[str] = set()
+        self._lock = threading.Lock()
+
+    def count(self, kind: str) -> int:
+        """Memory entries of one kind."""
+        with self._lock:
+            return sum(1 for k, _ in self._entries if k == kind)
+
+    def _memory(self, kind: str) -> bool:
+        return "memory" in KINDS[kind] and kind not in self._off
+
+    def _bump(self, kind: str, level: str, event: str) -> None:
+        """Count one event (callers hold the lock); the disk level's obs
+        counters come from :class:`ArtifactCache`."""
+        stats = self.stats[kind, level]
+        setattr(stats, event, getattr(stats, event) + 1)
+        if level == "memory" and obs.enabled():
+            obs.add_counter(f"cache.{kind}.memory.{event}")
+
+    def _lookup(self, kind: str, key: object) -> tuple[object | None, str]:
+        """``(artifact, level)`` from the first level holding it, else
+        ``(None, "")``; a memory hit refreshes recency."""
+        if self._memory(kind):
+            slot = (kind, key)
+            with self._lock:
+                entry = self._entries.get(slot)
+                if entry is not None:
+                    value, nbytes, hits = entry
+                    self._entries[slot] = (value, nbytes, hits + 1)
+                    self._entries.move_to_end(slot)
+                self._bump(kind, "memory", "misses" if entry is None else "hits")
+            if entry is not None:
+                if (hits + 1) & hits == 0:  # a power-of-two hit
+                    self._store(slot, value, hits + 1)
+                return value, "memory"
+        disk = get_artifact_cache() if "disk" in KINDS[kind] else None
+        if disk is None:
+            return None, ""
+        value = disk.get(kind, key)
+        with self._lock:
+            self._bump(kind, "disk", "misses" if value is None else "hits")
+        if value is None:
+            return None, ""
+        self.memoize(kind, key, value)
+        return value, "disk"
+
+    def get(self, kind: str, key: object) -> object | None:
+        """The artifact from the first level that holds it, or None."""
+        return self._lookup(kind, key)[0]
+
+    def put(self, kind: str, key: object, value: object) -> None:
+        """Store at every level of the kind."""
+        self.memoize(kind, key, value)
+        disk = get_artifact_cache() if "disk" in KINDS[kind] else None
+        if disk is not None:
+            disk.put(kind, key, value)
+
+    def fetch(self, kind: str, key: object, build) -> tuple[object, str]:
+        """The artifact and the level that served it: ``"memory"``,
+        ``"disk"``, or ``"build"`` (``build()`` made it; every level of
+        the kind stores it)."""
+        value, level = self._lookup(kind, key)
+        if value is None:
+            value, level = build(), "build"
+            self.put(kind, key, value)
+        return value, level
+
+    def memoize(self, kind: str, key: object, value: object) -> None:
+        """Store at the memory level only, as the most recent entry."""
+        if self._memory(kind):
+            self._store((kind, key), value)
+
+    def _store(self, slot: tuple[str, object], value: object,
+               hits: int = 0) -> None:
+        """Insert or re-measure ``slot`` as the most recent entry, then
+        evict LRU entries over :data:`MEMORY_MAX_BYTES` — never ``slot``."""
+        nbytes = sizeof(value)
+        with self._lock:
+            old = self._entries.pop(slot, None)
+            if old is not None:
+                self.nbytes -= old[1]
+            self._entries[slot] = (value, nbytes, hits)
+            self.nbytes += nbytes
+            while self.nbytes > MEMORY_MAX_BYTES and len(self._entries) > 1:
+                (victim, _), (_, size, _) = self._entries.popitem(last=False)
+                self.nbytes -= size
+                self._bump(victim, "memory", "evictions")
+
+    def clear(self, kind: str, reset_stats: bool = False) -> None:
+        """Drop one kind's memory entries (optionally also its counters)."""
+        with self._lock:
+            for slot in [s for s in self._entries if s[0] == kind]:
+                self.nbytes -= self._entries.pop(slot)[1]
+            if reset_stats:
+                for level in KINDS[kind]:
+                    self.stats[kind, level] = LevelStats()
+
+    def set_enabled(self, kind: str, enabled: bool) -> None:
+        """Switch one kind's memory level on or off.  Switching off drops
+        its entries and zeroes its counters, so switching back on starts
+        genuinely cold."""
+        if enabled:
+            self._off.discard(kind)
+        else:
+            self._off.add(kind)
+            self.clear(kind, reset_stats=True)
+
+
+#: the process-wide cache every call site probes
+_tiered = TieredCache()
+
+
+def tiered_cache() -> TieredCache:
+    """The process-wide tiered cache."""
+    return _tiered

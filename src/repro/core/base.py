@@ -10,9 +10,8 @@ import numpy as np
 from repro import obs
 from repro.backends import coerce_backend, effective_backend, run_sharded
 from repro.core.analysis import WorkloadAnalysis, get_analysis
-from repro.core.artifactcache import get_artifact_cache
+from repro.core.artifactcache import tiered_cache
 from repro.core.params import TemplateParams
-from repro.core.plancache import default_cache
 from repro.core.workload import NestedLoopWorkload
 from repro.errors import PlanError
 from repro.gpusim.config import DeviceConfig
@@ -39,7 +38,7 @@ def plan_key(
     template's plan never reads keeps hitting the same entry.  The device
     enters as its content fingerprint string, so equal configs constructed
     in different processes produce identical (and repr-stable) keys — the
-    disk artifact cache depends on this.
+    cache's disk level depends on this.
     """
     relevant = getattr(template, "PLAN_RELEVANT_PARAMS", None)
     if relevant is None:
@@ -102,9 +101,8 @@ class _PreparedRun:
 
     What :meth:`_TemplateBase._prepare` returns, so batch entry points
     (:func:`run_many`, the service workers) can resolve many plans first,
-    execute every run-tier miss as **one** fused backend pass, and only
-    then finalize — without duplicating any of the plan-cache /
-    disk-cache / run-tier logic.
+    execute every run-cache miss as **one** fused backend pass, and only
+    then finalize — without duplicating any of the caching logic.
     """
 
     template: "_TemplateBase"
@@ -113,19 +111,19 @@ class _PreparedRun:
     params: TemplateParams
     graph: LaunchGraph
     schedule: dict[str, np.ndarray]
-    #: run-tier key when the disk run tier applies to this run, else None
+    #: cache level that served the plan: "memory", "disk" or "build"
+    plan_level: str
+    #: ``run``-kind key when this run may be cached, else None (a
+    #: timeline or tracing needs a live run)
     run_key: tuple | None
-    #: cached execution result (run-tier hit), or None when a live
-    #: execution is still needed
+    #: cached execution result, or None when a live execution is needed
     result: ExecutionResult | None
 
     def record(self, result: ExecutionResult) -> None:
-        """Attach a live execution result, persisting it to the run tier."""
+        """Attach a live execution result, caching it under the run key."""
         self.result = result
         if self.run_key is not None:
-            disk = get_artifact_cache()
-            if disk is not None:
-                disk.put("run", self.run_key, result)
+            tiered_cache().put("run", self.run_key, result)
 
     def finish(self) -> TemplateRun:
         """Profile the (now present) result and assemble the TemplateRun."""
@@ -146,7 +144,7 @@ class _TemplateBase:
     flags and the one run path.
 
     A family supplies only what differs — :meth:`_build_plan` (the value
-    the plan caches store) and :meth:`_split_plan` (the launch graph and
+    the cache stores) and :meth:`_split_plan` (the launch graph and
     the schedule a plan reports); :meth:`run` and :meth:`_prepare` are
     common.
     """
@@ -165,7 +163,7 @@ class _TemplateBase:
 
     def _build_plan(self, workload, config: DeviceConfig,
                     params: TemplateParams):
-        """Build the value the memory and disk plan caches store."""
+        """Build the value the tiered cache stores under the plan key."""
         raise NotImplementedError
 
     def _split_plan(self, plan, workload) -> tuple[LaunchGraph, dict[str, np.ndarray]]:
@@ -187,63 +185,39 @@ class _TemplateBase:
         per-device runs (see :func:`repro.backends.run_sharded`).  This is
         the one-item case of :func:`run_many`.
 
-        Plans are served from the process-wide plan cache when an identical
-        (workload, template, plan-relevant params, device) build was done
-        before, falling back to the disk artifact cache (shared across
-        bench/service worker processes) when one is configured; cached
-        graphs are shared, so treat them as read-only.  Execution results
-        are themselves cached in the disk ``run`` tier — the simulator is
-        deterministic — except when a timeline or tracing is requested,
-        which needs a live run.
+        Plans and execution results come from the tiered cache (the
+        simulator is deterministic); cached graphs are shared, so treat
+        them as read-only.
         """
         return run_many([(self, workload, params)], config, backend=backend)[0]
 
     def _prepare(self, workload, config: DeviceConfig, params: TemplateParams,
                  backend) -> _PreparedRun:
-        """Resolve the plan and probe the run tier; execution stays pending.
-
-        Single source of the caching ladder: process plan cache → disk
-        plan tier → live build, then a disk run-tier probe (skipped when a
-        timeline or tracing is requested, which needs a live run).  The
-        returned :class:`_PreparedRun` carries ``result`` when the run
-        tier hit; callers execute the graph themselves otherwise
-        (:func:`run_many`, the service workers).
+        """Resolve the plan and probe the run cache (skipped when a
+        timeline or tracing needs a live run); execution stays pending.
+        The returned :class:`_PreparedRun` carries ``result`` on a run
+        hit; callers execute the graph otherwise (:func:`run_many`, the
+        service workers).
         """
-        cache = default_cache()
+        cache = tiered_cache()
         key = plan_key(self, workload.fingerprint(), config, params)
-        disk = get_artifact_cache()
-        plan = cache.get(key)
-        if plan is not None:
-            if obs.enabled():
-                obs.instant("plan.cache_hit", template=self.name,
-                            workload=workload.name)
-                obs.add_counter("plan_cache.hits")
-        else:
-            plan = disk.get("plan", key) if disk is not None else None
-            if plan is None:
-                with obs.span("plan.build", template=self.name,
-                              workload=workload.name):
-                    plan = self._build_plan(workload, config, params)
-                if disk is not None:
-                    disk.put("plan", key, plan)
-            cache.put(key, plan)
-            obs.add_counter("plan_cache.misses")
+
+        def build():
+            with obs.span("plan.build", template=self.name,
+                          workload=workload.name):
+                return self._build_plan(workload, config, params)
+
+        plan, level = cache.fetch("plan", key, build)
+        if level == "memory" and obs.enabled():
+            obs.instant("plan.cache_hit", template=self.name,
+                        workload=workload.name)
         graph, schedule = self._split_plan(plan, workload)
-        use_run_tier = (
-            disk is not None
-            and not backend.record_timeline
-            and not obs.enabled()
-        )
         run_key = None
         result = None
-        if use_run_tier:
-            run_key = (key, backend.engine or get_default_engine())
-            # non-BSP execution models tag their run entries; the classic
-            # (untagged) key stays byte-identical for sim backends
-            tag = backend.run_cache_tag
-            if tag is not None:
-                run_key = run_key + (tag,)
-            result = disk.get("run", run_key)
+        if not backend.record_timeline and not obs.enabled():
+            run_key = (key, backend.engine or get_default_engine(),
+                       backend.run_cache_tag)
+            result = cache.get("run", run_key)
         return _PreparedRun(
             template=self,
             workload=workload,
@@ -251,6 +225,7 @@ class _TemplateBase:
             params=params,
             graph=graph,
             schedule=schedule,
+            plan_level=level,
             run_key=run_key,
             result=result,
         )
@@ -326,8 +301,8 @@ def run_many(
     ``items`` is a sequence of ``(template, workload)`` or ``(template,
     workload, params)`` tuples sharing one device config; a template's
     :meth:`~_TemplateBase.run` is the one-item call.  Every item goes
-    through the caching ladder of :meth:`~_TemplateBase._prepare`; the
-    run-tier *misses* that land on the same single-device backend are
+    through the caching of :meth:`~_TemplateBase._prepare`; the
+    run-cache *misses* that land on the same single-device backend are
     then executed as **one** fused event-loop pass via
     :meth:`~repro.backends.Backend.submit_many`.  Results are
     bit-identical to running each item alone (fused lanes share only the

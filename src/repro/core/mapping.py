@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import obs
+from repro.core.artifactcache import tiered_cache
 from repro.errors import PlanError, WorkloadError
 from repro.core.workload import NestedLoopWorkload
 from repro.gpusim.atomics import AtomicStats, flat_atomic_cycles
@@ -61,20 +61,17 @@ __all__ = [
 # over: every template's small-row phase at lbTHRES=t with block size B
 # issues exactly the same trace regardless of which template owns the large
 # rows.  At bench scale half the mapping wall time is such exact repeats,
-# so the three mapping moves below run through a content-keyed memo: the
-# phase is costed once into a private builder and its accumulated effect —
-# per-warp cost arrays plus the profiler-counter deltas — is replayed onto
-# every later builder that asks for the same phase.
+# so the three mapping moves below are the ``phase`` kind of the tiered
+# cache (memory only): the phase is costed once into a private builder and
+# its accumulated effect — per-warp cost arrays plus the profiler-counter
+# deltas — is replayed onto every later builder that asks for the same
+# phase.
 #
 # Replay must be bit-identical across processes (a phase can be a memo hit
 # in one worker and a miss in another), so the private-builder pass is the
 # canonical path for hits *and* misses: each target array receives exactly
 # one aggregated add either way, and every counter delta is an integer or
 # a max, which merge associatively.
-
-_PHASE_MEMO: dict = {}
-_PHASE_MEMO_MAX = 256
-_phase_memo_stats = {"hits": 0, "misses": 0}
 
 
 @dataclass
@@ -119,11 +116,10 @@ def _phase_key(tag, builder, workload, analysis, arrays, flags) -> tuple | None:
 
 
 def _run_phase(builder: KernelCostBuilder, key, body) -> None:
-    """Cost one phase through the memo: ``body(b)`` runs the mapping move
+    """Cost one phase through the cache: ``body(b)`` runs the mapping move
     against a builder ``b``; its effect lands on ``builder``."""
-    effect = _PHASE_MEMO.get(key) if key is not None else None
-    if effect is None:
-        _phase_memo_stats["misses"] += 1
+
+    def cost() -> _PhaseEffect:
         private = KernelCostBuilder(
             builder.config, "phase", builder.block_size, builder.n_blocks
         )
@@ -155,14 +151,12 @@ def _run_phase(builder: KernelCostBuilder, key, body) -> None:
         )
         for arr in (effect.compute, effect.mem, effect.atomic):
             arr.setflags(write=False)
-        if key is not None:
-            if len(_PHASE_MEMO) >= _PHASE_MEMO_MAX:
-                _PHASE_MEMO.pop(next(iter(_PHASE_MEMO)))
-            _PHASE_MEMO[key] = effect
+        return effect
+
+    if key is None:
+        effect = cost()
     else:
-        _phase_memo_stats["hits"] += 1
-        if obs.enabled():
-            obs.add_counter("plan.phase_memo_hits")
+        effect, _ = tiered_cache().fetch("phase", key, cost)
     arrays = builder._arrays
     arrays.compute_slots += effect.compute
     arrays.mem_transactions += effect.mem
@@ -186,16 +180,14 @@ def _run_phase(builder: KernelCostBuilder, key, body) -> None:
 
 
 def phase_memo_stats() -> dict[str, int]:
-    """Copy of the phase-memo hit/miss counters."""
-    return dict(_phase_memo_stats)
+    """Hit/miss counters of the ``phase`` kind's memory level."""
+    stats = tiered_cache().stats["phase", "memory"]
+    return {"hits": stats.hits, "misses": stats.misses}
 
 
 def clear_phase_memo(reset_stats: bool = False) -> None:
-    """Drop memoized phase effects (optionally also the counters)."""
-    _PHASE_MEMO.clear()
-    if reset_stats:
-        for k in _phase_memo_stats:
-            _phase_memo_stats[k] = 0
+    """Drop cached phase effects (optionally also the counters)."""
+    tiered_cache().clear("phase", reset_stats)
 
 
 def _apply_streams(

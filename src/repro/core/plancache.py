@@ -1,40 +1,14 @@
-"""Content-addressed cache of built template plans.
-
-Building a plan — the :class:`~repro.gpusim.kernels.LaunchGraph` plus the
-phase schedule a template derives for one workload — is the dominant cost
-of the harness: a block-size sweep rebuilds megabyte-scale traces dozens of
-times, and iterative artifact regeneration rebuilds the *same* plans on
-every pass.  This module caches plans under a content hash of everything a
-build depends on:
-
-    (workload fingerprint, template name, plan-relevant params, device)
-
-Workload fingerprints are blake2b digests of the trace arrays (see
-``NestedLoopWorkload.fingerprint`` / ``RecursiveTreeWorkload.fingerprint``),
-so two structurally identical workloads hit the same entry regardless of
-object identity.  Templates declare which :class:`TemplateParams` fields
-their plans actually read via ``PLAN_RELEVANT_PARAMS`` — a template whose
-plan ignores ``lb_threshold`` keeps hitting the cache while a sweep varies
-it.
-
-Cached plans are shared, not copied: treat a :class:`LaunchGraph` obtained
-through the cache as read-only (the executor and profiler already do).
+"""The ``plan`` kind of the tiered cache (:mod:`repro.core.artifactcache`),
+under the plan cache's interface.  Plans are keyed on ``(workload
+fingerprint, template name, device fingerprint, PLAN_RELEVANT_PARAMS)``.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass
-
+from repro.core.artifactcache import tiered_cache
 from repro.errors import ConfigError
 
-__all__ = [
-    "CacheStats",
-    "PlanCache",
-    "default_cache",
-    "fingerprint_of",
-    "set_plan_cache_enabled",
-]
+__all__ = ["default_cache", "fingerprint_of", "set_plan_cache_enabled"]
 
 
 def fingerprint_of(workload) -> str:
@@ -53,110 +27,32 @@ def fingerprint_of(workload) -> str:
     return fingerprint()
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss counters of one :class:`PlanCache`."""
-
-    hits: int = 0
-    misses: int = 0
+class _PlanView:
+    """The ``plan`` kind's memory level: live counters, size and reset."""
 
     @property
-    def lookups(self) -> int:
-        """Total cache probes."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of probes served from the cache (0.0 with no probes)."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def snapshot(self) -> dict[str, float]:
-        """Counters as a plain dict (for --profile output and BENCH json)."""
-        return {"hits": self.hits, "misses": self.misses,
-                "hit_rate": round(self.hit_rate, 4)}
-
-
-class PlanCache:
-    """LRU mapping from plan keys to built (graph, schedule) pairs.
-
-    Keys are opaque hashable tuples assembled by the template ``run()``
-    wrappers; the cache itself only provides bounded LRU storage plus
-    counters.  ``maxsize`` bounds entries, not bytes — plans of paper-scale
-    workloads run single-digit megabytes, so the default of 128 stays well
-    under a gigabyte while covering a full sweep.
-    """
-
-    def __init__(self, maxsize: int = 128, enabled: bool = True) -> None:
-        if maxsize <= 0:
-            raise ConfigError(f"maxsize must be positive, got {maxsize}")
-        self.maxsize = maxsize
-        self.enabled = enabled
-        self.stats = CacheStats()
-        self._entries: OrderedDict[tuple, object] = OrderedDict()
+    def stats(self):
+        """Live :class:`~repro.core.artifactcache.LevelStats`."""
+        return tiered_cache().stats["plan", "memory"]
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: tuple) -> object | None:
-        """Return the cached plan for ``key``, or None (counts a miss)."""
-        if not self.enabled:
-            return None
-        entry = self._entries.get(key)
-        if entry is None:
-            self.stats.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.stats.hits += 1
-        return entry
-
-    def put(self, key: tuple, plan: object) -> None:
-        """Store a plan, evicting the least recently used entry if full."""
-        if not self.enabled:
-            return
-        self._entries[key] = plan
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-
-    def keys(self) -> list[tuple]:
-        """Stored keys, least recently used first (eviction order)."""
-        return list(self._entries)
-
-    def snapshot(self) -> dict:
-        """Occupancy + counters as a plain dict (``service.stats()``,
-        ``--profile`` output, BENCH json records)."""
-        return {
-            "size": len(self._entries),
-            "maxsize": self.maxsize,
-            "enabled": self.enabled,
-            **self.stats.snapshot(),
-        }
+        return tiered_cache().count("plan")
 
     def clear(self, reset_stats: bool = False) -> None:
-        """Drop all entries (optionally also the counters)."""
-        self._entries.clear()
-        if reset_stats:
-            self.stats = CacheStats()
+        """Drop every plan from memory (optionally also the counters)."""
+        tiered_cache().clear("plan", reset_stats)
 
 
-#: process-wide cache used by the template ``run()`` wrappers
-_default = PlanCache()
-
-
-def default_cache() -> PlanCache:
-    """The process-wide plan cache."""
-    return _default
+def default_cache() -> _PlanView:
+    """The process-wide plan cache: a view of the tiered cache's plans."""
+    return _PlanView()
 
 
 def set_plan_cache_enabled(enabled: bool) -> None:
-    """Toggle the process-wide cache (``--no-plan-cache`` style switches).
+    """Keep plans in memory or not (``--no-plan-cache`` style switches).
 
-    Disabling drops stored entries **and** the hit/miss counters, so a
-    subsequent re-enable starts genuinely cold: benchmark runs rely on
-    the empty cache for a clean seed-path measurement, and ``--profile``
-    / BENCH output relies on the zeroed counters — a "cold" cache must
-    not report a nonzero hit rate inherited from before the toggle.
+    Disabling drops stored plans **and** their counters, so a re-enable
+    starts genuinely cold (clean seed-path measurements, zeroed
+    ``--profile`` counters).
     """
-    _default.enabled = enabled
-    if not enabled:
-        _default.clear(reset_stats=True)
+    tiered_cache().set_enabled("plan", enabled)

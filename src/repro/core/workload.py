@@ -280,13 +280,11 @@ class NestedLoopWorkload:
         return child, delta
 
     def _push_lineage(self, delta) -> None:
-        """Append a delta to the bounded in-object lineage and persist it
-        to the disk ``lineage`` tier (keyed on the child fingerprint)."""
+        """Append a delta to the bounded in-object lineage and cache it as
+        the ``lineage`` kind (keyed on the child fingerprint)."""
         self.lineage.append(delta)
         if len(self.lineage) > MAX_LINEAGE:
             del self.lineage[: len(self.lineage) - MAX_LINEAGE]
-        from repro.core.artifactcache import get_artifact_cache
+        from repro.core.artifactcache import tiered_cache
 
-        disk = get_artifact_cache()
-        if disk is not None:
-            disk.put("lineage", delta.fingerprint, delta)
+        tiered_cache().put("lineage", delta.fingerprint, delta)

@@ -26,12 +26,12 @@ winner, whose parameter point becomes the derived
 ordinary plan/run caches, so a race against N candidates costs N cached
 template runs, not N rebuilds.
 
-Selections are cached twice — a bounded in-memory map and the ``select``
-tier of the disk artifact cache — under a repr-stable key
+Selections are the ``select`` kind of the tiered cache (memory, then
+disk; :mod:`repro.core.artifactcache`) under a repr-stable key
 ``(workload fingerprint, device fingerprint, pass-config key, params,
-engine)``, so the decision is stable across processes and sessions
-(fingerprint-stability is what lets ``template="auto"`` share the plan
-cache with the equivalent named run).
+engine, backend)``, so the decision is stable across processes and
+sessions (fingerprint-stability is what lets ``template="auto"`` share
+the plan cache with the equivalent named run).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from dataclasses import dataclass, fields as dataclass_fields
 from repro import obs
 from repro.backends import SimBackend
 from repro.core.analysis import get_analysis
-from repro.core.artifactcache import get_artifact_cache
+from repro.core.artifactcache import tiered_cache
 from repro.core.autotune import best_run
 from repro.core.params import TemplateParams
 from repro.core.registry import canonical_name, resolve
@@ -62,10 +62,6 @@ __all__ = ["Selection", "auto_select", "is_auto", "clear_selection_cache"]
 
 #: spelling of the automatic template choice accepted by the facade
 AUTO = "auto"
-
-#: in-memory selection store (bounded; disk tier backs it cross-process)
-_memory: dict[tuple, "Selection"] = {}
-_MAX_ENTRIES = 256
 
 
 def is_auto(template) -> bool:
@@ -104,9 +100,7 @@ class Selection:
         return {
             "template": self.template,
             "kind": self.kind,
-            # getattr: "select"-tier disk entries pickled before the
-            # backend field existed must still explain cleanly
-            "backend": getattr(self, "backend", "sim"),
+            "backend": self.backend,
             "params": {
                 f.name: getattr(self.params, f.name)
                 for f in dataclass_fields(self.params)
@@ -222,13 +216,13 @@ def auto_select(
 
     Deterministic and cached: the same ``(workload fingerprint, device,
     pass config, params, engine, backend)`` always yields the same
-    :class:`Selection`, served from memory or the disk ``select`` tier
-    when seen before.  ``backend="queue"`` makes the lowering
-    capability-aware: queue-incompatible candidates are dropped (with the
-    reasons recorded), and the selection's ``backend`` field reports
-    whether the pick can actually run on the queue or must fall back to
-    BSP.  The cost race always runs on the BSP simulator, so queue and
-    sim selections share the plan/run caches.
+    :class:`Selection`, served from the tiered cache when seen before.
+    ``backend="queue"`` makes the lowering capability-aware:
+    queue-incompatible candidates are dropped (with the reasons
+    recorded), and the selection's ``backend`` field reports whether the
+    pick can actually run on the queue or must fall back to BSP.  The
+    cost race always runs on the BSP simulator, so queue and sim
+    selections share the plan/run caches.
     """
     params = params or TemplateParams()
     kind = ir_kind_of(workload)
@@ -243,31 +237,19 @@ def auto_select(
         cfg.key(),
         _params_key(params),
         engine or get_default_engine(),
+        backend,
     )
-    if backend != "sim":
-        # appended only for non-default backends: PR-6-era sim keys (and
-        # their disk entries) stay byte-identical
-        key = key + (("backend", backend),)
-    cached = _memory.get(key)
-    if cached is not None:
-        if obs.enabled():
-            obs.instant("ir.select.cache_hit",
-                        workload=getattr(workload, "name", "?"))
-            obs.add_counter("ir.select_cache.hits")
-        return cached
-    disk = get_artifact_cache()
-    selection = disk.get("select", key) if disk is not None else None
-    if selection is None:
-        obs.add_counter("ir.select_cache.misses")
+
+    def build():
         with obs.span("ir.select", kind=kind,
                       workload=getattr(workload, "name", "?")):
-            selection = _select(workload, kind, device, params, engine, cfg,
-                                backend)
-        if disk is not None:
-            disk.put("select", key, selection)
-    if len(_memory) >= _MAX_ENTRIES:
-        _memory.pop(next(iter(_memory)))
-    _memory[key] = selection
+            return _select(workload, kind, device, params, engine, cfg,
+                           backend)
+
+    selection, level = tiered_cache().fetch("select", key, build)
+    if level == "memory" and obs.enabled():
+        obs.instant("ir.select.cache_hit",
+                    workload=getattr(workload, "name", "?"))
     return selection
 
 
@@ -344,5 +326,5 @@ def _select(workload, kind, device, params, engine, cfg,
 
 
 def clear_selection_cache() -> None:
-    """Drop the in-memory selection store (tests and benchmarks)."""
-    _memory.clear()
+    """Drop selections from memory (tests and benchmarks)."""
+    tiered_cache().clear("select")

@@ -29,7 +29,7 @@ Instrumented span names (the stable catalogue):
 
 ====================  ====================================================
 ``plan.build``        template ``build()`` + schedule validation (cache miss)
-``plan.cache_hit``    instant: plan served from the plan cache
+``plan.cache_hit``    instant: plan served from memory
 ``analysis.build``    one workload-analysis computation (analysis-cache miss)
 ``ir.build``          parallelization-IR construction from a workload
 ``ir.pass.promote``   threshold-promotion pass over the IR
@@ -55,15 +55,13 @@ Instrumented span names (the stable catalogue):
 Per-kernel simulated-device events (named after their launches) land on
 a separate ``simulated-device`` track with simulated-clock timestamps.
 
-Counters (also in ``summary()["counters"]``): ``plan_cache.hits`` /
-``plan_cache.misses``, ``analysis_cache.hits`` / ``analysis_cache.misses``,
-``ir.decisions.<pass>`` (rewrite decisions per IR pass),
-``ir.select_cache.hits`` / ``ir.select_cache.misses`` and
-``ir.select.race_candidates`` (auto-select audit trail), and — when a
-disk cache directory is configured —
-``artifact_cache.<tier>.{hits,misses,writes,corrupt,evictions}`` for each
-of the ``analysis`` / ``select`` / ``plan`` / ``run`` tiers (see
-``docs/performance.md``).  Multi-device runs add per-device counters
+Counters (also in ``summary()["counters"]``):
+``cache.<kind>.<level>.<event>`` for every event of the tiered cache
+(``repro.core.artifactcache``: e.g. ``cache.plan.memory.hits``,
+``cache.phase.memory.misses``, ``cache.run.disk.writes``; see
+``docs/performance.md``), ``ir.decisions.<pass>`` (rewrite decisions per
+IR pass) and ``ir.select.race_candidates`` (auto-select audit trail).
+Multi-device runs add per-device counters
 under ``device.<i>.*``: ``launches`` / ``busy_cycles`` on every graph a
 device executes, plus per-shard work totals — ``outer`` / ``pairs`` for
 nested-loop shards, ``nodes`` for tree shards — which sum exactly to the

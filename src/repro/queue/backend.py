@@ -17,10 +17,9 @@ a :class:`~repro.queue.tasks.TaskGraph`:
 Asynchronous applications skip the conversion and hand a
 :class:`TaskGraph` straight to :meth:`QueueBackend.submit_tasks`.
 
-Cache integration: the backend advertises ``run_cache_tag`` so the
-template run wrappers store queue results under a distinct disk ``run``
-key — BSP keys (and therefore the ``devices=1`` byte-compatibility
-guarantee) are untouched, because the tag is only appended when not None.
+Cache integration: the backend advertises ``run_cache_tag``, which the
+template run wrappers put in every ``run`` cache key, so queue results
+never share an entry with BSP results.
 """
 
 from __future__ import annotations

@@ -22,8 +22,8 @@ from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.backends import SimBackend, effective_backend
+from repro.core.artifactcache import configure_artifact_cache
 from repro.core.params import TemplateParams
-from repro.core.plancache import default_cache
 from repro.core.registry import resolve
 from repro.errors import ServiceError
 from repro.gpusim.config import DeviceConfig, KEPLER_K20
@@ -85,33 +85,23 @@ def execute_batch_fused(specs: list[BatchSpec]) -> list[dict]:
 
     All specs must share a device config, engine, cache_dir and backend
     kind (the service's fusion grouping guarantees this).  Plans resolve
-    per spec through the normal cache ladder
-    (:meth:`~repro.core.base._TemplateBase._prepare` — plan cache, disk
-    plan tier, run-tier probe); the run-tier misses then execute as one
+    per spec through the tiered cache
+    (:meth:`~repro.core.base._TemplateBase._prepare` — plan, then run
+    probe); the run misses then execute as one
     :meth:`~repro.backends.Backend.submit_many` call per backend (a
     queue-incompatible template falls back to its own sim backend), which
     is bit-identical to running them one at a time.
 
-    ``cache_hits``/``cache_misses`` are the plan-cache probe deltas of
-    each spec's own prepare step in the executing process;
-    ``disk_hits``/``disk_misses`` the same deltas of the disk artifact
-    cache (zero when none is configured).  Under concurrent inline
-    batches the attribution is approximate (the counters are
-    process-global).  Templates that don't expose the prepare seam
-    (custom instances) run one at a time within the same call.
+    ``cache_hits`` is 1 when the spec's plan came from memory and
+    ``cache_misses`` is 1 when it did not (both 0 for templates that
+    don't expose the prepare seam — custom instances, which run one at a
+    time within the same call).
     """
-    from repro.core.artifactcache import (
-        configure_artifact_cache,
-        get_artifact_cache,
-    )
-
     if not specs:
         return []
     first = specs[0]
     if first.cache_dir is not None:
         configure_artifact_cache(first.cache_dir or None)
-    disk = get_artifact_cache()
-    stats = default_cache().stats
     if first.backend == "queue":
         from repro.queue.backend import QueueBackend
 
@@ -130,8 +120,6 @@ def execute_batch_fused(specs: list[BatchSpec]) -> list[dict]:
             else spec.template
         )
         params = spec.params or TemplateParams()
-        hits0, misses0 = stats.hits, stats.misses
-        disk0 = disk.snapshot() if disk is not None else None
         prepare = getattr(tmpl, "_prepare", None)
         if prepare is None:
             run = tmpl.run(spec.workload, spec.device, params,
@@ -141,21 +129,15 @@ def execute_batch_fused(specs: list[BatchSpec]) -> list[dict]:
             eff = effective_backend(backend, tmpl)
             prep = prepare(spec.workload, spec.device, params, eff)
             run = prep.finish() if prep.result is not None else None
-        disk_hits = disk_misses = 0
-        if disk is not None:
-            disk1 = disk.snapshot()
-            disk_hits = disk1["hits"] - disk0["hits"]
-            disk_misses = disk1["misses"] - disk0["misses"]
+        hit = prep is not None and prep.plan_level == "memory"
         summaries.append({
             "template": None,
             "workload": getattr(spec.workload, "name", ""),
             "time_ms": None,
             "metrics": None,
             "wall_s": 0.0,
-            "cache_hits": stats.hits - hits0,
-            "cache_misses": stats.misses - misses0,
-            "disk_hits": disk_hits,
-            "disk_misses": disk_misses,
+            "cache_hits": int(hit),
+            "cache_misses": int(prep is not None and not hit),
             "device": spec.device_index or 0,
         })
         if run is not None:

@@ -1,20 +1,37 @@
-"""Disk artifact cache: round trips, atomic writes, corruption tolerance,
-repr-stable keying and the process-wide configure/get plumbing."""
+"""The tiered cache: disk round trips, atomic writes, corruption
+tolerance, repr-stable keying, code identity, the process-wide
+configure/get plumbing, and the byte-bounded memory LRU."""
 
+import gc
 import os
 import pickle
+import random
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core import artifactcache
+from repro.core.analysis import TreeAnalysis, WorkloadAnalysis
 from repro.core.artifactcache import (
+    KINDS,
     ArtifactCache,
     TIERS,
+    TieredCache,
     configure_artifact_cache,
     get_artifact_cache,
+    sizeof,
 )
+from repro.core.params import TemplateParams
+from repro.core.recursive import RecursiveTreeWorkload
+from repro.core.registry import resolve
+from repro.core.workload import AccessStream, NestedLoopWorkload
 from repro.errors import ConfigError
+from repro.gpusim.config import KEPLER_K20
+from repro.trees.generator import generate_tree
 
 
 @pytest.fixture(autouse=True)
@@ -110,7 +127,7 @@ class TestRobustness:
 
     def test_alien_pickle_is_served_as_stored(self, tmp_path):
         """Entries are plain pickles; whatever loads cleanly is returned
-        (version skew is handled by the format-version key prefix)."""
+        (code skew is handled by the code digest in every key)."""
         cache = ArtifactCache(tmp_path)
         path = cache._path("plan", "k")
         path.parent.mkdir(parents=True)
@@ -181,8 +198,25 @@ class TestSizeCap:
         monkeypatch.setenv(artifactcache.SIZE_ENV_VAR, "12345")
         assert ArtifactCache(tmp_path).max_bytes == 12345
         monkeypatch.setenv(artifactcache.SIZE_ENV_VAR, "not-a-number")
-        assert ArtifactCache(tmp_path).max_bytes == \
-            artifactcache.DEFAULT_MAX_BYTES
+        with pytest.raises(ConfigError, match=artifactcache.SIZE_ENV_VAR):
+            ArtifactCache(tmp_path)
+
+    @pytest.mark.parametrize("raw", ["-1", "1.5", ""])
+    def test_malformed_env_var_fails_fast(self, tmp_path, monkeypatch, raw):
+        monkeypatch.setenv(artifactcache.SIZE_ENV_VAR, raw)
+        with pytest.raises(ConfigError, match=artifactcache.SIZE_ENV_VAR):
+            configure_artifact_cache(tmp_path)
+        os.environ[artifactcache.ENV_VAR] = str(tmp_path)
+        with pytest.raises(ConfigError, match=artifactcache.SIZE_ENV_VAR):
+            get_artifact_cache()
+
+    def test_negative_argument_fails_fast(self, tmp_path):
+        with pytest.raises(ConfigError, match="max_bytes"):
+            ArtifactCache(tmp_path, max_bytes=-1)
+        with pytest.raises(ConfigError, match="max_bytes"):
+            configure_artifact_cache(tmp_path, max_bytes=-1)
+        assert get_artifact_cache() is None
+        assert ArtifactCache(tmp_path, max_bytes=0).max_bytes == 0
 
     def test_evicted_read_degrades_to_miss_then_rebuilds(self, tmp_path):
         cache = ArtifactCache(tmp_path, max_bytes=2000)
@@ -261,3 +295,191 @@ class TestConfigure:
         assert get_artifact_cache() is None
         again = configure_artifact_cache(tmp_path / "b", max_bytes=1 << 20)
         assert again is not capped
+
+
+def _blob(tag: str, n: int = 1000) -> bytes:
+    return tag.encode() * n
+
+
+@pytest.fixture
+def memory_only():
+    """No disk level: the tiered cache's memory LRU alone."""
+    artifactcache._cache = None
+
+
+class TestCodeIdentity:
+    def test_code_edit_retires_every_disk_entry(self, tmp_path, monkeypatch):
+        configure_artifact_cache(tmp_path)
+        writer = TieredCache()
+        for kind in TIERS:
+            writer.put(kind, ("key", kind), {"kind": kind})
+        same_code = TieredCache()  # a fresh process: empty memory
+        for kind in TIERS:
+            assert same_code.get(kind, ("key", kind)) == {"kind": kind}
+        monkeypatch.setattr(artifactcache, "code_digest", lambda: "edited")
+        edited = TieredCache()
+        for kind in TIERS:
+            assert edited.get(kind, ("key", kind)) is None
+            assert edited.stats[kind, "disk"].misses == 1
+            assert edited.stats[kind, "disk"].hits == 0
+
+    def test_code_digest_is_computed_once_per_process(self):
+        digest = artifactcache.code_digest()
+        assert artifactcache.code_digest() == digest and len(digest) == 32
+        assert artifactcache.code_digest.cache_info().currsize == 1
+
+
+class TestMemoryLevel:
+    @pytest.mark.parametrize(
+        "kind", [k for k, levels in KINDS.items() if "memory" in levels])
+    def test_memory_hit_refreshes_recency(self, kind, monkeypatch,
+                                          memory_only):
+        monkeypatch.setattr(artifactcache, "MEMORY_MAX_BYTES",
+                            3 * sizeof(_blob("a")))
+        cache = TieredCache()
+        for key in "abc":
+            cache.put(kind, key, _blob(key))
+        assert cache.get(kind, "a") == _blob("a")  # "b" is now the LRU
+        cache.put(kind, "d", _blob("d"))
+        assert cache.get(kind, "b") is None
+        assert cache.get(kind, "a") == _blob("a")
+        assert cache.stats[kind, "memory"].evictions == 1
+
+    def test_bound_evicts_least_recent_first_never_the_new_entry(
+            self, monkeypatch, memory_only):
+        monkeypatch.setattr(artifactcache, "MEMORY_MAX_BYTES",
+                            3 * sizeof(_blob("a")))
+        cache = TieredCache()
+        cache.put("analysis", "a", _blob("a"))
+        cache.put("select", "b", _blob("b"))
+        cache.put("plan", "c", _blob("c"))
+        cache.put("phase", "d", _blob("d"))  # evicts the LRU entry only
+        assert list(cache._entries) == [("select", "b"), ("plan", "c"),
+                                        ("phase", "d")]
+        huge = _blob("h", 10_000)  # larger than the whole bound
+        cache.put("plan", "huge", huge)
+        assert list(cache._entries) == [("plan", "huge")]
+        assert cache.nbytes == sizeof(huge)
+        cache.put("analysis", "e", _blob("e"))
+        assert list(cache._entries) == [("analysis", "e")]
+        assert cache.nbytes == sizeof(_blob("e"))
+
+    def test_window_table_built_after_insertion_counts(self, monkeypatch,
+                                                       memory_only):
+        wl = _nested_workload()
+        analysis = WorkloadAnalysis.from_workload(wl)
+        key = ("nested", wl.fingerprint())
+        other = _blob("o")
+        bare = sizeof(analysis)
+        monkeypatch.setattr(artifactcache, "MEMORY_MAX_BYTES",
+                            bare + sizeof(other) + 64)
+        cache = TieredCache()
+        cache.put("plan", "other", other)
+        cache.put("analysis", key, analysis)
+        assert len(cache._entries) == 2
+        analysis.warp_windows(wl, 128, 32)
+        assert cache.get("analysis", key) is analysis
+        assert cache.nbytes == sizeof(analysis) > bare
+        assert list(cache._entries) == [("analysis", key)]  # the table pushed it out
+
+    def test_concurrent_probes_keep_the_byte_count_exact(self, monkeypatch,
+                                                         memory_only):
+        bound = 20 * sizeof(_blob("x"))
+        monkeypatch.setattr(artifactcache, "MEMORY_MAX_BYTES", bound)
+        cache = TieredCache()
+        rounds, workers = 3000, 8
+
+        def work(seed):
+            rng = random.Random(seed)
+            for _ in range(rounds):
+                key = rng.randrange(60)
+                if cache.get("plan", key) is None:
+                    cache.put("plan", key, _blob("x", 900 + key))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        held = [sizeof(_blob("x", 900 + key)) for _, key in cache._entries]
+        assert cache.nbytes == sum(held) <= bound
+        assert cache.stats["plan", "memory"].lookups == rounds * workers
+
+
+def _nested_workload(seed=3, outer=2000):
+    rng = np.random.default_rng(seed)
+    trips = rng.zipf(1.6, size=outer).clip(max=400).astype(np.int64)
+    nnz = int(trips.sum())
+    return NestedLoopWorkload(
+        name=f"acct-{seed}", trip_counts=trips,
+        streams=[AccessStream("col", rng.integers(0, nnz, nnz) * 4),
+                 AccessStream("x", rng.integers(0, 1 << 20, nnz) * 8)],
+    )
+
+
+def _retained(build):
+    """``(value, bytes tracemalloc sees retained by it)``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        value = build()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return value, retained
+
+
+class TestAccounting:
+    """The memory bound charges what an entry really holds: within 2x of
+    what tracemalloc sees it retain, Python objects included."""
+
+    def _within_2x(self, value, retained):
+        accounted = sizeof(value)
+        assert retained / 2 <= accounted <= 2 * retained, (accounted,
+                                                           retained)
+
+    def test_tree_analysis(self):
+        wl = RecursiveTreeWorkload(
+            generate_tree(4, 24, sparsity=0.5, seed=3), "descendants")
+        wl.fingerprint()
+        self._within_2x(*_retained(lambda: TreeAnalysis.from_workload(wl)))
+
+    def test_nested_analysis_with_its_window_table(self):
+        wl = _nested_workload()
+        wl.fingerprint()
+
+        def build():
+            analysis = WorkloadAnalysis.from_workload(wl)
+            analysis.warp_windows(wl, 128, 32)
+            return analysis
+
+        self._within_2x(*_retained(build))
+
+    def test_rec_naive_plan(self):
+        """Thousands of one-block child launches: about a kilobyte of
+        Python objects each, next to a few bytes of arrays."""
+        wl = RecursiveTreeWorkload(
+            generate_tree(4, 24, sparsity=0.5, seed=3), "descendants")
+        analysis = TreeAnalysis.from_workload(wl)
+        template = resolve("rec-naive", kind="tree")
+        graph, retained = _retained(lambda: template.specialize(
+            wl, analysis, KEPLER_K20, TemplateParams()))
+        assert len(graph.launches) > 300
+        self._within_2x(graph, retained)
+
+    def test_every_entry_is_charged(self, memory_only):
+        wl = _nested_workload(outer=300)
+        selection = repro.ir.auto_select(wl)
+        cache = TieredCache()
+        cache.put("select", "s", selection)
+        assert sizeof(selection) > 1000
+        assert cache.nbytes == sizeof(selection)

@@ -19,7 +19,9 @@ from repro.core import (
     RecursiveTreeWorkload,
     TemplateParams,
 )
-from repro.core.plancache import PlanCache, default_cache, set_plan_cache_enabled
+from repro.core import artifactcache
+from repro.core.artifactcache import TieredCache, sizeof
+from repro.core.plancache import default_cache, set_plan_cache_enabled
 from repro.core.registry import ALL_TEMPLATES, resolve
 from repro.errors import ConfigError
 from repro.gpusim import KEPLER_K20
@@ -131,34 +133,39 @@ class TestEngineSelection:
 
 
 class TestPlanCacheUnit:
-    def test_hit_miss_counters(self):
-        cache = PlanCache(maxsize=4)
-        assert cache.get(("k",)) is None
-        cache.put(("k",), "plan")
-        assert cache.get(("k",)) == "plan"
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
-        assert cache.stats.hit_rate == 0.5
+    """The ``plan`` kind of a fresh tiered cache with room for two
+    ~1 KB plans and no disk level."""
 
-    def test_lru_eviction(self):
-        cache = PlanCache(maxsize=2)
-        cache.put(("a",), 1)
-        cache.put(("b",), 2)
-        assert cache.get(("a",)) == 1   # refresh a; b is now oldest
-        cache.put(("c",), 3)
-        assert cache.get(("b",)) is None
-        assert cache.get(("a",)) == 1
-        assert cache.get(("c",)) == 3
+    @pytest.fixture
+    def cache(self, monkeypatch):
+        monkeypatch.setattr(artifactcache, "_cache", None)
+        monkeypatch.setattr(artifactcache, "MEMORY_MAX_BYTES",
+                            2 * sizeof(b"p" * 1000))
+        return TieredCache()
 
-    def test_disabled_cache_stores_nothing(self):
-        cache = PlanCache(enabled=False)
-        cache.put(("k",), "plan")
-        assert cache.get(("k",)) is None
-        assert len(cache) == 0
+    def test_hit_miss_counters(self, cache):
+        assert cache.get("plan", ("k",)) is None
+        cache.put("plan", ("k",), b"p" * 1000)
+        assert cache.get("plan", ("k",)) == b"p" * 1000
+        stats = cache.stats["plan", "memory"]
+        assert stats.hits == 1
+        assert stats.misses == 1
+        assert stats.hit_rate == 0.5
 
-    def test_bad_maxsize(self):
-        with pytest.raises(ConfigError):
-            PlanCache(maxsize=0)
+    def test_lru_eviction(self, cache):
+        cache.put("plan", ("a",), b"a" * 1000)
+        cache.put("plan", ("b",), b"b" * 1000)
+        assert cache.get("plan", ("a",)) == b"a" * 1000  # b is now oldest
+        cache.put("plan", ("c",), b"c" * 1000)
+        assert cache.get("plan", ("b",)) is None
+        assert cache.get("plan", ("a",)) == b"a" * 1000
+        assert cache.get("plan", ("c",)) == b"c" * 1000
+
+    def test_disabled_cache_stores_nothing(self, cache):
+        cache.set_enabled("plan", False)
+        cache.put("plan", ("k",), b"p" * 1000)
+        assert cache.get("plan", ("k",)) is None
+        assert cache.count("plan") == 0
 
 
 class TestPlanCacheIntegration:

@@ -142,8 +142,8 @@ class TestInstrumentation:
         assert s["wall_ms"]["plan.cache_hit"]["count"] == 1
         assert s["wall_ms"]["gpusim.execute"]["count"] == 2
         assert s["wall_ms"]["gpusim.profile"]["count"] == 2
-        assert s["counters"]["plan_cache.hits"] == 1
-        assert s["counters"]["plan_cache.misses"] == 1
+        assert s["counters"]["cache.plan.memory.hits"] == 1
+        assert s["counters"]["cache.plan.memory.misses"] == 1
         # per-kernel events landed on the simulated track
         assert s["sim_events"] > 0
 

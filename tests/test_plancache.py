@@ -1,5 +1,7 @@
 """Plan-cache hardening: hit/cold equivalence, LRU eviction order,
-counter accuracy under eviction, and the exposed helpers."""
+counter accuracy under eviction, and the exposed helpers.  Plans are the
+``plan`` kind of the tiered cache; the LRU tests drive that cache with
+three ~1 KB entries' worth of memory."""
 
 import dataclasses
 
@@ -7,15 +9,39 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core import artifactcache
 from repro.core.analysis import WorkloadAnalysis
+from repro.core.artifactcache import TieredCache, sizeof
 from repro.core.params import TemplateParams
-from repro.core.plancache import PlanCache, default_cache, fingerprint_of
+from repro.core.plancache import (
+    default_cache,
+    fingerprint_of,
+    set_plan_cache_enabled,
+)
 from repro.core.registry import NESTED_LOOP_TEMPLATES
 from repro.core.recursive import RecursiveTreeWorkload
 from repro.core.workload import AccessStream, NestedLoopWorkload
 from repro.errors import ConfigError
 from repro.gpusim.config import KEPLER_K20
 from repro.trees.generator import generate_tree
+
+
+def _blob(tag: str) -> bytes:
+    """A ~1 KB plan stand-in."""
+    return tag.encode() * 1000
+
+
+@pytest.fixture
+def small_cache(monkeypatch):
+    """A fresh tiered cache with room for three blobs and no disk level."""
+    monkeypatch.setattr(artifactcache, "_cache", None)
+    monkeypatch.setattr(artifactcache, "MEMORY_MAX_BYTES",
+                        3 * sizeof(_blob("a")))
+    return TieredCache()
+
+
+def _plans(cache):
+    return [key for kind, key in cache._entries if kind == "plan"]
 
 
 def make_workload(seed=0, outer=1200):
@@ -61,46 +87,45 @@ class TestHitEquivalence:
 
 
 class TestLRUEviction:
-    def test_eviction_order_is_least_recently_used(self):
-        cache = PlanCache(maxsize=3)
+    def test_eviction_order_is_least_recently_used(self, small_cache):
+        cache = small_cache
         for key in ("a", "b", "c"):
-            cache.put((key,), key.upper())
-        assert cache.keys() == [("a",), ("b",), ("c",)]
+            cache.put("plan", (key,), _blob(key))
+        assert _plans(cache) == [("a",), ("b",), ("c",)]
         # touching "a" makes "b" the LRU victim
-        assert cache.get(("a",)) == "A"
-        assert cache.keys() == [("b",), ("c",), ("a",)]
-        cache.put(("d",), "D")
-        assert len(cache) == 3
-        assert cache.keys() == [("c",), ("a",), ("d",)]
-        assert cache.get(("b",)) is None  # evicted
+        assert cache.get("plan", ("a",)) == _blob("a")
+        assert _plans(cache) == [("b",), ("c",), ("a",)]
+        cache.put("plan", ("d",), _blob("d"))
+        assert cache.count("plan") == 3
+        assert _plans(cache) == [("c",), ("a",), ("d",)]
+        assert cache.get("plan", ("b",)) is None  # evicted
 
-    def test_put_existing_key_refreshes_recency(self):
-        cache = PlanCache(maxsize=2)
-        cache.put(("a",), 1)
-        cache.put(("b",), 2)
-        cache.put(("a",), 10)  # refresh, not duplicate
-        assert len(cache) == 2
-        cache.put(("c",), 3)
-        assert cache.get(("b",)) is None  # b was LRU
-        assert cache.get(("a",)) == 10
+    def test_put_existing_key_refreshes_recency(self, small_cache):
+        cache = small_cache
+        cache.put("plan", ("a",), _blob("a"))
+        cache.put("plan", ("b",), _blob("b"))
+        cache.put("plan", ("c",), _blob("c"))
+        cache.put("plan", ("a",), _blob("A"))  # refresh, not duplicate
+        assert cache.count("plan") == 3
+        cache.put("plan", ("d",), _blob("d"))
+        assert cache.get("plan", ("b",)) is None  # b was LRU
+        assert cache.get("plan", ("a",)) == _blob("A")
 
-    def test_counters_accurate_under_eviction(self):
-        cache = PlanCache(maxsize=2)
-        assert cache.get(("a",)) is None          # miss 1
-        cache.put(("a",), 1)
-        cache.put(("b",), 2)
-        assert cache.get(("a",)) == 1             # hit 1
-        cache.put(("c",), 3)                      # evicts b
-        assert cache.get(("b",)) is None          # miss 2 (evicted)
-        assert cache.get(("c",)) == 3             # hit 2
-        assert cache.stats.hits == 2
-        assert cache.stats.misses == 2
-        assert cache.stats.lookups == 4
-        assert cache.stats.hit_rate == pytest.approx(0.5)
-
-    def test_maxsize_validation(self):
-        with pytest.raises(ConfigError):
-            PlanCache(maxsize=0)
+    def test_counters_accurate_under_eviction(self, small_cache):
+        cache = small_cache
+        stats = cache.stats["plan", "memory"]
+        assert cache.get("plan", ("a",)) is None   # miss 1
+        for key in ("a", "b", "c"):
+            cache.put("plan", (key,), _blob(key))
+        assert cache.get("plan", ("a",)) == _blob("a")  # hit 1
+        cache.put("plan", ("d",), _blob("d"))          # evicts b
+        assert cache.get("plan", ("b",)) is None   # miss 2 (evicted)
+        assert cache.get("plan", ("d",)) == _blob("d")  # hit 2
+        assert stats.hits == 2
+        assert stats.misses == 2
+        assert stats.lookups == 4
+        assert stats.hit_rate == pytest.approx(0.5)
+        assert stats.evictions == 1
 
 
 class TestExposedHelpers:
@@ -117,22 +142,31 @@ class TestExposedHelpers:
             fingerprint_of(object())
 
     def test_snapshot_shape(self):
-        cache = PlanCache(maxsize=4)
-        cache.put(("a",), 1)
-        cache.get(("a",))
-        cache.get(("zz",))
-        snap = cache.snapshot()
-        assert snap == {
-            "size": 1, "maxsize": 4, "enabled": True,
-            "hits": 1, "misses": 1, "hit_rate": 0.5,
-        }
+        """``default_cache()`` reports the plan kind's occupancy, switch
+        and live counters."""
+        view = default_cache()
+        view.clear(reset_stats=True)
+        workload = make_workload(seed=4)
+        repro.run(workload, "dual-queue")
+        repro.run(workload, "dual-queue")
+        assert len(view) == 1
+        assert (view.stats.hits, view.stats.misses) == (1, 1)
+        assert view.stats.hit_rate == 0.5
 
-    def test_disabled_cache_snapshot(self):
-        cache = PlanCache(enabled=False)
-        cache.put(("a",), 1)
-        assert cache.get(("a",)) is None
-        assert cache.snapshot()["enabled"] is False
-        assert cache.snapshot()["size"] == 0
+    def test_disabled_cache_snapshot(self, small_cache):
+        cache = small_cache
+        cache.set_enabled("plan", False)
+        cache.put("plan", ("a",), _blob("a"))
+        assert cache.get("plan", ("a",)) is None
+        assert cache.count("plan") == 0
+        assert cache.stats["plan", "memory"].lookups == 0
+        try:
+            set_plan_cache_enabled(False)
+            repro.run(make_workload(seed=6), "dual-queue")
+            assert len(default_cache()) == 0
+            assert default_cache().stats.lookups == 0
+        finally:
+            set_plan_cache_enabled(True)
 
 
 #: alternative values for every TemplateParams field (all valid)

@@ -130,7 +130,7 @@ class TestServiceBasics:
 
         response = run_service(scenario)
         assert response.ok and not response.degraded
-        assert response.time_ms == pytest.approx(expected.time_ms, rel=1e-9)
+        assert response.time_ms == expected.time_ms
         assert response.template == "dbuf-global"
         assert response.workload == workload.name
         assert response.metrics["kernel_calls"] >= 1
@@ -167,8 +167,7 @@ class TestServiceBasics:
         responses = run_service(scenario)
         for i, response in enumerate(responses):
             expected = expected_a if i % 2 == 0 else expected_b
-            assert response.time_ms == pytest.approx(
-                expected.time_ms, rel=1e-9)
+            assert response.time_ms == expected.time_ms
             assert response.workload == (workload.name if i % 2 == 0
                                          else other.name)
 
@@ -180,7 +179,7 @@ class TestServiceBasics:
 
         response = run_service(scenario)
         assert response.ok
-        assert response.time_ms == pytest.approx(expected.time_ms, rel=1e-9)
+        assert response.time_ms == expected.time_ms
 
     def test_submit_on_stopped_service_raises(self, workload):
         async def driver():
@@ -264,8 +263,7 @@ class TestServiceHandle:
             one = svc.request("dual-queue", workload)
             stats = svc.stats()
         assert all(r.ok for r in responses)
-        assert responses[0].time_ms == pytest.approx(
-            expected.time_ms, rel=1e-9)
+        assert responses[0].time_ms == expected.time_ms
         assert one.ok and one.template == "dual-queue"
         assert stats["requests"]["succeeded"] == 7
 

@@ -9,7 +9,6 @@ path, forced by declaring that no block size issues whole windows.
 """
 
 import dataclasses
-import pickle
 
 import numpy as np
 import pytest
@@ -193,18 +192,3 @@ def test_delta_derived_analysis_matches_from_workload():
             params = TemplateParams(lb_threshold=8, lb_block=block)
             assert (_plan_state(*_build(template, child, derived, params))
                     == _plan_state(*_build(template, child, fresh, params)))
-
-
-def test_analysis_pickled_without_the_table_builds_it(monkeypatch):
-    wl = _sssp_round()
-    an = WorkloadAnalysis.from_workload(wl)
-    # an entry written before the table existed has no window slots
-    del an.__dict__["_windows"], an.__dict__["_buffer_windows"]
-    old = pickle.loads(pickle.dumps(an))
-    params = TemplateParams(lb_threshold=8, lb_block=128)
-    templates = ("dual-queue", "dbuf-global")
-    table = [_plan_state(*_build(t, wl, old, params)) for t in templates]
-    assert old._windows is not None and old._buffer_windows
-    _per_pair(monkeypatch)
-    for template, got in zip(templates, table):
-        assert got == _plan_state(*_build(template, wl, an, params))

@@ -11,12 +11,17 @@ Fast end-to-end gate (wired into ``make test`` as ``make cache-smoke``):
 2. **analysis sharing** — the second process is also probed with a
    different template of the same workload, which must reuse the disk
    ``analysis`` tier (the two-level pipeline's cross-template artifact);
-3. **corruption tolerance** — every cached entry is truncated/garbled in
-   place; a third process must degrade to cold misses (recording
+3. **stale code** — a copy of ``src/`` with one line of
+   ``gpusim/costmodel.py`` edited runs against the warm directory: it
+   must miss the ``plan`` and ``run`` tiers (every disk key names the
+   code that wrote it) and report the simulated time its own code
+   computes, not the cached one;
+4. **corruption tolerance** — every cached entry is truncated/garbled in
+   place; another process must degrade to cold misses (recording
    ``corrupt`` counts), never crash, and still produce the same result.
 
 Children are spawned with ``sys.executable`` so nothing is inherited via
-fork: every hit in steps 1-3 is a genuine disk round trip.  Exit code 0 =
+fork: every hit in steps 1-4 is a genuine disk round trip.  Exit code 0 =
 all checks passed.  Keep this under a few seconds.
 """
 
@@ -24,12 +29,19 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: the cost-model line the stale-code step doubles in its copy of src/
+_EDITED_LINE = (
+    "    return max(config.cycles_per_segment, "
+    "config.dram_latency_cycles / outstanding)"
+)
 
 #: runs in a fresh child process: execute one template against the shared
 #: cache dir and report simulated time + per-tier cache counters as JSON
@@ -60,9 +72,10 @@ def fail(message: str) -> None:
     sys.exit(1)
 
 
-def run_child(cache_dir: str, template: str = "dual-queue") -> dict:
+def run_child(cache_dir: str, template: str = "dual-queue",
+              src: Path = REPO_ROOT / "src") -> dict:
     env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    env["PYTHONPATH"] = str(src)
     env.pop("REPRO_CACHE_DIR", None)  # the child must rely on argv alone
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, cache_dir, template],
@@ -75,6 +88,22 @@ def run_child(cache_dir: str, template: str = "dual-queue") -> dict:
 
 def tier(report: dict, name: str) -> dict:
     return report["stats"]["tiers"][name]
+
+
+def edited_source(dest: Path) -> Path:
+    """A copy of ``src/`` under ``dest`` with one cost-model line edited."""
+    src = dest / "src"
+    shutil.copytree(REPO_ROOT / "src", src,
+                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    costmodel = src / "repro" / "gpusim" / "costmodel.py"
+    text = costmodel.read_text()
+    if _EDITED_LINE not in text:
+        fail(f"{costmodel.name} no longer has the line this step edits: "
+             f"{_EDITED_LINE.strip()!r}")
+    costmodel.write_text(text.replace(
+        _EDITED_LINE, _EDITED_LINE.replace("return max(", "return 2 * max("),
+        1))
+    return src
 
 
 def main() -> int:
@@ -100,6 +129,24 @@ def main() -> int:
                  f"analysis: {other['stats']}")
         print(f"analysis sharing ok: "
               f"{tier(other, 'analysis')['hits']} cross-template hit(s)")
+
+        with tempfile.TemporaryDirectory(prefix="repro-cache-smoke-") as copy:
+            src = edited_source(Path(copy))
+            stale = run_child(tmp, src=src)
+            own = run_child(str(Path(copy) / "cache"), src=src)
+        for name in ("plan", "run"):
+            if tier(stale, name)["hits"] or not tier(stale, name)["misses"]:
+                fail(f"edited code was served {name} entries the original "
+                     f"code wrote: {stale['stats']}")
+        if own["time_ms"] == cold["time_ms"]:
+            fail("the cost-model edit left the simulated time unchanged; "
+                 "the stale-code step needs an edit that shows")
+        if stale["time_ms"] != own["time_ms"]:
+            fail(f"edited code reported {stale['time_ms']} against the warm "
+                 f"cache but computes {own['time_ms']}")
+        print(f"stale code ok: an edited cost model misses plan and run "
+              f"and reports its own {own['time_ms']:.4f} ms "
+              f"(cached: {cold['time_ms']:.4f} ms)")
 
         entries = sorted(Path(tmp).rglob("*.pkl"))
         if not entries:

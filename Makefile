@@ -4,32 +4,21 @@ PYTHON ?= python
 # make targets work from a clean checkout, without `pip install -e .`
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: install test lint bench bench-smoke perfbench-smoke bench-service bench-multidevice bench-queue bench-slo bench-fuse bench-stream trace-smoke cache-smoke multidevice-smoke ir-smoke queue-smoke slo-smoke fuse-smoke stream-smoke experiments examples results clean
+.PHONY: install test lint bench perfbench-smoke bench-service bench-slo bench-stream trace-smoke cache-smoke multidevice-smoke ir-smoke queue-smoke slo-smoke fuse-smoke stream-smoke experiments examples results clean
 
 install:
 	pip install -e . --no-build-isolation
 
-test: lint bench-smoke perfbench-smoke trace-smoke cache-smoke multidevice-smoke ir-smoke queue-smoke slo-smoke fuse-smoke stream-smoke
+test: lint perfbench-smoke trace-smoke cache-smoke multidevice-smoke ir-smoke queue-smoke slo-smoke fuse-smoke stream-smoke
 	$(PYTHON) -m pytest tests/
 
 # ruff when installed, stdlib fallback (syntax, unused imports, debug
 # leftovers) otherwise — style regressions fail alongside tier-1 tests
 lint:
-	$(PYTHON) tools/lint.py src tests benchmarks tools
+	$(PYTHON) tools/lint.py src tests benchmarks tools examples
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# tiny harness-speed run: exercises the process-parallel runner, plan
-# cache, two-level disk-cache mode and the fused executor pass
-# end-to-end, then gates against the recorded smoke baseline in
-# BENCH_harness_speed.json (fails loudly on a >40% speedup regression in
-# the fast, two-level or fused mode; smoke-scale walls are sub-second,
-# so the tolerance absorbs process-spawn scheduling noise)
-bench-smoke:
-	$(PYTHON) benchmarks/bench_harness_speed.py --smoke \
-		--gate-tolerance 0.4 \
-		--out .bench_smoke.json --gate BENCH_harness_speed.json
 
 # repo benchmark smoke: the perfbench self-tests, then a short loops run
 # whose result line must report correct outputs and no failed ops
@@ -92,28 +81,11 @@ stream-smoke:
 bench-service:
 	$(PYTHON) benchmarks/bench_service_throughput.py --min-speedup 2
 
-# multi-device scaling on the fig5 sweep: aggregate throughput of a
-# 4-device group vs one device; acceptance requires >= 2.5x
-bench-multidevice:
-	$(PYTHON) benchmarks/bench_multi_device.py --min-speedup 2.5
-
-# queue vs BSP execution models across diameters: acceptance requires
-# the queue to beat launch-per-round BSP on >= 1 high-diameter config
-bench-queue:
-	$(PYTHON) benchmarks/bench_queue_vs_bsp.py --min-speedup 1.0
-
 # SLO-aware serving under overload: an open-loop multi-tenant mix at 2x
 # measured capacity, SLO-aware (priorities/quotas/deadlines/autoscale)
 # vs no-SLO FIFO; acceptance requires >= 3x better high-priority p99
 bench-slo:
 	$(PYTHON) benchmarks/bench_slo_serving.py --min-p99-ratio 3.0
-
-# fused executor path at smoke scale: the Fig. 4 sweep as one fused
-# in-process pass per rep vs the two-level pooled pipeline, bit-exact
-# tables; acceptance requires >= 1.3x (full scale records >= 2x in
-# BENCH_fused_executor.json)
-bench-fuse:
-	$(PYTHON) benchmarks/bench_fused_executor.py --smoke --min-speedup 1.3
 
 # streaming throughput: incremental analysis maintenance vs from-scratch
 # re-analysis under a mutation stream, plus one serving process
@@ -140,6 +112,6 @@ examples:
 results: experiments
 
 clean:
-	rm -rf results .pytest_cache .benchmarks .bench_smoke.json .bench_slo_smoke.json .bench_fuse_smoke.json \
+	rm -rf results .pytest_cache .benchmarks .bench_slo_smoke.json \
 		.perfbench_smoke.out .perfbench_tmp
 	find . -name __pycache__ -type d -exec rm -rf {} +

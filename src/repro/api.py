@@ -46,6 +46,14 @@ def _kind_of(workload) -> str:
     )
 
 
+def _check_params(params) -> None:
+    if params is not None and not isinstance(params, TemplateParams):
+        raise ConfigError(
+            "params must be a TemplateParams or None, got "
+            f"{type(params).__name__}"
+        )
+
+
 def _coerce_backend_arg(backend, device, devices, engine):
     """Resolve the facade's ``backend`` argument to (backend, kind).
 
@@ -133,6 +141,7 @@ def run(
         queue-incompatible templates fall back to BSP execution.
     """
     kind = _kind_of(workload)
+    _check_params(params)
     engine = resolve_engine(engine)
     if devices < 1:
         raise ConfigError(f"devices must be >= 1, got {devices}")
@@ -218,6 +227,7 @@ def explain(
     """
     from repro.backends import resolve_backend
 
+    _check_params(params)
     engine = resolve_engine(engine)
     kind = resolve_backend(backend) or "sim"
     return auto_select(workload, device, params, engine,

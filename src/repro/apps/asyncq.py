@@ -22,7 +22,7 @@ so queue and BSP runs are apples-to-apples: the difference is purely
 launch/barrier overhead vs queue/termination overhead plus the schedule's
 work inflation.  On high-diameter graphs (``grid_graph``) the BSP side
 pays thousands of launch round-trips for tiny frontiers, which is the
-regime ``benchmarks/bench_queue_vs_bsp.py`` sweeps.
+regime ``tests/test_queue_equivalence.py::TestQueueVsBSP`` pins.
 """
 
 from __future__ import annotations

@@ -6,9 +6,9 @@ performance is largely insensitive to block size but driven by lbTHRES;
 small blocks do better at small lbTHRES (blocks larger than lbTHRES waste
 threads on iterations of size ~lbTHRES).
 
-The sweep decomposes into independent (lbTHRES, block-size) cells plus the
-baseline, registered as variants so ``repro-bench fig4 --jobs N`` fans the
-cells out across worker processes.
+The whole sweep — the baseline plus every (lbTHRES, block size, template)
+cell — is one :func:`~repro.core.base.run_many` call over one workload, so
+its run-cache misses execute as one fused executor pass.
 """
 
 from __future__ import annotations
@@ -17,62 +17,11 @@ from repro.apps.spmv import SpMVApp
 from repro.bench.registry import ExperimentConfig, register
 from repro.bench.table import ResultTable
 from repro.bench.experiments.common import FIG6_TEMPLATES, citeseer_for, params_for
+from repro.core.base import run_many
+from repro.core.registry import resolve
 
 LB_SETTINGS = (64, 128, 192)
 BLOCK_SIZES = (64, 128, 192, 256)
-
-#: (scale, seed) -> SpMVApp; worker processes build the dataset once and
-#: reuse it across the variants they are handed
-_APP_CACHE: dict[tuple[float, int], SpMVApp] = {}
-
-
-def _app_for(config: ExperimentConfig) -> SpMVApp:
-    key = (config.scale, config.seed)
-    app = _APP_CACHE.get(key)
-    if app is None:
-        app = SpMVApp(citeseer_for(config), seed=config.seed)
-        _APP_CACHE[key] = app
-    return app
-
-
-def variants(config: ExperimentConfig) -> list:
-    """The baseline plus one variant per (lbTHRES, block size) cell."""
-    return [("base",)] + [
-        ("cell", lbt, block) for lbt in LB_SETTINGS for block in BLOCK_SIZES
-    ]
-
-
-def run_variant(config: ExperimentConfig, key) -> tuple:
-    """One independent piece: baseline time, or all templates of one cell."""
-    app = _app_for(config)
-    if key[0] == "base":
-        return ("base", app.run("baseline", config.device).gpu_time_ms)
-    _, lbt, block = key
-    times = [
-        app.run(tmpl, config.device, params_for(lbt, lb_block=block)).gpu_time_ms
-        for tmpl in FIG6_TEMPLATES
-    ]
-    return ("cell", lbt, block, times)
-
-
-def merge(config: ExperimentConfig, parts: list) -> list[ResultTable]:
-    """Assemble the per-lbTHRES tables from the variant results."""
-    base = next(p[1] for p in parts if p[0] == "base")
-    cells = {(p[1], p[2]): p[3] for p in parts if p[0] == "cell"}
-    tables = []
-    for lbt in LB_SETTINGS:
-        table = ResultTable(
-            title=f"fig4: SpMV speedup over baseline (lbTHRES={lbt})",
-            columns=["block size"] + list(FIG6_TEMPLATES),
-        )
-        for block in BLOCK_SIZES:
-            table.add_row(*[block] + [base / t for t in cells[(lbt, block)]])
-        table.add_note(
-            "paper shape: performance insensitive to block size, dominated "
-            "by lbTHRES; dpar-naive omitted (significantly slower)"
-        )
-        tables.append(table)
-    return tables
 
 
 @register(
@@ -80,10 +29,29 @@ def merge(config: ExperimentConfig, parts: list) -> list[ResultTable]:
     title="SpMV speedup vs block size under different lbTHRES",
     paper_ref="Figure 4 (a-c)",
     description="Block-size sensitivity of the load-balancing templates.",
-    variants=variants,
-    run_variant=run_variant,
-    merge=merge,
 )
 def run(config: ExperimentConfig) -> list[ResultTable]:
     """Regenerate this artifact's result tables (see module docstring)."""
-    return merge(config, [run_variant(config, key) for key in variants(config)])
+    workload = SpMVApp(citeseer_for(config), seed=config.seed).workload()
+    items = [(resolve("baseline", kind="nested-loop"), workload)] + [
+        (resolve(tmpl, kind="nested-loop"), workload,
+         params_for(lbt, lb_block=block))
+        for lbt in LB_SETTINGS for block in BLOCK_SIZES
+        for tmpl in FIG6_TEMPLATES
+    ]
+    times = iter([r.time_ms for r in run_many(items, config.device)])
+    base = next(times)
+    tables = []
+    for lbt in LB_SETTINGS:
+        table = ResultTable(
+            title=f"fig4: SpMV speedup over baseline (lbTHRES={lbt})",
+            columns=["block size"] + list(FIG6_TEMPLATES),
+        )
+        for block in BLOCK_SIZES:
+            table.add_row(block, *(base / next(times) for _ in FIG6_TEMPLATES))
+        table.add_note(
+            "paper shape: performance insensitive to block size, dominated "
+            "by lbTHRES; dpar-naive omitted (significantly slower)"
+        )
+        tables.append(table)
+    return tables

@@ -7,8 +7,9 @@ registered under the ids used throughout DESIGN.md and EXPERIMENTS.md
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
 from repro.bench.table import ResultTable
 from repro.errors import ExperimentError
@@ -33,67 +34,31 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not (0 < self.scale <= 1.0):
             raise ExperimentError("scale must be in (0, 1]")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ExperimentError(
+                f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass
 class Experiment:
-    """One reproducible paper artifact.
-
-    Experiments that decompose into independent pieces of work (a sweep's
-    cells, typically) may additionally register ``variants(config)`` — the
-    list of picklable work keys — with ``run_variant(config, key)`` doing
-    one piece and ``merge(config, parts)`` assembling the tables from the
-    parts in ``variants`` order.  The CLI runs variants across a process
-    pool under ``--jobs N``; ``run()`` executes them in order, so serial
-    results are bit-identical to parallel ones.
-    """
+    """One reproducible paper artifact."""
 
     id: str
     title: str
     paper_ref: str
     description: str
     runner: Callable[[ExperimentConfig], list[ResultTable]]
-    variants: Callable[[ExperimentConfig], list[Any]] | None = None
-    run_variant: Callable[[ExperimentConfig, Any], Any] | None = None
-    merge: Callable[[ExperimentConfig, list[Any]], list[ResultTable]] | None = None
-
-    @property
-    def splittable(self) -> bool:
-        """Whether the experiment decomposes into independent variants."""
-        return self.variants is not None
 
     def run(self, config: ExperimentConfig | None = None) -> list[ResultTable]:
         """Execute and return the result tables."""
-        config = config or ExperimentConfig()
-        if self.splittable:
-            parts = [self.run_variant(config, key) for key in self.variants(config)]
-            return self.merge(config, parts)
-        return self.runner(config)
+        return self.runner(config or ExperimentConfig())
 
 
 EXPERIMENTS: dict[str, Experiment] = {}
 
 
-def register(
-    id: str,
-    title: str,
-    paper_ref: str,
-    description: str,
-    variants: Callable[[ExperimentConfig], list[Any]] | None = None,
-    run_variant: Callable[[ExperimentConfig, Any], Any] | None = None,
-    merge: Callable[[ExperimentConfig, list[Any]], list[ResultTable]] | None = None,
-):
-    """Decorator registering an experiment runner under ``id``.
-
-    ``variants``/``run_variant``/``merge`` (all three or none) mark the
-    experiment as splittable for the process-parallel runner.
-    """
-    split_args = (variants, run_variant, merge)
-    if any(a is not None for a in split_args) and None in split_args:
-        raise ExperimentError(
-            f"experiment {id!r}: variants, run_variant and merge must be "
-            "registered together"
-        )
+def register(id: str, title: str, paper_ref: str, description: str):
+    """Decorator registering an experiment runner under ``id``."""
 
     def wrap(fn: Callable[[ExperimentConfig], list[ResultTable]]):
         if id in EXPERIMENTS:
@@ -101,7 +66,6 @@ def register(
         EXPERIMENTS[id] = Experiment(
             id=id, title=title, paper_ref=paper_ref,
             description=description, runner=fn,
-            variants=variants, run_variant=run_variant, merge=merge,
         )
         return fn
 

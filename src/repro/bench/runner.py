@@ -5,14 +5,12 @@ Usage::
     python -m repro.bench --list
     python -m repro.bench fig5
     python -m repro.bench fig5 fig6 --scale 0.05 --out results/
-    python -m repro.bench all --scale 0.02 --jobs 4 --profile
+    python -m repro.bench all --scale 0.02 --profile
 
 (also installed as the ``repro-bench`` console script.)
 
-``--jobs N`` fans independent work units — whole experiments, and the
-registered variants of splittable ones like fig4 — across a
-``ProcessPoolExecutor``.  Results are collected and printed in submission
-order, so the output (and every table) is identical to a serial run.
+Experiments run one after another in this process; a sweep that batches
+its runs (fig4) does so through :func:`repro.core.base.run_many`.
 """
 
 from __future__ import annotations
@@ -20,76 +18,43 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+from repro import obs
+from repro.backends import (
+    resolve_backend,
+    set_default_backend,
+    set_default_devices,
+)
 from repro.bench.registry import (
     ExperimentConfig,
     all_experiments,
     get_experiment,
 )
+from repro.core.artifactcache import (
+    configure_artifact_cache,
+    get_artifact_cache,
+)
+from repro.core.plancache import default_cache
 from repro.errors import ConfigError
 from repro.gpusim.config import preset
-from repro.gpusim.executor import resolve_engine
+from repro.gpusim.executor import resolve_engine, set_default_engine
 
-__all__ = ["main", "run_units"]
-
-#: variant key meaning "run the whole experiment in one unit"
-_WHOLE = None
+__all__ = ["main"]
 
 
-def _run_unit(exp_id: str, variant, config: ExperimentConfig,
-              engine: str, plan_cache: bool, trace: bool = False,
-              cache_dir: str | None = None, devices: int = 1,
-              backend: str = "sim"):
-    """Execute one work unit; module-level so it pickles into pool workers.
-
-    Returns ``(payload, elapsed_s, (cache_hits, cache_misses), spans,
-    disk_stats)`` where the payload is the experiment's table list
-    (whole-experiment unit) or one variant result, ``spans`` is the unit's
-    :func:`repro.obs.export_events` delta when ``trace`` is set (None
-    otherwise), and ``disk_stats`` is the unit's artifact-cache snapshot
-    delta (None when no disk cache is active).
-
-    ``cache_dir`` selects the disk artifact cache for this unit: ``None``
-    leaves the process default alone (pool workers then adopt
-    ``REPRO_CACHE_DIR`` from their environment), the empty string disables
-    it, and a path enables it.
-    """
-    from repro import obs
-    from repro.core.artifactcache import (
-        configure_artifact_cache,
-        get_artifact_cache,
-    )
-    from repro.backends import set_default_backend, set_default_devices
-    from repro.core.plancache import default_cache, set_plan_cache_enabled
-    from repro.gpusim.executor import set_default_engine
-
-    set_default_engine(engine)
-    set_default_devices(devices)
-    set_default_backend(backend)
-    set_plan_cache_enabled(plan_cache)
-    if cache_dir is not None:
-        configure_artifact_cache(cache_dir or None)
+def _run_experiment(exp_id: str, config: ExperimentConfig):
+    """Run one experiment; returns ``(tables, elapsed_s, (plan hits,
+    plan misses), disk_stats)`` where ``disk_stats`` is the run's
+    artifact-cache snapshot delta (None when no disk cache is active)."""
     disk = get_artifact_cache()
     disk0 = disk.snapshot() if disk is not None else None
-    exp = get_experiment(exp_id)
     stats = default_cache().stats
     hits0, misses0 = stats.hits, stats.misses
-    spans = None
-    if trace:
-        obs.set_enabled(True)  # idempotent; also arms fresh pool workers
-        watermark = obs.mark()
     start = time.perf_counter()
-    with obs.span("bench.unit", experiment=exp_id,
-                  variant="whole" if variant is _WHOLE else str(variant)):
-        if variant is _WHOLE:
-            payload = exp.run(config)
-        else:
-            payload = exp.run_variant(config, variant)
+    with obs.span("bench.unit", experiment=exp_id):
+        tables = get_experiment(exp_id).run(config)
     elapsed = time.perf_counter() - start
-    if trace:
-        spans = obs.export_events(since=watermark)
     disk_stats = None
     if disk is not None:
         disk_stats = disk.snapshot()
@@ -98,50 +63,8 @@ def _run_unit(exp_id: str, variant, config: ExperimentConfig,
                 tier[k] -= disk0["tiers"][name][k]
         for k in ("hits", "misses", "writes", "corrupt"):
             disk_stats[k] -= disk0[k]
-    return (payload, elapsed, (stats.hits - hits0, stats.misses - misses0),
-            spans, disk_stats)
-
-
-def run_units(units, config: ExperimentConfig, jobs: int,
-              engine: str = "fast", plan_cache: bool = True,
-              chunksize: int = 1, trace: bool = False,
-              cache_dir: str | None = None, devices: int = 1,
-              backend: str = "sim"):
-    """Run ``(exp_id, variant)`` units, preserving submission order.
-
-    ``jobs <= 1`` runs inline in this process (no pool, no pickling);
-    otherwise units go through a ``ProcessPoolExecutor``.  Either way the
-    returned list matches ``units`` index-for-index, so callers can merge
-    deterministically.  With ``trace``, pooled units' span payloads are
-    folded into this process's tracer (worker events keep their pid, so
-    the Chrome trace shows one row per worker process).  ``cache_dir``
-    (see :func:`_run_unit`) points every unit — pooled or inline — at one
-    shared disk artifact cache.
-    """
-    if cache_dir:
-        # export REPRO_CACHE_DIR before the pool spawns so workers inherit
-        from repro.core.artifactcache import configure_artifact_cache
-
-        configure_artifact_cache(cache_dir)
-    if jobs <= 1 or len(units) <= 1:
-        return [
-            _run_unit(exp_id, variant, config, engine, plan_cache, trace,
-                      cache_dir, devices, backend)
-            for exp_id, variant in units
-        ]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [
-            pool.submit(_run_unit, exp_id, variant, config, engine,
-                        plan_cache, trace, cache_dir, devices, backend)
-            for exp_id, variant in units
-        ]
-        results = [f.result() for f in futures]
-    if trace:
-        from repro import obs
-
-        for result in results:
-            obs.merge_events(result[3])
-    return results
+    return (tables, elapsed, (stats.hits - hits0, stats.misses - misses0),
+            disk_stats)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -165,9 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="dataset seed")
     parser.add_argument("--device", default="k20",
                         help="device preset: k20 (default), k40, c2050")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for independent experiments "
-                             "and sweep cells (default 1 = in-process)")
     parser.add_argument("--profile", action="store_true",
                         help="print per-experiment wall time and plan-cache "
                              "hit/miss counts")
@@ -184,13 +104,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="execution model: sim (bulk-synchronous, the "
                              "default) or queue (persistent task queues; "
                              "see docs/taskqueue.md)")
-    parser.add_argument("--no-plan-cache", action="store_true",
-                        help="disable the launch-plan cache (cold builds "
-                             "every run; for measurement)")
     parser.add_argument("--cache-dir", type=Path, default=None, metavar="DIR",
                         help="persist workload analyses, plans and run "
-                             "results under DIR so repeat runs and --jobs "
-                             "workers share them (see docs/performance.md)")
+                             "results under DIR so repeat runs share them "
+                             "(see docs/performance.md)")
     parser.add_argument("--no-disk-cache", action="store_true",
                         help="disable the disk artifact cache even if "
                              "REPRO_CACHE_DIR is set in the environment")
@@ -217,9 +134,6 @@ def main(argv: list[str] | None = None) -> int:
         for exp in registry.values():
             print(f"  {exp.id:10s} {exp.paper_ref:16s} {exp.title}")
         return 0
-    if args.jobs < 1:
-        print("--jobs must be >= 1", file=sys.stderr)
-        return 2
     if args.devices < 1:
         print("--devices must be >= 1", file=sys.stderr)
         return 2
@@ -235,8 +149,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # same validation (and message) as repro.run and the service
         engine = resolve_engine("exact" if args.exact else args.engine) or "fast"
-        from repro.backends import resolve_backend
-
         backend = resolve_backend(args.backend) or "sim"
     except ConfigError as exc:
         print(exc, file=sys.stderr)
@@ -245,54 +157,28 @@ def main(argv: list[str] | None = None) -> int:
         print("--backend queue is single-device; drop --devices",
               file=sys.stderr)
         return 2
-    plan_cache = not args.no_plan_cache
     if args.cache_dir and args.no_disk_cache:
         print("--cache-dir and --no-disk-cache are mutually exclusive",
               file=sys.stderr)
         return 2
-    if args.no_disk_cache:
-        cache_dir: str | None = ""
-    elif args.cache_dir:
-        cache_dir = str(args.cache_dir)
-    else:
-        cache_dir = None
-    if args.trace:
-        from repro import obs
 
+    set_default_engine(engine)
+    set_default_devices(args.devices)
+    set_default_backend(backend)
+    if args.no_disk_cache:
+        configure_artifact_cache(None)
+    elif args.cache_dir:
+        configure_artifact_cache(args.cache_dir)
+    if args.trace:
         obs.reset()
         obs.set_enabled(True)
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)
 
-    # one flat unit list: splittable experiments contribute one unit per
-    # registered variant when a pool is in play, everything else one unit
-    units: list[tuple[str, object]] = []
-    spans: list[tuple[str, int, int]] = []  # (exp_id, first unit, n units)
     for exp_id in ids:
         exp = get_experiment(exp_id)
-        first = len(units)
-        if args.jobs > 1 and exp.splittable:
-            units.extend((exp_id, key) for key in exp.variants(config))
-        else:
-            units.append((exp_id, _WHOLE))
-        spans.append((exp_id, first, len(units) - first))
-
-    results = run_units(units, config, args.jobs, engine, plan_cache,
-                        trace=args.trace is not None, cache_dir=cache_dir,
-                        devices=args.devices, backend=backend)
-
-    status = 0
-    for exp_id, first, count in spans:
-        exp = get_experiment(exp_id)
         print(f"\n### {exp.id}: {exp.title} ({exp.paper_ref})")
-        chunk = results[first:first + count]
-        elapsed = sum(r[1] for r in chunk)
-        hits = sum(r[2][0] for r in chunk)
-        misses = sum(r[2][1] for r in chunk)
-        if count == 1 and units[first][1] is _WHOLE:
-            tables = chunk[0][0]
-        else:
-            tables = exp.merge(config, [r[0] for r in chunk])
+        tables, elapsed, (hits, misses), disk = _run_experiment(exp_id, config)
         for i, table in enumerate(tables):
             print()
             print(table.format(), end="")
@@ -308,25 +194,18 @@ def main(argv: list[str] | None = None) -> int:
                 (args.out / f"{stem}.json").write_text(table.to_json())
         print(f"  [{exp.id} completed in {elapsed:.1f}s]")
         if args.profile:
-            print(f"  [{exp.id} profile: {count} unit(s), "
-                  f"plan cache {hits} hit(s) / {misses} miss(es), "
-                  f"engine={engine}]")
-            disk_chunks = [r[4] for r in chunk if r[4] is not None]
-            if disk_chunks:
-                dh = sum(d["hits"] for d in disk_chunks)
-                dm = sum(d["misses"] for d in disk_chunks)
-                dw = sum(d["writes"] for d in disk_chunks)
-                dc = sum(d["corrupt"] for d in disk_chunks)
+            print(f"  [{exp.id} profile: plan cache {hits} hit(s) / "
+                  f"{misses} miss(es), engine={engine}]")
+            if disk is not None:
                 per_tier = ", ".join(
-                    f"{tier} {sum(d['tiers'][tier]['hits'] for d in disk_chunks)}h/"
-                    f"{sum(d['tiers'][tier]['misses'] for d in disk_chunks)}m"
+                    f"{tier} {disk['tiers'][tier]['hits']}h/"
+                    f"{disk['tiers'][tier]['misses']}m"
                     for tier in ("analysis", "plan", "run")
                 )
-                print(f"  [{exp.id} disk cache: {dh} hit(s) / {dm} miss(es) "
-                      f"/ {dw} write(s) / {dc} corrupt ({per_tier})]")
+                print(f"  [{exp.id} disk cache: {disk['hits']} hit(s) / "
+                      f"{disk['misses']} miss(es) / {disk['writes']} "
+                      f"write(s) / {disk['corrupt']} corrupt ({per_tier})]")
     if args.trace:
-        from repro import obs
-
         trace = obs.write_chrome_trace(args.trace)
         summary = obs.summary()
         print(f"\ntrace: wrote {args.trace} "
@@ -339,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
                       f"total {agg['total_ms']:10.1f} ms  "
                       f"max {agg['max_ms']:8.2f} ms")
         obs.set_enabled(False)
-    return status
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

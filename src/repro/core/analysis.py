@@ -15,8 +15,8 @@ once per workload, and each schedule only relabels them onto warps.
 
 Artifacts are the ``analysis`` kind of the tiered cache
 (:mod:`~repro.core.artifactcache`): memory, then — when a cache directory
-is configured — disk, where bench ``--jobs`` workers and service pool
-processes share them.
+is configured — disk, where repeat runs and service pool processes share
+them.
 """
 
 from __future__ import annotations

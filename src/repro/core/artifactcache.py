@@ -373,17 +373,12 @@ class TieredCache:
         self._entries: OrderedDict = OrderedDict()
         #: bytes the memory level holds
         self.nbytes = 0
-        #: kinds whose memory level is switched off
-        self._off: set[str] = set()
         self._lock = threading.Lock()
 
     def count(self, kind: str) -> int:
         """Memory entries of one kind."""
         with self._lock:
             return sum(1 for k, _ in self._entries if k == kind)
-
-    def _memory(self, kind: str) -> bool:
-        return "memory" in KINDS[kind] and kind not in self._off
 
     def _bump(self, kind: str, level: str, event: str) -> None:
         """Count one event (callers hold the lock); the disk level's obs
@@ -396,7 +391,7 @@ class TieredCache:
     def _lookup(self, kind: str, key: object) -> tuple[object | None, str]:
         """``(artifact, level)`` from the first level holding it, else
         ``(None, "")``; a memory hit refreshes recency."""
-        if self._memory(kind):
+        if "memory" in KINDS[kind]:
             slot = (kind, key)
             with self._lock:
                 entry = self._entries.get(slot)
@@ -443,7 +438,7 @@ class TieredCache:
 
     def memoize(self, kind: str, key: object, value: object) -> None:
         """Store at the memory level only, as the most recent entry."""
-        if self._memory(kind):
+        if "memory" in KINDS[kind]:
             self._store((kind, key), value)
 
     def _store(self, slot: tuple[str, object], value: object,
@@ -470,17 +465,6 @@ class TieredCache:
             if reset_stats:
                 for level in KINDS[kind]:
                     self.stats[kind, level] = LevelStats()
-
-    def set_enabled(self, kind: str, enabled: bool) -> None:
-        """Switch one kind's memory level on or off.  Switching off drops
-        its entries and zeroes its counters, so switching back on starts
-        genuinely cold."""
-        if enabled:
-            self._off.discard(kind)
-        else:
-            self._off.add(kind)
-            self.clear(kind, reset_stats=True)
-
 
 #: the process-wide cache every call site probes
 _tiered = TieredCache()

@@ -8,7 +8,7 @@ from __future__ import annotations
 from repro.core.artifactcache import tiered_cache
 from repro.errors import ConfigError
 
-__all__ = ["default_cache", "fingerprint_of", "set_plan_cache_enabled"]
+__all__ = ["default_cache", "fingerprint_of"]
 
 
 def fingerprint_of(workload) -> str:
@@ -46,13 +46,3 @@ class _PlanView:
 def default_cache() -> _PlanView:
     """The process-wide plan cache: a view of the tiered cache's plans."""
     return _PlanView()
-
-
-def set_plan_cache_enabled(enabled: bool) -> None:
-    """Keep plans in memory or not (``--no-plan-cache`` style switches).
-
-    Disabling drops stored plans **and** their counters, so a re-enable
-    starts genuinely cold (clean seed-path measurements, zeroed
-    ``--profile`` counters).
-    """
-    tiered_cache().set_enabled("plan", enabled)

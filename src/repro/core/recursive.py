@@ -21,6 +21,7 @@ All three produce identical functional results (``subtree_sizes`` /
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -65,6 +66,9 @@ class RecursiveTreeWorkload:
     def __post_init__(self) -> None:
         if self.kind not in ("descendants", "heights"):
             raise WorkloadError(f"unknown tree computation {self.kind!r}")
+        if not (math.isfinite(self.inner_insts) and self.inner_insts >= 0):
+            raise WorkloadError("inner_insts must be finite and non-negative, "
+                                f"got {self.inner_insts!r}")
 
     @property
     def name(self) -> str:

@@ -19,6 +19,7 @@ Pairs are stored row-major (all ``j`` of outer ``0``, then outer ``1``,
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -99,11 +100,12 @@ class NestedLoopWorkload:
             self.atomic_targets = np.asarray(self.atomic_targets, dtype=np.int64)
             if self.atomic_targets.shape != (nnz,):
                 raise WorkloadError("atomic_targets must have one entry per pair")
-        if (
-            self.inner_insts < 0 or self.outer_insts < 0
-            or self.outer_load_bytes < 0 or self.outer_store_bytes < 0
-        ):
-            raise WorkloadError("instruction/byte weights cannot be negative")
+        for weight in ("inner_insts", "outer_insts", "outer_load_bytes",
+                       "outer_store_bytes"):
+            value = getattr(self, weight)
+            if not (math.isfinite(value) and value >= 0):
+                raise WorkloadError(
+                    f"{weight} must be finite and non-negative, got {value!r}")
         #: mutation generation: bumped by every committed MutationBatch
         #: (and by invalidate_fingerprint after an untracked edit)
         self.version = 0

@@ -300,8 +300,8 @@ def grid_graph(
     kernel launch per level — thousands of barrier/launch round-trips for
     frontiers of a few hundred nodes.  This is exactly the regime where
     the persistent-queue backend's single launch wins
-    (``benchmarks/bench_queue_vs_bsp.py``).  Edges are bidirectional;
-    ``weighted`` draws uniform weights in ``[1, 4)``.
+    (``tests/test_queue_equivalence.py::TestQueueVsBSP``).  Edges are
+    bidirectional; ``weighted`` draws uniform weights in ``[1, 4)``.
     """
     if side < 2:
         raise DatasetError("side must be >= 2")

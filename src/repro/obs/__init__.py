@@ -45,7 +45,7 @@ Instrumented span names (the stable catalogue):
 ``service.degrade``   the non-nested fallback run after retries failed
 ``service.request``   one request, admission to response
 ``service.reject``    instant: admission rejection
-``bench.unit``        one bench-runner work unit (experiment or variant)
+``bench.unit``        one experiment run by the bench runner
 ``device.run``        one shard's template run on one device of a
                       multi-device group (tagged ``device=<i>``)
 ``queue.execute``     one persistent-queue execution (tagged with the
@@ -72,8 +72,6 @@ composition), ``queue.steals`` / ``queue.polls`` (scheduler activity),
 ``queue.worker_busy_cycles`` (cycles idle workers spent waiting for the
 quiescence check vs total busy cycles) and ``queue.fallbacks`` (batches
 routed back to BSP because the template is not queue-compatible).
-Counters merge additively across processes via ``mark()`` /
-``export_events()`` / ``merge_events()``.
 """
 
 from __future__ import annotations
@@ -100,8 +98,6 @@ __all__ = [
     "export_events",
     "get_tracer",
     "instant",
-    "mark",
-    "merge_events",
     "reset",
     "set_enabled",
     "sim_complete",
@@ -205,19 +201,9 @@ def summary() -> dict:
     return _tracer.summary()
 
 
-def mark() -> tuple:
-    """Watermark for :func:`export_events` deltas (events + counters)."""
-    return _tracer.mark()
-
-
-def export_events(since: tuple = (0, 0)) -> dict:
-    """Picklable events-since-watermark payload (cross-process merge)."""
-    return _tracer.export_events(since)
-
-
-def merge_events(payload: dict | None) -> None:
-    """Fold an :func:`export_events` payload from another process in."""
-    _tracer.merge_events(payload)
+def export_events() -> dict:
+    """A copy of everything recorded: events, simulated events, counters."""
+    return _tracer.export_events()
 
 
 def chrome_trace() -> dict:

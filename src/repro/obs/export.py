@@ -4,9 +4,8 @@ The exported object follows the Trace Event Format's JSON-object form
 (``{"traceEvents": [...]}``), loadable in ``chrome://tracing`` and
 Perfetto.  Two process tracks appear:
 
-* the real process(es) — harness wall-clock spans, one thread row per
-  recording thread (event loop, ``asyncio.to_thread`` workers, bench
-  pool workers);
+* the real process — harness wall-clock spans, one thread row per
+  recording thread (event loop, ``asyncio.to_thread`` workers);
 * a synthetic **simulated-device** process (:data:`SIM_PID`) — per-kernel
   execution on the simulated GPU clock, host-launch and device-launch
   (dynamic parallelism) rows separated.

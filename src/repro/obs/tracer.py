@@ -202,74 +202,14 @@ class Tracer:
             self.counters[name] = self.counters.get(name, 0) + value
 
     # -------------------------------------------------------------- reading
-    def mark(self) -> tuple:
-        """Watermark for :meth:`export_events` deltas.
-
-        Includes a counters snapshot as a third element, so a later
-        ``export_events(mark)`` can emit counter *deltas* that merge
-        additively across processes.  Two-element marks from older callers
-        keep working (their exports carry absolute counter values).
-        """
+    def export_events(self) -> dict:
+        """A copy of the recorded events, simulated events and counters."""
         with self._lock:
-            return (len(self.events), len(self.sim_events),
-                    dict(self.counters))
-
-    def export_events(self, since: tuple = (0, 0)) -> dict:
-        """Picklable event payload (for cross-process merging).
-
-        With a 3-element ``since`` mark, the ``counters`` entry holds the
-        per-counter increments since the mark; otherwise it holds the
-        absolute values (legacy behavior, which :meth:`merge_events` folds
-        in additively all the same).
-        """
-        with self._lock:
-            if len(since) > 2:
-                base = since[2]
-                counters = {
-                    name: value - base.get(name, 0)
-                    for name, value in self.counters.items()
-                    if value != base.get(name, 0)
-                }
-            else:
-                counters = dict(self.counters)
             return {
-                "events": list(self.events[since[0]:]),
-                "sim_events": list(self.sim_events[since[1]:]),
-                "counters": counters,
+                "events": list(self.events),
+                "sim_events": list(self.sim_events),
+                "counters": dict(self.counters),
             }
-
-    def merge_events(self, payload: dict | None) -> None:
-        """Fold an :meth:`export_events` payload from another process in.
-
-        Wall/sim aggregates are recomputed from the imported events, and
-        counters are folded additively — a worker's cache-hit counts show
-        up in the merged summary.  A worker that overflowed its event cap
-        contributes slightly undercounted aggregates — the cap is logged
-        via ``dropped``.
-        """
-        if not payload:
-            return
-        with self._lock:
-            for name, value in payload.get("counters", {}).items():
-                self.counters[name] = self.counters.get(name, 0) + value
-            for ev in payload.get("events", ()):
-                agg = self._wall.setdefault(ev["name"], [0, 0.0, 0.0])
-                agg[0] += 1
-                agg[1] += ev["dur_us"] / 1e6
-                agg[2] = max(agg[2], ev["dur_us"] / 1e6)
-                if len(self.events) >= self.max_events:
-                    self.dropped += 1
-                    continue
-                self.events.append(ev)
-            for ev in payload.get("sim_events", ()):
-                agg = self._sim.setdefault(ev["name"], [0, 0.0, 0.0])
-                agg[0] += 1
-                agg[1] += ev["dur_us"] / 1e3
-                agg[2] = max(agg[2], ev["dur_us"] / 1e3)
-                if len(self.sim_events) >= self.max_sim_events:
-                    self.sim_dropped += 1
-                    continue
-                self.sim_events.append(ev)
 
     def summary(self) -> dict:
         """Aggregated per-span-name timings plus counters.

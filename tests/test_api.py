@@ -16,7 +16,7 @@ from repro.core.registry import (
     resolve,
 )
 from repro.core.workload import AccessStream, NestedLoopWorkload
-from repro.errors import PlanError, WorkloadError
+from repro.errors import ConfigError, PlanError, WorkloadError
 from repro.gpusim import FERMI_C2050, KEPLER_K20
 from repro.trees.generator import generate_tree
 from test_executor_fused import assert_result_equal
@@ -125,6 +125,10 @@ class TestRunFacade:
         with pytest.raises(TypeError):
             repro.run(loop_workload, "dbuf-global", exact=True)
 
+    def test_params_must_be_template_params(self, loop_workload):
+        with pytest.raises(ConfigError, match="got dict"):
+            repro.run(loop_workload, "baseline", params={"lb_threshold": 3})
+
 
 class TestEngineSelection:
     def test_engine_kwarg_fast_and_exact_agree(self, loop_workload):
@@ -177,6 +181,11 @@ class TestCompareFacade:
         with pytest.raises(TypeError):
             repro.run(loop_workload, "thread-mapped", KEPLER_K20)
 
+    def test_params_must_be_template_params(self, loop_workload):
+        with pytest.raises(ConfigError, match="got dict"):
+            repro.compare(loop_workload, ["dual-queue"],
+                          params={"lb_threshold": 3})
+
 
 class TestExplainFacade:
     def test_explain_structure(self, loop_workload):
@@ -187,6 +196,10 @@ class TestExplainFacade:
         assert isinstance(info["decisions"], list)
         assert isinstance(info["reasons"], list)
         assert "final_ir" in info and "ir" in info
+
+    def test_params_must_be_template_params(self, loop_workload):
+        with pytest.raises(ConfigError, match="got dict"):
+            repro.explain(loop_workload, params={"lb_threshold": 3})
 
     def test_explain_matches_run(self, loop_workload):
         info = repro.explain(loop_workload)

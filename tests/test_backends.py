@@ -12,6 +12,8 @@ The contracts the tentpole refactor rests on:
   devices), not the sum.
 * Shard fingerprints are disjoint from whole-workload fingerprints so
   multi-device cache entries never collide with single-device ones.
+* Whole runs routed to the least-loaded member spread the Fig. 5 sweep
+  over a 4-device group with at least 2.5x aggregate throughput.
 """
 
 import numpy as np
@@ -19,6 +21,7 @@ import pytest
 
 import repro
 from repro import obs
+from repro.apps.sssp import SSSPApp
 from repro.backends import (
     DeviceGroup,
     SimBackend,
@@ -28,15 +31,16 @@ from repro.backends import (
 )
 from repro.backends.base import BackendCapabilities, capabilities_of
 from repro.backends.group import run_sharded
-from repro.core.base import plan_key
+from repro.core.base import plan_key, run_many
 from repro.core.params import TemplateParams
 from repro.core.recursive import RecursiveTreeWorkload
-from repro.core.registry import resolve
+from repro.core.registry import LOAD_BALANCING_TEMPLATES, resolve
 from repro.core.sharding import clear_shard_cache, shard_workload
 from repro.core.workload import NestedLoopWorkload
 from repro.errors import ConfigError
 from repro.gpusim.config import KEPLER_K20
 from repro.gpusim.executor import GpuExecutor
+from repro.graphs import citeseer_like
 from repro.ir.select import Selection, auto_select
 from repro.trees.generator import generate_tree
 from test_executor_fused import assert_result_equal
@@ -210,6 +214,29 @@ class TestDeviceGroup:
         group = DeviceGroup(KEPLER_K20, 2)
         assert group.fingerprint() != KEPLER_K20.fingerprint()
         assert group.fingerprint().endswith("x2")
+
+    def test_fig5_sweep_routed_across_four_devices(self):
+        """The Fig. 5 SSSP sweep (5 templates x 4 lbTHRES x 7 rounds),
+        heaviest first, each run to the least-loaded member: one device
+        would take the sum of the members' busy times, the group the
+        largest (3.65x at scale 0.02)."""
+        app = SSSPApp(citeseer_like(scale=0.02))
+        rounds = [app.round_workload(frontier, edges, targets, improving)
+                  for frontier, edges, targets, improving, _ in app._rounds()]
+        assert len(rounds) == 7
+        units = sorted(
+            ((tmpl, lbt, wl) for tmpl in LOAD_BALANCING_TEMPLATES
+             for lbt in (32, 64, 128, 256) for wl in rounds),
+            key=lambda unit: unit[2].n_pairs, reverse=True)
+        runs = run_many(
+            [(resolve(tmpl, kind="nested-loop"), wl,
+              TemplateParams(lb_threshold=lbt)) for tmpl, lbt, wl in units],
+            KEPLER_K20, backend=SimBackend(KEPLER_K20))
+        group = DeviceGroup(KEPLER_K20, 4)
+        for run in runs:
+            group.complete(group.acquire(), busy_ms=run.time_ms)
+        busy = [member.busy_ms for member in group.members]
+        assert sum(busy) / max(busy) >= 2.5
 
 
 class TestCapabilitiesBackCompat:

@@ -1,6 +1,7 @@
 """Tests for the benchmark harness: tables, registry, CLI."""
 
 import json
+import os
 
 import pytest
 
@@ -11,7 +12,11 @@ from repro.bench.registry import (
     run_experiment,
 )
 from repro.bench.table import ResultTable
+from repro.core import artifactcache
+from repro.core.artifactcache import configure_artifact_cache
+from repro.core.plancache import default_cache
 from repro.errors import ExperimentError
+from repro.gpusim.executor import get_default_engine, set_default_engine
 
 
 class TestResultTable:
@@ -76,6 +81,9 @@ class TestRegistry:
             ExperimentConfig(scale=0.0)
         with pytest.raises(ExperimentError):
             ExperimentConfig(scale=2.0)
+        for seed in (-1, 1.5, "0", None):
+            with pytest.raises(ExperimentError, match="seed"):
+                ExperimentConfig(seed=seed)
 
     def test_experiments_have_metadata(self):
         for exp in all_experiments().values():
@@ -97,6 +105,48 @@ class TestSmallExperimentRuns:
         tables = run_experiment("fig2", ExperimentConfig(scale=0.005))
         (table,) = tables
         assert len(table.rows) == 4
+
+
+class TestFig4Sweep:
+    """fig4 runs as one fused ``run_many`` pass; its table cells must not
+    depend on the engine or on which cache level served the runs."""
+
+    CONFIG = ExperimentConfig(scale=0.01)
+
+    @pytest.fixture
+    def no_disk_cache(self):
+        """No disk level until the test configures one; the global and
+        ``REPRO_CACHE_DIR`` are restored afterwards."""
+        saved = artifactcache._cache
+        saved_env = os.environ.get(artifactcache.ENV_VAR)
+        configure_artifact_cache(None)
+        yield
+        artifactcache._cache = saved
+        if saved_env is not None:
+            os.environ[artifactcache.ENV_VAR] = saved_env
+        default_cache().clear()
+
+    def cells(self):
+        return [table.rows for table in run_experiment("fig4", self.CONFIG)]
+
+    def test_cells_equal_across_engines_and_cache_levels(
+            self, tmp_path, no_disk_cache):
+        default = self.cells()
+
+        default_cache().clear(reset_stats=True)
+        engine = get_default_engine()
+        set_default_engine("exact")
+        try:
+            exact = self.cells()
+        finally:
+            set_default_engine(engine)
+
+        disk = configure_artifact_cache(tmp_path)
+        self.cells()                        # cold: fills the disk level
+        default_cache().clear()
+        warm = self.cells()
+        assert disk.stats["run"]["hits"] == 49  # baseline + 48 cells
+        assert default == exact == warm
 
 
 class TestCLI:

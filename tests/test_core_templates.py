@@ -10,6 +10,7 @@ from repro.core import (
     NESTED_LOOP_TEMPLATES,
     AccessStream,
     NestedLoopWorkload,
+    RecursiveTreeWorkload,
     TemplateParams,
     check_schedule,
     resolve,
@@ -17,6 +18,7 @@ from repro.core import (
 )
 from repro.errors import ConfigError, LaunchError, PlanError, WorkloadError
 from repro.gpusim import FERMI_C2050, KEPLER_K20
+from repro.trees.generator import generate_tree
 
 
 def make_workload(trips, seed=0, atomics=False, name="wl"):
@@ -64,6 +66,18 @@ class TestWorkloadValidation:
     def test_rejects_atomic_shape_mismatch(self):
         with pytest.raises(WorkloadError):
             NestedLoopWorkload("w", np.array([2]), atomic_targets=np.zeros(5))
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -1])
+    @pytest.mark.parametrize("kind", ["nested-loop", "tree"])
+    def test_rejects_bad_weight(self, kind, weight):
+        """A weight that cannot cost a run fails at construction."""
+        with pytest.raises(WorkloadError, match="finite and non-negative"):
+            if kind == "nested-loop":
+                NestedLoopWorkload("w", np.array([2, 1]), outer_insts=weight)
+            else:
+                RecursiveTreeWorkload(
+                    generate_tree(depth=3, outdegree=2, seed=1),
+                    inner_insts=weight)
 
     def test_pairs_of_row_major(self):
         wl = make_workload([2, 0, 3])

@@ -22,7 +22,7 @@ import pytest
 
 from repro.core.autotune import autotune, best_run
 from repro.core.params import TemplateParams
-from repro.core.plancache import default_cache, set_plan_cache_enabled
+from repro.core.plancache import default_cache
 from repro.core.workload import AccessStream, NestedLoopWorkload
 from repro.errors import PlanError
 from repro.gpusim.config import KEPLER_K20
@@ -228,13 +228,10 @@ class TestPoolInvariants:
 
 
 class TestPlanCacheReset:
-    @pytest.fixture(autouse=True)
-    def cache_enabled(self):
-        set_plan_cache_enabled(True)
-        yield
-        set_plan_cache_enabled(True)
-
     def test_disable_resets_counters_and_entries(self):
+        """``clear(reset_stats=True)`` is the cold restart: it drops the
+        plans *and* their counters, so the cache never reports a stale
+        hit rate."""
         import repro
 
         wl = make_workload(name="inv-cache")
@@ -243,19 +240,15 @@ class TestPlanCacheReset:
         cache = default_cache()
         assert cache.stats.hits >= 1 and len(cache) >= 1
 
-        set_plan_cache_enabled(False)
+        cache.clear(reset_stats=True)
         assert len(cache) == 0
         assert (cache.stats.hits, cache.stats.misses) == (0, 0)
-
-        # a re-enabled cache starts genuinely cold: zero hit rate, then
-        # the usual miss/hit sequence from scratch
-        set_plan_cache_enabled(True)
         assert cache.stats.hit_rate == 0.0
-        hits0, misses0 = cache.stats.hits, cache.stats.misses
+
+        # the usual miss/hit sequence from scratch
         repro.run(wl, "dbuf-shared")
         repro.run(wl, "dbuf-shared")
-        assert cache.stats.misses - misses0 == 1
-        assert cache.stats.hits - hits0 == 1
+        assert (cache.stats.hits, cache.stats.misses) == (1, 1)
 
 
 class TestAutotuneDeterminism:

@@ -1,7 +1,6 @@
 """The repro.obs tracing layer: spans, nesting, export, zero-cost-off."""
 
 import json
-import pickle
 import threading
 
 import numpy as np
@@ -211,29 +210,3 @@ class TestChromeExport:
         with pytest.raises(ValueError, match="only metadata"):
             obs.validate_chrome_trace(
                 {"traceEvents": [{"name": "process_name", "ph": "M"}]})
-
-
-class TestExportMerge:
-    def test_export_is_picklable_and_merges(self):
-        obs.set_enabled(True)
-        mark = obs.mark()
-        with obs.span("unit-a"):
-            pass
-        obs.sim_complete("kernel", 0.0, 2.0)
-        payload = pickle.loads(pickle.dumps(obs.export_events(since=mark)))
-
-        obs.reset()
-        obs.merge_events(payload)
-        s = obs.summary()
-        assert s["wall_ms"]["unit-a"]["count"] == 1
-        assert s["sim_ms"]["kernel"]["count"] == 1
-
-    def test_mark_delta_excludes_earlier_events(self):
-        obs.set_enabled(True)
-        with obs.span("before"):
-            pass
-        mark = obs.mark()
-        with obs.span("after"):
-            pass
-        names = [e["name"] for e in obs.export_events(since=mark)["events"]]
-        assert names == ["after"]

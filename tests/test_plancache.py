@@ -13,11 +13,7 @@ from repro.core import artifactcache
 from repro.core.analysis import WorkloadAnalysis
 from repro.core.artifactcache import TieredCache, sizeof
 from repro.core.params import TemplateParams
-from repro.core.plancache import (
-    default_cache,
-    fingerprint_of,
-    set_plan_cache_enabled,
-)
+from repro.core.plancache import default_cache, fingerprint_of
 from repro.core.registry import NESTED_LOOP_TEMPLATES
 from repro.core.recursive import RecursiveTreeWorkload
 from repro.core.workload import AccessStream, NestedLoopWorkload
@@ -142,8 +138,8 @@ class TestExposedHelpers:
             fingerprint_of(object())
 
     def test_snapshot_shape(self):
-        """``default_cache()`` reports the plan kind's occupancy, switch
-        and live counters."""
+        """``default_cache()`` reports the plan kind's occupancy and live
+        counters."""
         view = default_cache()
         view.clear(reset_stats=True)
         workload = make_workload(seed=4)
@@ -152,21 +148,6 @@ class TestExposedHelpers:
         assert len(view) == 1
         assert (view.stats.hits, view.stats.misses) == (1, 1)
         assert view.stats.hit_rate == 0.5
-
-    def test_disabled_cache_snapshot(self, small_cache):
-        cache = small_cache
-        cache.set_enabled("plan", False)
-        cache.put("plan", ("a",), _blob("a"))
-        assert cache.get("plan", ("a",)) is None
-        assert cache.count("plan") == 0
-        assert cache.stats["plan", "memory"].lookups == 0
-        try:
-            set_plan_cache_enabled(False)
-            repro.run(make_workload(seed=6), "dual-queue")
-            assert len(default_cache()) == 0
-            assert default_cache().stats.lookups == 0
-        finally:
-            set_plan_cache_enabled(True)
 
 
 #: alternative values for every TemplateParams field (all valid)

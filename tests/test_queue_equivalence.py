@@ -12,7 +12,9 @@ schedule, any interleaving.  These tests pin that down bit-exactly:
 * the schedule's task graph is internally consistent: spawn edges are
   topological, live+stale partition the requests, and the queue model
   conserves them (``enqueued == executed + cancelled``);
-* the tree walk visits every node exactly once at its true depth.
+* the tree walk visits every node exactly once at its true depth;
+* each model wins its regime: the queue on high-diameter grids and tree
+  walks, BSP on a low-diameter power-law graph.
 """
 
 import numpy as np
@@ -170,3 +172,39 @@ class TestTreeWalk:
     def test_queue_beats_level_synchronous_walk(self, tree):
         app = AsyncTreeWalkApp(tree)
         assert app.run("queue").gpu_time_ms < app.run("sim").gpu_time_ms
+
+
+class TestQueueVsBSP:
+    """Where each execution model wins (the regime table in
+    docs/taskqueue.md): BSP pays one host launch per round, the queue one
+    launch plus per-task queue traffic.  Speedups are BSP time over queue
+    time, on equal results."""
+
+    @staticmethod
+    def speedup(app) -> float:
+        queue, bsp = app.run("queue"), app.run("sim")
+        assert np.array_equal(queue.result, bsp.result)
+        return bsp.gpu_time_ms / queue.gpu_time_ms
+
+    @pytest.mark.parametrize("side", [16, 24])
+    @pytest.mark.parametrize("app_cls", [AsyncBFSApp, AsyncSSSPApp])
+    def test_queue_wins_on_high_diameter_grids(self, app_cls, side):
+        """1.5x (SSSP, side 24) to 5.0x (BFS, side 16)."""
+        app = app_cls(grid_graph(side, seed=1), source=0)
+        assert self.speedup(app) > 1.0
+
+    @pytest.mark.parametrize("depth,outdegree,sparsity",
+                             [(7, 3, 0.2), (12, 2, 0.4)])
+    def test_queue_wins_on_tree_walks(self, depth, outdegree, sparsity):
+        """2.1x bushy, 5.4x deep and sparse: a launch per level is
+        overhead when levels are narrow."""
+        tree = generate_tree(depth=depth, outdegree=outdegree,
+                             sparsity=sparsity, seed=7)
+        assert self.speedup(AsyncTreeWalkApp(tree)) > 1.0
+
+    @pytest.mark.parametrize("app_cls", [AsyncBFSApp, AsyncSSSPApp])
+    def test_bsp_wins_on_power_law_graph(self, app_cls):
+        """0.14x (BFS) and 0.09x (SSSP): few rounds over wide frontiers
+        amortize BSP's launches, and queue traffic dominates."""
+        app = app_cls(citeseer_like(scale=0.005), source=0)
+        assert self.speedup(app) < 1.0

@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Repo linter: ruff when available, a stdlib fallback otherwise.
 
-``make lint`` runs this over ``src tests benchmarks``.  When ``ruff`` is
-installed (it is not baked into every CI image) the job delegates to
-``ruff check`` with the repo's ``pyproject.toml`` configuration.  The
+``make lint`` runs this over ``src tests benchmarks tools examples``
+(also the default).  With ``ruff`` installed (not in every CI image) it
+delegates to ``ruff check`` and the repo's ``pyproject.toml``; the
 fallback keeps the gate meaningful without any third-party dependency:
 
 * **syntax** — every file must parse (``ast.parse``);
@@ -110,7 +110,7 @@ def check_file(path: Path) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     paths = (argv if argv is not None else sys.argv[1:]) or [
-        "src", "tests", "benchmarks"
+        "src", "tests", "benchmarks", "tools", "examples"
     ]
     ruff_rc = _try_ruff(paths)
     if ruff_rc is not None:

@@ -12,8 +12,7 @@ Fast end-to-end gate (wired into ``make test`` as ``make trace-smoke``):
    (``submitted == served + admission_rejected`` etc.) and that the
    request-lifecycle spans landed in the trace;
 3. re-runs step 1's workload with tracing disabled and asserts nothing
-   was recorded (the zero-cost-off contract ``make bench-smoke`` relies
-   on).
+   was recorded (the zero-cost-off contract perfbench relies on).
 
 Exit code 0 = all checks passed.  Keep this under a few seconds.
 """

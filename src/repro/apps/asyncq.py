@@ -497,7 +497,7 @@ class _AsyncRelaxApp:
             graph = self.launch_graph(config)
             result = backend_for(config).submit(graph)
             metrics = profile(graph, result, config)
-            meta.update(rounds=len(graph.launches))
+            meta.update(rounds=len(graph))
         else:
             raise WorkloadError(
                 f"unknown async-app backend {backend!r}; known: queue, sim"
@@ -630,7 +630,7 @@ class AsyncTreeWalkApp:
             graph = self.launch_graph(config)
             result = backend_for(config).submit(graph)
             metrics = profile(graph, result, config)
-            meta.update(rounds=len(graph.launches))
+            meta.update(rounds=len(graph))
         else:
             raise WorkloadError(
                 f"unknown async-app backend {backend!r}; known: queue, sim"

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -277,18 +277,21 @@ def _merge_graphs(graphs: list[LaunchGraph]) -> LaunchGraph:
     results already are the execution.
     """
     merged = LaunchGraph()
-    base = 0
     stream_base = 0
     for graph in graphs:
-        max_stream = 0
-        for launch in graph.launches:
-            if launch.parent == HOST:
-                max_stream = max(max_stream, launch.stream)
-                merged.add(replace(launch, stream=launch.stream + stream_base))
-            else:
-                merged.add(replace(launch, parent=launch.parent + base))
-        base += len(graph.launches)
-        stream_base += max_stream + 1
+        parents = np.asarray(graph.parents, dtype=np.int64)
+        streams = np.asarray(graph.streams, dtype=np.int64)
+        host = parents == HOST
+        merged.add_rows(
+            graph.classes, graph.class_ids,
+            np.where(host, HOST, parents + len(merged)),
+            graph.parent_blocks,
+            streams=np.where(host, streams + stream_base, streams),
+            device_streams=graph.device_streams,
+            issue_points=graph.issue_points,
+            counts=graph.counts,
+        )
+        stream_base += int(streams[host].max(initial=0)) + 1
     return merged
 
 

@@ -19,7 +19,7 @@ build; a disk hit fills memory, a build fills every level of its kind.
 The memory level is one thread-safe LRU over every kind, bounded by
 :data:`MEMORY_MAX_BYTES` of what entries hold (:func:`sizeof`).  Values
 grow after insertion, mostly soon after (an analysis memoizes window
-tables, the executor caches block lists on a plan's kernels), so an
+tables, the executor caches block runs on a plan's kernels), so an
 entry is re-measured on its 1st, 2nd, 4th, 8th, ... hit.  Eviction drops
 the least recently used entries, never the one just stored.
 
@@ -115,7 +115,7 @@ _SAMPLE = 8
 def sizeof(value: object) -> int:
     """Bytes ``value`` holds: array buffers plus Python object overhead,
     walking each distinct object once.  Containers with many children (a
-    plan's launch list, a kernel's block lists) are sized from a sample,
+    plan's row columns, a kernel's block runs) are sized from a sample,
     so a call stays under a millisecond on the largest plans."""
     seen: set[int] = set()
     total = 0.0
@@ -143,7 +143,7 @@ def sizeof(value: object) -> int:
             weight *= step
         for ref in refs:
             if type(ref) is float:
-                # the bulk of a run plan (its kernels' cached block lists),
+                # the bulk of a run plan (its kernels' cached block runs),
                 # rarely shared: counted without a visit
                 total += weight * sys.getsizeof(ref)
             else:

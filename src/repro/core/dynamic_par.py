@@ -34,8 +34,8 @@ from repro.gpusim.costmodel import (
     effective_segment_cycles,
     resident_warps_estimate,
 )
-from repro.gpusim.dynpar import require_device_support
-from repro.gpusim.kernels import KernelCosts, Launch, LaunchGraph
+from repro.gpusim.dynpar import add_one_block_children, require_device_support
+from repro.gpusim.kernels import LaunchGraph
 from repro.gpusim.warps import WarpExecStats
 
 __all__ = ["DparNaiveTemplate", "DparOptTemplate"]
@@ -388,8 +388,8 @@ class DparNaiveTemplate(NestedLoopTemplate):
                 _bulk_single_block_children(workload, large, config, params,
                                             analysis=analysis)
             )
-            # children's counters are absorbed into the parent record so
-            # the per-child Launch objects stay lightweight
+            # children's counters are absorbed into the parent record, so
+            # the children's launch classes carry empty ones
             parent_builder.counters.warp.merge(child_stats)
             parent_builder.counters.load_traffic = (
                 parent_builder.counters.load_traffic.merge(traffic[0])
@@ -413,21 +413,15 @@ class DparNaiveTemplate(NestedLoopTemplate):
             # A lone 2-warp block issues at wpb warps/cycle, not the SM's
             # full width: its standalone duration exceeds its SM-cycle work.
             floor_scale = config.warp_throughput_per_cycle / wpb
-            for k in range(large.size):
-                costs = KernelCosts(
-                    block_cycles=np.array([block_cycles[k]]),
-                    block_floor=np.array([block_cycles[k] * floor_scale]),
-                )
-                graph.add(Launch(
-                    name=f"{workload.name}/dpar-child",
-                    block_size=params.lb_block,
-                    costs=costs,
-                    registers_per_thread=params.registers_per_thread,
-                    parent=parent,
-                    parent_block=int(owner_block[k]),
-                    device_stream=int(rank_in_block[k]) % params.streams_per_block,
-                    resident_warps_hint=resident_hint,
-                ))
+            add_one_block_children(
+                graph, f"{workload.name}/dpar-child",
+                block_cycles, block_cycles * floor_scale, params.lb_block,
+                parents=parent,
+                parent_blocks=owner_block,
+                device_streams=rank_in_block % params.streams_per_block,
+                registers_per_thread=params.registers_per_thread,
+                resident_warps_hint=resident_hint,
+            )
         return graph, {"inline": small, "nested": large}
 
 

@@ -39,7 +39,7 @@ from repro.gpusim.costmodel import (
     effective_segment_cycles,
     resident_warps_estimate,
 )
-from repro.gpusim.dynpar import require_device_support
+from repro.gpusim.dynpar import add_one_block_children, require_device_support
 from repro.gpusim.kernels import KernelCosts, Launch, LaunchGraph, ProfileCounters
 from repro.gpusim.warps import WarpExecStats
 from repro.trees.metrics import node_heights, subtree_sizes
@@ -281,37 +281,31 @@ class RecNaiveTreeTemplate(_TreeTemplateBase):
         counters.device_launches = int(internal.size) - 1
         counters.host_launches = 1
 
-        # launches level by level so parents exist before children
-        launch_of_node: dict[int, int] = {}
-        sibling_rank = analysis.sibling_rank
-        idx_of_internal = {int(v): k for k, v in enumerate(internal.tolist())}
-        for node in internal.tolist():
-            k = idx_of_internal[node]
-            costs = KernelCosts(
-                block_cycles=np.array([block_cycles[k]]),
-                block_floor=np.array([block_cycles[k] * floor_scale[k]]),
+        # internal node k is row k: the root (node 0) is a host launch
+        # carrying the counters, every other internal node a child of its
+        # parent's row (BFS order puts parents first)
+        name = f"{workload.name}/rec-naive"
+        block_floor = block_cycles * floor_scale
+        block_size = np.minimum(d, 1024)
+        graph.add(Launch(
+            name=name,
+            block_size=int(block_size[0]),
+            costs=KernelCosts(block_cycles=block_cycles[:1].copy(),
+                              block_floor=block_floor[:1].copy()),
+            counters=counters,
+            resident_warps_hint=float(resident),
+        ))
+        if internal.size > 1:
+            row_of_node = np.zeros(tree.n_nodes, dtype=np.int64)
+            row_of_node[internal] = np.arange(internal.size)
+            nodes = internal[1:]
+            add_one_block_children(
+                graph, name, block_cycles[1:], block_floor[1:], block_size[1:],
+                parents=row_of_node[tree.parents[nodes]],
+                parent_blocks=0,
+                device_streams=analysis.sibling_rank[nodes] % params.streams_per_block,
+                resident_warps_hint=float(resident),
             )
-            parent_node = int(tree.parents[node])
-            if parent_node < 0:
-                launch = Launch(
-                    name=f"{workload.name}/rec-naive",
-                    block_size=min(int(d[k]) if d[k] > 0 else 1, 1024),
-                    costs=costs,
-                    counters=counters if node == 0 else ProfileCounters(),
-                    resident_warps_hint=float(resident),
-                )
-            else:
-                launch = Launch(
-                    name=f"{workload.name}/rec-naive",
-                    block_size=min(max(int(d[k]), 1), 1024),
-                    costs=costs,
-                    parent=launch_of_node[parent_node],
-                    parent_block=0,
-                    device_stream=int(sibling_rank[node]) % params.streams_per_block,
-                    counters=ProfileCounters(),
-                    resident_warps_hint=float(resident),
-                )
-            launch_of_node[node] = graph.add(launch)
         return graph
 
 

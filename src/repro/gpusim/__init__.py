@@ -48,6 +48,7 @@ from repro.gpusim.costmodel import (
 )
 from repro.gpusim.dynpar import (
     DynParOverheadEstimate,
+    add_one_block_children,
     estimate_bulk_overhead,
     issue_cost_cycles,
     require_device_support,
@@ -57,6 +58,7 @@ from repro.gpusim.kernels import (
     HOST,
     KernelCosts,
     Launch,
+    LaunchClass,
     LaunchGraph,
     ProfileCounters,
 )
@@ -89,11 +91,12 @@ __all__ = [
     # cost model
     "KernelCostBuilder", "effective_segment_cycles", "resident_warps_estimate",
     # kernels / execution
-    "HOST", "KernelCosts", "Launch", "LaunchGraph", "ProfileCounters",
+    "HOST", "KernelCosts", "LaunchClass", "Launch", "LaunchGraph",
+    "ProfileCounters",
     "GpuExecutor", "ExecutionResult", "LaunchRecord",
     # dynamic parallelism
-    "require_device_support", "issue_cost_cycles", "estimate_bulk_overhead",
-    "DynParOverheadEstimate",
+    "require_device_support", "issue_cost_cycles", "add_one_block_children",
+    "estimate_bulk_overhead", "DynParOverheadEstimate",
     # profiler
     "ProfileMetrics", "profile", "format_metrics_table",
     # timeline

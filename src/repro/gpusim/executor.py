@@ -35,10 +35,12 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro import obs
 from repro.errors import ConfigError, LaunchError
 from repro.gpusim.config import DeviceConfig, supports_dynamic_parallelism
-from repro.gpusim.kernels import Launch, LaunchGraph, ProfileCounters
+from repro.gpusim.kernels import HOST, LaunchClass, LaunchGraph, ProfileCounters
 from repro.gpusim.occupancy import occupancy
 
 __all__ = [
@@ -193,24 +195,27 @@ class _Footprint:
 
 
 class _LaunchState:
-    """Mutable execution state of one launch instance."""
+    """Mutable execution state of one launch instance: replica ``replica``
+    of graph row ``row``, whose class is ``cls`` (class id ``cid``)."""
 
     __slots__ = (
-        "spec", "graph_index", "replica", "serial", "footprint", "n_blocks",
+        "cls", "cid", "row", "replica", "serial", "footprint", "n_blocks",
         "next_block", "run_cursor", "outstanding_blocks", "outstanding_children",
         "ready", "dispatch_started", "start_time", "end_time",
-        "tree_completed", "parent_state", "group_key", "tail_elapsed", "runs",
+        "tree_completed", "parent_state", "group_key", "tail_elapsed",
     )
 
-    def __init__(self, spec: Launch, graph_index: int, replica: int, footprint: _Footprint):
-        self.spec = spec
-        self.graph_index = graph_index
+    def __init__(self, cls: LaunchClass, cid: int, row: int, replica: int,
+                 footprint: _Footprint):
+        self.cls = cls
+        self.cid = cid
+        self.row = row
         self.replica = replica
         self.serial = 0
         self.footprint = footprint
-        self.n_blocks = spec.costs.n_blocks
+        self.n_blocks = cls.costs.n_blocks
         self.next_block = 0
-        #: index into ``costs.block_runs()`` of the run ``next_block`` is in
+        #: index into the class's block runs of the run ``next_block`` is in
         #: (maintained by the fast engine's run-batched dispatch)
         self.run_cursor = 0
         self.outstanding_blocks = self.n_blocks
@@ -223,9 +228,6 @@ class _LaunchState:
         self.parent_state: _LaunchState | None = None
         self.group_key: tuple[int, int, int] | None = None
         self.tail_elapsed = False
-        #: memoized ``spec.costs.block_runs()`` — fetched once per launch
-        #: instance instead of once per dispatch pass
-        self.runs: tuple[list[int], list[float], list[float]] | None = None
 
     @property
     def fully_dispatched(self) -> bool:
@@ -289,14 +291,14 @@ class GpuExecutor:
         live: list[int] = []
         for i, graph in enumerate(graphs):
             graph.validate(self.config)
-            if not graph.launches:
+            if not len(graph):
                 results[i] = ExecutionResult(
                     cycles=0.0, time_ms=0.0, counters=ProfileCounters(),
                     sm_busy_cycles=0.0, sm_count=self.config.sm_count,
                     n_launches=0, n_device_launches=0, pool_overflows=0,
                 )
                 continue
-            if (any(l.is_device for l in graph.launches)
+            if (max(graph.parents) != HOST
                     and not supports_dynamic_parallelism(self.config)):
                 raise LaunchError(
                     f"{self.config.name} does not support dynamic parallelism"
@@ -309,7 +311,7 @@ class GpuExecutor:
         lane_graphs = [graphs[i] for i in live]
         tracing = obs.enabled()
         with obs.span("gpusim.execute", engine=engine, graphs=len(live),
-                      launches=sum(len(g.launches) for g in lane_graphs)):
+                      launches=sum(len(g) for g in lane_graphs)):
             # while tracing, collect launch records even when the caller
             # did not ask for a timeline — they become per-kernel trace
             # events
@@ -350,6 +352,28 @@ def _drive(lane_cls, config: DeviceConfig, graphs: list[LaunchGraph],
         time, _, lane, kind, payload = pop(events)
         lane._handle(time, kind, payload)
     return [lane._finalize() for lane in lanes]
+
+
+def _children_of(graph: LaunchGraph) -> dict[tuple[int, int], list[int]]:
+    """Device rows grouped by (parent row, parent block), in row order."""
+    parents = np.asarray(graph.parents, dtype=np.int64)
+    rows = np.flatnonzero(parents != HOST)
+    if not rows.size:
+        return {}
+    blocks = np.asarray(graph.parent_blocks, dtype=np.int64)[rows]
+    # lexsort is stable: rows of one (parent, block) key keep row order
+    order = np.lexsort((blocks, parents[rows]))
+    rows, blocks = rows[order], blocks[order]
+    parent = parents[rows]
+    starts = np.flatnonzero(np.concatenate((
+        [True], (parent[1:] != parent[:-1]) | (blocks[1:] != blocks[:-1]))))
+    bounds = starts.tolist() + [rows.size]
+    row_list = rows.tolist()
+    return {
+        key: row_list[lo:hi]
+        for key, lo, hi in zip(zip(parent[starts].tolist(), blocks[starts].tolist()),
+                               bounds, bounds[1:])
+    }
 
 
 class _Simulation:
@@ -394,8 +418,8 @@ class _Simulation:
 
         # Launch instances (bulk launches expand into replicas).
         self.instances: list[_LaunchState] = []
-        #: children registered on (parent graph_index, parent block) —
-        #: replicas of a bulk parent only get children on replica 0.
+        #: child rows registered on (parent row, parent block), in row
+        #: order — replicas of a bulk parent only get children on replica 0.
         self.children_of: dict[tuple[int, int], list[int]] = {}
 
         # streams / GMU
@@ -411,60 +435,60 @@ class _Simulation:
         #: so the shared event loop's inlined guard never skips it
         self._dispatch_dirty = True
         self.n_device_instances = 0
-        self._footprints: dict[int, _Footprint] = {}
+        #: per class of the graph: its footprint on this device
+        self._footprints: list[_Footprint] = []
 
     # ----------------------------------------------------------------- setup
-    def _footprint(self, spec: Launch, graph_index: int) -> _Footprint:
-        fp = self._footprints.get(graph_index)
-        if fp is None:
-            cfg = self.config
-            occ = occupancy(cfg, spec.block_size, spec.registers_per_thread,
-                            spec.shared_mem_per_block)
-            wpb = occ.warps_per_block
-            regs = spec.registers_per_thread * wpb * cfg.warp_size
-            regs = -(-regs // cfg.register_alloc_granularity) * cfg.register_alloc_granularity
-            smem = spec.shared_mem_per_block
-            if smem:
-                smem = -(-smem // cfg.shared_mem_alloc_granularity) * cfg.shared_mem_alloc_granularity
-            fp = _Footprint(warps=wpb, smem=smem, regs=regs)
-            self._footprints[graph_index] = fp
-        return fp
+    def _footprint(self, cls: LaunchClass) -> _Footprint:
+        cfg = self.config
+        occ = occupancy(cfg, cls.block_size, cls.registers_per_thread,
+                        cls.shared_mem_per_block)
+        wpb = occ.warps_per_block
+        regs = cls.registers_per_thread * wpb * cfg.warp_size
+        regs = -(-regs // cfg.register_alloc_granularity) * cfg.register_alloc_granularity
+        smem = cls.shared_mem_per_block
+        if smem:
+            smem = -(-smem // cfg.shared_mem_alloc_granularity) * cfg.shared_mem_alloc_granularity
+        return _Footprint(warps=wpb, smem=smem, regs=regs)
 
     def _push_event(self, time: float, kind: str, payload: object) -> None:
         heapq.heappush(self.events, (time, next(self._seq), self, kind, payload))
 
-    def _new_instance(self, spec: Launch, graph_index: int, replica: int) -> _LaunchState:
+    def _new_instance(self, row: int, replica: int) -> _LaunchState:
         if len(self.instances) >= self.max_instances:
             raise LaunchError(
                 f"launch-instance limit {self.max_instances} exceeded — "
                 "runaway dynamic parallelism?"
             )
-        state = _LaunchState(spec, graph_index, replica, self._footprint(spec, graph_index))
+        cid = self.graph.class_ids[row]
+        state = _LaunchState(self.graph.classes[cid], cid, row, replica,
+                             self._footprints[cid])
         state.serial = len(self.instances)
         self.instances.append(state)
         return state
 
     def _setup(self) -> None:
+        graph = self.graph
+        self._footprints = [self._footprint(cls) for cls in graph.classes]
         self._host_queues: dict[int, list[_LaunchState]] = {}
         host_overhead = self.config.us_to_cycles(self.config.host_launch_overhead_us)
         # Build instances for host launches immediately; device launches are
         # instantiated per replica and wait for their parent block.
-        for gi, spec in enumerate(self.graph.launches):
-            if not spec.is_device:
-                if spec.count != 1:
+        for row, parent in enumerate(graph.parents):
+            if parent == HOST:
+                if graph.counts[row] != 1:
                     raise LaunchError("bulk (count > 1) host launches are not supported")
-                state = self._new_instance(spec, gi, 0)
+                state = self._new_instance(row, 0)
                 # The first launch of each stream becomes ready after the
                 # host launch overhead; successors are released when their
                 # predecessor's launch tree completes.
                 self._chain_host(state, host_overhead)
-            else:
-                self.children_of.setdefault((spec.parent, spec.parent_block), []).append(gi)
+        self.children_of = _children_of(graph)
 
     # Host stream chaining: keep a per-stream list of pending launches; a
     # launch becomes ready when its predecessor's tree completes.
     def _chain_host(self, state: _LaunchState, ready_hint: float) -> None:
-        stream = state.spec.stream
+        stream = self.graph.streams[state.row]
         queue = self._host_queues.setdefault(stream, [])
         queue.append(state)
         if len(queue) == 1:
@@ -523,22 +547,23 @@ class _Simulation:
         """A parent block completed: issue its registered device launches."""
         if parent.replica != 0:
             return  # children are attached to replica 0 of bulk parents
-        key = (parent.graph_index, block_index)
-        child_graph_ids = self.children_of.get(key)
-        if not child_graph_ids:
+        key = (parent.row, block_index)
+        child_rows = self.children_of.get(key)
+        if not child_rows:
             return
         cfg = self.config
         latency = cfg.us_to_cycles(cfg.device_launch_latency_us)
         # GMU service: launches per microsecond -> cycles per launch
         service = cfg.us_to_cycles(1.0 / cfg.device_launch_throughput_per_us)
-        for gi in child_graph_ids:
-            spec = self.graph.launches[gi]
-            for replica in range(spec.count):
-                child = self._new_instance(spec, gi, replica)
+        counts = self.graph.counts
+        device_streams = self.graph.device_streams
+        for row in child_rows:
+            for replica in range(counts[row]):
+                child = self._new_instance(row, replica)
                 child.parent_state = parent
                 parent.outstanding_children += 1
                 self.n_device_instances += 1
-                key3 = (parent.graph_index, block_index, spec.device_stream)
+                key3 = (parent.row, block_index, device_streams[row])
                 child.group_key = key3
                 # GMU single-server FIFO
                 self.gmu_pending += 1
@@ -598,16 +623,16 @@ class _Simulation:
 
     def _on_blocks_done(self, state: _LaunchState) -> None:
         """All blocks retired; apply serial tail, then check tree completion."""
-        tail = state.spec.costs.serial_tail
+        tail = state.cls.costs.serial_tail
         end = self.now + tail
         state.end_time = end
         if self.record_timeline:
             self.records.append(LaunchRecord(
-                name=state.spec.name,
+                name=state.cls.name,
                 start_cycles=state.start_time,
                 end_cycles=end,
                 n_blocks=state.n_blocks,
-                device=state.spec.is_device,
+                device=self.graph.parents[state.row] != HOST,
             ))
         if tail > 0:
             self._push_event(end, "tail_done", state)
@@ -642,7 +667,7 @@ class _Simulation:
             self._maybe_tree_complete(parent)
         else:
             # host launch: release its stream successor
-            stream = state.spec.stream
+            stream = self.graph.streams[state.row]
             queue = self._host_queues.get(stream)
             if queue and queue[0] is state:
                 queue.pop(0)
@@ -670,7 +695,7 @@ class _Simulation:
                 continue
             active += 1
             fp = state.footprint
-            costs = state.spec.costs
+            costs = state.cls.costs
             while not state.fully_dispatched:
                 sm = self._find_sm(fp)
                 if sm is None:
@@ -793,9 +818,13 @@ class _FastSimulation(_Simulation):
       with equal (work, floor) become one :class:`_Cohort` heap entry /
       linger event instead of one entry per block;
     * dispatch passes are skipped entirely unless something changed since
-      the last blocked attempt (resources freed or a launch became ready);
-    * per-block work/floor values come from cached Python lists
-      (:meth:`KernelCosts.block_lists`) instead of NumPy scalar reads.
+      the last pass (resources freed, a launch became ready, or the
+      concurrent-kernel cap cut the last pass's scan short): a pass leaves
+      every launch it examined either fully dispatched or blocked on its
+      footprint, so repeating it with nothing changed would place nothing;
+    * per-block work/floor values come from each launch class's run-length
+      encoded blocks (:meth:`KernelCosts.block_runs`, fetched once per
+      class per run) instead of NumPy scalar reads.
 
     Cohort retirement follows the exact engine's event ordering: service
     completions retire the whole batch inside one event (the exact engine
@@ -811,9 +840,11 @@ class _FastSimulation(_Simulation):
 
     def _setup(self) -> None:
         super()._setup()
-        # launches that actually register device children; retirement skips
+        #: per class of the graph: its block runs
+        self._runs = [cls.costs.block_runs() for cls in self.graph.classes]
+        # rows that actually register device children; retirement skips
         # the per-block child lookup for everything else
-        self._parent_gis = {gi for (gi, _block) in self.children_of}
+        self._parent_rows = {row for (row, _block) in self.children_of}
 
     # ---------------------------------------------------------------- events
     def _on_ready(self, state: _LaunchState) -> None:
@@ -856,7 +887,7 @@ class _FastSimulation(_Simulation):
         sm.free_regs += fp.regs
         state.outstanding_blocks -= 1
         self._dispatch_dirty = True
-        if state.graph_index in self._parent_gis:
+        if state.row in self._parent_rows:
             self._issue_children(state, index)
         if state.outstanding_blocks == 0:
             self._on_blocks_done(state)
@@ -871,7 +902,7 @@ class _FastSimulation(_Simulation):
         sm.free_regs += fp.regs * k
         state.outstanding_blocks -= k
         self._dispatch_dirty = True
-        if state.replica == 0 and state.graph_index in self._parent_gis:
+        if state.replica == 0 and state.row in self._parent_rows:
             for index in cohort.indices:
                 self._issue_children(state, index)
         if state.outstanding_blocks == 0:
@@ -954,6 +985,7 @@ class _FastSimulation(_Simulation):
         self.ready_list = []
         self._dispatch_dirty = False
         progress = False
+        capped = False
         active = 0
         leftover: list[_LaunchState] = []
         #: (sm index, launch serial, work, floor) -> accumulating cohort
@@ -973,6 +1005,7 @@ class _FastSimulation(_Simulation):
                 # rest of the queue into leftover; do it wholesale (states
                 # already fully dispatched get skipped on the next pass)
                 leftover.extend(queue[qi:])
+                capped = True
                 break
             active += 1
             fp = state.footprint
@@ -981,10 +1014,7 @@ class _FastSimulation(_Simulation):
             if fp_key in failed_fps:
                 leftover.append(state)
                 continue
-            runs = state.runs
-            if runs is None:
-                runs = state.runs = state.spec.costs.block_runs()
-            ends, works, floors = runs
+            ends, works, floors = self._runs[state.cid]
             n_blocks = state.n_blocks
             while state.next_block < n_blocks:
                 best = None
@@ -1079,6 +1109,10 @@ class _FastSimulation(_Simulation):
         self.ready_list.extend(leftover)
         for i in changed_sms:
             self._schedule_sm_check(self.sms[i])
-        if progress:
+        # Every state examined above ends fully dispatched or blocked on
+        # its footprint, so with nothing changed another pass can place
+        # only states the cap kept from being examined, and only once this
+        # pass finished some; arrivals and retires set the flag themselves.
+        if capped and progress:
             self._dispatch_dirty = True
         return progress

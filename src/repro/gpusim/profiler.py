@@ -63,15 +63,20 @@ def _weighted_occupancy(graph: LaunchGraph, config: DeviceConfig) -> float:
 
     Each launch contributes its cost-model resident-warp estimate weighted
     by the SM-cycles it executes; this mirrors the profiler's "average
-    active warps per active cycle / maximum warps" definition.
+    active warps per active cycle / maximum warps" definition.  The sums
+    run row by row, in launch order (a pairwise sum would round
+    differently).
     """
+    works = [cls.costs.total_cycles for cls in graph.classes]
+    hints = [cls.resident_warps_hint for cls in graph.classes]
     weighted = 0.0
     weight = 0.0
-    for launch in graph.launches:
-        work = launch.costs.total_cycles * launch.count
-        if work <= 0 or launch.resident_warps_hint <= 0:
+    for cid, count in zip(graph.class_ids, graph.counts):
+        work = works[cid] * count
+        hint = hints[cid]
+        if work <= 0 or hint <= 0:
             continue
-        weighted += launch.resident_warps_hint * work
+        weighted += hint * work
         weight += work
     if weight == 0:
         return 0.0
@@ -84,7 +89,7 @@ def profile(
     config: DeviceConfig,
 ) -> ProfileMetrics:
     """Extract paper-grade metrics from an executed launch graph."""
-    with obs.span("gpusim.profile", launches=len(graph.launches)):
+    with obs.span("gpusim.profile", launches=len(graph)):
         return _profile(graph, result, config)
 
 

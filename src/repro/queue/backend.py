@@ -84,24 +84,26 @@ def graph_to_tasks(graph: LaunchGraph, config: DeviceConfig,
     spawn_parts: list[np.ndarray] = []
     tails: list[float] = []
 
-    #: first task id of each (launch, replica); replicas of a bulk launch
-    #: share one costs record but spawn from the same parent block
+    #: first task id of each row; replicas of a bulk launch share one
+    #: costs record but spawn from the same parent block
     first_task: list[int] = []
     n_tasks = 0
-    #: phase id of each (launch) for host launches, -1 for device launches
-    launch_phase: list[int] = []
     last_phase_in_stream: dict[int, int] = {}
+    #: per class: each block's task work (its work, or its floor if longer)
+    class_blocks = [np.maximum(cls.costs.block_cycles, cls.costs.block_floor)
+                    for cls in graph.classes]
 
-    for li, launch in enumerate(graph.launches):
-        costs = launch.costs
-        blocks = np.maximum(costs.block_cycles, costs.block_floor)
-        reps = launch.count
+    for row, cid in enumerate(graph.class_ids):
+        costs = graph.classes[cid].costs
+        blocks = class_blocks[cid]
+        reps = graph.counts[row]
+        parent = graph.parents[row]
         first_task.append(n_tasks)
-        if launch.parent == HOST:
+        if parent == HOST:
             pid = len(tails)
-            launch_phase.append(pid)
-            dep = last_phase_in_stream.get(launch.stream, -1)
-            last_phase_in_stream[launch.stream] = pid
+            stream = graph.streams[row]
+            dep = last_phase_in_stream.get(stream, -1)
+            last_phase_in_stream[stream] = pid
             tails.append(float(costs.serial_tail) * reps)
             total = blocks.size * reps
             w = np.tile(blocks, reps)
@@ -111,8 +113,7 @@ def graph_to_tasks(graph: LaunchGraph, config: DeviceConfig,
             spawn_parts.append(np.full(total, -1, dtype=np.int64))
             n_tasks += total
         else:
-            launch_phase.append(-1)
-            parent_first = first_task[launch.parent]
+            parent_first = first_task[parent]
             # serial tails of spawned kernels have no barrier to hide
             # behind; fold them into the replica's last block
             w = np.tile(blocks, reps)
@@ -120,7 +121,7 @@ def graph_to_tasks(graph: LaunchGraph, config: DeviceConfig,
                 w = w.copy()
                 w[blocks.size - 1::blocks.size] += costs.serial_tail
             total = blocks.size * reps
-            spawner = parent_first + launch.parent_block
+            spawner = parent_first + graph.parent_blocks[row]
             work_parts.append(w)
             phase_parts.append(np.full(total, -1, dtype=np.int64))
             dep_parts.append(np.full(total, -1, dtype=np.int64))

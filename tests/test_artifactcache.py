@@ -465,8 +465,8 @@ class TestAccounting:
         self._within_2x(*_retained(build))
 
     def test_rec_naive_plan(self):
-        """Thousands of one-block child launches: about a kilobyte of
-        Python objects each, next to a few bytes of arrays."""
+        """Hundreds of one-block child launches, stored as rows of Python
+        list columns over a few classes, next to a few bytes of arrays."""
         wl = RecursiveTreeWorkload(
             generate_tree(4, 24, sparsity=0.5, seed=3), "descendants")
         analysis = TreeAnalysis.from_workload(wl)

@@ -25,12 +25,14 @@ from repro.core.plancache import default_cache
 from repro.core.registry import ALL_TEMPLATES, resolve
 from repro.errors import ConfigError
 from repro.gpusim import KEPLER_K20
+from repro.gpusim import executor as executor_mod
 from repro.gpusim.executor import (
     ENGINES,
     GpuExecutor,
     get_default_engine,
     set_default_engine,
 )
+from repro.gpusim.kernels import KernelCosts, Launch, LaunchGraph
 from repro.trees.generator import generate_tree
 from test_executor_fused import assert_result_equal
 
@@ -108,6 +110,45 @@ class TestEngineEquivalence:
                             record_timeline=True).run(graph)
         fast = GpuExecutor(KEPLER_K20, engine="fast",
                            record_timeline=True).run(graph)
+        assert_result_equal(fast, exact)
+        assert fast.records == exact.records
+
+
+class TestDispatchPasses:
+    def test_few_passes_place_nothing(self, monkeypatch):
+        """A dispatch pass leaves every launch it examined fully dispatched
+        or blocked on its footprint, so the fast engine runs another only
+        after something changed: on a grid of distinct-work blocks almost
+        every pass places blocks."""
+        placed = []
+        dispatch = executor_mod._FastSimulation._dispatch
+
+        def counting(self):
+            progress = dispatch(self)
+            placed.append(progress)
+            return progress
+
+        monkeypatch.setattr(executor_mod._FastSimulation, "_dispatch", counting)
+        work = np.random.default_rng(5).uniform(1_000.0, 50_000.0, 2_000)
+        graph = LaunchGraph()
+        graph.add(Launch(name="distinct", block_size=128,
+                         costs=KernelCosts(work)))
+        fast = GpuExecutor(KEPLER_K20, engine="fast").run(graph)
+        assert_result_equal(fast, GpuExecutor(KEPLER_K20, engine="exact").run(graph))
+        assert len(placed) > 100
+        assert placed.count(False) < 0.01 * len(placed)
+
+    def test_pass_cut_by_the_kernel_cap_runs_again(self):
+        """With a one-kernel cap the second stream's launch waits behind
+        the first's blocked remainder; once a pass finishes the first, the
+        second must place in the same instant, as the exact engine does."""
+        config = KEPLER_K20.replace(max_concurrent_kernels=1)
+        graph = LaunchGraph()
+        for stream, blocks in enumerate((250, 10)):
+            graph.add(Launch(name=f"s{stream}", block_size=64, stream=stream,
+                             costs=KernelCosts(np.full(blocks, 1_000.0))))
+        fast, exact = (GpuExecutor(config, engine=engine, record_timeline=True)
+                       .run(graph) for engine in ("fast", "exact"))
         assert_result_equal(fast, exact)
         assert fast.records == exact.records
 

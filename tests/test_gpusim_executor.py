@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import LaunchError
+from repro.errors import LaunchError, WorkloadError
 from repro.gpusim.config import FERMI_C2050, KEPLER_K20
 from repro.gpusim.executor import GpuExecutor
 from repro.gpusim.kernels import KernelCosts, Launch, LaunchGraph
@@ -218,6 +218,25 @@ class TestLaunchGraphValidation:
         graph.add(child)
         agg = graph.aggregate_counters()
         assert agg.device_launches == 10
+
+    @pytest.mark.parametrize("make,error", [
+        (lambda: KernelCosts(np.array([1.0, np.nan])), WorkloadError),
+        (lambda: KernelCosts(np.array([np.inf])), WorkloadError),
+        (lambda: KernelCosts(np.ones(1), np.array([np.nan])), WorkloadError),
+        (lambda: KernelCosts(np.ones(1), np.array([np.inf])), WorkloadError),
+        (lambda: KernelCosts(np.ones(1), serial_tail=np.nan), WorkloadError),
+        (lambda: KernelCosts(np.ones(1), serial_tail=np.inf), WorkloadError),
+        (lambda: LaunchGraph().add(_launch(resident_warps_hint=np.nan)),
+         LaunchError),
+        (lambda: LaunchGraph().add(_launch(resident_warps_hint=np.inf)),
+         LaunchError),
+        (lambda: LaunchGraph().add(_launch(resident_warps_hint=-1.0)),
+         LaunchError),
+    ], ids=["work-nan", "work-inf", "floor-nan", "floor-inf", "tail-nan",
+            "tail-inf", "hint-nan", "hint-inf", "hint-negative"])
+    def test_non_finite_numbers_rejected_at_construction(self, make, error):
+        with pytest.raises(error):
+            make()
 
 
 class TestUtilization:

@@ -20,9 +20,10 @@ lint:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# repo benchmark smoke: the perfbench self-tests, then a short loops run
-# and a short recursion run (the nested-launch path end to end), each of
-# whose result lines must report correct outputs and no failed ops
+# repo benchmark smoke: the perfbench self-tests, then a short loops run,
+# a short recursion run (the nested-launch path end to end) and a short
+# serve run (the service's one execution path), each of whose result
+# lines must report correct outputs and no failed ops
 PERFBENCH_SMOKE_CHECK = tail -n 1 .perfbench_smoke.out | $(PYTHON) -c "import json, sys; r = json.load(sys.stdin); \
 	sys.exit(0 if r['correct'] is True and r['failed'] == 0 else 'perfbench-smoke: ' + json.dumps(r)[:400])"
 
@@ -31,6 +32,8 @@ perfbench-smoke:
 	$(PYTHON) perfbench/run.py --workload loops --seed 1 --seconds 4 --trace 0 > .perfbench_smoke.out
 	$(PERFBENCH_SMOKE_CHECK)
 	$(PYTHON) perfbench/run.py --workload recursion --seed 1 --seconds 3 --trace 0 > .perfbench_smoke.out
+	$(PERFBENCH_SMOKE_CHECK)
+	$(PYTHON) perfbench/run.py --workload serve --seed 1 --seconds 3 --trace 0 > .perfbench_smoke.out
 	$(PERFBENCH_SMOKE_CHECK)
 
 # disk artifact cache end-to-end: a second process must hit the plan/run

@@ -51,7 +51,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--outer-size", type=int, default=12000)
     parser.add_argument("--clients", type=int, default=32,
                         help="closed-loop client threads")
-    parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--max-batch", type=int, default=32)
     parser.add_argument("--window-ms", type=float, default=3.0)
     parser.add_argument("--seed", type=int, default=0)
@@ -97,7 +96,6 @@ def main(argv: list[str] | None = None) -> int:
     print(f"micro-batched service ({args.clients} closed-loop clients, "
           f"max_batch={args.max_batch}, window={args.window_ms}ms) ...")
     with serve(
-        workers=args.workers,
         max_batch=args.max_batch,
         batch_window_s=args.window_ms / 1e3,
     ) as svc:
@@ -126,8 +124,7 @@ def main(argv: list[str] | None = None) -> int:
         "config": {
             "requests": args.requests, "distinct": args.distinct,
             "hot_fraction": args.hot_fraction, "outer_size": args.outer_size,
-            "clients": args.clients, "workers": args.workers,
-            "max_batch": args.max_batch, "window_ms": args.window_ms,
+            "clients": args.clients, "max_batch": args.max_batch, "window_ms": args.window_ms,
             "seed": args.seed,
         },
         "mix": profile,

@@ -64,8 +64,7 @@ DEADLINES_S = {"high": 30.0, "normal": 5.0, "low": 1.0}
 MIX_TEMPLATES = ("dbuf-global", "dual-queue", "dpar-opt", "thread-mapped")
 
 
-def measure_capacity(mix, workers: int, probe: int,
-                     max_pending: int) -> float:
+def measure_capacity(mix, probe: int, max_pending: int) -> float:
     """Peak served throughput of a plain service over a burst probe.
 
     A closed-loop probe would *under*-measure: micro-batching coalesces
@@ -77,7 +76,7 @@ def measure_capacity(mix, workers: int, probe: int,
     cache state.
     """
     probe_mix = [(t, w) for t, w, _ in mix[:probe]]
-    with serve(workers=workers, max_batch=32, batch_window_s=0.002,
+    with serve(max_batch=32, batch_window_s=0.002,
                max_pending=max_pending) as svc:
         # closed-loop warmup touches every identity without overload
         run_closed_loop(svc, probe_mix[: len(probe_mix) // 2], clients=8)
@@ -91,7 +90,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--distinct", type=int, default=6,
                         help="distinct (workload, template) identities")
     parser.add_argument("--outer-size", type=int, default=3000)
-    parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--overload", type=float, default=2.0,
                         help="offered rate as a multiple of measured "
                              "closed-loop capacity")
@@ -130,8 +128,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"request mix: {json.dumps(profile)}")
 
     print(f"measuring capacity ({args.probe}-request burst probe) ...")
-    capacity = measure_capacity(mix, args.workers, args.probe,
-                                args.max_pending)
+    capacity = measure_capacity(mix, args.probe, args.max_pending)
     rate = capacity * args.overload
     print(f"  capacity ~{capacity:.0f} req/s -> offering {rate:.0f} req/s "
           f"({args.overload:g}x)")
@@ -140,8 +137,8 @@ def main(argv: list[str] | None = None) -> int:
     print("no-SLO baseline (FIFO, no priorities/deadlines) ...")
     stripped = [(t, w) for t, w, _ in mix]
     t0 = time.perf_counter()
-    with serve(workers=args.workers, max_pending=args.max_pending,
-               max_batch=32, batch_window_s=0.002) as svc:
+    with serve(max_pending=args.max_pending, max_batch=32,
+               batch_window_s=0.002) as svc:
         baseline = run_open_loop(svc, stripped, rate_rps=rate, labels=labels)
         baseline_stats = svc.stats()
     print(f"  {baseline['wall_s']:.2f}s wall, ok={baseline['ok']}, "
@@ -153,7 +150,6 @@ def main(argv: list[str] | None = None) -> int:
     print("SLO-aware service (priorities, quotas, deadlines, "
           f"autoscale={'on' if args.autoscale else 'off'}) ...")
     slo_config = dict(
-        workers=args.workers,
         max_pending=args.max_pending,
         max_batch=32,
         batch_window_s=0.002,
@@ -201,8 +197,7 @@ def main(argv: list[str] | None = None) -> int:
         "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "config": {
             "requests": args.requests, "distinct": args.distinct,
-            "outer_size": args.outer_size, "workers": args.workers,
-            "overload": args.overload, "max_pending": args.max_pending,
+            "outer_size": args.outer_size, "overload": args.overload, "max_pending": args.max_pending,
             "autoscale": args.autoscale, "deadlines_s": DEADLINES_S,
             "seed": args.seed, "smoke": args.smoke,
         },

@@ -134,7 +134,7 @@ def bench_service(n_rows: int, duration_s: float, seed: int,
     query_ok = 0
     evicted = 0
 
-    with repro.serve(max_batch=8, workers=1) as svc:
+    with repro.serve(max_batch=8) as svc:
         svc.register_workload("stream", wl, keep_versions=64)
 
         def mutator():

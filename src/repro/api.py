@@ -240,7 +240,7 @@ def serve(config=None, **config_kwargs):
     The handle is a context manager accepting either a full
     :class:`~repro.service.ServiceConfig` or its fields as keywords::
 
-        with repro.serve(max_batch=32, workers=4) as svc:
+        with repro.serve(max_batch=32) as svc:
             response = svc.request("dbuf-global", workload)
             print(svc.stats()["latency_ms"])
 

@@ -145,9 +145,10 @@ class DeviceGroup(Backend):
     def acquire(self) -> int:
         """Reserve the least-loaded member for an external execution.
 
-        The serving layer routes pool batches here: the batch runs in a
-        worker process (the member's executor never sees the graph), so
-        the reservation tracks expected load until :meth:`complete`.
+        The serving layer reserves one member per fusion group: the group
+        runs on a backend of its own (the member's executor never sees
+        the graphs), so the reservation tracks expected load until
+        :meth:`complete`.
         """
         with self._lock:
             i = self._pick_locked()

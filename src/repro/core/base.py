@@ -64,6 +64,9 @@ class TemplateRun:
     #: the auto-select decision behind a ``template="auto"`` run
     #: (:class:`~repro.ir.select.Selection`; None for named-template runs)
     selection: object | None = None
+    #: cache level that served the plan: "memory", "disk" or "build"
+    #: (None for a merged multi-device run, whose shards report their own)
+    plan_level: str | None = None
 
     @property
     def time_ms(self) -> float:
@@ -99,10 +102,9 @@ def check_schedule(schedule: dict[str, np.ndarray], outer_size: int) -> None:
 class _PreparedRun:
     """A template run with its plan resolved but execution still pending.
 
-    What :meth:`_TemplateBase._prepare` returns, so batch entry points
-    (:func:`run_many`, the service workers) can resolve many plans first,
-    execute every run-cache miss as **one** fused backend pass, and only
-    then finalize — without duplicating any of the caching logic.
+    What :meth:`_TemplateBase._prepare` returns, so :func:`run_many` can
+    resolve many plans first, execute every run-cache miss as **one**
+    fused backend pass, and only then finalize.
     """
 
     template: "_TemplateBase"
@@ -136,6 +138,7 @@ class _PreparedRun:
             metrics=metrics,
             schedule=self.schedule,
             params=self.params,
+            plan_level=self.plan_level,
         )
 
 
@@ -196,8 +199,7 @@ class _TemplateBase:
         """Resolve the plan and probe the run cache (skipped when a
         timeline or tracing needs a live run); execution stays pending.
         The returned :class:`_PreparedRun` carries ``result`` on a run
-        hit; callers execute the graph otherwise (:func:`run_many`, the
-        service workers).
+        hit; :func:`run_many` executes the graph otherwise.
         """
         cache = tiered_cache()
         key = plan_key(self, workload.fingerprint(), config, params)

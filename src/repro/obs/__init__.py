@@ -40,8 +40,10 @@ Instrumented span names (the stable catalogue):
                       ``engine``, ``graphs``, ``launches``)
 ``gpusim.profile``    metric extraction from an executed graph
 ``service.coalesce``  micro-batcher grouping one collection window
-``service.batch``     one batch dispatch (retries + degradation included)
-``service.execute``   one execution attempt (inline call or pool round-trip)
+``service.batch``     one fusion-group dispatch (retries + degradation
+                      included)
+``service.execute``   one execution attempt: one ``execute_batch_fused``
+                      call on a worker thread
 ``service.degrade``   the non-nested fallback run after retries failed
 ``service.request``   one request, admission to response
 ``service.reject``    instant: admission rejection

@@ -3,8 +3,8 @@
 One :class:`Tracer` collects everything a traced run produces:
 
 * **wall-clock spans** — ``with tracer.span("plan.build", template=...)``
-  around harness work (plan builds, executor passes, pool round-trips,
-  request lifecycles).  Nesting is tracked per task/thread through a
+  around harness work (plan builds, executor passes, service execution
+  attempts, request lifecycles).  Nesting is tracked per task/thread through a
   :mod:`contextvars` stack, so concurrent asyncio tasks and worker
   threads each see their own ancestry.
 * **simulated-timeline events** — per-kernel/per-phase timings on the

@@ -6,10 +6,9 @@ long-lived runtime with the shape of an inference-serving stack:
 * :class:`TemplateService` — asyncio front end with admission control
   (bounded in-flight requests, structured rejections), a micro-batcher
   that coalesces requests sharing a plan-cache identity into one
-  execution, a small/large dual queue (inline fast path vs process
-  pool), per-request timeouts, bounded retry with backoff, and graceful
-  degradation of dynamic-parallelism templates to their non-nested
-  fallbacks.
+  execution, one fused executor pass per scheduling window, per-request
+  timeouts, bounded retry with backoff, and graceful degradation of
+  dynamic-parallelism templates to their non-nested fallbacks.
 * :class:`ServiceHandle` / :func:`serve` — synchronous facade running
   the event loop on a background thread (also exported as
   ``repro.serve``).
@@ -38,13 +37,7 @@ from repro.service.request import (
 )
 from repro.service.service import ServiceConfig, TemplateService
 from repro.service.streams import WorkloadStream
-from repro.service.workers import (
-    BatchSpec,
-    WorkerCrashError,
-    WorkerPool,
-    WorkerTimeoutError,
-    execute_batch,
-)
+from repro.service.workers import BatchSpec, execute_batch_fused
 
 __all__ = [
     "Batch",
@@ -59,11 +52,8 @@ __all__ = [
     "ServiceHandle",
     "ServiceStats",
     "TemplateService",
-    "WorkerCrashError",
-    "WorkerPool",
-    "WorkerTimeoutError",
     "WorkloadStream",
-    "execute_batch",
+    "execute_batch_fused",
     "percentile",
     "percentiles",
     "serve",

@@ -41,15 +41,13 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="outer iterations per generated workload")
     parser.add_argument("--clients", type=int, default=16,
                         help="closed-loop client threads")
-    parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--max-batch", type=int, default=32)
     parser.add_argument("--window-ms", type=float, default=2.0)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--skip-baseline", action="store_true",
                         help="skip the sequential per-request baseline")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="persist analyses/plans/run results under DIR, "
-                             "shared by the service and its pool workers "
+                        help="persist analyses/plans/run results under DIR "
                              "(see docs/performance.md)")
     parser.add_argument("--no-disk-cache", action="store_true",
                         help="disable the disk artifact cache even if "
@@ -79,7 +77,6 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(baseline, indent=2))
 
     with serve(
-        workers=args.workers,
         max_batch=args.max_batch,
         batch_window_s=args.window_ms / 1e3,
         cache_dir=cache_dir,

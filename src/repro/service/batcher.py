@@ -1,21 +1,16 @@
-"""Micro-batching: coalesce pending requests, route small vs large.
+"""Micro-batching: coalesce pending requests into batches.
 
-The batcher is the request-level analogue of the paper's dual-queue
-template.  A collection window's worth of pending requests is grouped by
+A collection window's worth of pending requests is grouped by
 :meth:`Request.batch_key` — workload fingerprint, template, engine,
-device, params — and each group becomes one :class:`Batch`: **one** plan
-build and **one** executor pass whose summary answers every member.
-Small batches (by :func:`~repro.service.request.workload_cost`) stay on
-the inline fast path — a worker thread of the event loop, no pickling;
-large ones go to the process pool, the request-level "load-balanced
-phase".
+device, params, backend, priority — and each group becomes one
+:class:`Batch`: **one** plan build and **one** run whose result
+answers every member.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import ServiceError
 from repro.service.request import Request
 from repro.service.workers import BatchSpec
 
@@ -28,9 +23,11 @@ class Batch:
 
     key: tuple
     spec: BatchSpec
-    route: str  # "inline" | "pool"
     requests: list[Request] = field(default_factory=list)
     futures: list = field(default_factory=list)
+    #: set when the overload policy rewrote ``spec`` to the family's
+    #: non-nested fallback before execution
+    load_degraded: bool = False
 
     @property
     def size(self) -> int:
@@ -52,27 +49,6 @@ class Batch:
 class MicroBatcher:
     """Groups ``(request, future)`` pairs into executable batches."""
 
-    def __init__(self, inline_cost_threshold: int = 1_000_000,
-                 cache_dir: str | None = None) -> None:
-        if inline_cost_threshold < 0:
-            raise ServiceError("inline_cost_threshold cannot be negative")
-        self.inline_cost_threshold = inline_cost_threshold
-        #: stamped onto every BatchSpec so pool workers configure the same
-        #: disk artifact cache as the service process (see BatchSpec)
-        self.cache_dir = cache_dir
-
-    def route_of(self, request: Request) -> str:
-        """Small/large split: cheap work runs inline, heavy work pools.
-
-        Instance-templates always run inline — they may not pickle, and
-        the service cannot prove they do.
-        """
-        if not isinstance(request.template, str):
-            return "inline"
-        if request.cost > self.inline_cost_threshold:
-            return "pool"
-        return "inline"
-
     def group(self, pending: list[tuple]) -> list[Batch]:
         """Coalesce pending ``(request, future)`` pairs into batches.
 
@@ -85,22 +61,14 @@ class MicroBatcher:
             batch = batches.get(key)
             if batch is None:
                 spec = BatchSpec(
-                    template=(
-                        request.template
-                        if isinstance(request.template, str)
-                        else request.template_obj
-                    ),
+                    template=request.template_obj,
                     workload=request.workload,
-                    kind=request.kind,
                     device=request.device,
                     params=request.params,
                     engine=request.engine,
-                    cache_dir=self.cache_dir,
                     backend=request.backend,
                 )
-                batch = Batch(
-                    key=key, spec=spec, route=self.route_of(request)
-                )
+                batch = Batch(key=key, spec=spec)
                 batches[key] = batch
             batch.requests.append(request)
             batch.futures.append(future)

@@ -96,7 +96,7 @@ class ServiceHandle:
         return self._call(_mutate())
 
     def stats(self) -> dict:
-        """Point-in-time service/pool/queue/latency counters."""
+        """Point-in-time service/queue/latency counters."""
         return self._service.snapshot()
 
     @property
@@ -127,7 +127,7 @@ def serve(config: ServiceConfig | None = None, **config_kwargs) -> ServiceHandle
     """Start a serving runtime and return its synchronous handle.
 
     Pass a full :class:`ServiceConfig`, or its fields as keyword
-    arguments (``repro.serve(max_batch=32, workers=4)``); combining both
+    arguments (``repro.serve(max_batch=32, devices=2)``); combining both
     is ambiguous and raises.
     """
     if config is not None and config_kwargs:

@@ -130,23 +130,20 @@ class ServiceStats:
         self.scale_downs = 0
         # batching
         self.batches = 0
-        self.inline_batches = 0
-        self.pool_batches = 0
         self.coalesced_requests = 0  # requests beyond the first in a batch
         #: batches routed back to the BSP simulator because the queue
         #: backend cannot run their template (capability fallback)
         self.queue_fallbacks = 0
-        #: inline batches executed through a fused (multi-fingerprint)
-        #: executor pass instead of one pass each
+        #: batches answered by a fusion group of >= 2 batches (one
+        #: ``run_many`` pass) instead of a group of their own
         self.fused_batches = 0
-        #: fused executor passes (each covers >= 2 batches)
+        #: passes of fusion groups of >= 2 batches
         self.fused_passes = 0
         self._batch_sizes: deque[int] = deque(maxlen=window)
         # queue
         self.queue_depth = 0
         self.max_queue_depth = 0
-        # plan cache (aggregated from batch summaries; pool workers have
-        # their own process-local caches, so this is the service-wide view)
+        # plan cache, per executed batch: hits are plans served from memory
         self.cache_hits = 0
         self.cache_misses = 0
         #: committed workload-stream mutation batches (mutate_workload)
@@ -196,13 +193,9 @@ class ServiceStats:
         with self._lock:
             self.queue_depth = depth
 
-    def record_batch(self, size: int, route: str) -> None:
+    def record_batch(self, size: int) -> None:
         with self._lock:
             self.batches += 1
-            if route == "pool":
-                self.pool_batches += 1
-            else:
-                self.inline_batches += 1
             self.coalesced_requests += size - 1
             self._batch_sizes.append(size)
 
@@ -252,15 +245,18 @@ class ServiceStats:
             self.queue_fallbacks += 1
 
     def record_fused(self, batches: int) -> None:
-        """One fused executor pass covering ``batches`` coalesced batches."""
+        """One fusion-group pass covering ``batches`` (>= 2) batches."""
         with self._lock:
             self.fused_passes += 1
             self.fused_batches += batches
 
-    def record_cache(self, hits: int, misses: int) -> None:
+    def record_plan(self, level: str | None) -> None:
+        """The cache level that served one executed batch's plan."""
         with self._lock:
-            self.cache_hits += hits
-            self.cache_misses += misses
+            if level == "memory":
+                self.cache_hits += 1
+            elif level is not None:
+                self.cache_misses += 1
 
     def record_mutation(self) -> None:
         """One committed workload-stream mutation batch."""
@@ -361,8 +357,6 @@ class ServiceStats:
                 },
                 "batching": {
                     "batches": self.batches,
-                    "inline_batches": self.inline_batches,
-                    "pool_batches": self.pool_batches,
                     "coalesced_requests": self.coalesced_requests,
                     "queue_fallbacks": self.queue_fallbacks,
                     "fused_batches": self.fused_batches,

@@ -16,6 +16,8 @@ different objects coalesce into one batch.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 from repro.core.params import TemplateParams
@@ -62,7 +64,7 @@ def workload_kind(workload) -> str:
 
 
 def workload_cost(workload) -> int:
-    """Rough work estimate used for small/large routing.
+    """Rough work estimate of a workload.
 
     Inner-iteration count for nested loops, node count for trees — the
     quantities the plan build and executor pass actually scale with.
@@ -70,6 +72,27 @@ def workload_cost(workload) -> int:
     if isinstance(workload, NestedLoopWorkload):
         return workload.n_pairs
     return workload.tree.n_nodes
+
+
+def check_count(name: str, value, floor: int, *, error=ConfigError) -> None:
+    """Raise ``error`` unless ``value`` is an integer >= ``floor``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < floor:
+        bound = f"must be >= {floor}" if floor else "cannot be negative"
+        raise error(f"{name} {bound}, got {value}")
+
+
+def check_duration(name: str, value, *, zero_ok: bool,
+                   error=ConfigError) -> None:
+    """Raise ``error`` unless ``value`` (a time or latency bound) is a
+    finite real number that is positive, or zero with ``zero_ok``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value):
+        raise error(f"{name} must be a finite number, got {value!r}")
+    if value < 0 or (value == 0 and not zero_ok):
+        bound = "cannot be negative" if zero_ok else "must be positive"
+        raise error(f"{name} {bound}, got {value}")
 
 
 @dataclass
@@ -116,10 +139,8 @@ class Request:
                 f"unknown priority {self.priority!r}; "
                 f"known: {', '.join(PRIORITIES)}"
             )
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ConfigError(
-                f"deadline_s must be positive, got {self.deadline_s}"
-            )
+        if self.deadline_s is not None:
+            check_duration("deadline_s", self.deadline_s, zero_ok=False)
         #: absolute deadline on the service's event-loop clock, stamped
         #: at admission (None until admitted or when no deadline applies)
         self.deadline_at: float | None = None
@@ -141,7 +162,6 @@ class Request:
             self.template_obj = self.template
             # custom instances only coalesce with themselves
             self._template_key = (self.template_obj.name, id(self.template))
-        self.cost = workload_cost(self.workload)
 
     def batch_key(self) -> tuple:
         """Identity the micro-batcher coalesces on (content-addressed).
@@ -191,8 +211,6 @@ class Response:
     batch_size: int = 1
     #: execution attempts (1 = first try succeeded; 0 = never executed)
     attempts: int = 0
-    #: where the run happened: "inline" | "pool" | "" (never ran)
-    route: str = ""
     #: whether the plan build was served from the plan cache
     cache_hit: bool = False
     #: device the batch was routed to (0 on a single-device service)

@@ -10,15 +10,18 @@ long-lived server.  The life of a request:
 2. **Collection** — the batch loop drains the queue for up to
    ``batch_window_s`` (or ``max_batch`` requests) and hands the window to
    the :class:`~repro.service.batcher.MicroBatcher`, which coalesces
-   requests sharing a batch key into one execution.
-3. **Execution** — each batch runs once, inline (small work) or on the
-   :class:`~repro.service.workers.WorkerPool` (large work), under a
-   per-request timeout with bounded exponential-backoff retries.
-4. **Degradation** — when every attempt failed and the template uses
-   dynamic parallelism, the batch re-runs inline on the family's
-   non-nested fallback (``thread-mapped`` / ``flat``) and the responses
-   carry ``degraded=True``; otherwise the responses are ``failed`` with
-   the last error as the reason.
+   requests sharing a batch key into one batch.
+3. **Execution** — the window's batches split into fusion groups, one
+   per (backend kind, device, engine, priority); each group runs as one
+   :func:`~repro.service.workers.execute_batch_fused` call on a worker
+   thread under a per-request timeout.  A lone batch is a one-member
+   group and gets bounded exponential-backoff retries; a failed group of
+   several batches splits into one-batch groups.
+4. **Degradation** — when every attempt of a one-batch group failed and
+   the template uses dynamic parallelism, the batch re-runs on the
+   family's non-nested fallback (``thread-mapped`` / ``flat``) and the
+   responses carry ``degraded=True``; otherwise the responses are
+   ``failed`` with the last error as the reason.
 
 Everything observable lands in ``stats()``.
 """
@@ -31,6 +34,7 @@ from dataclasses import dataclass, field, replace
 
 from repro import obs
 from repro.core.params import TemplateParams
+from repro.core.registry import resolve
 from repro.errors import ServiceError
 from repro.gpusim.config import DeviceConfig, KEPLER_K20
 from repro.gpusim.executor import resolve_engine
@@ -43,17 +47,35 @@ from repro.service.request import (
     PRIORITY_RANK,
     Request,
     Response,
+    check_count,
+    check_duration,
 )
 from repro.service.streams import WorkloadStream
-from repro.service.workers import (
-    BatchSpec,
-    WorkerPool,
-    WorkerTimeoutError,
-    execute_batch,
-    execute_batch_fused,
-)
+from repro.service.workers import BatchSpec, execute_batch_fused
 
 __all__ = ["ServiceConfig", "TemplateService"]
+
+
+#: integer config fields and the smallest value each accepts
+_COUNT_FLOORS = {
+    "max_pending": 1, "max_batch": 1, "max_retries": 0, "devices": 1,
+    "stats_window": 1, "tenant_quota": 1, "degrade_pending_threshold": 1,
+    "min_devices": 1, "max_devices": 1, "scale_up_pending_per_device": 1,
+}
+#: time config fields (seconds; ``scale_up_p99_ms`` in ms) and whether
+#: each accepts zero
+_DURATION_ZERO_OK = {
+    "batch_window_s": True, "request_timeout_s": False,
+    "retry_backoff_s": True, "drain_timeout_s": False,
+    "default_deadline_s": False, "scale_check_interval_s": False,
+    "scale_up_p99_ms": False, "scale_cooldown_s": True,
+}
+#: numeric fields whose None means "no bound"
+_NONE_OK = frozenset({
+    "request_timeout_s", "drain_timeout_s", "tenant_quota",
+    "default_deadline_s", "degrade_pending_threshold", "min_devices",
+    "max_devices", "scale_up_p99_ms",
+})
 
 
 @dataclass
@@ -66,10 +88,6 @@ class ServiceConfig:
     max_batch: int = 16
     #: how long the batch loop waits for co-travellers (seconds)
     batch_window_s: float = 0.002
-    #: workload cost (pairs/nodes) above which a batch goes to the pool
-    inline_cost_threshold: int = 1_000_000
-    #: worker processes backing the large-request path
-    workers: int = 2
     #: per-attempt execution timeout (None = unbounded)
     request_timeout_s: float | None = 30.0
     #: retries after the first failed attempt
@@ -93,14 +111,14 @@ class ServiceConfig:
     #: default simulated device
     device: DeviceConfig = field(default_factory=lambda: KEPLER_K20)
     #: simulated devices serving this process: 1 behaves exactly as the
-    #: single-device service always has; N > 1 routes each coalesced
-    #: batch to the least-loaded device of a
+    #: single-device service always has; N > 1 routes each fusion group
+    #: to the least-loaded device of a
     #: :class:`~repro.backends.DeviceGroup` (see docs/architecture.md)
     devices: int = 1
     #: latency/batch-size window kept for percentile stats
     stats_window: int = 4096
-    #: disk artifact cache shared with pool workers: None inherits the
-    #: process default (REPRO_CACHE_DIR), "" disables it, a path enables it
+    #: disk artifact cache: None inherits the process default
+    #: (REPRO_CACHE_DIR), "" disables it, a path enables it
     cache_dir: str | None = None
     #: bound on how long ``stop(drain=True)`` waits for in-flight work
     #: before answering stragglers with structured failures (None waits
@@ -146,37 +164,19 @@ class ServiceConfig:
     scale_cooldown_s: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.max_pending < 1:
-            raise ServiceError("max_pending must be >= 1")
-        if self.max_batch < 1:
-            raise ServiceError("max_batch must be >= 1")
-        if self.batch_window_s < 0:
-            raise ServiceError("batch_window_s cannot be negative")
-        if self.inline_cost_threshold < 0:
-            raise ServiceError("inline_cost_threshold cannot be negative")
-        if self.workers < 1:
-            raise ServiceError(f"workers must be >= 1, got {self.workers}")
-        if self.request_timeout_s is not None and self.request_timeout_s <= 0:
-            raise ServiceError(
-                "request_timeout_s must be positive "
-                "(None disables the timeout)"
-            )
-        if self.stats_window < 1:
-            raise ServiceError("stats_window must be >= 1")
-        if self.max_retries < 0:
-            raise ServiceError("max_retries cannot be negative")
-        if self.retry_backoff_s < 0:
-            raise ServiceError("retry_backoff_s cannot be negative")
-        if self.drain_timeout_s is not None and self.drain_timeout_s <= 0:
-            raise ServiceError(
-                "drain_timeout_s must be positive (None waits forever)"
-            )
+        for name, floor in _COUNT_FLOORS.items():
+            value = getattr(self, name)
+            if value is not None or name not in _NONE_OK:
+                check_count(name, value, floor, error=ServiceError)
+        for name, zero_ok in _DURATION_ZERO_OK.items():
+            value = getattr(self, name)
+            if value is not None or name not in _NONE_OK:
+                check_duration(name, value, zero_ok=zero_ok,
+                               error=ServiceError)
         resolve_engine(self.engine, error=ServiceError)
         from repro.backends import resolve_backend
 
         resolve_backend(self.backend, error=ServiceError)
-        if self.devices < 1:
-            raise ServiceError(f"devices must be >= 1, got {self.devices}")
         if self.backend == "queue" and self.devices > 1:
             raise ServiceError(
                 "the queue backend is single-device; use devices=1"
@@ -192,22 +192,11 @@ class ServiceConfig:
                     f"unknown priority {name!r} in max_pending_per_class; "
                     f"known: {', '.join(PRIORITIES)}"
                 )
-            if bound < 1:
-                raise ServiceError(
-                    f"max_pending_per_class[{name!r}] must be >= 1"
-                )
-        if self.tenant_quota is not None and self.tenant_quota < 1:
-            raise ServiceError("tenant_quota must be >= 1 (None disables it)")
+            check_count(f"max_pending_per_class[{name!r}]", bound, 1,
+                        error=ServiceError)
         for tenant, quota in (self.tenant_quotas or {}).items():
-            if quota < 1:
-                raise ServiceError(
-                    f"tenant_quotas[{tenant!r}] must be >= 1"
-                )
-        if self.default_deadline_s is not None and self.default_deadline_s <= 0:
-            raise ServiceError("default_deadline_s must be positive")
-        if self.degrade_pending_threshold is not None \
-                and self.degrade_pending_threshold < 1:
-            raise ServiceError("degrade_pending_threshold must be >= 1")
+            check_count(f"tenant_quotas[{tenant!r}]", quota, 1,
+                        error=ServiceError)
         if self.min_devices is None:
             self.min_devices = self.devices
         if self.max_devices is None:
@@ -223,14 +212,6 @@ class ServiceConfig:
                     f"({self.min_devices}) <= devices ({self.devices}) <= "
                     f"max_devices ({self.max_devices})"
                 )
-            if self.scale_check_interval_s <= 0:
-                raise ServiceError("scale_check_interval_s must be positive")
-            if self.scale_up_pending_per_device < 1:
-                raise ServiceError(
-                    "scale_up_pending_per_device must be >= 1"
-                )
-            if self.scale_cooldown_s < 0:
-                raise ServiceError("scale_cooldown_s cannot be negative")
 
     def tenant_quota_of(self, tenant: str) -> int | None:
         """Effective in-flight quota of one tenant (None = unlimited)."""
@@ -242,29 +223,25 @@ class ServiceConfig:
 class TemplateService:
     """Async template-serving runtime (see module docstring).
 
-    ``worker_pool`` and ``run_fn`` are injectable for fault testing: the
-    pool handles the "pool" route, ``run_fn`` the inline route (default
-    :func:`~repro.service.workers.execute_batch`).
+    ``run_fn`` is injectable for fault testing: it takes one fusion
+    group's list of :class:`~repro.service.workers.BatchSpec` and returns
+    one :class:`~repro.core.base.TemplateRun` per spec (default
+    :func:`~repro.service.workers.execute_batch_fused`).
     """
 
     def __init__(
         self,
         config: ServiceConfig | None = None,
         *,
-        worker_pool: WorkerPool | None = None,
         run_fn=None,
     ) -> None:
         self.config = config or ServiceConfig()
         if self.config.cache_dir is not None:
-            # configure before the pool spawns so REPRO_CACHE_DIR (set by
-            # configure) is inherited by the worker processes
             from repro.core.artifactcache import configure_artifact_cache
 
             configure_artifact_cache(self.config.cache_dir or None)
         self.stats = ServiceStats(window=self.config.stats_window)
-        self.pool = worker_pool or WorkerPool(max_workers=self.config.workers)
-        self.batcher = MicroBatcher(self.config.inline_cost_threshold,
-                                    cache_dir=self.config.cache_dir)
+        self.batcher = MicroBatcher()
         #: device topology: None for the classic single-device service, a
         #: DeviceGroup tracking per-device load when devices > 1 (or when
         #: the autoscaler may grow past one device)
@@ -278,7 +255,7 @@ class TemplateService:
                 self.config.device, self.config.devices,
                 engine=self.config.engine,
             )
-        self._run_fn = run_fn or execute_batch
+        self._run_fn = run_fn or execute_batch_fused
         self._queue: PriorityClassQueue | None = None
         self._loop_task: asyncio.Task | None = None
         self._scale_task: asyncio.Task | None = None
@@ -378,7 +355,6 @@ class TemplateService:
                     tenant=request.tenant,
                 ),
             )
-        self.pool.shutdown()
 
     # ----------------------------------------------------------- streams
     def register_workload(
@@ -587,223 +563,239 @@ class TemplateService:
                 raise
             with obs.span("service.coalesce", pending=len(pending)):
                 batches = self.batcher.group(pending)
-            singles, fused_groups = self._fusion_groups(batches)
-            for batch in singles:
-                task = asyncio.create_task(self._dispatch(batch))
-                self._dispatch_tasks.add(task)
-                task.add_done_callback(self._dispatch_tasks.discard)
-            for group in fused_groups:
-                task = asyncio.create_task(self._dispatch_fused(group))
+            for group in self._fusion_groups(batches):
+                task = asyncio.create_task(self._dispatch(group))
                 self._dispatch_tasks.add(task)
                 task.add_done_callback(self._dispatch_tasks.discard)
 
-    def _fusion_groups(
-        self, batches: list[Batch]
-    ) -> tuple[list[Batch], list[list[Batch]]]:
-        """Partition a window's batches into per-batch dispatches and
-        fusable groups.
+    @staticmethod
+    def _fusion_groups(batches: list[Batch]) -> list[list[Batch]]:
+        """Split a window's batches into fusion groups.
 
-        A group fuses when >= 2 inline ``"sim"`` batches of the window
-        share a device config and engine — they become one fused executor
-        pass with per-batch result demux; results are bit-identical, only
-        wall time changes (see docs/performance.md).  Everything else
-        (pool routes, queue backend, device groups, custom run_fn) keeps
-        the classic one-dispatch-per-batch path.
+        A group is every batch of the window sharing a backend kind,
+        device, engine and priority class; it runs as one ``run_fn`` call,
+        whose results are bit-identical to running each batch alone.
+        Priority is in the key so a high-priority batch never waits on a
+        low-priority co-traveller's build and run.  A lone batch is a
+        one-member group.  Groups keep first-arrival order.
         """
-        if self.device_group is not None or self._run_fn is not execute_batch:
-            return batches, []
-        singles: list[Batch] = []
         groups: dict[tuple, list[Batch]] = {}
         for batch in batches:
-            if batch.route != "inline" or batch.spec.backend != "sim":
-                singles.append(batch)
-                continue
-            key = (batch.spec.device.fingerprint(), batch.spec.engine)
+            spec = batch.spec
+            key = (spec.backend, spec.device.fingerprint(), spec.engine,
+                   batch.priority)
             groups.setdefault(key, []).append(batch)
-        fused = []
-        for members in groups.values():
-            if len(members) >= 2:
-                fused.append(members)
-            else:
-                singles.extend(members)
-        return singles, fused
+        return list(groups.values())
 
     # -------------------------------------------------- execution policy
-    async def _execute(self, spec: BatchSpec, route: str) -> dict:
-        timeout = self.config.request_timeout_s
-        if route == "pool":
-            return await self.pool.run(spec, timeout)
-        return await asyncio.wait_for(
-            asyncio.to_thread(self._run_fn, spec), timeout
-        )
+    async def _dispatch(self, batches: list[Batch], *,
+                        split: bool = False) -> None:
+        """Run one fusion group; every member future is always answered.
 
-    async def _dispatch(self, batch: Batch, record: bool = True) -> None:
-        """Leak-proof dispatch: every member future is always answered.
-
-        The policy body (`_dispatch_batch`) can fail in ways retries do
-        not model — a run_fn returning a malformed summary, a bug in the
-        degradation path, cancellation by a timed-out drain.  Before this
-        wrapper existed, such a failure killed the dispatch task with
-        member futures unanswered and ``_pending`` never decremented, so
-        ``stop(drain=True)`` spun forever.  Now any escaping exception is
-        converted into structured ``failed`` responses for every member
-        not already answered.
+        Each batch first passes :meth:`_admit` (with ``split`` when the
+        batches of a failed group re-enter here one at a time), then the
+        live batches run as one group (:meth:`_run_group`).  A failure
+        the policy does not model — a run_fn returning something other
+        than one run per spec, a bug in the degradation path,
+        cancellation by a timed-out drain — answers every member not yet
+        answered with a structured ``failed`` response, so ``_pending``
+        always drains and ``stop(drain=True)`` cannot spin forever.
         """
         try:
-            await self._dispatch_batch(batch, record=record)
-        except asyncio.CancelledError:
-            self._fail_unanswered(batch, "cancelled during dispatch")
-            raise
-        except BaseException as exc:  # noqa: BLE001 - lifecycle boundary
-            obs.instant("service.dispatch_error",
-                        error=f"{type(exc).__name__}: {exc}")
-            self._fail_unanswered(
-                batch, f"dispatch error: {type(exc).__name__}: {exc}"
-            )
-
-    async def _dispatch_fused(self, batches: list[Batch]) -> None:
-        """Execute one fusable group as a single fused executor pass.
-
-        Per-batch policy (shed, overload degradation) still applies
-        before fusion.  Any failure of the fused pass — a timeout, a bad
-        template, a worker error — falls back to dispatching each batch
-        through the classic per-batch path (which carries its own retry /
-        degradation policy), so fusion can never make a request fail that
-        would have succeeded unfused.  Leak-proof like :meth:`_dispatch`:
-        every member future is always answered.
-        """
-        try:
-            await self._dispatch_fused_inner(batches)
+            batches = [batch for batch in batches
+                       if self._admit(batch, split=split)]
+            if batches:
+                await self._run_group(batches)
         except asyncio.CancelledError:
             for batch in batches:
-                self._fail_unanswered(batch, "cancelled during dispatch")
+                self._answer(batch, "failed",
+                             reason="cancelled during dispatch")
             raise
         except BaseException as exc:  # noqa: BLE001 - lifecycle boundary
             obs.instant("service.dispatch_error",
                         error=f"{type(exc).__name__}: {exc}")
             for batch in batches:
-                self._fail_unanswered(
-                    batch, f"dispatch error: {type(exc).__name__}: {exc}"
+                self._answer(
+                    batch, "failed",
+                    reason=f"dispatch error: {type(exc).__name__}: {exc}",
                 )
 
-    async def _dispatch_fused_inner(self, batches: list[Batch]) -> None:
-        live: list[Batch] = []
+    def _admit(self, batch: Batch, *, split: bool = False) -> bool:
+        """Per-batch policy before execution; False when ``batch`` was
+        shed (and answered).
+
+        A batch re-entering from a failed group (``split``) is checked
+        against its deadline again — the failed attempt may have outlived
+        it — but is counted, load-degraded and queue-routed only once.
+        """
+        if not split:
+            self.stats.record_batch(batch.size)
+        shed_reason = self._should_shed(batch)
+        if shed_reason is not None:
+            obs.instant("service.shed", size=batch.size,
+                        priority=batch.priority, reason=shed_reason)
+            self._answer(batch, "shed", reason=shed_reason)
+            return False
+        if split:
+            return True
+        self._maybe_degrade_for_load(batch)
+        template_obj = batch.requests[0].template_obj
+        if batch.spec.backend == "queue" and not getattr(
+            template_obj, "queue_compatible", True
+        ):
+            # the queue cannot honour this template's launch-wide barrier
+            # semantics; run_many routes the batch to the BSP simulator
+            # (counted here, never silent)
+            self.stats.record_queue_fallback()
+            obs.instant("service.queue_fallback",
+                        template=str(getattr(template_obj, "name", "")))
+        return True
+
+    async def _run_group(self, batches: list[Batch]) -> None:
+        """Execute one fusion group and answer its members.
+
+        The group holds one device of a device group from start to
+        settlement.  If a group of several batches fails, each batch runs
+        again as a one-batch group with the full retry and degradation
+        policy, so fusion never fails a request that would have succeeded
+        alone.
+        """
+        group = self.device_group
+        # least-loaded routing: reserve one device for the group; release
+        # it, crediting the simulated time the group ran, once it settles
+        device = group.acquire() if group is not None else 0
+        busy_ms = 0.0
+        try:
+            for batch in batches:
+                batch.spec.device_index = None if group is None else device
+            runs, error, attempts, degraded = await self._attempt(
+                batches, device)
+            if runs is not None:
+                for i, batch in enumerate(batches):
+                    self._answer(
+                        batch, "ok", run=runs[i], attempts=attempts,
+                        degraded=degraded or batch.load_degraded,
+                        device=device,
+                    )
+                    busy_ms += runs[i].time_ms
+                if len(batches) > 1:
+                    self.stats.record_fused(len(batches))
+                    obs.add_counter("service.fused_batches", len(batches))
+        finally:
+            if group is not None:
+                group.complete(device, busy_ms=busy_ms)
+        if runs is not None:
+            return
+        if len(batches) == 1:
+            self._answer(batches[0], "failed",
+                         reason=f"{type(error).__name__}: {error}",
+                         attempts=attempts)
+            return
+        obs.instant("service.fuse_fallback", batches=len(batches),
+                    error=f"{type(error).__name__}: {error}")
         for batch in batches:
-            self.stats.record_batch(batch.size, batch.route)
-            shed_reason = self._should_shed(batch)
-            if shed_reason is not None:
-                self._shed(batch, shed_reason)
-                continue
-            self._maybe_degrade_for_load(batch)
-            live.append(batch)
-        if not live:
-            return
-        if len(live) == 1:
-            # policy dropped the group to one batch: nothing to fuse
-            await self._dispatch_batch(live[0], record=False)
-            return
-        specs = [batch.spec for batch in live]
-        try:
-            exec_start = time.perf_counter()
-            with obs.span("service.execute_fused", batches=len(live),
-                          size=sum(b.size for b in live)):
-                summaries = await asyncio.wait_for(
-                    asyncio.to_thread(execute_batch_fused, specs),
-                    self.config.request_timeout_s,
-                )
-            self.stats.record_exec(time.perf_counter() - exec_start)
-        except asyncio.CancelledError:
-            raise
-        except BaseException as exc:  # noqa: BLE001 - policy boundary
-            # the fused pass failed as a unit; re-dispatch each batch on
-            # the classic path so per-batch retries/degradation apply
-            obs.instant("service.fuse_fallback", batches=len(live),
-                        error=f"{type(exc).__name__}: {exc}")
-            for batch in live:
-                await self._dispatch(batch, record=False)
-            return
-        self.stats.record_fused(len(live))
-        obs.add_counter("service.fused_batches", len(live))
-        for batch, summary in zip(live, summaries):
-            self.stats.record_cache(
-                summary.get("cache_hits", 0), summary.get("cache_misses", 0)
-            )
-            self._answer_ok(
-                batch, summary, attempts=1,
-                degraded=getattr(batch, "_load_degraded", False),
-                route=batch.route, device_index=0,
-            )
+            await self._dispatch([batch], split=True)
 
-    def _answer_ok(self, batch: Batch, summary: dict, *, attempts: int,
-                   degraded: bool, route: str, device_index: int) -> None:
-        """Answer every member of ``batch`` from one execution summary."""
-        loop = asyncio.get_running_loop()
-        now = loop.time()
+    async def _attempt(self, batches: list[Batch], device: int):
+        """Run one group under the retry and degradation policy.
+
+        Returns ``(runs, last error, attempts, degraded)``; runs is None
+        when every attempt failed.  A group of several batches
+        gets one attempt.  A one-batch group gets up to ``max_retries``
+        retries with exponential backoff and then, when its template uses
+        dynamic parallelism, one run of the family's non-nested fallback.
+        """
+        lead = batches[0]
+        template_obj = lead.requests[0].template_obj
+        template = "+".join(dict.fromkeys(
+            str(getattr(b.requests[0].template_obj, "name", ""))
+            for b in batches
+        ))
+        specs = [batch.spec for batch in batches]
+        tries = 1 if len(batches) > 1 else 1 + self.config.max_retries
+        error: BaseException | None = None
+        with obs.span("service.batch", batches=len(batches),
+                      size=sum(b.size for b in batches), template=template,
+                      device=device):
+            for attempt in range(tries):
+                try:
+                    with obs.span("service.execute", attempt=attempt + 1,
+                                  batches=len(batches), template=template):
+                        runs = await self._execute(specs)
+                    return runs, None, attempt + 1, False
+                except asyncio.CancelledError:
+                    raise
+                except BaseException as exc:  # noqa: BLE001 - policy boundary
+                    error = exc
+                    if attempt + 1 < tries:
+                        self.stats.record_retry(
+                            isinstance(exc, asyncio.TimeoutError))
+                        await asyncio.sleep(
+                            self.config.retry_backoff_s * (2 ** attempt))
+            if len(batches) > 1 or not self.config.degrade or not getattr(
+                template_obj, "uses_dynamic_parallelism", False
+            ):
+                return None, error, tries, False
+            kind = lead.requests[0].kind
+            fallback = DEGRADE_FALLBACK[kind]
+            try:
+                with obs.span("service.degrade", fallback=fallback,
+                              template=template):
+                    runs = await self._execute([replace(
+                        lead.spec, template=resolve(fallback, kind=kind))])
+            except asyncio.CancelledError:
+                raise
+            except BaseException as exc:  # noqa: BLE001 - policy boundary
+                return None, exc, tries, False
+            self.stats.record_degraded(priority=lead.priority)
+            return runs, None, tries + 1, True
+
+    async def _execute(self, specs: list[BatchSpec]) -> list:
+        """One ``run_fn`` call on a worker thread, under the timeout."""
+        start = time.perf_counter()
+        runs = await asyncio.wait_for(
+            asyncio.to_thread(self._run_fn, specs),
+            self.config.request_timeout_s,
+        )
+        self.stats.record_exec(time.perf_counter() - start)
+        return runs
+
+    def _answer(self, batch: Batch, status: str, *, run=None,
+                reason: str | None = None, attempts: int = 0,
+                degraded: bool = False, device: int = 0) -> None:
+        """Answer every not-yet-answered member of ``batch``: from one
+        :class:`~repro.core.base.TemplateRun` when there is one, else with
+        ``status`` and ``reason`` alone."""
+        if run is None:
+            time_ms, metrics, cache_hit = None, {}, False
+        else:
+            self.stats.record_plan(run.plan_level)
+            time_ms, metrics = run.time_ms, run.metrics.as_dict()
+            cache_hit = run.plan_level == "memory"
+        now = asyncio.get_running_loop().time()
         for request, future in zip(batch.requests, batch.futures):
+            if run is None:
+                template = str(getattr(request.template_obj, "name", ""))
+                workload = getattr(request.workload, "name", "")
+            else:
+                template, workload = run.template, run.workload
             self._finish(
                 request,
                 future,
                 Response(
                     id=request.id,
-                    status="ok",
-                    template=summary["template"],
-                    workload=summary["workload"],
+                    status=status,
+                    template=template,
+                    workload=workload,
                     degraded=degraded,
-                    time_ms=summary["time_ms"],
-                    metrics=summary["metrics"],
+                    reason=reason,
+                    time_ms=time_ms,
+                    metrics=metrics,
                     latency_s=now - request.created_s,
                     batch_size=batch.size,
                     attempts=attempts,
-                    route=route,
-                    cache_hit=summary.get("cache_hits", 0) > 0,
-                    device=device_index,
-                    priority=request.priority,
-                    tenant=request.tenant,
-                ),
-            )
-
-    def _fail_unanswered(self, batch: Batch, reason: str) -> None:
-        """Answer (and un-count) every batch member not yet finished."""
-        loop = asyncio.get_running_loop()
-        now = loop.time()
-        for request, future in zip(batch.requests, batch.futures):
-            if getattr(request, "_answered", False):
-                continue
-            self._finish(
-                request,
-                future,
-                Response(
-                    id=request.id,
-                    status="failed",
-                    template=str(getattr(request.template_obj, "name", "")),
-                    workload=getattr(request.workload, "name", ""),
-                    reason=reason,
-                    latency_s=now - request.created_s,
-                    batch_size=batch.size,
-                    route=batch.route,
-                    priority=request.priority,
-                    tenant=request.tenant,
-                ),
-            )
-
-    def _shed(self, batch: Batch, reason: str) -> None:
-        """Answer every member with ``status="shed"`` (deadline missed)."""
-        loop = asyncio.get_running_loop()
-        now = loop.time()
-        obs.instant("service.shed", size=batch.size,
-                    priority=batch.priority, reason=reason)
-        for request, future in zip(batch.requests, batch.futures):
-            self._finish(
-                request,
-                future,
-                Response(
-                    id=request.id,
-                    status="shed",
-                    template=str(getattr(request.template_obj, "name", "")),
-                    workload=getattr(request.workload, "name", ""),
-                    reason=reason,
-                    latency_s=now - request.created_s,
-                    batch_size=batch.size,
+                    cache_hit=cache_hit,
+                    device=device,
                     priority=request.priority,
                     tenant=request.tenant,
                 ),
@@ -834,7 +826,7 @@ class TemplateService:
             )
         return None
 
-    def _maybe_degrade_for_load(self, batch: Batch) -> bool:
+    def _maybe_degrade_for_load(self, batch: Batch) -> None:
         """Overload policy: degrade low-priority dynpar batches up front.
 
         When the in-flight depth crosses ``degrade_pending_threshold``,
@@ -843,148 +835,21 @@ class TemplateService:
         execution — trading its fidelity for queue headroom, without
         touching high/normal traffic.
         """
-        if getattr(batch, "_load_degraded", False):
-            # already rewritten (a fused pass that fell back re-dispatches
-            # its batches); don't double-count or re-replace
-            return True
         threshold = self.config.degrade_pending_threshold
         if threshold is None or self._pending < threshold:
-            return False
+            return
         if batch.priority != "low":
-            return False
+            return
         template_obj = batch.requests[0].template_obj
         if not getattr(template_obj, "uses_dynamic_parallelism", False):
-            return False
-        fallback = DEGRADE_FALLBACK[batch.requests[0].kind]
-        batch.spec = replace(batch.spec, template=fallback)
-        batch._load_degraded = True
+            return
+        kind = batch.requests[0].kind
+        fallback = DEGRADE_FALLBACK[kind]
+        batch.spec = replace(batch.spec, template=resolve(fallback, kind=kind))
+        batch.load_degraded = True
         self.stats.record_degraded(priority=batch.priority, under_load=True)
         obs.instant("service.load_degrade", fallback=fallback,
                     pending=self._pending, size=batch.size)
-        return True
-
-    async def _dispatch_batch(self, batch: Batch, record: bool = True) -> None:
-        if record:
-            self.stats.record_batch(batch.size, batch.route)
-        shed_reason = self._should_shed(batch)
-        if shed_reason is not None:
-            self._shed(batch, shed_reason)
-            return
-        load_degraded = self._maybe_degrade_for_load(batch)
-        if batch.spec.backend == "queue" and not getattr(
-            batch.requests[0].template_obj, "queue_compatible", True
-        ):
-            # capability-aware routing: the queue cannot honour this
-            # template's launch-wide barrier semantics, so the batch runs
-            # on the BSP simulator instead (counted, never silent)
-            batch.spec = replace(batch.spec, backend="sim")
-            self.stats.record_queue_fallback()
-            obs.instant(
-                "service.queue_fallback",
-                template=str(getattr(batch.requests[0].template_obj,
-                                     "name", "")),
-            )
-        summary = None
-        error: BaseException | None = None
-        degraded = False
-        attempts = 0
-        device_index = 0
-        if self.device_group is not None:
-            # least-loaded routing: reserve a device for this batch; the
-            # reservation is released (crediting the simulated time the
-            # batch ran) after execution settles
-            device_index = self.device_group.acquire()
-            batch.spec.device_index = device_index
-        template_name = str(getattr(batch.requests[0].template_obj, "name", ""))
-        with obs.span("service.batch", route=batch.route, size=batch.size,
-                      template=template_name, device=device_index):
-            for attempt in range(1 + self.config.max_retries):
-                attempts += 1
-                try:
-                    exec_start = time.perf_counter()
-                    with obs.span("service.execute", route=batch.route,
-                                  attempt=attempts, template=template_name):
-                        summary = await self._execute(batch.spec, batch.route)
-                    self.stats.record_exec(time.perf_counter() - exec_start)
-                    break
-                except asyncio.CancelledError:
-                    raise
-                except BaseException as exc:  # noqa: BLE001 - policy boundary
-                    error = exc
-                    if attempt < self.config.max_retries:
-                        timed_out = isinstance(
-                            exc, (asyncio.TimeoutError, WorkerTimeoutError)
-                        )
-                        self.stats.record_retry(timed_out)
-                        await asyncio.sleep(
-                            self.config.retry_backoff_s * (2 ** attempt)
-                        )
-            template_obj = batch.requests[0].template_obj
-            if (
-                summary is None
-                and self.config.degrade
-                and getattr(template_obj, "uses_dynamic_parallelism", False)
-            ):
-                fallback = DEGRADE_FALLBACK[batch.requests[0].kind]
-                try:
-                    # the fallback runs inline: the pool just proved
-                    # unreliable
-                    with obs.span("service.degrade", fallback=fallback,
-                                  template=template_name):
-                        summary = await self._execute(
-                            replace(batch.spec, template=fallback), "inline"
-                        )
-                    degraded = True
-                    self.stats.record_degraded(priority=batch.priority)
-                except asyncio.CancelledError:
-                    raise
-                except BaseException as exc:  # noqa: BLE001 - policy boundary
-                    error = exc
-        if self.device_group is not None:
-            self.device_group.complete(
-                device_index,
-                busy_ms=summary["time_ms"] if summary is not None else 0.0,
-            )
-        if summary is not None:
-            self.stats.record_cache(
-                summary.get("cache_hits", 0), summary.get("cache_misses", 0)
-            )
-        loop = asyncio.get_running_loop()
-        now = loop.time()
-        for request, future in zip(batch.requests, batch.futures):
-            if summary is not None:
-                response = Response(
-                    id=request.id,
-                    status="ok",
-                    template=summary["template"],
-                    workload=summary["workload"],
-                    degraded=degraded or load_degraded,
-                    time_ms=summary["time_ms"],
-                    metrics=summary["metrics"],
-                    latency_s=now - request.created_s,
-                    batch_size=batch.size,
-                    attempts=attempts + (1 if degraded else 0),
-                    route=batch.route if not degraded else "inline",
-                    cache_hit=summary.get("cache_hits", 0) > 0,
-                    device=device_index,
-                    priority=request.priority,
-                    tenant=request.tenant,
-                )
-            else:
-                response = Response(
-                    id=request.id,
-                    status="failed",
-                    template=str(getattr(template_obj, "name", "")),
-                    workload=getattr(request.workload, "name", ""),
-                    reason=f"{type(error).__name__}: {error}",
-                    latency_s=now - request.created_s,
-                    batch_size=batch.size,
-                    attempts=attempts,
-                    route=batch.route,
-                    priority=request.priority,
-                    tenant=request.tenant,
-                )
-            self._finish(request, future, response)
 
     def _finish(self, request: Request, future, response: Response) -> None:
         if getattr(request, "_answered", False):
@@ -1007,7 +872,7 @@ class TemplateService:
                 "service.request", request.created_perf,
                 now - request.created_perf, status=response.status,
                 template=response.template, batch_size=response.batch_size,
-                route=response.route, degraded=response.degraded,
+                degraded=response.degraded,
             )
         if not future.done():
             future.set_result(response)
@@ -1040,7 +905,6 @@ class TemplateService:
                 overloaded = p99 > self.config.scale_up_p99_ms
             if overloaded and n < self.config.max_devices:
                 self.device_group.add_member()
-                self.pool.resize(max(self.config.workers, n + 1))
                 self.stats.record_scale(up=True)
                 obs.instant("service.scale_up", devices=n + 1,
                             pending=self._pending)
@@ -1056,7 +920,6 @@ class TemplateService:
                 )
                 if fits_smaller and latency_ok \
                         and self.device_group.remove_member():
-                    self.pool.resize(max(self.config.workers, n - 1))
                     self.stats.record_scale(up=False)
                     obs.instant("service.scale_down", devices=n - 1,
                                 pending=self._pending)
@@ -1064,15 +927,12 @@ class TemplateService:
 
     # ----------------------------------------------------------- metrics
     def snapshot(self) -> dict:
-        """Service + pool counters in one dict (``stats()`` on handles)."""
+        """Service counters in one dict (``stats()`` on handles)."""
         snap = self.stats.snapshot()
-        snap["pool"] = self.pool.snapshot()
         from repro.core.artifactcache import get_artifact_cache
 
         disk = get_artifact_cache()
         if disk is not None:
-            # inline-route counters of this process; pool workers keep
-            # their own (summed per batch into execute_batch summaries)
             snap["disk_cache"] = disk.snapshot()
         if obs.enabled():
             # aggregated per-span-name timings of the traced region; the
@@ -1092,8 +952,6 @@ class TemplateService:
             "max_pending": self.config.max_pending,
             "max_batch": self.config.max_batch,
             "batch_window_s": self.config.batch_window_s,
-            "inline_cost_threshold": self.config.inline_cost_threshold,
-            "workers": self.config.workers,
             "engine": self.config.engine,
             "backend": self.config.backend,
             "devices": self.config.devices,

@@ -200,13 +200,13 @@ class TestSelectionCaching:
 
 class TestServiceAuto:
     def test_submit_workload_only_uses_auto(self, loop_workload):
-        with repro.serve(max_batch=4, workers=1) as svc:
+        with repro.serve(max_batch=4) as svc:
             response = svc.request(loop_workload)
         assert response.status == "ok"
         assert canonical_name(response.template) in ALL_TEMPLATES
 
     def test_named_submit_still_works(self, loop_workload):
-        with repro.serve(max_batch=4, workers=1) as svc:
+        with repro.serve(max_batch=4) as svc:
             response = svc.request("dual-queue", loop_workload)
         assert response.status == "ok"
         assert response.template == "dual-queue"

@@ -207,8 +207,7 @@ class TestServiceFusion:
         import asyncio
 
         async def driver():
-            config = ServiceConfig(batch_window_s=0.05, max_batch=16,
-                                   workers=1, inline_cost_threshold=10**9)
+            config = ServiceConfig(batch_window_s=0.05, max_batch=16)
             service = TemplateService(config)
             await service.start()
             try:

@@ -1,20 +1,17 @@
-"""Accounting invariants: service stats, pool counters, plan-cache reset,
-autotune tie-breaking.
+"""Accounting invariants: service stats, plan-cache reset, autotune
+tie-breaking.
 
 The service scenarios reuse the fault-injection harness from
-``test_service_faults``: crashing/hanging ``run_fn`` stand-ins and
-thread-backed worker pools, so every reject/crash/timeout/degrade path is
-exercised without real child processes.  After each scenario the books
-must balance::
+``test_service_faults``: crashing/hanging ``run_fn`` stand-ins, so every
+reject/crash/timeout/degrade path is exercised.  After each scenario the
+books must balance::
 
     submitted == served + admission_rejected
     served    == succeeded + failed + drain_rejected
-    pool.submitted == completed + crashes + timeouts + failures
 """
 
 import asyncio
 import time
-from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,14 +23,7 @@ from repro.core.plancache import default_cache
 from repro.core.workload import AccessStream, NestedLoopWorkload
 from repro.errors import PlanError
 from repro.gpusim.config import KEPLER_K20
-from repro.service import (
-    BatchSpec,
-    ServiceConfig,
-    TemplateService,
-    WorkerPool,
-    WorkerTimeoutError,
-    execute_batch,
-)
+from repro.service import ServiceConfig, TemplateService, execute_batch_fused
 
 
 def make_workload(name="inv-wl", outer=600, seed=11):
@@ -78,16 +68,17 @@ class TestServiceInvariants:
         """One scenario through every terminal path; the books balance."""
         calls = {"hangs": 0}
 
-        def chaos(spec):
-            name = spec.template if isinstance(spec.template, str) else ""
-            if name.startswith("dpar"):
-                raise RuntimeError("injected dynpar crash")   # -> degrade
-            if name == "dbuf-shared":
-                raise RuntimeError("injected hard crash")     # -> failed
-            if name == "dbuf-global" and calls["hangs"] == 0:
-                calls["hangs"] += 1
-                time.sleep(0.3)                               # -> timeout
-            return execute_batch(spec)
+        def chaos(specs):
+            for spec in specs:
+                name = spec.template.name
+                if name.startswith("dpar"):
+                    raise RuntimeError("injected dynpar crash")  # -> degrade
+                if name == "dbuf-shared":
+                    raise RuntimeError("injected hard crash")    # -> failed
+                if name == "dbuf-global" and calls["hangs"] == 0:
+                    calls["hangs"] += 1
+                    time.sleep(0.3)                              # -> timeout
+            return execute_batch_fused(specs)
 
         async def scenario(service):
             responses = await asyncio.gather(
@@ -115,9 +106,9 @@ class TestServiceInvariants:
 
     def test_admission_rejects_split_from_drain(self, workload):
         """Over-limit submissions count as admission rejects, nothing else."""
-        def slow(spec):
+        def slow(specs):
             time.sleep(0.05)
-            return execute_batch(spec)
+            return execute_batch_fused(specs)
 
         async def scenario(service):
             tasks = [
@@ -164,67 +155,6 @@ class TestServiceInvariants:
         assert snap["drain_rejected"] == 3
         assert snap["admission_rejected"] == 0
         assert snap["submitted"] == snap["served"] == 3
-
-
-class TestPoolInvariants:
-    spec_of = staticmethod(lambda wl: BatchSpec(
-        template="dual-queue", workload=wl, kind="nested-loop"))
-
-    def test_plain_failure_is_counted(self, workload):
-        """run_fn raising keeps the worker alive but must still settle
-        the submission — in ``failures``, not silently."""
-        def boom(spec):
-            raise PlanError("injected batch failure")
-
-        pool = WorkerPool(
-            max_workers=1,
-            executor_factory=lambda n: ThreadPoolExecutor(n),
-            run_fn=boom,
-        )
-
-        async def driver():
-            with pytest.raises(PlanError):
-                await pool.run(self.spec_of(workload), timeout_s=1.0)
-
-        asyncio.run(driver())
-        snap = pool.snapshot()
-        assert snap["failures"] == 1
-        assert snap["crashes"] == 0
-        assert pool.invariant_violations() == []
-        pool.shutdown()
-
-    def test_mixed_outcomes_reconcile(self, workload):
-        calls = {"n": 0}
-
-        def mixed(spec):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise PlanError("failure")
-            if calls["n"] == 2:
-                time.sleep(0.3)  # timeout
-            return execute_batch(spec)
-
-        pool = WorkerPool(
-            max_workers=1,
-            executor_factory=lambda n: ThreadPoolExecutor(n),
-            run_fn=mixed,
-        )
-
-        async def driver():
-            spec = self.spec_of(workload)
-            with pytest.raises(PlanError):
-                await pool.run(spec, timeout_s=1.0)
-            with pytest.raises(WorkerTimeoutError):
-                await pool.run(spec, timeout_s=0.02)
-            await pool.run(spec, timeout_s=None)
-
-        asyncio.run(driver())
-        snap = pool.snapshot()
-        assert snap["submitted"] == 3
-        assert (snap["completed"], snap["failures"], snap["timeouts"]) == \
-            (1, 1, 1)
-        assert pool.invariant_violations() == []
-        pool.shutdown()
 
 
 class TestPlanCacheReset:

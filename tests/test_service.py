@@ -1,5 +1,5 @@
-"""Tests for the serving layer: admission, batching, routing, metrics,
-and the synchronous handle (fault injection lives in
+"""Tests for the serving layer: admission, batching, fusion groups,
+metrics, and the synchronous handle (fault injection lives in
 ``test_service_faults.py``)."""
 
 import asyncio
@@ -20,7 +20,7 @@ from repro.service import (
     ServiceConfig,
     ServiceHandle,
     TemplateService,
-    execute_batch,
+    execute_batch_fused,
     percentile,
     percentiles,
     workload_cost,
@@ -97,21 +97,13 @@ class TestRequestModel:
             Request(template="flat", workload=workload)
         with pytest.raises(repro.ConfigError):
             Request(template="dual-queue", workload=workload, engine="warp")
+        for deadline in (0, -1.0, float("nan"), float("inf"), "3"):
+            with pytest.raises(repro.ConfigError, match="deadline_s"):
+                Request(template="dual-queue", workload=workload,
+                        deadline_s=deadline)
 
 
 class TestMicroBatcher:
-    def test_routing_by_cost(self, workload):
-        batcher = MicroBatcher(inline_cost_threshold=10)
-        request = Request(template="dbuf-global", workload=workload)
-        assert batcher.route_of(request) == "pool"
-        assert MicroBatcher(10**9).route_of(request) == "inline"
-
-    def test_instance_templates_stay_inline(self, workload):
-        from repro.core.registry import resolve
-        instance = resolve("dbuf-global")
-        request = Request(template=instance, workload=workload)
-        assert MicroBatcher(10).route_of(request) == "inline"
-
     def test_grouping_coalesces_same_key(self, workload):
         batcher = MicroBatcher()
         reqs = [Request(template="dbuf-global", workload=workload)
@@ -195,21 +187,96 @@ class TestServiceBasics:
 
         stats = run_service(scenario)
         for section in ("requests", "batching", "queue", "plan_cache",
-                        "latency_ms", "pool", "config"):
+                        "latency_ms", "config"):
             assert section in stats
         assert stats["requests"]["served"] == 1
         assert stats["requests"]["succeeded"] == 1
         assert stats["latency_ms"]["p99"] >= stats["latency_ms"]["p50"] >= 0
 
 
+class RecordingRun:
+    """run_fn that records the template names of every call's specs."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, specs):
+        self.calls.append([spec.template.name for spec in specs])
+        return execute_batch_fused(specs)
+
+
+class TestFusionGroups:
+    """A window's batches run as one group per (backend, device, engine,
+    priority); every answer equals ``repro.run``."""
+
+    @staticmethod
+    def _window(workload, submissions, config, run_fn=None):
+        async def scenario(service):
+            responses = await asyncio.gather(*[
+                service.submit(name, workload, **kwargs)
+                for name, kwargs in submissions
+            ])
+            return responses, service.snapshot()
+
+        return run_service(scenario, config, run_fn=run_fn)
+
+    def test_priority_classes_never_share_a_group(self, workload):
+        record = RecordingRun()
+        responses, stats = self._window(
+            workload,
+            [("dual-queue", dict(priority="high")),
+             ("dbuf-global", dict(priority="low"))],
+            ServiceConfig(batch_window_s=0.05), run_fn=record,
+        )
+        assert sorted(record.calls) == [["dbuf-global"], ["dual-queue"]]
+        for name, response in zip(("dual-queue", "dbuf-global"), responses):
+            expected = repro.run(workload, name)
+            assert response.ok and response.template == name
+            assert response.time_ms == expected.time_ms
+            assert response.metrics == expected.metrics.as_dict()
+        assert stats["batching"]["fused_passes"] == 0
+
+    def test_queue_backend_window_fuses(self, workload):
+        record = RecordingRun()
+        names = ("dbuf-shared", "dual-queue")
+        responses, stats = self._window(
+            workload, [(name, {}) for name in names],
+            ServiceConfig(backend="queue", batch_window_s=0.05),
+            run_fn=record,
+        )
+        assert record.calls == [list(names)]
+        for name, response in zip(names, responses):
+            expected = repro.run(workload, name, backend="queue")
+            assert response.ok and response.template == name
+            assert response.time_ms == expected.time_ms
+            assert response.metrics == expected.metrics.as_dict()
+        # dbuf-shared needs launch-wide barriers: counted, run on BSP
+        assert stats["batching"]["queue_fallbacks"] == 1
+        assert stats["batching"]["fused_passes"] == 1
+
+    def test_device_group_books_settle(self, workload):
+        names = ("dbuf-global", "dual-queue")
+        responses, stats = self._window(
+            workload, [(name, {}) for name in names],
+            ServiceConfig(devices=2, batch_window_s=0.05),
+        )
+        for name, response in zip(names, responses):
+            assert response.ok
+            assert response.time_ms == repro.run(workload, name).time_ms
+        assert responses[0].device == responses[1].device
+        devices = stats["devices"]
+        assert devices["release_underflows"] == 0
+        assert all(d["inflight"] == 0 for d in devices["per_device"])
+        assert stats["batching"]["fused_passes"] == 1
+
+
 class TestAdmissionControl:
     def test_queue_full_returns_structured_rejection(self, workload):
         import time as time_mod
 
-        def slow_run(spec):
+        def slow_run(specs):
             time_mod.sleep(0.2)
-            from repro.service.workers import execute_batch
-            return execute_batch(spec)
+            return execute_batch_fused(specs)
 
         async def scenario(service):
             first = asyncio.create_task(
@@ -232,10 +299,9 @@ class TestAdmissionControl:
     def test_rejections_counted(self, workload):
         import time as time_mod
 
-        def slow_run(spec):
+        def slow_run(specs):
             time_mod.sleep(0.15)
-            from repro.service.workers import execute_batch
-            return execute_batch(spec)
+            return execute_batch_fused(specs)
 
         async def scenario(service):
             first = asyncio.create_task(
@@ -331,9 +397,9 @@ class TestSLOScheduling:
         assert {b.priority for b in batches} == {"high", "low"}
 
     def test_class_bound_rejects_with_kind(self, workload):
-        def slow(spec):
+        def slow(specs):
             time.sleep(0.1)
-            return execute_batch(spec)
+            return execute_batch_fused(specs)
 
         async def scenario(service):
             blocker = asyncio.create_task(
@@ -359,9 +425,9 @@ class TestSLOScheduling:
         assert stats["classes"]["high"]["succeeded"] == 1
 
     def test_tenant_quota_rejects_with_kind(self, workload):
-        def slow(spec):
+        def slow(specs):
             time.sleep(0.1)
-            return execute_batch(spec)
+            return execute_batch_fused(specs)
 
         async def scenario(service):
             blocker = asyncio.create_task(
@@ -420,9 +486,9 @@ class TestSLOScheduling:
         assert stats["requests"]["load_degraded"] == 1
 
     def test_autoscaler_grows_the_device_group(self, workload):
-        def slow(spec):
+        def slow(specs):
             time.sleep(0.3)
-            return execute_batch(spec)
+            return execute_batch_fused(specs)
 
         async def scenario(service):
             tasks = [

@@ -1,15 +1,13 @@
 """Fault injection for the serving layer.
 
-Crashing and hanging workers are monkeypatched ``run_fn``s (and, for the
-pool route, a thread-backed executor factory), so every retry/timeout/
-degradation path runs without a real child process dying — and without
-ever wedging the suite: hangs are short sleeps that outlive only the
+Crashing and hanging runs are ``run_fn`` stand-ins (each takes one fusion
+group's list of specs), so every retry/timeout/degradation path runs
+without wedging the suite: hangs are short sleeps that outlive only the
 configured timeout.
 """
 
 import asyncio
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,14 +15,7 @@ import pytest
 import repro
 from repro.core.workload import AccessStream, NestedLoopWorkload
 from repro.errors import ServiceError
-from repro.service import (
-    BatchSpec,
-    ServiceConfig,
-    TemplateService,
-    WorkerPool,
-    WorkerTimeoutError,
-    execute_batch,
-)
+from repro.service import ServiceConfig, TemplateService, execute_batch_fused
 
 
 def make_workload(name="fault-wl", outer=800, seed=3):
@@ -43,6 +34,11 @@ def workload():
 
 
 FAST_RETRY = dict(max_retries=2, retry_backoff_s=0.001)
+
+
+def names(specs):
+    """Template names of one run_fn call's specs."""
+    return [spec.template.name for spec in specs]
 
 
 def run_service(scenario, config=None, **service_kwargs):
@@ -64,11 +60,11 @@ class FlakyRun:
         self.exc = exc
         self.calls = 0
 
-    def __call__(self, spec):
+    def __call__(self, specs):
         self.calls += 1
         if self.calls <= self.failures:
             raise self.exc
-        return execute_batch(spec)
+        return execute_batch_fused(specs)
 
 
 class TestRetry:
@@ -116,11 +112,10 @@ class TestRetry:
 
 class TestDegradation:
     def test_dynpar_template_degrades_to_thread_mapped(self, workload):
-        def crash_dpar(spec):
-            if isinstance(spec.template, str) and \
-                    spec.template.startswith("dpar"):
+        def crash_dpar(specs):
+            if any(name.startswith("dpar") for name in names(specs)):
                 raise RuntimeError("nested launch pool exhausted")
-            return execute_batch(spec)
+            return execute_batch_fused(specs)
 
         async def scenario(service):
             return await service.submit("dpar-opt", workload), \
@@ -131,7 +126,6 @@ class TestDegradation:
         assert response.ok and response.degraded
         # ThreadMappedTemplate's historical .name is "baseline"
         assert response.template == "baseline"
-        assert response.route == "inline"
         expected = repro.run(workload, "thread-mapped")
         assert response.time_ms == expected.time_ms
         assert stats["requests"]["degraded"] == 1
@@ -144,11 +138,10 @@ class TestDegradation:
         tree_wl = RecursiveTreeWorkload(
             generate_tree(depth=4, outdegree=3, seed=2), "descendants")
 
-        def crash_rec(spec):
-            if isinstance(spec.template, str) and \
-                    spec.template.startswith("rec-"):
+        def crash_rec(specs):
+            if any(name.startswith("rec-") for name in names(specs)):
                 raise RuntimeError("recursion depth")
-            return execute_batch(spec)
+            return execute_batch_fused(specs)
 
         async def scenario(service):
             return await service.submit("rec-hier", tree_wl)
@@ -159,7 +152,7 @@ class TestDegradation:
         assert response.template == "flat"
 
     def test_degradation_disabled_fails_instead(self, workload):
-        def crash_dpar(spec):
+        def crash_dpar(specs):
             raise RuntimeError("kaboom")
 
         async def scenario(service):
@@ -172,7 +165,7 @@ class TestDegradation:
         assert "kaboom" in response.reason
 
     def test_non_dynpar_template_never_degrades(self, workload):
-        def always_crash(spec):
+        def always_crash(specs):
             raise RuntimeError("kaboom")
 
         async def scenario(service):
@@ -183,15 +176,109 @@ class TestDegradation:
         assert response.status == "failed" and not response.degraded
 
 
+class TestFusedGroupFailure:
+    """A failed group of several batches splits into one-batch groups, so
+    fusion never fails a request that would have succeeded alone."""
+
+    @staticmethod
+    def _pair(workload, other, run_fn):
+        async def scenario(service):
+            responses = await asyncio.gather(
+                service.submit("dual-queue", workload),
+                service.submit(other, workload),
+            )
+            return responses, service.snapshot()
+
+        return run_service(
+            scenario, ServiceConfig(batch_window_s=0.05, **FAST_RETRY),
+            run_fn=run_fn)
+
+    def test_group_failure_alone_fails_nobody(self, workload):
+        sizes = []
+
+        def unfusable(specs):
+            sizes.append(len(specs))
+            if len(specs) > 1:
+                raise RuntimeError("fused pass failed")
+            return execute_batch_fused(specs)
+
+        responses, stats = self._pair(workload, "dbuf-global", unfusable)
+        assert sizes == [2, 1, 1]
+        for name, response in zip(("dual-queue", "dbuf-global"), responses):
+            assert response.ok and not response.degraded
+            assert response.attempts == 1
+            assert response.time_ms == repro.run(workload, name).time_ms
+        assert stats["requests"]["retries"] == 0
+        assert stats["requests"]["failed"] == 0
+        assert stats["batching"]["fused_passes"] == 0
+
+    @pytest.mark.parametrize("bad", ["dpar-opt", "dbuf-shared"])
+    def test_failing_member_gets_the_one_batch_policy(self, workload, bad):
+        def crash_bad(specs):
+            if bad in names(specs):
+                raise RuntimeError(f"{bad} crashed")
+            return execute_batch_fused(specs)
+
+        (good, failing), stats = self._pair(workload, bad, crash_bad)
+        assert good.ok and not good.degraded and good.attempts == 1
+        assert good.time_ms == repro.run(workload, "dual-queue").time_ms
+        # the failing member alone: one try plus max_retries retries
+        assert stats["requests"]["retries"] == FAST_RETRY["max_retries"]
+        if bad == "dpar-opt":
+            assert failing.ok and failing.degraded
+            # ThreadMappedTemplate's historical .name is "baseline"
+            assert failing.template == "baseline"
+            assert failing.time_ms == \
+                repro.run(workload, "thread-mapped").time_ms
+        else:
+            assert failing.status == "failed" and not failing.degraded
+            assert f"{bad} crashed" in failing.reason
+            assert stats["requests"]["failed"] == 1
+
+    def test_split_member_past_its_deadline_is_shed(self, workload):
+        """The failed group attempt outlives one member's deadline: on the
+        split that member is shed, not run late."""
+        sizes = []
+
+        def slow_fused_failure(specs):
+            sizes.append(len(specs))
+            if len(specs) > 1:
+                time.sleep(0.5)
+                raise RuntimeError("fused pass failed")
+            return execute_batch_fused(specs)
+
+        async def scenario(service):
+            responses = await asyncio.gather(
+                service.submit("dual-queue", workload, deadline_s=0.3),
+                service.submit("dbuf-global", workload),
+            )
+            return responses, service.snapshot()
+
+        (late, other), stats = run_service(
+            scenario, ServiceConfig(batch_window_s=0.05, **FAST_RETRY),
+            run_fn=slow_fused_failure)
+        assert sizes == [2, 1]
+        assert late.status == "shed" and late.attempts == 0
+        assert "deadline" in late.reason
+        assert other.ok and other.attempts == 1
+        assert other.time_ms == repro.run(workload, "dbuf-global").time_ms
+        requests = stats["requests"]
+        assert requests["shed"] == 1
+        assert stats["classes"]["normal"]["shed"] == 1
+        assert requests["failed"] == 0 and requests["retries"] == 0
+        # the split counts each batch once, at its first admission
+        assert stats["batching"]["batches"] == 2
+
+
 class TestTimeouts:
     def test_hanging_inline_run_times_out_without_wedging(self, workload):
         calls = {"n": 0}
 
-        def hang_once(spec):
+        def hang_once(specs):
             calls["n"] += 1
             if calls["n"] == 1:
                 time.sleep(0.3)  # far beyond the 0.05s timeout
-            return execute_batch(spec)
+            return execute_batch_fused(specs)
 
         async def scenario(service):
             first = await service.submit("dual-queue", workload)
@@ -211,9 +298,9 @@ class TestTimeouts:
         assert second.ok
 
     def test_hang_past_all_retries_fails(self, workload):
-        def always_hang(spec):
+        def always_hang(specs):
             time.sleep(0.2)
-            return execute_batch(spec)
+            return execute_batch_fused(specs)
 
         async def scenario(service):
             return await service.submit("dual-queue", workload)
@@ -228,80 +315,12 @@ class TestTimeouts:
         assert "Timeout" in response.reason
 
 
-class TestWorkerPool:
-    def test_pool_timeout_recycles(self, workload):
-        def hang(spec):
-            time.sleep(0.3)
-            return execute_batch(spec)
-
-        pool = WorkerPool(
-            max_workers=1,
-            executor_factory=lambda n: ThreadPoolExecutor(n),
-            run_fn=hang,
-        )
-        spec = BatchSpec(template="dual-queue", workload=workload,
-                         kind="nested-loop")
-
-        async def driver():
-            with pytest.raises(WorkerTimeoutError):
-                await pool.run(spec, timeout_s=0.02)
-
-        asyncio.run(driver())
-        assert pool.timeouts == 1
-        assert pool.recycles == 1
-        pool.shutdown()
-
-    def test_pool_crash_route_degrades_end_to_end(self, workload):
-        """A crashing *pool* worker triggers retry-then-degrade."""
-        def crash_dpar(spec):
-            if isinstance(spec.template, str) and \
-                    spec.template.startswith("dpar"):
-                raise RuntimeError("worker segfault (simulated)")
-            return execute_batch(spec)
-
-        pool = WorkerPool(
-            max_workers=1,
-            executor_factory=lambda n: ThreadPoolExecutor(n),
-            run_fn=crash_dpar,
-        )
-
-        async def scenario(service):
-            return await service.submit("dpar-opt", workload), \
-                service.snapshot()
-
-        response, stats = run_service(
-            scenario,
-            # everything routes to the pool; the degraded fallback
-            # deliberately runs inline (execute_batch via run_fn default)
-            ServiceConfig(inline_cost_threshold=0, **FAST_RETRY),
-            worker_pool=pool,
-        )
-        assert response.ok and response.degraded
-        assert response.route == "inline"
-        assert stats["pool"]["submitted"] == 3  # 1 try + 2 retries
-        assert stats["requests"]["degraded"] == 1
-        pool.shutdown()
-
-    def test_real_process_pool_roundtrip(self, workload):
-        """One real ProcessPoolExecutor execution through the pool route."""
-        async def scenario(service):
-            return await service.submit("dbuf-global", workload)
-
-        response = run_service(
-            scenario,
-            ServiceConfig(inline_cost_threshold=0, workers=1),
-        )
-        assert response.ok and response.route == "pool"
-        expected = repro.run(workload, "dbuf-global")
-        assert response.time_ms == expected.time_ms
-
-
 class TestStopBehaviour:
     def test_stop_answers_queued_requests(self, workload):
         """stop(drain=False) rejects queued work instead of dropping it."""
-        def slow(spec):
+        def slow(specs):
             time.sleep(0.1)
-            return execute_batch(spec)
+            return execute_batch_fused(specs)
 
         async def driver():
             service = TemplateService(
@@ -330,8 +349,8 @@ class TestDispatchCrash:
         ``stop(drain=True)`` then spun forever.  The dispatch wrapper now
         converts the escaping ``KeyError`` into structured failures.
         """
-        def malformed(spec):
-            return {}  # no template/time_ms/metrics keys
+        def malformed(specs):
+            return {}  # no summary per spec
 
         async def scenario(service):
             response = await service.submit("dual-queue", workload)
@@ -352,8 +371,8 @@ class TestDispatchCrash:
 
     def test_crash_during_dispatch_then_drain_stop_returns(self, workload):
         """stop(drain=True) must return promptly after a dispatch crash."""
-        def malformed(spec):
-            return {"time_ms": None}  # still missing response keys
+        def malformed(specs):
+            return [{"time_ms": None}]  # missing response keys
 
         async def driver():
             service = TemplateService(
@@ -378,9 +397,9 @@ class TestDispatchCrash:
 
     def test_wedged_dispatch_is_bounded_by_drain_timeout(self, workload):
         """A run_fn that never returns cannot wedge stop(drain=True)."""
-        def hang(spec):
+        def hang(specs):
             time.sleep(0.4)  # far beyond the drain bound
-            return execute_batch(spec)
+            return execute_batch_fused(specs)
 
         async def driver():
             service = TemplateService(
@@ -405,9 +424,9 @@ class TestDispatchCrash:
 class TestRejectionIds:
     def test_rejections_carry_real_monotonic_ids(self, workload):
         """Structured rejections used to share the sentinel id=-1."""
-        def slow(spec):
+        def slow(specs):
             time.sleep(0.08)
-            return execute_batch(spec)
+            return execute_batch_fused(specs)
 
         async def scenario(service):
             first = asyncio.create_task(
@@ -430,9 +449,9 @@ class TestRejectionIds:
         assert ids == [1, 2, 3]  # real, distinct, monotonic — never -1
 
     def test_drain_false_rejections_echo_request_ids(self, workload):
-        def slow(spec):
+        def slow(specs):
             time.sleep(0.1)
-            return execute_batch(spec)
+            return execute_batch_fused(specs)
 
         async def driver():
             service = TemplateService(
@@ -457,15 +476,16 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs, match",
         [
-            (dict(workers=0), "workers must be >= 1"),
-            (dict(workers=-2), "workers must be >= 1"),
+            (dict(max_batch="3"), "max_batch must be an integer"),
+            (dict(stats_window=2.5), "stats_window must be an integer"),
             (dict(request_timeout_s=0), "request_timeout_s must be positive"),
             (dict(request_timeout_s=-1.5),
              "request_timeout_s must be positive"),
             (dict(stats_window=0), "stats_window must be >= 1"),
-            # exact wording MicroBatcher itself uses
-            (dict(inline_cost_threshold=-1),
-             "inline_cost_threshold cannot be negative"),
+            # an infinite window never closes: a lone request would wait
+            # forever for co-travellers
+            (dict(batch_window_s=float("inf"), max_batch=4),
+             "batch_window_s must be a finite number"),
             (dict(drain_timeout_s=0), "drain_timeout_s must be positive"),
             (dict(default_priority="urgent"), "unknown priority"),
             (dict(max_pending_per_class={"urgent": 4}), "unknown priority"),
@@ -484,6 +504,17 @@ class TestConfigValidation:
              "scale_up_pending_per_device"),
             (dict(autoscale=True, max_devices=2, scale_cooldown_s=-1),
              "scale_cooldown_s"),
+            # NaN compares false with every bound, so each used to pass
+            (dict(request_timeout_s=float("nan")),
+             "request_timeout_s must be a finite number"),
+            (dict(drain_timeout_s=float("nan")),
+             "drain_timeout_s must be a finite number"),
+            (dict(retry_backoff_s=float("nan")),
+             "retry_backoff_s must be a finite number"),
+            (dict(default_deadline_s=float("inf")),
+             "default_deadline_s must be a finite number"),
+            (dict(max_retries=True), "max_retries must be an integer"),
+            (dict(max_pending_per_class={"low": 1.5}), "must be an integer"),
         ],
     )
     def test_invalid_config_fails_fast(self, kwargs, match):
@@ -492,10 +523,11 @@ class TestConfigValidation:
 
     def test_valid_boundary_values_accepted(self):
         config = ServiceConfig(
-            workers=1, stats_window=1, inline_cost_threshold=0,
+            stats_window=1, max_batch=np.int64(4), max_retries=0,
+            batch_window_s=0, retry_backoff_s=0,
             request_timeout_s=None, drain_timeout_s=None,
             tenant_quota=1, max_pending_per_class={"low": 1},
             degrade_pending_threshold=1,
         )
-        assert config.workers == 1
+        assert config.max_batch == 4
         assert config.min_devices == config.max_devices == config.devices

@@ -157,8 +157,7 @@ def check_serving_group() -> None:
     from repro.service import serve
 
     workload = SpMVApp(citeseer_like(scale=0.05)).workload()
-    with serve(devices=DEVICES, workers=1, max_batch=4,
-               batch_window_s=0.001) as svc:
+    with serve(devices=DEVICES, max_batch=4, batch_window_s=0.001) as svc:
         for _ in range(8):
             response = svc.request("thread-mapped", workload)
             if not response.ok:

@@ -24,26 +24,13 @@ from collections.abc import Iterable
 
 from repro.core.base import TemplateRun
 from repro.core.params import TemplateParams
-from repro.core.recursive import RecursiveTreeWorkload
-from repro.core.registry import resolve
-from repro.core.workload import NestedLoopWorkload
-from repro.errors import ConfigError, WorkloadError
+from repro.core.registry import resolve, workload_kind
+from repro.errors import ConfigError, check_count
 from repro.gpusim.config import DeviceConfig, KEPLER_K20
 from repro.gpusim.executor import resolve_engine
 from repro.ir.select import auto_select, is_auto
 
 __all__ = ["run", "compare", "explain", "serve"]
-
-
-def _kind_of(workload) -> str:
-    if isinstance(workload, NestedLoopWorkload):
-        return "nested-loop"
-    if isinstance(workload, RecursiveTreeWorkload):
-        return "tree"
-    raise WorkloadError(
-        "workload must be a NestedLoopWorkload or RecursiveTreeWorkload, "
-        f"got {type(workload).__name__}"
-    )
 
 
 def _check_params(params) -> None:
@@ -140,11 +127,10 @@ def run(
         its capability reasons (``run.selection`` / ``repro.explain``);
         queue-incompatible templates fall back to BSP execution.
     """
-    kind = _kind_of(workload)
+    kind = workload_kind(workload)
     _check_params(params)
     engine = resolve_engine(engine)
-    if devices < 1:
-        raise ConfigError(f"devices must be >= 1, got {devices}")
+    check_count("devices", devices, 1)
     backend_obj, backend_kind = _coerce_backend_arg(
         backend, device, devices, engine
     )

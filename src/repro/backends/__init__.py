@@ -27,7 +27,7 @@ from repro import obs
 from repro.backends.base import Backend, BackendCapabilities, capabilities_of
 from repro.backends.group import DeviceGroup, GroupExecutionResult, run_sharded
 from repro.backends.sim import SimBackend
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_count
 from repro.gpusim.config import DeviceConfig, KEPLER_K20
 
 __all__ = [
@@ -78,7 +78,7 @@ def set_default_backend(kind: str) -> None:
     """Select the execution model used when no backend is passed.
 
     Mirrors :func:`set_default_devices`: the bench runner's ``--backend``
-    flag routes through here so every template run in a worker process
+    flag routes through here so every template run in the process
     executes on the same model.
     """
     global _default_backend
@@ -96,12 +96,11 @@ def set_default_devices(n: int) -> None:
 
     The multi-device analogue of
     :func:`~repro.gpusim.executor.set_default_engine`: the bench runner's
-    ``--devices`` flag routes through here so every template run in a
-    worker process (apps, experiments) shards the same way.
+    ``--devices`` flag routes through here so every template run in the
+    process (apps, experiments) shards the same way.
     """
     global _default_devices
-    if n < 1:
-        raise ConfigError(f"device count must be >= 1, got {n}")
+    check_count("devices", n, 1)
     _default_devices = int(n)
 
 
@@ -115,9 +114,7 @@ def backend_for(
     devices: int | None = None,
     *,
     engine: str | None = None,
-    record_timeline: bool = False,
     kind: str | None = None,
-    steal_chunks: int = 0,
 ) -> Backend:
     """A backend for ``devices`` copies of ``config`` (default topology).
 
@@ -128,12 +125,9 @@ def backend_for(
 
     One sim device returns a fresh :class:`SimBackend` (stateless, like
     the inline executors it replaces); more return the process's memoized
-    :class:`DeviceGroup` for that topology.  ``steal_chunks`` selects the
-    group's work-stealing granularity for sharded runs (0 — the default —
-    keeps the classic static one-shard-per-device split) and is part of
-    the memo key, so static and stealing groups never alias.  The queue
-    model is single-device: asking for a queue backend over several
-    devices is an error rather than a silently different topology.
+    :class:`DeviceGroup` for that topology.  The queue model is
+    single-device: asking for a queue backend over several devices is an
+    error rather than a silently different topology.
     """
     if isinstance(config, str):
         if kind is not None:
@@ -141,8 +135,7 @@ def backend_for(
         kind, config = config, KEPLER_K20
     kind = resolve_backend(kind) or _default_backend
     n = _default_devices if devices is None else devices
-    if n < 1:
-        raise ConfigError(f"device count must be >= 1, got {n}")
+    check_count("devices", n, 1)
     if kind == "queue":
         if n > 1:
             raise ConfigError(
@@ -153,16 +146,11 @@ def backend_for(
 
         return QueueBackend(config, engine=engine)
     if n == 1:
-        return SimBackend(config, engine=engine,
-                          record_timeline=record_timeline)
-    if record_timeline:
-        return DeviceGroup(config, n, engine=engine, record_timeline=True,
-                           steal_chunks=steal_chunks)
-    key = (config.fingerprint(), n, engine, steal_chunks)
+        return SimBackend(config, engine=engine)
+    key = (config.fingerprint(), n, engine)
     group = _groups.get(key)
     if group is None:
-        group = DeviceGroup(config, n, engine=engine,
-                            steal_chunks=steal_chunks)
+        group = DeviceGroup(config, n, engine=engine)
         if len(_groups) >= 32:
             _groups.pop(next(iter(_groups)))
         _groups[key] = group

@@ -87,8 +87,8 @@ class Backend(ABC):
     """Executes launch graphs; the template->execution seam.
 
     Implementations expose the attributes the template ``run()`` wrappers
-    key their caches on — ``device``, ``engine``, ``record_timeline`` —
-    so swapping the backend never silently changes a cache key.
+    key their caches on — ``device``, ``engine`` — so swapping the
+    backend never silently changes a cache key.
     """
 
     #: backend identifier (used in fingerprints and reprs)
@@ -108,11 +108,6 @@ class Backend(ABC):
     def engine(self) -> str | None:
         """Forced executor engine, or None for the process default."""
         return None
-
-    @property
-    def record_timeline(self) -> bool:
-        """Whether submitted runs keep per-launch timing records."""
-        return False
 
     @property
     def run_cache_tag(self) -> str | None:

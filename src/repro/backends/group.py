@@ -5,8 +5,9 @@ members (identical device configs) and supports two modes of use:
 
 * **Graph routing** (:meth:`DeviceGroup.submit_many`) — each launch
   graph goes to the least-loaded member, where load is the simulated busy
-  time it has accumulated plus its in-flight submissions.  This is how
-  the serving layer spreads independent batches over devices.
+  time it has accumulated plus its in-flight submissions.  The serving
+  layer routes on the same load through :meth:`DeviceGroup.acquire` /
+  :meth:`DeviceGroup.complete`, one reservation per fusion group.
 * **Sharded runs** (:func:`run_sharded`) — one workload is split by the
   planner in :mod:`repro.core.sharding`, each shard builds and executes
   its own plan on its member device (concurrently, on a thread pool —
@@ -33,7 +34,7 @@ import numpy as np
 from repro import obs
 from repro.backends.base import Backend, BackendCapabilities, capabilities_of
 from repro.backends.sim import SimBackend
-from repro.errors import ConfigError
+from repro.errors import check_count
 from repro.gpusim.config import DeviceConfig, KEPLER_K20
 from repro.gpusim.executor import ExecutionResult
 from repro.gpusim.kernels import HOST, LaunchGraph, ProfileCounters
@@ -54,8 +55,6 @@ class GroupExecutionResult(ExecutionResult):
 
     #: per-member :class:`ExecutionResult`, indexed by device
     per_device: list[ExecutionResult] = field(default_factory=list)
-    #: chunks executed on a non-home device (work-stealing runs only)
-    steals: int = 0
 
     @property
     def n_devices(self) -> int:
@@ -74,32 +73,15 @@ class DeviceGroup(Backend):
         n_devices: int = 2,
         *,
         engine: str | None = None,
-        record_timeline: bool = False,
-        steal_chunks: int = 0,
     ) -> None:
-        if n_devices < 1:
-            raise ConfigError(
-                f"a DeviceGroup needs at least 1 device, got {n_devices}"
-            )
-        if steal_chunks < 0:
-            raise ConfigError(
-                f"steal_chunks cannot be negative, got {steal_chunks}"
-            )
+        check_count("n_devices", n_devices, 1)
         self.members = [
-            SimBackend(device, engine=engine,
-                       record_timeline=record_timeline, device_index=i)
+            SimBackend(device, engine=engine, device_index=i)
             for i in range(n_devices)
         ]
         self._capabilities = capabilities_of(device, devices=n_devices)
         self._lock = threading.Lock()
         self._inflight = [0] * n_devices
-        #: work-stealing granularity of :func:`run_sharded`: 0 keeps the
-        #: classic one-shard-per-device static split; K > 0 over-shards
-        #: into ``n_devices * K`` chunks and lets idle devices steal
-        #: unstarted chunks from stragglers (see docs/serving.md)
-        self.steal_chunks = steal_chunks
-        #: chunks that ran on a non-home device in sharded runs
-        self.steals = 0
         #: complete() calls that would have driven an in-flight counter
         #: negative — a double release.  The counter is clamped so load
         #: routing survives, but the underflow is counted (and asserted
@@ -117,10 +99,6 @@ class DeviceGroup(Backend):
     @property
     def engine(self) -> str | None:
         return self.members[0].engine
-
-    @property
-    def record_timeline(self) -> bool:
-        return self.members[0].record_timeline
 
     # ------------------------------------------------------------- routing
     def least_loaded(self) -> int:
@@ -185,7 +163,6 @@ class DeviceGroup(Backend):
             first = self.members[0]
             self.members.append(
                 SimBackend(first.device, engine=first.engine,
-                           record_timeline=first.record_timeline,
                            device_index=index)
             )
             self._inflight.append(0)
@@ -253,8 +230,6 @@ class DeviceGroup(Backend):
         with self._lock:
             return {
                 "devices": len(self.members),
-                "steal_chunks": self.steal_chunks,
-                "steals": self.steals,
                 "release_underflows": self.release_underflows,
                 "per_device": [
                     {
@@ -318,120 +293,6 @@ def _merge_results(results: list[ExecutionResult]) -> GroupExecutionResult:
     )
 
 
-def _merge_serial(results: list[ExecutionResult]) -> ExecutionResult:
-    """Fold chunk results that ran back-to-back on *one* device.
-
-    The serial dual of :func:`_merge_results`: time and cycles **sum**
-    (the device ran the chunks one after another), ``sm_count`` stays the
-    single device's SM count.
-    """
-    counters = ProfileCounters()
-    records = []
-    for r in results:
-        counters.merge(r.counters)
-        records.extend(r.records)
-    return ExecutionResult(
-        cycles=sum(r.cycles for r in results),
-        time_ms=sum(r.time_ms for r in results),
-        counters=counters,
-        sm_busy_cycles=sum(r.sm_busy_cycles for r in results),
-        sm_count=results[0].sm_count,
-        n_launches=sum(r.n_launches for r in results),
-        n_device_launches=sum(r.n_device_launches for r in results),
-        pool_overflows=sum(r.pool_overflows for r in results),
-        records=records,
-    )
-
-
-def _steal_schedule(shards, runs, n: int):
-    """Deterministic greedy work-stealing schedule over measured chunks.
-
-    Chunks are dealt round-robin to home devices; the simulation then
-    replays list scheduling — the earliest-finishing device takes its own
-    next chunk, or, when its own list is empty, *steals the tail chunk*
-    of the device with the most unstarted work left.  Identical member
-    devices make a chunk's simulated time placement-independent, so the
-    schedule can be computed exactly from the measured per-chunk times.
-
-    Returns ``(assigned, clock, steals)``: per-device chunk lists, the
-    per-device finish times, and how many chunks ran away from home.
-    """
-    from collections import deque
-
-    own = [deque() for _ in range(n)]
-    for shard, run in zip(shards, runs):
-        own[shard.index % n].append((shard, run))
-    remaining = [
-        sum(run.result.time_ms for _, run in queue) for queue in own
-    ]
-    assigned = [[] for _ in range(n)]
-    clock = [0.0] * n
-    steals = 0
-    for _ in range(len(shards)):
-        device = min(range(n), key=lambda i: (clock[i], i))
-        if own[device]:
-            shard, run = own[device].popleft()
-            home = device
-        else:
-            home = max(
-                (i for i in range(n) if own[i]),
-                key=lambda i: (remaining[i], -i),
-            )
-            shard, run = own[home].pop()
-            steals += 1
-        remaining[home] -= run.result.time_ms
-        assigned[device].append((shard, run))
-        clock[device] += run.result.time_ms
-    return assigned, clock, steals
-
-
-def _run_stolen(template, workload, group: DeviceGroup,
-                config: DeviceConfig, shards, runs):
-    """Merge over-sharded chunk runs under a work-stealing schedule."""
-    from repro.core.base import TemplateRun, check_schedule
-    from repro.gpusim.profiler import profile
-
-    n = len(group.members)
-    assigned, clock, steals = _steal_schedule(shards, runs, n)
-    group.steals += steals
-    obs.add_counter("device.steals", steals)
-    per_device = []
-    for device, chunk_runs in enumerate(assigned):
-        if not chunk_runs:
-            continue
-        serial = _merge_serial([run.result for _, run in chunk_runs])
-        per_device.append(serial)
-        member = group.members[device]
-        member.busy_ms += serial.time_ms
-        member.submissions += len(chunk_runs)
-        for shard, _ in chunk_runs:
-            if shard.kind == "nested-loop":
-                obs.add_counter(f"device.{device}.outer", shard.n_members)
-                obs.add_counter(f"device.{device}.pairs",
-                                shard.workload.n_pairs)
-            else:
-                obs.add_counter(f"device.{device}.nodes", shard.n_members)
-    result = _merge_results(per_device)
-    result.steals = steals
-    graph = _merge_graphs([r.graph for r in runs])
-    if shards[0].kind == "nested-loop":
-        schedule = _merge_schedules(shards, runs)
-        check_schedule(schedule, workload.outer_size)
-    else:
-        schedule = {"nodes": np.arange(workload.tree.n_nodes)}
-    metrics = profile(graph, result, config)
-    return TemplateRun(
-        template=template.name,
-        workload=workload.name,
-        graph=graph,
-        result=result,
-        metrics=metrics,
-        schedule=schedule,
-        params=runs[0].params,
-        device_runs=runs,
-    )
-
-
 def _merge_schedules(shards, runs) -> dict[str, np.ndarray]:
     """Map shard-local schedules back to original outer-iteration ids."""
     merged: dict[str, list[np.ndarray]] = {}
@@ -457,34 +318,11 @@ def run_sharded(template, workload, group: DeviceGroup,
     the per-shard runs, or ``None`` when the workload cannot shard
     (caller falls back to single-device execution).
     """
-    from repro.core.base import check_schedule
+    from repro.core.base import TemplateRun, check_schedule
     from repro.core.sharding import shard_workload
     from repro.gpusim.profiler import profile
 
-    n = len(group.members)
-    if group.steal_chunks > 0 and n > 1:
-        # work-stealing mode: over-shard into n*K chunks so a straggler
-        # device's unstarted chunks can migrate to idle devices.  Chunk
-        # timing is placement-independent (identical members), so chunks
-        # execute concurrently on scratch backends and the steal schedule
-        # is replayed deterministically from the measured times.
-        chunks = shard_workload(workload, n * group.steal_chunks)
-        if chunks is not None and len(chunks) > n:
-
-            def run_chunk(shard):
-                scratch = SimBackend(group.device, engine=group.engine)
-                with obs.span("device.chunk", chunk=shard.index,
-                              template=template.name,
-                              workload=shard.workload.name):
-                    return template.run(shard.workload, config, params,
-                                        backend=scratch)
-
-            with ThreadPoolExecutor(max_workers=n) as pool:
-                chunk_runs = list(pool.map(run_chunk, chunks))
-            return _run_stolen(template, workload, group, config,
-                               chunks, chunk_runs)
-
-    shards = shard_workload(workload, n)
+    shards = shard_workload(workload, len(group.members))
     if shards is None:
         return None
 
@@ -502,11 +340,8 @@ def run_sharded(template, workload, group: DeviceGroup,
             obs.add_counter(f"device.{shard.index}.nodes", shard.n_members)
         return run
 
-    if len(shards) == 1:
-        runs = [run_one(shards[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(shards)) as pool:
-            runs = list(pool.map(run_one, shards))
+    with ThreadPoolExecutor(max_workers=len(shards)) as pool:
+        runs = list(pool.map(run_one, shards))
 
     result = _merge_results([r.result for r in runs])
     graph = _merge_graphs([r.graph for r in runs])
@@ -516,8 +351,6 @@ def run_sharded(template, workload, group: DeviceGroup,
     else:
         schedule = {"nodes": np.arange(workload.tree.n_nodes)}
     metrics = profile(graph, result, config)
-    from repro.core.base import TemplateRun
-
     return TemplateRun(
         template=template.name,
         workload=workload.name,

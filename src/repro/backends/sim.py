@@ -4,7 +4,7 @@
 :class:`~repro.gpusim.executor.GpuExecutor` and forwards
 :meth:`~SimBackend.submit_many` to its ``run_many``.  Its job is
 fidelity: everything the template layer used to read off the executor
-(engine, ``record_timeline``, the device config) is exposed unchanged, so
+(engine, the device config) is exposed unchanged, so
 plan/run cache keys and results for ``devices=1`` are bit-for-bit
 identical to the pre-backend code path.
 
@@ -34,8 +34,6 @@ class SimBackend(Backend):
         device configuration to simulate (default Kepler K20).
     engine:
         executor engine override, or ``None`` for the process default.
-    record_timeline:
-        keep per-launch timing records on every submit.
     device_index:
         position within a :class:`DeviceGroup`, or ``None`` when
         standalone.  Indexed backends emit ``device.<i>.*`` obs counters.
@@ -48,12 +46,9 @@ class SimBackend(Backend):
         device: DeviceConfig = KEPLER_K20,
         *,
         engine: str | None = None,
-        record_timeline: bool = False,
         device_index: int | None = None,
     ) -> None:
-        self.executor = GpuExecutor(
-            device, record_timeline=record_timeline, engine=engine
-        )
+        self.executor = GpuExecutor(device, engine=engine)
         self.device_index = device_index
         self._capabilities = capabilities_of(self.executor.config)
         #: simulated busy time submitted through this backend (ms) — the
@@ -73,10 +68,6 @@ class SimBackend(Backend):
     @property
     def engine(self) -> str | None:
         return self.executor.engine
-
-    @property
-    def record_timeline(self) -> bool:
-        return self.executor.record_timeline
 
     def submit_many(self, graphs: list[LaunchGraph]) -> list[ExecutionResult]:
         """Execute ``graphs`` as one executor pass (bit-exact per graph)."""

@@ -77,7 +77,8 @@ TIERS = tuple(kind for kind, levels in KINDS.items() if "disk" in levels)
 #: bytes the memory level holds, across every kind
 MEMORY_MAX_BYTES = 128 << 20
 
-#: environment variable carrying the cache dir into pool workers
+#: environment variable naming the disk cache dir for processes that
+#: never configured one
 ENV_VAR = "REPRO_CACHE_DIR"
 #: environment variable overriding the default disk cap (bytes; 0 = off)
 SIZE_ENV_VAR = "REPRO_CACHE_MAX_BYTES"
@@ -352,8 +353,8 @@ def configure_artifact_cache(
 
 
 def get_artifact_cache() -> ArtifactCache | None:
-    """The process-wide disk level, or None when disabled; unconfigured
-    processes (pool workers) adopt ``REPRO_CACHE_DIR``."""
+    """The process-wide disk level, or None when disabled; a process that
+    never configured one adopts ``REPRO_CACHE_DIR``."""
     global _cache
     if _cache is False:
         env = os.environ.get(ENV_VAR)

@@ -196,8 +196,8 @@ class _TemplateBase:
 
     def _prepare(self, workload, config: DeviceConfig, params: TemplateParams,
                  backend) -> _PreparedRun:
-        """Resolve the plan and probe the run cache (skipped when a
-        timeline or tracing needs a live run); execution stays pending.
+        """Resolve the plan and probe the run cache (skipped under
+        tracing, which needs a live run); execution stays pending.
         The returned :class:`_PreparedRun` carries ``result`` on a run
         hit; :func:`run_many` executes the graph otherwise.
         """
@@ -216,7 +216,7 @@ class _TemplateBase:
         graph, schedule = self._split_plan(plan, workload)
         run_key = None
         result = None
-        if not backend.record_timeline and not obs.enabled():
+        if not obs.enabled():
             run_key = (key, backend.engine or get_default_engine(),
                        backend.run_cache_tag)
             result = cache.get("run", run_key)

@@ -14,7 +14,7 @@ The delta is the contract the rest of the stack builds on:
 * :meth:`WorkloadAnalysis.apply_delta <repro.core.analysis.WorkloadAnalysis.apply_delta>`
   replays it over a parent analysis instead of recomputing from scratch;
 * the ``lineage`` tier of the disk artifact cache persists it keyed on the
-  child fingerprint, so warm processes and pool workers can walk back to
+  child fingerprint, so any process sharing the cache can walk back to
   the nearest ancestor analysis;
 * the serving layer's :class:`~repro.service.streams.WorkloadStream`
   returns it from every ``mutate`` call.

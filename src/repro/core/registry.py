@@ -2,7 +2,9 @@
 
 Every parallelization template the repo implements — the nested-loop
 load-balancing family of Figs. 1/2 and the recursive tree family of
-Fig. 3 — is reachable through one :func:`resolve` call.  Canonical names
+Fig. 3 — is reachable through one :func:`resolve` call, and :func:`workload_kind`
+names the family (the ``kind`` :func:`resolve` takes) a workload belongs
+to.  Canonical names
 follow the paper (``thread-mapped``, ``dbuf-global``, ``rec-hier``, ...);
 the alias map accepts the historical spellings (``baseline``) and
 underscore variants, so existing callers keep working.
@@ -21,9 +23,11 @@ from repro.core.recursive import (
     FlatTreeTemplate,
     RecHierTreeTemplate,
     RecNaiveTreeTemplate,
+    RecursiveTreeWorkload,
 )
 from repro.core.thread_mapped import BlockMappedTemplate, ThreadMappedTemplate
-from repro.errors import PlanError
+from repro.core.workload import NestedLoopWorkload
+from repro.errors import PlanError, WorkloadError
 
 __all__ = [
     "NESTED_LOOP_TEMPLATES",
@@ -33,6 +37,7 @@ __all__ = [
     "TEMPLATE_ALIASES",
     "canonical_name",
     "resolve",
+    "workload_kind",
 ]
 
 #: all nested-loop templates by paper name (legacy keys kept: ``baseline``
@@ -80,6 +85,22 @@ TEMPLATE_ALIASES: dict[str, str] = {
 }
 
 _KINDS = ("nested-loop", "tree")
+
+
+def workload_kind(workload) -> str:
+    """Template family a workload belongs to (``nested-loop`` | ``tree``).
+
+    Raises :class:`WorkloadError` for anything that is not a
+    :class:`NestedLoopWorkload` or :class:`RecursiveTreeWorkload`.
+    """
+    if isinstance(workload, NestedLoopWorkload):
+        return "nested-loop"
+    if isinstance(workload, RecursiveTreeWorkload):
+        return "tree"
+    raise WorkloadError(
+        "workload must be a NestedLoopWorkload or RecursiveTreeWorkload, "
+        f"got {type(workload).__name__}"
+    )
 
 
 def canonical_name(name: str) -> str:

@@ -215,13 +215,6 @@ def shard_workload(workload, n: int) -> list[Shard] | None:
     Returns ``None`` when the workload cannot usefully shard (fewer than
     two non-empty shards) — callers fall back to single-device execution.
     Plans are memoized by ``(fingerprint, n)``.
-
-    ``n`` need not equal the device count: the work-stealing path of
-    :func:`~repro.backends.group.run_sharded` *over-shards* into
-    ``devices * steal_chunks`` chunks and schedules them elastically.
-    Derived fingerprints carry ``i/n``, so chunk plans of different
-    granularities can never alias each other (or the static per-device
-    plan) in any cache.
     """
     if n < 2:
         return None

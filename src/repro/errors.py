@@ -2,9 +2,15 @@
 
 Every error raised by the library derives from :class:`ReproError` so that
 callers can catch library failures without catching programming errors.
+The value checks shared by every entry point (:func:`check_count`,
+:func:`check_duration`) live here too, so any layer can use them without
+an import cycle.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
 
 
 class ReproError(Exception):
@@ -51,3 +57,24 @@ class ExperimentError(ReproError):
 class ServiceError(ReproError):
     """The serving layer was misconfigured or misused (bad config values,
     submit on a stopped service, worker timeout/crash)."""
+
+
+def check_count(name: str, value, floor: int, *, error=ConfigError) -> None:
+    """Raise ``error`` unless ``value`` is an integer >= ``floor``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < floor:
+        bound = f"must be >= {floor}" if floor else "cannot be negative"
+        raise error(f"{name} {bound}, got {value}")
+
+
+def check_duration(name: str, value, *, zero_ok: bool,
+                   error=ConfigError) -> None:
+    """Raise ``error`` unless ``value`` (a time or latency bound) is a
+    finite real number that is positive, or zero with ``zero_ok``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value):
+        raise error(f"{name} must be a finite number, got {value!r}")
+    if value < 0 or (value == 0 and not zero_ok):
+        bound = "cannot be negative" if zero_ok else "must be positive"
+        raise error(f"{name} {bound}, got {value}")

@@ -31,24 +31,12 @@ import numpy as np
 from repro import obs
 from repro.core.analysis import get_analysis, get_tree_analysis
 from repro.core.recursive import RecursiveTreeWorkload
+from repro.core.registry import workload_kind as ir_kind_of
 from repro.core.workload import NestedLoopWorkload
-from repro.errors import WorkloadError
 from repro.ir.nodes import LoopNode, TripInfo, par, seq
 from repro.ir.validate import validate
 
 __all__ = ["from_workload", "ir_kind_of"]
-
-
-def ir_kind_of(workload) -> str:
-    """``"nested-loop"`` or ``"tree"``; :class:`WorkloadError` otherwise."""
-    if isinstance(workload, NestedLoopWorkload):
-        return "nested-loop"
-    if isinstance(workload, RecursiveTreeWorkload):
-        return "tree"
-    raise WorkloadError(
-        "IR can be built from a NestedLoopWorkload or RecursiveTreeWorkload, "
-        f"got {type(workload).__name__}"
-    )
 
 
 def _build_nested(workload: NestedLoopWorkload) -> LoopNode:

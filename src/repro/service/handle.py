@@ -56,8 +56,8 @@ class ServiceHandle:
     ) -> concurrent.futures.Future:
         """Submit without blocking; the future resolves to a Response.
 
-        ``submit(workload)`` alone (or ``template=None``) uses the
-        config's ``default_template`` — ``"auto"`` unless overridden.
+        ``submit(workload)`` alone (or ``template=None``) uses
+        ``"auto"``, as ``repro.run(workload)`` does.
         """
         if self._closed:
             raise ServiceError("service handle is closed")

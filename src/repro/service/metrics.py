@@ -150,8 +150,8 @@ class ServiceStats:
         self.mutations = 0
         # latency window (seconds)
         self._latencies: deque[float] = deque(maxlen=window)
-        # rolling batch-execution wall time (the deadline predictor and
-        # the autoscaler read this)
+        # rolling batch-execution wall time (the deadline predictor reads
+        # this)
         self._exec_wall: deque[float] = deque(maxlen=min(window, 256))
         # per-priority-class breakdown, created on first sighting
         self.per_class: dict[str, ClassStats] = {}
@@ -224,12 +224,6 @@ class ServiceStats:
             if not self._exec_wall:
                 return 0.0
             return sum(self._exec_wall) / len(self._exec_wall)
-
-    def rolling_p99_ms(self) -> float:
-        """p99 latency (ms) over the current window (autoscaler signal)."""
-        with self._lock:
-            lat = sorted(self._latencies)
-        return percentile(lat, 99) * 1e3
 
     def record_scale(self, up: bool) -> None:
         """One autoscaler resize of the device group."""

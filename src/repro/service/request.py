@@ -16,15 +16,12 @@ different objects coalesce into one batch.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 
 from repro.core.params import TemplateParams
-from repro.core.recursive import RecursiveTreeWorkload
-from repro.core.registry import resolve
+from repro.core.registry import resolve, workload_kind
 from repro.core.workload import NestedLoopWorkload
-from repro.errors import ConfigError, WorkloadError
+from repro.errors import ConfigError, check_duration
 from repro.gpusim.config import DeviceConfig, KEPLER_K20
 from repro.gpusim.executor import resolve_engine
 from repro.ir.select import auto_select, is_auto
@@ -51,18 +48,6 @@ PRIORITIES = ("high", "normal", "low")
 PRIORITY_RANK = {name: rank for rank, name in enumerate(PRIORITIES)}
 
 
-def workload_kind(workload) -> str:
-    """Template family a workload belongs to (``nested-loop`` | ``tree``)."""
-    if isinstance(workload, NestedLoopWorkload):
-        return "nested-loop"
-    if isinstance(workload, RecursiveTreeWorkload):
-        return "tree"
-    raise WorkloadError(
-        "workload must be a NestedLoopWorkload or RecursiveTreeWorkload, "
-        f"got {type(workload).__name__}"
-    )
-
-
 def workload_cost(workload) -> int:
     """Rough work estimate of a workload.
 
@@ -72,27 +57,6 @@ def workload_cost(workload) -> int:
     if isinstance(workload, NestedLoopWorkload):
         return workload.n_pairs
     return workload.tree.n_nodes
-
-
-def check_count(name: str, value, floor: int, *, error=ConfigError) -> None:
-    """Raise ``error`` unless ``value`` is an integer >= ``floor``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise error(f"{name} must be an integer, got {value!r}")
-    if value < floor:
-        bound = f"must be >= {floor}" if floor else "cannot be negative"
-        raise error(f"{name} {bound}, got {value}")
-
-
-def check_duration(name: str, value, *, zero_ok: bool,
-                   error=ConfigError) -> None:
-    """Raise ``error`` unless ``value`` (a time or latency bound) is a
-    finite real number that is positive, or zero with ``zero_ok``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not math.isfinite(value):
-        raise error(f"{name} must be a finite number, got {value!r}")
-    if value < 0 or (value == 0 and not zero_ok):
-        bound = "cannot be negative" if zero_ok else "must be positive"
-        raise error(f"{name} {bound}, got {value}")
 
 
 @dataclass

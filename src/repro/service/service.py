@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 from repro import obs
 from repro.core.params import TemplateParams
 from repro.core.registry import resolve
-from repro.errors import ServiceError
+from repro.errors import ServiceError, check_count, check_duration
 from repro.gpusim.config import DeviceConfig, KEPLER_K20
 from repro.gpusim.executor import resolve_engine
 from repro.service.admission import PriorityClassQueue
@@ -47,8 +47,6 @@ from repro.service.request import (
     PRIORITY_RANK,
     Request,
     Response,
-    check_count,
-    check_duration,
 )
 from repro.service.streams import WorkloadStream
 from repro.service.workers import BatchSpec, execute_batch_fused
@@ -60,21 +58,18 @@ __all__ = ["ServiceConfig", "TemplateService"]
 _COUNT_FLOORS = {
     "max_pending": 1, "max_batch": 1, "max_retries": 0, "devices": 1,
     "stats_window": 1, "tenant_quota": 1, "degrade_pending_threshold": 1,
-    "min_devices": 1, "max_devices": 1, "scale_up_pending_per_device": 1,
+    "max_devices": 1, "scale_up_pending_per_device": 1,
 }
-#: time config fields (seconds; ``scale_up_p99_ms`` in ms) and whether
-#: each accepts zero
+#: time config fields (seconds) and whether each accepts zero
 _DURATION_ZERO_OK = {
     "batch_window_s": True, "request_timeout_s": False,
     "retry_backoff_s": True, "drain_timeout_s": False,
-    "default_deadline_s": False, "scale_check_interval_s": False,
-    "scale_up_p99_ms": False, "scale_cooldown_s": True,
+    "scale_check_interval_s": False, "scale_cooldown_s": True,
 }
 #: numeric fields whose None means "no bound"
 _NONE_OK = frozenset({
     "request_timeout_s", "drain_timeout_s", "tenant_quota",
-    "default_deadline_s", "degrade_pending_threshold", "min_devices",
-    "max_devices", "scale_up_p99_ms",
+    "degrade_pending_threshold", "max_devices",
 })
 
 
@@ -104,10 +99,6 @@ class ServiceConfig:
     #: device; queue-incompatible templates are routed back to sim and
     #: counted, see docs/taskqueue.md)
     backend: str = "sim"
-    #: template used when ``submit`` is not given one: ``"auto"`` routes
-    #: through the IR auto-select pipeline (see ``docs/ir.md``); any
-    #: canonical name pins every defaulted request to that template
-    default_template: str = "auto"
     #: default simulated device
     device: DeviceConfig = field(default_factory=lambda: KEPLER_K20)
     #: simulated devices serving this process: 1 behaves exactly as the
@@ -125,8 +116,6 @@ class ServiceConfig:
     #: forever — the pre-bound behaviour)
     drain_timeout_s: float | None = 30.0
     # ------------------------------------------------- SLO / multi-tenant
-    #: priority class stamped on requests that don't specify one
-    default_priority: str = "normal"
     #: per-priority-class in-flight bounds, e.g. ``{"low": 64}``; classes
     #: absent from the dict are bounded only by ``max_pending``
     max_pending_per_class: dict | None = None
@@ -135,9 +124,6 @@ class ServiceConfig:
     tenant_quota: int | None = None
     #: per-tenant overrides of ``tenant_quota``, e.g. ``{"acme": 8}``
     tenant_quotas: dict | None = None
-    #: deadline stamped on requests that don't carry one (seconds from
-    #: admission; None = no implicit deadline)
-    default_deadline_s: float | None = None
     #: shed batches whose deadline has passed (or provably cannot be met)
     #: instead of executing them; responses carry ``status="shed"``
     shed_deadlines: bool = True
@@ -146,20 +132,15 @@ class ServiceConfig:
     #: (None disables overload degradation)
     degrade_pending_threshold: int | None = None
     # ------------------------------------------------------- autoscaling
-    #: autoscale the device group between ``min_devices``/``max_devices``
-    #: from queue-depth and rolling-p99 signals (see docs/serving.md)
+    #: autoscale the device group between ``devices`` and
+    #: ``max_devices`` from the queue depth (see docs/serving.md)
     autoscale: bool = False
-    #: autoscaler floor (defaults to ``devices``)
-    min_devices: int | None = None
     #: autoscaler ceiling (defaults to ``devices``)
     max_devices: int | None = None
     #: seconds between autoscaler evaluations
     scale_check_interval_s: float = 0.05
     #: scale up when in-flight depth exceeds this many requests per device
     scale_up_pending_per_device: int = 8
-    #: also scale up when rolling p99 latency (ms) exceeds this (None
-    #: disables the latency trigger)
-    scale_up_p99_ms: float | None = None
     #: minimum seconds between consecutive autoscaler resizes
     scale_cooldown_s: float = 0.25
 
@@ -181,11 +162,6 @@ class ServiceConfig:
             raise ServiceError(
                 "the queue backend is single-device; use devices=1"
             )
-        if self.default_priority not in PRIORITY_RANK:
-            raise ServiceError(
-                f"unknown priority {self.default_priority!r}; "
-                f"known: {', '.join(PRIORITIES)}"
-            )
         for name, bound in (self.max_pending_per_class or {}).items():
             if name not in PRIORITY_RANK:
                 raise ServiceError(
@@ -197,20 +173,17 @@ class ServiceConfig:
         for tenant, quota in (self.tenant_quotas or {}).items():
             check_count(f"tenant_quotas[{tenant!r}]", quota, 1,
                         error=ServiceError)
-        if self.min_devices is None:
-            self.min_devices = self.devices
         if self.max_devices is None:
-            self.max_devices = max(self.devices, self.min_devices)
+            self.max_devices = self.devices
         if self.autoscale:
             if self.backend == "queue":
                 raise ServiceError(
                     "the queue backend is single-device; autoscale needs sim"
                 )
-            if not 1 <= self.min_devices <= self.devices <= self.max_devices:
+            if self.devices > self.max_devices:
                 raise ServiceError(
-                    f"autoscale bounds must satisfy 1 <= min_devices "
-                    f"({self.min_devices}) <= devices ({self.devices}) <= "
-                    f"max_devices ({self.max_devices})"
+                    f"autoscale bounds must satisfy devices "
+                    f"({self.devices}) <= max_devices ({self.max_devices})"
                 )
 
     def tenant_quota_of(self, tenant: str) -> int | None:
@@ -427,9 +400,8 @@ class TemplateService:
         """Admit one query and await its response.
 
         ``template`` may be omitted by passing the workload alone
-        (``submit(workload)``) or ``None`` — both fall back to the
-        config's ``default_template`` (``"auto"`` unless overridden), so
-        the service front door matches ``repro.run(workload)``.
+        (``submit(workload)``) or ``None`` — both mean ``"auto"``, so the
+        service front door matches ``repro.run(workload)``.
 
         ``workload`` may be a registered stream name (a string), resolved
         to that stream's head — or, with ``version=``, to a pinned
@@ -439,8 +411,9 @@ class TemplateService:
 
         ``tenant``/``priority``/``deadline_s`` are the SLO knobs: tenant
         quotas and per-class bounds act at admission, the priority class
-        orders scheduling, and the deadline arms deadline-aware shedding
-        (defaults come from the config; see docs/serving.md).
+        (``"normal"`` unless given) orders scheduling, and the deadline
+        (none unless given) arms deadline-aware shedding (see
+        docs/serving.md).
         """
         if workload is None:
             template, workload = None, template
@@ -451,18 +424,15 @@ class TemplateService:
                 "version= requires a registered stream name as the workload"
             )
         request = Request(
-            template=self.config.default_template if template is None else template,
+            template="auto" if template is None else template,
             workload=workload,
             device=device or self.config.device,
             params=params or TemplateParams(),
             engine=engine or self.config.engine,
             backend=self.config.backend,
             tenant=tenant,
-            priority=priority or self.config.default_priority,
-            deadline_s=(
-                deadline_s if deadline_s is not None
-                else self.config.default_deadline_s
-            ),
+            priority=priority or "normal",
+            deadline_s=deadline_s,
         )
         return await self.submit_request(request)
 
@@ -879,15 +849,15 @@ class TemplateService:
 
     # ------------------------------------------------------- autoscaling
     async def _autoscale_loop(self) -> None:
-        """Elastic device-group sizing from queue-depth and p99 signals.
+        """Elastic device-group sizing from the queue depth.
 
         Scale **up** when the in-flight depth exceeds
-        ``scale_up_pending_per_device`` per device (or rolling p99 crosses
-        ``scale_up_p99_ms``); scale **down** when depth would comfortably
-        fit on one device fewer and latency is healthy.  Resizes respect
-        ``min_devices``/``max_devices`` and a cooldown, and the group only
-        ever removes an idle member, so a device with in-flight batches is
-        never torn down (see DeviceGroup.remove_member).
+        ``scale_up_pending_per_device`` per device; scale **down** when
+        depth would comfortably fit on one device fewer.  Resizes stay
+        between ``devices`` and ``max_devices`` and respect a cooldown,
+        and the group only ever removes an idle member, so a device with
+        in-flight batches is never torn down (see
+        DeviceGroup.remove_member).
         """
         loop = asyncio.get_running_loop()
         last_change = loop.time() - self.config.scale_cooldown_s
@@ -897,12 +867,9 @@ class TemplateService:
             if now - last_change < self.config.scale_cooldown_s:
                 continue
             n = self.device_group.n_devices
-            p99 = self.stats.rolling_p99_ms()
             overloaded = (
                 self._pending >= self.config.scale_up_pending_per_device * n
             )
-            if not overloaded and self.config.scale_up_p99_ms is not None:
-                overloaded = p99 > self.config.scale_up_p99_ms
             if overloaded and n < self.config.max_devices:
                 self.device_group.add_member()
                 self.stats.record_scale(up=True)
@@ -910,16 +877,11 @@ class TemplateService:
                             pending=self._pending)
                 last_change = now
                 continue
-            if n > self.config.min_devices:
+            if n > self.config.devices:
                 fits_smaller = self._pending * 2 <= (
                     self.config.scale_up_pending_per_device * (n - 1)
                 )
-                latency_ok = (
-                    self.config.scale_up_p99_ms is None
-                    or p99 <= self.config.scale_up_p99_ms
-                )
-                if fits_smaller and latency_ok \
-                        and self.device_group.remove_member():
+                if fits_smaller and self.device_group.remove_member():
                     self.stats.record_scale(up=False)
                     obs.instant("service.scale_down", devices=n - 1,
                                 pending=self._pending)
@@ -955,14 +917,11 @@ class TemplateService:
             "engine": self.config.engine,
             "backend": self.config.backend,
             "devices": self.config.devices,
-            "default_priority": self.config.default_priority,
             "tenant_quota": self.config.tenant_quota,
-            "default_deadline_s": self.config.default_deadline_s,
             "shed_deadlines": self.config.shed_deadlines,
             "degrade_pending_threshold":
                 self.config.degrade_pending_threshold,
             "autoscale": self.config.autoscale,
-            "min_devices": self.config.min_devices,
             "max_devices": self.config.max_devices,
             "drain_timeout_s": self.config.drain_timeout_s,
         }

@@ -301,6 +301,16 @@ class TestCapabilitiesBackCompat:
         assert legacy.to_dict()["backend"] == "sim"
 
 
+#: every entry point that takes a device count, called with ``n``
+_DEVICE_ENTRY_POINTS = {
+    "run": lambda wl, n: repro.run(wl, "dual-queue", devices=n),
+    "compare": lambda wl, n: repro.compare(wl, ["dual-queue"], devices=n),
+    "backend_for": lambda wl, n: backend_for(KEPLER_K20, devices=n),
+    "DeviceGroup": lambda wl, n: DeviceGroup(KEPLER_K20, n_devices=n),
+    "set_default_devices": lambda wl, n: set_default_devices(n),
+}
+
+
 class TestFacade:
     def test_run_devices_kwarg(self, loop_wl):
         single = repro.run(loop_wl, "dbuf-global")
@@ -316,9 +326,12 @@ class TestFacade:
         assert a.result.cycles == b.result.cycles
         assert a.metrics.as_dict() == b.metrics.as_dict()
 
-    def test_run_rejects_bad_devices(self, loop_wl):
-        with pytest.raises(ConfigError):
-            repro.run(loop_wl, "dual-queue", devices=0)
+    @pytest.mark.parametrize("devices", [0, 2.5, "2", True, float("nan")],
+                             ids=["0", "2.5", "str", "True", "nan"])
+    @pytest.mark.parametrize("entry", sorted(_DEVICE_ENTRY_POINTS))
+    def test_run_rejects_bad_devices(self, loop_wl, entry, devices):
+        with pytest.raises(ConfigError, match="devices must be"):
+            _DEVICE_ENTRY_POINTS[entry](loop_wl, devices)
 
     def test_backend_for_memoizes_groups(self):
         a = backend_for(KEPLER_K20, devices=3)

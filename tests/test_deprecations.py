@@ -8,7 +8,14 @@ silently:
 * the template-first argument order of ``repro.run``/``repro.compare``;
 * the ``executor=`` argument of template runs (``backend`` replaces it);
 * ``repro.gpusim.execute_fused`` (``GpuExecutor.run_many`` replaces it);
-* the service's ``fuse_batches`` knob (windows always fuse).
+* the service's ``fuse_batches`` knob (windows always fuse);
+* the device group's work-stealing mode (``steal_chunks``) and the
+  ``record_timeline`` switch of ``DeviceGroup``, ``SimBackend`` and
+  ``backend_for``;
+* the ``ServiceConfig`` fields ``default_template``, ``default_priority``
+  and ``default_deadline_s`` (pass the ``submit`` argument), and
+  ``min_devices`` and ``scale_up_p99_ms`` (the autoscaler's floor is
+  ``devices`` and its trigger the queue depth).
 """
 
 import warnings
@@ -17,6 +24,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.backends import DeviceGroup, SimBackend, backend_for
 from repro.core.registry import resolve
 from repro.core.workload import NestedLoopWorkload
 from repro.errors import WorkloadError
@@ -90,3 +98,38 @@ class TestFuseBatchesRemoved:
     def test_serve_rejects_fuse_batches(self):
         with pytest.raises(TypeError):
             repro.serve(fuse_batches=False)
+
+
+class TestBackendOptionsRemoved:
+    def test_device_group_rejects_steal_chunks(self):
+        with pytest.raises(TypeError):
+            DeviceGroup(n_devices=2, steal_chunks=4)
+
+    def test_backend_for_rejects_steal_chunks(self):
+        with pytest.raises(TypeError):
+            backend_for(devices=2, steal_chunks=4)
+
+    def test_backend_for_rejects_record_timeline(self):
+        with pytest.raises(TypeError):
+            backend_for(devices=2, record_timeline=True)
+
+    def test_device_group_rejects_record_timeline(self):
+        with pytest.raises(TypeError):
+            DeviceGroup(n_devices=2, record_timeline=True)
+
+    def test_sim_backend_rejects_record_timeline(self):
+        with pytest.raises(TypeError):
+            SimBackend(KEPLER_K20, record_timeline=True)
+
+
+class TestServiceDefaultsRemoved:
+    @pytest.mark.parametrize("field, value", [
+        ("default_template", "dbuf-global"),
+        ("default_priority", "high"),
+        ("default_deadline_s", 5.0),
+        ("min_devices", 1),
+        ("scale_up_p99_ms", 50.0),
+    ])
+    def test_serve_rejects_removed_field(self, field, value):
+        with pytest.raises(TypeError):
+            repro.serve(**{field: value})

@@ -485,12 +485,23 @@ class TestSLOScheduling:
         assert high.ok and not high.degraded  # only low traffic pays
         assert stats["requests"]["load_degraded"] == 1
 
-    def test_autoscaler_grows_the_device_group(self, workload):
+    @pytest.mark.parametrize("devices", [1, 2])
+    def test_autoscaler_grows_the_device_group(self, workload, devices):
+        interval = 0.01
+
         def slow(specs):
             time.sleep(0.3)
             return execute_batch_fused(specs)
 
         async def scenario(service):
+            sizes = []
+
+            async def sample():
+                while True:
+                    sizes.append(service.device_group.n_devices)
+                    await asyncio.sleep(interval)
+
+            sampler = asyncio.create_task(sample())
             tasks = [
                 asyncio.create_task(service.submit("dual-queue", workload))
                 for _ in range(6)
@@ -498,22 +509,28 @@ class TestSLOScheduling:
             await asyncio.sleep(0.15)  # several evaluations, work in flight
             under_load = service.snapshot()
             responses = await asyncio.gather(*tasks)
-            return responses, under_load, service.snapshot()
+            await asyncio.sleep(30 * interval)  # idle for 30 evaluations
+            sampler.cancel()
+            await asyncio.gather(sampler, return_exceptions=True)
+            return responses, under_load, sizes, service.snapshot()
 
-        responses, under_load, final = run_service(
+        responses, under_load, sizes, final = run_service(
             scenario,
             ServiceConfig(
-                devices=1, autoscale=True, max_devices=3,
-                scale_up_pending_per_device=1, scale_check_interval_s=0.01,
+                devices=devices, autoscale=True, max_devices=3,
+                scale_up_pending_per_device=1,
+                scale_check_interval_s=interval,
                 scale_cooldown_s=0.02, batch_window_s=0.0, max_batch=1,
             ),
             run_fn=slow,
         )
         assert all(r.ok for r in responses)
         assert under_load["autoscaler"]["scale_ups"] >= 1
-        assert under_load["devices"]["devices"] >= 2
-        # bounds respected throughout; may have scaled back down when idle
-        assert 1 <= final["devices"]["devices"] <= 3
+        assert under_load["devices"]["devices"] > devices
+        # ``devices`` is the floor: idle, the group shrinks back to it
+        # and never below
+        assert min(sizes) >= devices
+        assert final["devices"]["devices"] == devices
 
     def test_response_echoes_slo_metadata(self, workload):
         async def scenario(service):

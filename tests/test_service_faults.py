@@ -487,12 +487,13 @@ class TestConfigValidation:
             (dict(batch_window_s=float("inf"), max_batch=4),
              "batch_window_s must be a finite number"),
             (dict(drain_timeout_s=0), "drain_timeout_s must be positive"),
-            (dict(default_priority="urgent"), "unknown priority"),
+            # priority class names are exact, not case-folded
+            (dict(max_pending_per_class={"High": 4}), "unknown priority"),
             (dict(max_pending_per_class={"urgent": 4}), "unknown priority"),
             (dict(max_pending_per_class={"low": 0}), "must be >= 1"),
             (dict(tenant_quota=0), "tenant_quota must be >= 1"),
             (dict(tenant_quotas={"acme": 0}), "must be >= 1"),
-            (dict(default_deadline_s=0), "default_deadline_s"),
+            (dict(devices=2.5), "devices must be an integer"),
             (dict(degrade_pending_threshold=0), "degrade_pending_threshold"),
             (dict(autoscale=True, devices=2, max_devices=1),
              "autoscale bounds"),
@@ -511,8 +512,8 @@ class TestConfigValidation:
              "drain_timeout_s must be a finite number"),
             (dict(retry_backoff_s=float("nan")),
              "retry_backoff_s must be a finite number"),
-            (dict(default_deadline_s=float("inf")),
-             "default_deadline_s must be a finite number"),
+            (dict(autoscale=True, max_devices=float("nan")),
+             "max_devices must be an integer"),
             (dict(max_retries=True), "max_retries must be an integer"),
             (dict(max_pending_per_class={"low": 1.5}), "must be an integer"),
         ],
@@ -530,4 +531,4 @@ class TestConfigValidation:
             degrade_pending_threshold=1,
         )
         assert config.max_batch == 4
-        assert config.min_devices == config.max_devices == config.devices
+        assert config.max_devices == config.devices

@@ -127,31 +127,6 @@ def check_tree_app() -> None:
           f"{single.result.time_ms / multi.result.time_ms:.2f}x faster")
 
 
-def check_stealing() -> None:
-    """Work-stealing mode: same coverage guarantees, steals counted."""
-    from repro.backends import DeviceGroup
-    from repro.core.params import TemplateParams
-    from repro.core.registry import resolve
-    from repro.gpusim.config import KEPLER_K20
-
-    workload = SpMVApp(citeseer_like(scale=0.05)).workload()
-    group = DeviceGroup(n_devices=DEVICES, steal_chunks=4)
-    tmpl = resolve("dbuf-global", kind="nested-loop")
-    run = tmpl.run(workload, KEPLER_K20, TemplateParams(), backend=group)
-
-    covered = np.sort(np.concatenate(list(run.schedule.values())))
-    if not np.array_equal(covered, np.arange(workload.outer_size)):
-        fail("stealing run's schedule does not cover the workload once")
-    if len(run.device_runs) <= DEVICES:
-        fail(f"stealing run did not over-shard: "
-             f"{len(run.device_runs)} chunks for {DEVICES} devices")
-    if run.result.steals != group.steals:
-        fail(f"result steals ({run.result.steals}) != "
-             f"group steals ({group.steals})")
-    print(f"stealing ok: {len(run.device_runs)} chunks over {DEVICES} "
-          f"devices, {run.result.steals} steals")
-
-
 def check_serving_group() -> None:
     """Serving tier on a device group: balanced books, zero underflows."""
     from repro.service import serve
@@ -179,7 +154,6 @@ def check_serving_group() -> None:
 def main() -> int:
     check_loop_app()
     check_tree_app()
-    check_stealing()
     check_serving_group()
     print("multidevice smoke: all checks passed")
     return 0

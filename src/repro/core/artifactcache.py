@@ -11,11 +11,13 @@ kind          levels         value; key
                              config, params, engine, backend)
 ``plan``      memory, disk   built plan; plan key
 ``phase``     memory         one mapping move's replayable effect
-``run``       disk           ExecutionResult; (plan key, engine, run tag)
+``run``       memory, disk   ExecutionResult; (plan key, engine, run tag)
 ============  =============  ============================================
 
 One probe path (:meth:`TieredCache.fetch`): memory, then disk, then
 build; a disk hit fills memory, a build fills every level of its kind.
+Entries are shared, not copied: a plan's graph and a run's result are
+the same objects for every caller, so treat them as read-only.
 The memory level is one thread-safe LRU over every kind, bounded by
 :data:`MEMORY_MAX_BYTES` of what entries hold (:func:`sizeof`).  Values
 grow after insertion, mostly soon after (an analysis memoizes window
@@ -68,7 +70,7 @@ KINDS = {
     "select": ("memory", "disk"),
     "plan": ("memory", "disk"),
     "phase": ("memory",),
-    "run": ("disk",),
+    "run": ("memory", "disk"),
 }
 
 #: kinds with a disk level, in pipeline order (the cache dir's subdirectories)

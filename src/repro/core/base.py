@@ -115,8 +115,8 @@ class _PreparedRun:
     schedule: dict[str, np.ndarray]
     #: cache level that served the plan: "memory", "disk" or "build"
     plan_level: str
-    #: ``run``-kind key when this run may be cached, else None (a
-    #: timeline or tracing needs a live run)
+    #: ``run``-kind key when this run may be cached, else None (tracing
+    #: needs a live run)
     run_key: tuple | None
     #: cached execution result, or None when a live execution is needed
     result: ExecutionResult | None
@@ -306,7 +306,8 @@ def run_many(
     through the caching of :meth:`~_TemplateBase._prepare`; the
     run-cache *misses* that land on the same single-device backend are
     then executed as **one** fused event-loop pass via
-    :meth:`~repro.backends.Backend.submit_many`.  Results are
+    :meth:`~repro.backends.Backend.submit_many`, each distinct run key
+    once: items repeating a key share its result.  Results are
     bit-identical to running each item alone (fused lanes share only the
     event heap, never state) and come back in input order.
 
@@ -317,6 +318,10 @@ def run_many(
     base = coerce_backend(backend, config)
     runs: list[TemplateRun | None] = [None] * len(items)
     pending: list[tuple[int, object, _PreparedRun]] = []
+    #: run key -> the pending item that executes it; later items with the
+    #: key are ``repeats`` and take its result
+    executes: dict[tuple, _PreparedRun] = {}
+    repeats: list[tuple[int, _PreparedRun, _PreparedRun]] = []
     for idx, item in enumerate(items):
         template, workload = item[0], item[1]
         params = (item[2] if len(item) > 2 else None) or TemplateParams()
@@ -330,7 +335,11 @@ def run_many(
         prep = template._prepare(workload, config, params, eff)
         if prep.result is not None:
             runs[idx] = prep.finish()
+        elif prep.run_key in executes:
+            repeats.append((idx, prep, executes[prep.run_key]))
         else:
+            if prep.run_key is not None:
+                executes[prep.run_key] = prep
             pending.append((idx, eff, prep))
     # one fused pass per distinct backend object (queue->sim fallbacks may
     # materialize per item; identity grouping keeps each pass coherent)
@@ -342,4 +351,7 @@ def run_many(
         for (idx, prep), result in zip(members, results):
             prep.record(result)
             runs[idx] = prep.finish()
+    for idx, prep, source in repeats:
+        prep.result = source.result
+        runs[idx] = prep.finish()
     return runs

@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from repro.errors import ConfigError
+from repro.errors import check_count
 
 __all__ = ["TemplateParams", "DEFAULT_THREAD_BLOCK", "DEFAULT_LB_BLOCK"]
 
@@ -22,6 +22,13 @@ DEFAULT_THREAD_BLOCK = 192
 #: the paper's block-mapped block size after the Fig. 4 study ("in the
 #: remaining experiments we use small blocks consisting of 64 threads")
 DEFAULT_LB_BLOCK = 64
+
+
+#: every field is an integer count; the least value each accepts
+_COUNT_FLOORS = {
+    "lb_threshold": 1, "thread_block": 32, "lb_block": 1,
+    "registers_per_thread": 1, "streams_per_block": 1, "max_grid_blocks": 1,
+}
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -69,16 +76,8 @@ class TemplateParams:
     max_grid_blocks: int = 65_535
 
     def __post_init__(self) -> None:
-        if self.lb_threshold < 1:
-            raise ConfigError("lb_threshold must be >= 1")
-        if self.thread_block < 32 or self.lb_block < 1:
-            raise ConfigError("block sizes out of range")
-        if self.registers_per_thread < 1:
-            raise ConfigError("registers_per_thread must be >= 1")
-        if self.streams_per_block < 1:
-            raise ConfigError("streams_per_block must be >= 1")
-        if self.max_grid_blocks < 1:
-            raise ConfigError("max_grid_blocks must be >= 1")
+        for name, floor in _COUNT_FLOORS.items():
+            check_count(name, getattr(self, name), floor)
 
     def replace(self, **changes: object) -> "TemplateParams":
         """Copy with changes (revalidated)."""

@@ -1,6 +1,7 @@
 """The ``plan`` kind of the tiered cache (:mod:`repro.core.artifactcache`),
 under the plan cache's interface.  Plans are keyed on ``(workload
-fingerprint, template name, device fingerprint, PLAN_RELEVANT_PARAMS)``.
+fingerprint, template name, device fingerprint, PLAN_RELEVANT_PARAMS)``;
+the ``run`` results executed from them are cleared with them.
 """
 
 from __future__ import annotations
@@ -39,8 +40,10 @@ class _PlanView:
         return tiered_cache().count("plan")
 
     def clear(self, reset_stats: bool = False) -> None:
-        """Drop every plan from memory (optionally also the counters)."""
-        tiered_cache().clear("plan", reset_stats)
+        """Drop every plan and every run result from memory (optionally
+        also their counters): the cold restart."""
+        for kind in ("plan", "run"):
+            tiered_cache().clear(kind, reset_stats)
 
 
 def default_cache() -> _PlanView:

@@ -229,6 +229,7 @@ class RecNaiveTreeTemplate(_TreeTemplateBase):
 
     name = "rec-naive"
     uses_dynamic_parallelism = True
+    PLAN_RELEVANT_PARAMS = ("lb_block", "streams_per_block")
 
     def specialize(self, workload, analysis, config, params):
         """One single-block launch per internal node, spawned per thread."""
@@ -314,6 +315,7 @@ class RecHierTreeTemplate(_TreeTemplateBase):
 
     name = "rec-hier"
     uses_dynamic_parallelism = True
+    PLAN_RELEVANT_PARAMS = ("lb_block",)
 
     def specialize(self, workload, analysis, config, params):
         """Two-level launches: children as blocks, grandchildren as threads."""

@@ -18,7 +18,7 @@ import dataclasses
 import hashlib
 from dataclasses import dataclass
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, check_count, check_duration
 
 __all__ = [
     "DeviceConfig",
@@ -29,6 +29,31 @@ __all__ = [
     "PRESETS",
     "supports_dynamic_parallelism",
 ]
+
+
+#: integer fields and the least value each accepts
+_COUNT_FLOORS = {
+    "sm_count": 1, "cores_per_sm": 1, "warp_size": 1,
+    "warp_schedulers_per_sm": 1, "max_threads_per_block": 1,
+    "max_threads_per_sm": 1, "max_blocks_per_sm": 1, "max_warps_per_sm": 1,
+    "registers_per_sm": 1, "max_registers_per_thread": 1,
+    "shared_mem_per_sm": 1, "shared_mem_per_block": 0,
+    "register_alloc_granularity": 1, "shared_mem_alloc_granularity": 1,
+    "max_grid_dim_x": 1, "mem_segment_bytes": 1, "dram_latency_cycles": 0,
+    "shared_mem_cycles": 0, "shared_mem_banks": 1, "atomic_cycles": 1,
+    "atomic_conflict_cycles": 0, "max_concurrent_kernels": 1,
+    "device_launch_issue_cycles": 0, "pending_launch_limit": 1,
+    "max_launch_depth": 1,
+}
+#: real-valued fields (rates, latencies, costs) -> whether zero is valid
+_REAL_ZERO_OK = {
+    "clock_ghz": False, "cycles_per_segment": False,
+    "memory_parallelism_per_warp": False, "cycles_per_inst": True,
+    "loop_overhead_insts": True, "atomic_same_address_cycles": True,
+    "host_launch_overhead_us": True, "device_launch_latency_us": True,
+    "device_launch_throughput_per_us": False,
+    "stream_create_overhead_us": True,
+}
 
 
 @dataclass(frozen=True)
@@ -122,18 +147,15 @@ class DeviceConfig:
     stream_create_overhead_us: float = 1.0
 
     def __post_init__(self) -> None:
-        positive_fields = [
-            "sm_count", "cores_per_sm", "warp_size", "warp_schedulers_per_sm",
-            "clock_ghz", "max_threads_per_block", "max_threads_per_sm",
-            "max_blocks_per_sm", "max_warps_per_sm", "registers_per_sm",
-            "shared_mem_per_sm", "mem_segment_bytes", "cycles_per_segment",
-            "memory_parallelism_per_warp", "shared_mem_banks", "atomic_cycles",
-            "pending_launch_limit", "max_launch_depth",
-        ]
-        for name in positive_fields:
-            value = getattr(self, name)
-            if value <= 0:
-                raise ConfigError(f"DeviceConfig.{name} must be positive, got {value!r}")
+        # every numeric field, so a malformed number fails here rather
+        # than as a NaN time, a bare TypeError or a simulation that never
+        # places a block (max_concurrent_kernels >= 1 is also what lets
+        # the fast engine place a lone launch without the cap check)
+        for name, floor in _COUNT_FLOORS.items():
+            check_count(f"DeviceConfig.{name}", getattr(self, name), floor)
+        for name, zero_ok in _REAL_ZERO_OK.items():
+            check_duration(f"DeviceConfig.{name}", getattr(self, name),
+                           zero_ok=zero_ok)
         if self.warp_size & (self.warp_size - 1):
             raise ConfigError(f"warp_size must be a power of two, got {self.warp_size}")
         if self.max_threads_per_sm < self.max_threads_per_block:

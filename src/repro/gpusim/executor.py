@@ -33,6 +33,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +61,10 @@ _EPS = 1e-9
 ENGINES = ("fast", "exact")
 
 _default_engine = "fast"
+
+#: the event kinds of :func:`_drive`'s heap, in the order the traced
+#: ``executor.events.<kind>`` counters are emitted
+_EVENT_KINDS = ("host_ready", "gmu_done", "sm_check", "linger_done", "tail_done")
 
 
 def resolve_engine(engine: str | None, *, error=ConfigError) -> str | None:
@@ -310,6 +315,7 @@ class GpuExecutor:
         lane_cls = _FastSimulation if engine == "fast" else _Simulation
         lane_graphs = [graphs[i] for i in live]
         tracing = obs.enabled()
+        tally = Counter() if tracing else None
         with obs.span("gpusim.execute", engine=engine, graphs=len(live),
                       launches=sum(len(g) for g in lane_graphs)):
             # while tracing, collect launch records even when the caller
@@ -317,9 +323,13 @@ class GpuExecutor:
             # events
             lane_results = _drive(lane_cls, self.config, lane_graphs,
                                   self.record_timeline or tracing,
-                                  self.max_launch_instances)
+                                  self.max_launch_instances, tally)
         if tracing:
             obs.add_counter("executor.fused_graphs", len(live))
+            obs.add_counter("executor.dispatch_passes", tally["passes"])
+            for kind in _EVENT_KINDS:
+                obs.add_counter(f"executor.events.{kind}", tally[kind])
+            obs.add_counter("executor.stale_checks", tally["stale"])
             for result in lane_results:
                 obs.emit_launch_records(result.records, self.config)
                 if not self.record_timeline:
@@ -330,7 +340,8 @@ class GpuExecutor:
 
 
 def _drive(lane_cls, config: DeviceConfig, graphs: list[LaunchGraph],
-           record_timeline: bool, max_instances: int) -> list[ExecutionResult]:
+           record_timeline: bool, max_instances: int,
+           tally: Counter | None = None) -> list[ExecutionResult]:
     """Run one lane per graph off a single shared event heap.
 
     The driver owns the heap and its sequence counter; each lane pushes
@@ -340,6 +351,10 @@ def _drive(lane_cls, config: DeviceConfig, graphs: list[LaunchGraph],
     event order is exactly that of a lane running alone, so results
     demux bit-identically to sequential runs
     (``tests/test_executor_fused.py``).  A single run is the N=1 case.
+
+    With a ``tally`` (tracing), the loop also counts popped events per
+    kind, ``sm_check`` events whose SM version moved on (``"stale"``) and
+    dispatch passes (``"passes"``); without one it counts nothing.
     """
     events: list[tuple] = []
     seq = itertools.count()
@@ -348,10 +363,27 @@ def _drive(lane_cls, config: DeviceConfig, graphs: list[LaunchGraph],
     for lane in lanes:
         lane._setup()
     pop = heapq.heappop
+    if tally is not None:
+        for lane in lanes:
+            lane._dispatch = _counted(lane._dispatch, tally)
+        while events:
+            time, _, lane, kind, payload = pop(events)
+            tally[kind] += 1
+            if kind == "sm_check" and payload[0].version != payload[1]:
+                tally["stale"] += 1
+            lane._handle(time, kind, payload)
     while events:
         time, _, lane, kind, payload = pop(events)
         lane._handle(time, kind, payload)
     return [lane._finalize() for lane in lanes]
+
+
+def _counted(dispatch, tally: Counter):
+    """``dispatch`` (a lane's bound ``_dispatch``), counting each pass."""
+    def counted() -> bool:
+        tally["passes"] += 1
+        return dispatch()
+    return counted
 
 
 def _children_of(graph: LaunchGraph) -> dict[tuple[int, int], list[int]]:
@@ -742,16 +774,21 @@ class _Simulation:
         return progress
 
     def _find_sm(self, fp: _Footprint) -> _SM | None:
+        """The SM with the most free warps that can host ``fp`` (the
+        lowest index wins ties), or None."""
+        fpw, fps, fpr = fp.warps, fp.smem, fp.regs
         best: _SM | None = None
+        best_w = -1
         for sm in self.sms:
             if (
-                sm.free_warps >= fp.warps
+                sm.free_warps > best_w
+                and sm.free_warps >= fpw
                 and sm.free_blocks >= 1
-                and sm.free_smem >= fp.smem
-                and sm.free_regs >= fp.regs
+                and sm.free_smem >= fps
+                and sm.free_regs >= fpr
             ):
-                if best is None or sm.free_warps > best.free_warps:
-                    best = sm
+                best = sm
+                best_w = sm.free_warps
         return best
 
 
@@ -812,7 +849,7 @@ class _FastSimulation(_Simulation):
     """Cohort-batched engine.
 
     Implements the *same* virtual-time processor-sharing model as the exact
-    engine, with three changes that only affect constant factors:
+    engine, with four changes that only affect constant factors:
 
     * blocks of one launch admitted to one SM at the same simulation time
       with equal (work, floor) become one :class:`_Cohort` heap entry /
@@ -824,7 +861,10 @@ class _FastSimulation(_Simulation):
       footprint, so repeating it with nothing changed would place nothing;
     * per-block work/floor values come from each launch class's run-length
       encoded blocks (:meth:`KernelCosts.block_runs`, fetched once per
-      class per run) instead of NumPy scalar reads.
+      class per run) instead of NumPy scalar reads;
+    * a pass over a lone launch with one block left — every one-block
+      child grid — places it without the general pass
+      (:meth:`_dispatch_last_block`).
 
     Cohort retirement follows the exact engine's event ordering: service
     completions retire the whole batch inside one event (the exact engine
@@ -926,8 +966,12 @@ class _FastSimulation(_Simulation):
         """
         if not self.ready_list or not self._dispatch_dirty:
             return False
-        cfg = self.config
         queue = self.ready_list
+        if len(queue) == 1:
+            state = queue[0]
+            if state.next_block == state.n_blocks - 1:
+                return self._dispatch_last_block(state)
+        cfg = self.config
         sms = self.sms
         cap = cfg.max_concurrent_kernels
         # Pass-level feasibility screen: most dispatch passes in saturated
@@ -1116,3 +1160,54 @@ class _FastSimulation(_Simulation):
         if capped and progress:
             self._dispatch_dirty = True
         return progress
+
+    def _dispatch_last_block(self, state: _LaunchState) -> bool:
+        """:meth:`_dispatch` for a ready list of one launch with one block
+        left — every one-block child grid, and the last block of any grid.
+
+        The general pass would scan once and place that block as a
+        one-block chunk: here the exact engine's one strict-max-free-warps
+        scan (:meth:`_find_sm`) replaces its best/L/R bookkeeping, cohort
+        dict, changed set and chunk arithmetic, and every step after the
+        scan is the general pass's, in its order.  The concurrency cap
+        never binds a lone launch (``DeviceConfig`` keeps
+        ``max_concurrent_kernels >= 1``), and the ready list stays as it
+        is when no SM fits.
+        """
+        self._dispatch_dirty = False
+        fp = state.footprint
+        best = self._find_sm(fp)
+        if best is None:
+            return False
+        self.ready_list = []
+        now = self.now
+        if not state.dispatch_started:
+            state.dispatch_started = True
+            state.start_time = now
+        ri = state.run_cursor
+        bi = state.next_block
+        _ends, works, floors = self._runs[state.cid]
+        work = works[ri]
+        floor = floors[ri]
+        best.advance(now)
+        state.next_block = bi + 1
+        state.run_cursor = ri + 1
+        best.free_warps -= fp.warps
+        best.free_blocks -= 1
+        best.free_smem -= fp.smem
+        best.free_regs -= fp.regs
+        if work <= _EPS and floor <= _EPS:
+            self._retire_one(best, state, bi)
+            return True
+        if work <= _EPS:
+            chunk = _Cohort(state, floor, now, 0.0)
+            chunk.indices.append(bi)
+            self._push_event(now + floor, "linger_done", (best, chunk))
+            return True
+        cohort = _Cohort(state, floor, now, best.virtual + work)
+        cohort.indices.append(bi)
+        best.n_serving += 1
+        heapq.heappush(best.serving, (cohort.target_v, next(self._seq), cohort))
+        best.version += 1
+        self._schedule_sm_check(best)
+        return True

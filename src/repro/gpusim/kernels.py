@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import LaunchError, WorkloadError
+from repro.errors import LaunchError, WorkloadError, check_count
 from repro.gpusim.atomics import AtomicStats
 from repro.gpusim.coalesce import MemoryTraffic
 from repro.gpusim.config import DeviceConfig
@@ -177,6 +177,10 @@ class LaunchClass:
     def __post_init__(self) -> None:
         if self.block_size <= 0:
             raise LaunchError(f"block_size must be positive, got {self.block_size}")
+        check_count(f"launch {self.name!r}: registers_per_thread",
+                    self.registers_per_thread, 1, error=LaunchError)
+        check_count(f"launch {self.name!r}: shared_mem_per_block",
+                    self.shared_mem_per_block, 0, error=LaunchError)
         if self.costs.n_blocks == 0:
             raise LaunchError(f"launch {self.name!r} has an empty grid")
         hint = self.resident_warps_hint

@@ -63,6 +63,11 @@ Counters (also in ``summary()["counters"]``):
 ``cache.phase.memory.misses``, ``cache.run.disk.writes``; see
 ``docs/performance.md``), ``ir.decisions.<pass>`` (rewrite decisions per
 IR pass) and ``ir.select.race_candidates`` (auto-select audit trail).
+Each traced executor pass adds ``executor.fused_graphs``,
+``executor.dispatch_passes``, ``executor.events.<kind>`` (events popped
+per kind: ``host_ready``, ``gmu_done``, ``sm_check``, ``linger_done``,
+``tail_done``) and ``executor.stale_checks`` (``sm_check`` events that
+found their SM changed).
 Multi-device runs add per-device counters
 under ``device.<i>.*``: ``launches`` / ``busy_cycles`` on every graph a
 device executes, plus per-shard work totals — ``outer`` / ``pairs`` for

@@ -13,10 +13,14 @@ from repro.bench.registry import (
 )
 from repro.bench.table import ResultTable
 from repro.core import artifactcache
-from repro.core.artifactcache import configure_artifact_cache
+from repro.core.artifactcache import configure_artifact_cache, tiered_cache
 from repro.core.plancache import default_cache
 from repro.errors import ExperimentError
-from repro.gpusim.executor import get_default_engine, set_default_engine
+from repro.gpusim.executor import (
+    GpuExecutor,
+    get_default_engine,
+    set_default_engine,
+)
 
 
 class TestResultTable:
@@ -130,7 +134,7 @@ class TestFig4Sweep:
         return [table.rows for table in run_experiment("fig4", self.CONFIG)]
 
     def test_cells_equal_across_engines_and_cache_levels(
-            self, tmp_path, no_disk_cache):
+            self, tmp_path, no_disk_cache, monkeypatch):
         default = self.cells()
 
         default_cache().clear(reset_stats=True)
@@ -143,9 +147,22 @@ class TestFig4Sweep:
 
         disk = configure_artifact_cache(tmp_path)
         self.cells()                        # cold: fills the disk level
-        default_cache().clear()
+        default_cache().clear()             # cold restart: drops runs too
+        memory_hits = tiered_cache().stats["run", "memory"].hits
+        executed = []
+        execute = GpuExecutor._execute
+
+        def spy(executor, graphs):
+            executed.extend(graphs)
+            return execute(executor, graphs)
+
+        monkeypatch.setattr(GpuExecutor, "_execute", spy)
         warm = self.cells()
-        assert disk.stats["run"]["hits"] == 49  # baseline + 48 cells
+        assert executed == []
+        # baseline + 48 cells: dbuf-shared's 12 cells share 3 plans, so
+        # 40 distinct runs come from disk and the 9 repeats from memory
+        assert disk.stats["run"]["hits"] == 40
+        assert tiered_cache().stats["run", "memory"].hits - memory_hits == 9
         assert default == exact == warm
 
 

@@ -291,6 +291,24 @@ class TestParams:
         with pytest.raises(ConfigError):
             TemplateParams(streams_per_block=0)
 
+    @pytest.mark.parametrize("field,floor", [
+        ("lb_threshold", 1), ("thread_block", 32), ("lb_block", 1),
+        ("registers_per_thread", 1), ("streams_per_block", 1),
+        ("max_grid_blocks", 1),
+    ])
+    @pytest.mark.parametrize("value", ["floor", 64.5, float("nan"),
+                                       float("inf"), True, "1"])
+    def test_malformed_number_fails_fast(self, field, floor, value):
+        value = floor - 1 if value == "floor" else value
+        with pytest.raises(ConfigError, match=rf"^{field} "):
+            TemplateParams(**{field: value})
+        with pytest.raises(ConfigError, match=rf"^{field} "):
+            TemplateParams().replace(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        params = TemplateParams(lb_threshold=np.int64(64), lb_block=np.int32(128))
+        assert params.lb_threshold == 64
+
     def test_replace(self):
         p = TemplateParams().replace(lb_threshold=128)
         assert p.lb_threshold == 128

@@ -203,10 +203,10 @@ class TestPlanCacheUnit:
         assert cache.get("plan", ("c",)) == b"c" * 1000
 
     def test_disabled_cache_stores_nothing(self, cache):
-        """``run`` results live on disk only, and the disk level is off."""
-        cache.put("run", ("k",), b"p" * 1000)
-        assert cache.get("run", ("k",)) is None
-        assert cache.count("run") == 0
+        """``lineage`` deltas live on disk only, and the disk level is off."""
+        cache.put("lineage", ("k",), b"p" * 1000)
+        assert cache.get("lineage", ("k",)) is None
+        assert cache.count("lineage") == 0
 
 
 class TestPlanCacheIntegration:

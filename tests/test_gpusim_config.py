@@ -1,16 +1,39 @@
 """Unit tests for repro.gpusim.config."""
 
+import dataclasses
+import math
+
 import pytest
 
 from repro.errors import ConfigError
+from repro.gpusim import config as config_module
 from repro.gpusim.config import (
     FERMI_C2050,
     KEPLER_K20,
     KEPLER_K40,
+    PRESETS,
     DeviceConfig,
     preset,
     supports_dynamic_parallelism,
 )
+
+
+def _bad_device_values():
+    """``(field, value)`` for every numeric field and each value it must
+    refuse: below its floor, fractional (integer fields), NaN, inf, a
+    bool and a string."""
+    cases = []
+    for name, floor in config_module._COUNT_FLOORS.items():
+        for value in (floor - 1, 2.5, math.nan, math.inf, True, "1"):
+            cases.append((name, value))
+    for name, zero_ok in config_module._REAL_ZERO_OK.items():
+        for value in (-1.0 if zero_ok else 0.0, math.nan, math.inf, True, "1"):
+            cases.append((name, value))
+    return cases
+
+
+_NUMERIC = {f.name for f in dataclasses.fields(DeviceConfig)} - {
+    "name", "compute_capability"}
 
 
 class TestPresets:
@@ -51,6 +74,31 @@ class TestValidation:
     def test_rejects_smem_block_exceeding_sm(self):
         with pytest.raises(ConfigError, match="shared_mem_per_block"):
             DeviceConfig(shared_mem_per_block=98304)
+
+    def test_every_numeric_field_is_checked(self):
+        assert set(config_module._COUNT_FLOORS) | set(
+            config_module._REAL_ZERO_OK) == _NUMERIC
+
+    @pytest.mark.parametrize("field,value", _bad_device_values())
+    @pytest.mark.parametrize("make", ["construct", "replace"])
+    def test_malformed_number_fails_fast(self, make, field, value):
+        build = DeviceConfig if make == "construct" else KEPLER_K20.replace
+        with pytest.raises(ConfigError, match=rf"DeviceConfig\.{field} "):
+            build(**{field: value})
+
+    def test_presets_and_repo_configs_construct(self):
+        for cfg in PRESETS.values():
+            assert DeviceConfig(**{f.name: getattr(cfg, f.name)
+                                   for f in dataclasses.fields(cfg)}) == cfg
+        # the configs the repo derives: ablation sweeps and test devices
+        for changes in ({"device_launch_throughput_per_us": 0.1},
+                        {"memory_parallelism_per_warp": 1000.0},
+                        {"max_concurrent_kernels": 1},
+                        {"pending_launch_limit": 16},
+                        {"max_launch_depth": 1},
+                        {"host_launch_overhead_us": 0.0},
+                        {"device_launch_latency_us": 0}):
+            KEPLER_K20.replace(**changes)
 
 
 class TestConversions:

@@ -238,6 +238,17 @@ class TestLaunchGraphValidation:
         with pytest.raises(error):
             make()
 
+    @pytest.mark.parametrize("field,value", [
+        ("registers_per_thread", 0), ("registers_per_thread", 24.5),
+        ("registers_per_thread", np.nan), ("registers_per_thread", True),
+        ("registers_per_thread", "24"), ("shared_mem_per_block", -1),
+        ("shared_mem_per_block", 1024.5), ("shared_mem_per_block", np.inf),
+        ("shared_mem_per_block", True), ("shared_mem_per_block", "0"),
+    ])
+    def test_malformed_footprint_rejected(self, field, value):
+        with pytest.raises(LaunchError, match=field):
+            LaunchGraph().add(_launch(**{field: value}))
+
 
 class TestUtilization:
     def test_full_utilization_many_blocks(self):

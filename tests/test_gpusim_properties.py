@@ -6,7 +6,10 @@ Random launch graphs (host streams + nested launches) must always satisfy:
 * a physical lower bound — makespan >= total work / SM count, and
   >= the largest single block (floor included);
 * monotonicity — adding work never shortens the makespan;
-* completion — every launch instance executes (counts match).
+* completion — every launch instance executes (counts match);
+* one-block children — graphs of one-block child grids (the fast
+  engine's lone-block placement path) run bit-identically on the fast
+  and exact engines, alone and fused.
 """
 
 import numpy as np
@@ -130,3 +133,48 @@ class TestExecutorProperties:
         graph, _ = case
         result = GpuExecutor(KEPLER_K20).run(graph)
         assert 0.0 <= result.sm_utilization <= 1.0 + 1e-9
+
+
+@st.composite
+def one_block_child_graphs(draw):
+    """A host launch whose blocks spawn nested one-block grids (which may
+    spawn more): zero work, zero floor and floors above the work, on 1-3
+    device streams per parent block."""
+    graph = LaunchGraph()
+    streams = draw(st.integers(1, 3))
+    n_blocks = draw(st.integers(1, 4))
+    parents = [(graph.add(Launch(
+        name="root", block_size=draw(st.sampled_from([32, 64, 192])),
+        costs=KernelCosts(block_cycles=np.array(draw(st.lists(
+            block_cycles(20_000.0), min_size=n_blocks, max_size=n_blocks)))),
+    )), n_blocks)]
+    for c in range(draw(st.integers(1, 20))):
+        parent, parent_blocks = draw(st.sampled_from(parents))
+        work = draw(st.one_of(st.just(0.0), block_cycles(20_000.0)))
+        floor = draw(st.sampled_from(["zero", "below", "above"]))
+        floor = {"zero": 0.0, "below": work / 2,
+                 "above": work + draw(st.floats(1.0, 30_000.0))}[floor]
+        row = graph.add(Launch(
+            name=f"c{c}", block_size=draw(st.sampled_from([32, 64, 256])),
+            costs=KernelCosts(block_cycles=np.array([work]),
+                              block_floor=np.array([floor])),
+            parent=parent,
+            parent_block=draw(st.integers(0, parent_blocks - 1)),
+            device_stream=draw(st.integers(0, streams - 1)),
+        ))
+        parents.append((row, 1))
+    return graph
+
+
+class TestOneBlockChildren:
+    @given(one_block_child_graphs(), one_block_child_graphs(),
+           st.sampled_from([1, 32]))
+    @settings(max_examples=60, deadline=None)
+    def test_fast_equals_exact_alone_and_fused(self, graph, other, cap):
+        config = KEPLER_K20.replace(max_concurrent_kernels=cap)
+        exact = [GpuExecutor(config, engine="exact", record_timeline=True)
+                 .run(g) for g in (graph, other)]
+        fast = GpuExecutor(config, engine="fast", record_timeline=True)
+        assert fast.run(graph) == exact[0]
+        assert fast.run(other) == exact[1]
+        assert fast.run_many([graph, other, graph]) == [*exact, exact[0]]

@@ -168,6 +168,39 @@ class TestInstrumentation:
         assert traced.result.records == []
 
 
+class TestExecutorCounters:
+    """Traced executor passes report their own work: dispatch passes,
+    events per kind and stale SM checks, once per execution."""
+
+    KINDS = ("host_ready", "gmu_done", "sm_check", "linger_done", "tail_done")
+
+    @pytest.mark.parametrize("engine", ["fast", "exact"])
+    def test_rec_naive_events_match_its_launches(self, engine):
+        from repro.core.recursive import RecursiveTreeWorkload
+        from repro.trees.generator import generate_tree
+
+        wl = RecursiveTreeWorkload(
+            generate_tree(depth=4, outdegree=8, sparsity=0.5, seed=3),
+            "descendants")
+        obs.set_enabled(True)
+        run = repro.run(wl, "rec-naive", engine=engine)
+        counters = obs.summary()["counters"]
+        result = run.result
+        assert result.n_device_launches > 0
+        assert counters["executor.events.gmu_done"] == result.n_device_launches
+        assert counters["executor.events.host_ready"] == (
+            result.n_launches - result.n_device_launches)
+        assert counters["executor.dispatch_passes"] >= result.n_launches
+        for kind in self.KINDS:
+            assert f"executor.events.{kind}" in counters
+        assert 0 <= counters["executor.stale_checks"] \
+            <= counters["executor.events.sm_check"]
+
+    def test_counted_only_while_tracing(self):
+        repro.run(make_workload(name="obs-quiet"), "dual-queue")
+        assert obs.summary()["counters"] == {}
+
+
 class TestChromeExport:
     def test_valid_trace_with_required_names(self):
         obs.set_enabled(True)

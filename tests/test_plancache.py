@@ -10,15 +10,18 @@ import pytest
 
 import repro
 from repro.core import artifactcache
-from repro.core.analysis import WorkloadAnalysis
-from repro.core.artifactcache import TieredCache, sizeof
+from repro.core.analysis import TreeAnalysis, WorkloadAnalysis
+from repro.core.artifactcache import TieredCache, sizeof, tiered_cache
+from repro.core.base import run_many
 from repro.core.params import TemplateParams
 from repro.core.plancache import default_cache, fingerprint_of
-from repro.core.registry import NESTED_LOOP_TEMPLATES
+from repro.core.registry import (ALL_TEMPLATES, NESTED_LOOP_TEMPLATES,
+                                  TREE_TEMPLATE_CLASSES, resolve)
 from repro.core.recursive import RecursiveTreeWorkload
 from repro.core.workload import AccessStream, NestedLoopWorkload
 from repro.errors import ConfigError
 from repro.gpusim.config import KEPLER_K20
+from repro.gpusim.executor import GpuExecutor
 from repro.trees.generator import generate_tree
 
 
@@ -176,27 +179,134 @@ def _plan_state(graph, schedule):
     return launches, {k: v.tolist() for k, v in schedule.items()}
 
 
+def make_tree_workloads():
+    """Two tree shapes: a bushy, sparse one and a deeper, narrower one."""
+    return [
+        RecursiveTreeWorkload(
+            generate_tree(depth=4, outdegree=12, sparsity=0.5, seed=3),
+            "descendants"),
+        RecursiveTreeWorkload(
+            generate_tree(depth=5, outdegree=4, sparsity=1.5, seed=6),
+            "heights"),
+    ]
+
+
 class TestPlanRelevantParams:
     """A plan is keyed only on its template's declared params, so a field
     outside that set must never change the built graph — otherwise the
     plan cache would serve one point's plan for another."""
 
-    @pytest.mark.parametrize("name", sorted(NESTED_LOOP_TEMPLATES))
+    @pytest.mark.parametrize(
+        "name", sorted(NESTED_LOOP_TEMPLATES) + sorted(TREE_TEMPLATE_CLASSES))
     def test_undeclared_fields_leave_the_plan_unchanged(self, name):
-        template = NESTED_LOOP_TEMPLATES[name]()
+        template = resolve(name)
         declared = template.PLAN_RELEVANT_PARAMS
         assert declared is not None, f"{name} keys plans on every field"
         fields = {f.name for f in dataclasses.fields(TemplateParams)}
         assert set(declared) <= fields
         assert set(_ALTERNATIVES) == fields
-        workload = make_workload(seed=5, outer=600)
-        analysis = WorkloadAnalysis.from_workload(workload)
+        if name in NESTED_LOOP_TEMPLATES:
+            workloads = [make_workload(seed=5, outer=600)]
+            analyze = WorkloadAnalysis.from_workload
+        else:
+            workloads = make_tree_workloads()
+            analyze = TreeAnalysis.from_workload
         base = TemplateParams()
-        want = _plan_state(*template.specialize(workload, analysis,
-                                                KEPLER_K20, base))
-        for field in sorted(fields - set(declared)):
-            for value in _ALTERNATIVES[field]:
-                params = base.replace(**{field: value})
-                got = template.specialize(workload, analysis, KEPLER_K20,
-                                          params)
-                assert _plan_state(*got) == want, (field, value)
+        for workload in workloads:
+            analysis = analyze(workload)
+
+            def state(params):
+                plan = template.specialize(workload, analysis, KEPLER_K20,
+                                           params)
+                return _plan_state(*template._split_plan(plan, workload))
+
+            want = state(base)
+            for field in sorted(fields - set(declared)):
+                for value in _ALTERNATIVES[field]:
+                    params = base.replace(**{field: value})
+                    assert state(params) == want, (workload.name, field, value)
+
+
+@pytest.fixture
+def executed(monkeypatch):
+    """Graphs the executor simulates while the test runs, with no disk
+    level: every run is served from memory or executed live."""
+    monkeypatch.setattr(artifactcache, "_cache", None)
+    graphs = []
+    execute = GpuExecutor._execute
+
+    def spy(executor, batch):
+        graphs.extend(batch)
+        return execute(executor, batch)
+
+    monkeypatch.setattr(GpuExecutor, "_execute", spy)
+    default_cache().clear()
+    yield graphs
+    default_cache().clear()
+
+
+class TestRunMemoryLevel:
+    """Execution results are the ``run`` kind's memory level: a repeated
+    run is served without the simulator and equals a live one."""
+
+    @pytest.mark.parametrize("name", sorted(ALL_TEMPLATES))
+    def test_repeat_is_a_memory_hit_equal_to_a_live_run(self, name,
+                                                        executed):
+        kind = ALL_TEMPLATES[name][0]
+        workload = (make_workload(seed=8, outer=500) if kind == "nested-loop"
+                    else make_tree_workloads()[0])
+        first = repro.run(workload, name)
+        assert len(executed) == 1
+        stats = tiered_cache().stats["run", "memory"]
+        hits = stats.hits
+        again = repro.run(workload, name)
+        assert len(executed) == 1, "a repeated run called the executor"
+        assert stats.hits == hits + 1
+        assert again.result is first.result  # shared, read-only
+
+        default_cache().clear()
+        assert tiered_cache().count("run") == 0
+        live = repro.run(workload, name)
+        assert len(executed) == 2
+        assert live.result is not again.result
+        assert live.result == again.result
+        assert live.metrics == again.metrics
+
+    def test_cold_restart_drops_runs_and_their_counters(self, executed):
+        workload = make_workload(seed=10, outer=400)
+        repro.run(workload, "dual-queue")
+        repro.run(workload, "dual-queue")
+        assert tiered_cache().stats["run", "memory"].hits >= 1
+        default_cache().clear(reset_stats=True)
+        assert tiered_cache().count("run") == 0
+        assert tiered_cache().stats["run", "memory"].lookups == 0
+        repro.run(workload, "dual-queue")
+        assert len(executed) == 2
+        stats = tiered_cache().stats["run", "memory"]
+        assert (stats.hits, stats.misses) == (0, 1)
+
+    def test_run_many_executes_each_distinct_key_once(self, executed):
+        workload = make_workload(seed=9, outer=500)
+        tree = make_tree_workloads()[1]
+        dbuf, dual, hier = (resolve(name) for name in
+                            ("dbuf-shared", "dual-queue", "rec-hier"))
+        items = [
+            (dbuf, workload, TemplateParams(lb_block=64)),
+            (dual, workload, TemplateParams()),
+            # dbuf-shared's plan does not read lb_block, rec-hier's does
+            # not read streams_per_block: same run keys as above
+            (dbuf, workload, TemplateParams(lb_block=128)),
+            (hier, tree, TemplateParams(streams_per_block=1)),
+            (hier, tree, TemplateParams(streams_per_block=2)),
+            (dual, workload, TemplateParams()),
+            (dbuf, workload, TemplateParams(lb_block=64)),
+        ]
+        runs = run_many(items, KEPLER_K20)
+        assert len(executed) == 3
+        assert [run.params for run in runs] == [item[2] for item in items]
+        for (template, wl, params), run in zip(items, runs):
+            default_cache().clear()
+            alone = template.run(wl, KEPLER_K20, params)
+            assert run.template == alone.template
+            assert run.result == alone.result, (template.name, params)
+            assert run.metrics == alone.metrics

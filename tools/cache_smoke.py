@@ -7,7 +7,9 @@ Fast end-to-end gate (wired into ``make test`` as ``make cache-smoke``):
    fresh ``--cache-dir`` (cold: misses + writes on every tier), then a
    *second* child process runs the same workload and must hit the disk
    ``plan`` and ``run`` tiers it never populated itself, producing a
-   bit-identical simulated time;
+   bit-identical simulated time; every child runs its template twice,
+   and the second run must be a ``run`` memory hit that probes no disk
+   ``run`` entry and reports the same time;
 2. **analysis sharing** — the second process is also probed with a
    different template of the same workload, which must reuse the disk
    ``analysis`` tier (the two-level pipeline's cross-template artifact);
@@ -43,12 +45,13 @@ _EDITED_LINE = (
     "config.dram_latency_cycles / outstanding)"
 )
 
-#: runs in a fresh child process: execute one template against the shared
-#: cache dir and report simulated time + per-tier cache counters as JSON
+#: runs in a fresh child process: execute one template twice against the
+#: shared cache dir and report simulated times, per-tier disk counters and
+#: what the repeat cost as JSON
 _CHILD = r"""
 import json, sys
 import numpy as np
-from repro.core.artifactcache import configure_artifact_cache
+from repro.core.artifactcache import configure_artifact_cache, tiered_cache
 from repro.core.registry import resolve
 from repro.core.workload import AccessStream, NestedLoopWorkload
 from repro.gpusim.config import KEPLER_K20
@@ -62,8 +65,18 @@ workload = NestedLoopWorkload(
     name="cache-smoke", trip_counts=trips,
     streams=[AccessStream("x", rng.integers(0, nnz, size=nnz) * 4)],
 )
-run = resolve(template, kind="nested-loop").run(workload, KEPLER_K20)
-print(json.dumps({"time_ms": run.time_ms, "stats": cache.snapshot()}))
+tmpl = resolve(template, kind="nested-loop")
+run = tmpl.run(workload, KEPLER_K20)
+disk_run = cache.snapshot()["tiers"]["run"]
+memory = tiered_cache().stats["run", "memory"]
+memory_hits = memory.hits
+again = tmpl.run(workload, KEPLER_K20)
+print(json.dumps({
+    "time_ms": run.time_ms, "stats": cache.snapshot(),
+    "repeat": {"time_ms": again.time_ms,
+               "memory_hits": memory.hits - memory_hits,
+               "disk_probes_before": disk_run["hits"] + disk_run["misses"]},
+}))
 """
 
 
@@ -83,7 +96,18 @@ def run_child(cache_dir: str, template: str = "dual-queue",
     )
     if proc.returncode != 0:
         fail(f"child process failed:\n{proc.stderr}")
-    return json.loads(proc.stdout)
+    report = json.loads(proc.stdout)
+    repeat = report["repeat"]
+    disk_run = tier(report, "run")
+    if (repeat["memory_hits"] != 1
+            or disk_run["hits"] + disk_run["misses"]
+            != repeat["disk_probes_before"]):
+        fail(f"a repeated run was not served by the run memory level "
+             f"alone: {repeat}, disk run tier {disk_run}")
+    if repeat["time_ms"] != report["time_ms"]:
+        fail(f"a repeated run diverged: {report['time_ms']} "
+             f"vs {repeat['time_ms']}")
+    return report
 
 
 def tier(report: dict, name: str) -> dict:
@@ -121,7 +145,8 @@ def main() -> int:
             fail(f"cached result diverged: {cold['time_ms']} "
                  f"vs {warm['time_ms']}")
         print(f"round trip ok: plan {tier(warm, 'plan')['hits']} hit(s), "
-              f"run {tier(warm, 'run')['hits']} hit(s) across processes")
+              f"run {tier(warm, 'run')['hits']} hit(s) across processes; "
+              "each repeat served from the run memory level")
 
         other = run_child(tmp, template="thread-mapped")
         if tier(other, "analysis")["hits"] < 1:

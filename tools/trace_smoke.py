@@ -6,7 +6,8 @@ Fast end-to-end gate (wired into ``make test`` as ``make trace-smoke``):
 1. runs one nested-loop and one tree workload with ``repro.obs`` enabled
    and validates the emitted Chrome trace — JSON schema, the required
    span names (plan build, per-kernel execution, profiling), and a
-   non-empty simulated-device track;
+   non-empty simulated-device track — and checks the tree run's executor
+   counters (one ``gmu_done`` event per device launch);
 2. drives a small request mix through ``repro.serve`` with tracing on and
    checks that the service books balance
    (``submitted == served + admission_rejected`` etc.) and that the
@@ -68,7 +69,10 @@ def check_template_trace() -> None:
         repro.run(make_workload(), "dbuf-shared")
         tree = RecursiveTreeWorkload(
             generate_tree(depth=4, outdegree=3, seed=9), "descendants")
-        repro.run(tree, "rec-hier")
+        before = obs.summary()["counters"]
+        hier = repro.run(tree, "rec-hier")
+        after = obs.summary()["counters"]
+    check_executor_counters(before, after, hier.result)
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.json"
@@ -87,6 +91,25 @@ def check_template_trace() -> None:
         fail(f"expected 2 plan builds, saw {summary['wall_ms']['plan.build']}")
     print(f"template trace ok: {count} events, "
           f"{len(sim)} on the simulated track")
+
+
+def check_executor_counters(before: dict, after: dict, result) -> None:
+    """The executor's traced self-metrics over one run."""
+    names = ["executor.dispatch_passes", "executor.stale_checks"] + [
+        f"executor.events.{kind}" for kind in
+        ("host_ready", "gmu_done", "sm_check", "linger_done", "tail_done")]
+    missing = [name for name in names if name not in after]
+    if missing:
+        fail(f"executor counters missing from the trace: {missing}")
+    delta = {name: after[name] - before.get(name, 0) for name in names}
+    if delta["executor.events.gmu_done"] != result.n_device_launches:
+        fail(f"gmu_done events {delta['executor.events.gmu_done']} != "
+             f"{result.n_device_launches} device launches")
+    if delta["executor.dispatch_passes"] < 1:
+        fail(f"no dispatch pass counted: {delta}")
+    print(f"executor counters ok: {delta['executor.dispatch_passes']} "
+          f"passes, {delta['executor.events.gmu_done']} gmu_done events "
+          f"for {result.n_device_launches} device launches")
 
 
 def check_service_invariants() -> None:

@@ -10,7 +10,6 @@ from repro.bench.experiments import (  # noqa: F401
     fig7_tree_descendants,
     fig8_tree_heights,
     fig9_recursive_bfs,
-    service_throughput,
     table1_sssp_profile,
     table2_warp_efficiency,
 )

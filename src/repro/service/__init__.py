@@ -12,8 +12,6 @@ long-lived runtime with the shape of an inference-serving stack:
 * :class:`ServiceHandle` / :func:`serve` — synchronous facade running
   the event loop on a background thread (also exported as
   ``repro.serve``).
-* :mod:`repro.service.loadgen` — closed-loop load generation behind
-  ``python -m repro.service`` and ``benchmarks/bench_service_throughput``.
 
 See ``docs/serving.md`` for architecture, failure modes and the metrics
 glossary.
@@ -22,17 +20,11 @@ glossary.
 from repro.service.admission import PriorityClassQueue
 from repro.service.batcher import Batch, MicroBatcher
 from repro.service.handle import ServiceHandle, serve
-from repro.service.metrics import (
-    ClassStats,
-    ServiceStats,
-    percentile,
-    percentiles,
-)
+from repro.service.metrics import ClassStats, ServiceStats, percentile
 from repro.service.request import (
     PRIORITIES,
     Request,
     Response,
-    workload_cost,
     workload_kind,
 )
 from repro.service.service import ServiceConfig, TemplateService
@@ -55,8 +47,6 @@ __all__ = [
     "WorkloadStream",
     "execute_batch_fused",
     "percentile",
-    "percentiles",
     "serve",
-    "workload_cost",
     "workload_kind",
 ]

@@ -1,7 +1,7 @@
 """Synchronous facade over :class:`TemplateService`.
 
 The service is an asyncio runtime; most callers (benchmarks, notebooks,
-the CLI demo) are synchronous.  :class:`ServiceHandle` runs the service's
+scripts) are synchronous.  :class:`ServiceHandle` runs the service's
 event loop on a dedicated daemon thread and exposes a thread-safe
 submit/request/stats surface::
 

@@ -8,7 +8,7 @@ long-lived and must not grow memory with traffic.
 
 Every lifecycle counter is additionally kept **per priority class**
 (``high`` / ``normal`` / ``low``), including a per-class latency window,
-so the SLO bench can report p50/p99 per class straight off a snapshot.
+so one snapshot reports p50/p99 per class.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 
-__all__ = ["percentile", "percentiles", "ServiceStats", "ClassStats"]
+__all__ = ["percentile", "ServiceStats", "ClassStats"]
 
 
 def percentile(values: list[float], q: float) -> float:
@@ -33,12 +33,6 @@ def percentile(values: list[float], q: float) -> float:
     hi = min(lo + 1, len(values) - 1)
     frac = pos - lo
     return float(values[lo] * (1 - frac) + values[hi] * frac)
-
-
-def percentiles(values, qs=(50, 95, 99)) -> dict[str, float]:
-    """``{"p50": ..., "p95": ..., "p99": ...}`` for an unsorted iterable."""
-    ordered = sorted(float(v) for v in values)
-    return {f"p{q:g}": percentile(ordered, q) for q in qs}
 
 
 class ClassStats:

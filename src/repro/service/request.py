@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 from repro.core.params import TemplateParams
 from repro.core.registry import resolve, workload_kind
-from repro.core.workload import NestedLoopWorkload
 from repro.errors import ConfigError, check_duration
 from repro.gpusim.config import DeviceConfig, KEPLER_K20
 from repro.gpusim.executor import resolve_engine
@@ -30,7 +29,6 @@ __all__ = [
     "Request",
     "Response",
     "workload_kind",
-    "workload_cost",
     "DEGRADE_FALLBACK",
     "PRIORITIES",
     "PRIORITY_RANK",
@@ -46,17 +44,6 @@ PRIORITIES = ("high", "normal", "low")
 
 #: class name -> scheduling rank (lower rank drains first)
 PRIORITY_RANK = {name: rank for rank, name in enumerate(PRIORITIES)}
-
-
-def workload_cost(workload) -> int:
-    """Rough work estimate of a workload.
-
-    Inner-iteration count for nested loops, node count for trees — the
-    quantities the plan build and executor pass actually scale with.
-    """
-    if isinstance(workload, NestedLoopWorkload):
-        return workload.n_pairs
-    return workload.tree.n_nodes
 
 
 @dataclass

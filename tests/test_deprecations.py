@@ -15,9 +15,15 @@ silently:
 * the ``ServiceConfig`` fields ``default_template``, ``default_priority``
   and ``default_deadline_s`` (pass the ``submit`` argument), and
   ``min_devices`` and ``scale_up_p99_ms`` (the autoscaler's floor is
-  ``devices`` and its trigger the queue depth).
+  ``devices`` and its trigger the queue depth);
+* the serving load generator ``repro.service.loadgen``, the
+  ``python -m repro.service`` demo, the ``service`` bench experiment and
+  the helpers only they used (``percentiles``, ``workload_cost``); host
+  wall time of the service is the repository benchmark's ``serve``
+  workload.
 """
 
+import importlib.util
 import warnings
 
 import numpy as np
@@ -25,9 +31,10 @@ import pytest
 
 import repro
 from repro.backends import DeviceGroup, SimBackend, backend_for
+from repro.bench.registry import get_experiment
 from repro.core.registry import resolve
 from repro.core.workload import NestedLoopWorkload
-from repro.errors import WorkloadError
+from repro.errors import ExperimentError, WorkloadError
 from repro.gpusim import KEPLER_K20, GpuExecutor
 
 
@@ -133,3 +140,24 @@ class TestServiceDefaultsRemoved:
     def test_serve_rejects_removed_field(self, field, value):
         with pytest.raises(TypeError):
             repro.serve(**{field: value})
+
+
+class TestServingHarnessRemoved:
+    def test_loadgen_import_fails(self):
+        with pytest.raises(ImportError):
+            import repro.service.loadgen  # noqa: F401
+
+    def test_no_service_main(self):
+        assert importlib.util.find_spec("repro.service.__main__") is None
+
+    def test_service_experiment_unknown(self):
+        with pytest.raises(ExperimentError):
+            get_experiment("service")
+
+    def test_percentiles_import_fails(self):
+        with pytest.raises(ImportError):
+            from repro.service import percentiles  # noqa: F401
+
+    def test_workload_cost_import_fails(self):
+        with pytest.raises(ImportError):
+            from repro.service import workload_cost  # noqa: F401

@@ -10,9 +10,12 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core import artifactcache
 from repro.core.params import TemplateParams
+from repro.core.plancache import default_cache
 from repro.core.workload import AccessStream, NestedLoopWorkload
 from repro.errors import ServiceError, WorkloadError
+from repro.gpusim import GpuExecutor
 from repro.service import (
     MicroBatcher,
     PriorityClassQueue,
@@ -22,8 +25,6 @@ from repro.service import (
     TemplateService,
     execute_batch_fused,
     percentile,
-    percentiles,
-    workload_cost,
     workload_kind,
 )
 from repro.trees.generator import generate_tree
@@ -67,8 +68,6 @@ class TestRequestModel:
     def test_workload_kind_and_cost(self, workload, tree_workload):
         assert workload_kind(workload) == "nested-loop"
         assert workload_kind(tree_workload) == "tree"
-        assert workload_cost(workload) == workload.n_pairs
-        assert workload_cost(tree_workload) == tree_workload.tree.n_nodes
         with pytest.raises(WorkloadError):
             workload_kind(object())
 
@@ -269,6 +268,49 @@ class TestFusionGroups:
         assert all(d["inflight"] == 0 for d in devices["per_device"])
         assert stats["batching"]["fused_passes"] == 1
 
+    def test_window_executes_each_identity_once(self, monkeypatch):
+        """Twelve concurrent requests over two identities are two batches
+        in one window: one ``run_fn`` call and one executor pass of two
+        graphs answer all twelve."""
+        monkeypatch.setattr(artifactcache, "_cache", None)
+        workloads = [make_workload(name=f"svc-once-{seed}", seed=seed)
+                     for seed in (31, 32)]
+        expected = [repro.run(wl, "dbuf-global") for wl in workloads]
+        default_cache().clear(reset_stats=True)
+        passes = []
+        run_many = GpuExecutor.run_many
+
+        def counting_run_many(executor, graphs, *args, **kwargs):
+            passes.append(len(graphs))
+            return run_many(executor, graphs, *args, **kwargs)
+
+        monkeypatch.setattr(GpuExecutor, "run_many", counting_run_many)
+        record = RecordingRun()
+
+        async def scenario(service):
+            responses = await asyncio.gather(*[
+                service.submit("dbuf-global", workloads[i % 2])
+                for i in range(12)
+            ])
+            return responses, service.snapshot()
+
+        responses, stats = run_service(
+            scenario, ServiceConfig(max_batch=16, batch_window_s=0.05),
+            run_fn=record,
+        )
+        assert record.calls == [["dbuf-global", "dbuf-global"]]
+        assert passes == [2]
+        batching = stats["batching"]
+        assert batching["batches"] == 2
+        assert batching["coalesced_requests"] == 10
+        assert batching["fused_passes"] == 1
+        for i, response in enumerate(responses):
+            want = expected[i % 2]
+            assert response.ok
+            assert response.workload == workloads[i % 2].name
+            assert response.time_ms == want.time_ms
+            assert response.metrics == want.metrics.as_dict()
+
 
 class TestAdmissionControl:
     def test_queue_full_returns_structured_rejection(self, workload):
@@ -395,6 +437,50 @@ class TestSLOScheduling:
         batches = batcher.group([(r, None) for r in reqs])
         assert sorted(b.size for b in batches) == [1, 2]
         assert {b.priority for b in batches} == {"high", "low"}
+
+    @staticmethod
+    def _windows(workloads, priorities):
+        """Submit one request per workload in one gather; returns each
+        collection window's workload names and the responses."""
+        async def scenario(service):
+            windows = []
+            group = service.batcher.group
+
+            def recording_group(pending):
+                windows.append([r.workload.name for r, _ in pending])
+                return group(pending)
+
+            service.batcher.group = recording_group
+            responses = await asyncio.gather(*[
+                service.submit("dbuf-global", wl, priority=priority)
+                for wl, priority in zip(workloads, priorities)
+            ])
+            return windows, responses
+
+        return run_service(
+            scenario, ServiceConfig(max_batch=1, batch_window_s=0.0))
+
+    def test_high_class_window_drains_first(self):
+        """Four ``low`` requests then one ``high``, queued together: the
+        ``high`` one forms the first window and the rest keep arrival
+        order; the same five at ``normal`` form windows in arrival order.
+        ``submit`` queues its request before it first awaits, so all five
+        are queued before the batch loop takes its first window."""
+        workloads = [make_workload(name=f"svc-class-{i}", outer=300,
+                                   seed=40 + i) for i in range(5)]
+        names = [wl.name for wl in workloads]
+        expected = [repro.run(wl, "dbuf-global") for wl in workloads]
+        for priorities, order in (
+            (["low"] * 4 + ["high"], [4, 0, 1, 2, 3]),
+            (["normal"] * 5, [0, 1, 2, 3, 4]),
+        ):
+            windows, responses = self._windows(workloads, priorities)
+            assert windows == [[names[i]] for i in order]
+            for want, priority, response in zip(expected, priorities,
+                                                responses):
+                assert response.ok and response.priority == priority
+                assert response.time_ms == want.time_ms
+                assert response.metrics == want.metrics.as_dict()
 
     def test_class_bound_rejects_with_kind(self, workload):
         def slow(specs):
@@ -551,9 +637,3 @@ class TestPercentiles:
         assert percentile(values, 50) == pytest.approx(2.5)
         assert percentile([], 50) == 0.0
         assert percentile([7.0], 99) == 7.0
-
-    def test_percentiles_dict(self):
-        out = percentiles(range(101))
-        assert out["p50"] == pytest.approx(50.0)
-        assert out["p95"] == pytest.approx(95.0)
-        assert out["p99"] == pytest.approx(99.0)

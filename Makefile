@@ -9,8 +9,11 @@ export PYTHONPATH := src:$(PYTHONPATH)
 install:
 	pip install -e . --no-build-isolation
 
-test: lint perfbench-smoke trace-smoke cache-smoke multidevice-smoke ir-smoke queue-smoke fuse-smoke stream-smoke
+# the repo's own checks first, the benchmark smoke last: a failure in
+# perfbench/ still fails `make test`, but after everything else has run
+test: lint trace-smoke cache-smoke multidevice-smoke ir-smoke queue-smoke fuse-smoke stream-smoke
 	$(PYTHON) -m pytest tests/
+	$(MAKE) perfbench-smoke
 
 # ruff when installed, stdlib fallback (syntax, unused imports, debug
 # leftovers) otherwise — style regressions fail alongside tier-1 tests

@@ -23,22 +23,14 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from repro.core.base import TemplateRun
-from repro.core.params import TemplateParams
-from repro.core.registry import resolve, workload_kind
+from repro.core.params import TemplateParams, check_params
+from repro.core.registry import check_template, resolve, workload_kind
 from repro.errors import ConfigError, check_count
-from repro.gpusim.config import DeviceConfig, KEPLER_K20
+from repro.gpusim.config import DeviceConfig, KEPLER_K20, check_device
 from repro.gpusim.executor import resolve_engine
 from repro.ir.select import auto_select, is_auto
 
 __all__ = ["run", "compare", "explain", "serve"]
-
-
-def _check_params(params) -> None:
-    if params is not None and not isinstance(params, TemplateParams):
-        raise ConfigError(
-            "params must be a TemplateParams or None, got "
-            f"{type(params).__name__}"
-        )
 
 
 def _coerce_backend_arg(backend, device, devices, engine):
@@ -128,7 +120,9 @@ def run(
         queue-incompatible templates fall back to BSP execution.
     """
     kind = workload_kind(workload)
-    _check_params(params)
+    check_template(template)
+    check_params(params)
+    check_device(device)
     engine = resolve_engine(engine)
     check_count("devices", devices, 1)
     backend_obj, backend_kind = _coerce_backend_arg(
@@ -213,7 +207,8 @@ def explain(
     """
     from repro.backends import resolve_backend
 
-    _check_params(params)
+    check_params(params)
+    check_device(device)
     engine = resolve_engine(engine)
     kind = resolve_backend(backend) or "sim"
     return auto_select(workload, device, params, engine,

@@ -12,9 +12,9 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from repro.errors import check_count
+from repro.errors import ConfigError, check_count
 
-__all__ = ["TemplateParams", "DEFAULT_THREAD_BLOCK", "DEFAULT_LB_BLOCK"]
+__all__ = ["TemplateParams", "DEFAULT_THREAD_BLOCK", "DEFAULT_LB_BLOCK", "check_params"]
 
 #: the paper's thread-mapped block size ("we use 192 threads per block,
 #: equaling the number of cores per streaming multiprocessor")
@@ -82,3 +82,9 @@ class TemplateParams:
     def replace(self, **changes: object) -> "TemplateParams":
         """Copy with changes (revalidated)."""
         return dataclasses.replace(self, **changes)
+
+
+def check_params(params) -> None:
+    """Raise :class:`ConfigError` unless ``params`` is a TemplateParams or None."""
+    if params is not None and not isinstance(params, TemplateParams):
+        raise ConfigError(f"params must be a TemplateParams or None, got {type(params).__name__}")

@@ -12,7 +12,7 @@ underscore variants, so existing callers keep working.
 
 from __future__ import annotations
 
-from repro.core.base import NestedLoopTemplate
+from repro.core.base import NestedLoopTemplate, _TemplateBase
 from repro.core.delayed_buffer import (
     DelayedBufferGlobalTemplate,
     DelayedBufferSharedTemplate,
@@ -27,7 +27,7 @@ from repro.core.recursive import (
 )
 from repro.core.thread_mapped import BlockMappedTemplate, ThreadMappedTemplate
 from repro.core.workload import NestedLoopWorkload
-from repro.errors import PlanError, WorkloadError
+from repro.errors import ConfigError, PlanError, WorkloadError
 
 __all__ = [
     "NESTED_LOOP_TEMPLATES",
@@ -36,6 +36,7 @@ __all__ = [
     "LOAD_BALANCING_TEMPLATES",
     "TEMPLATE_ALIASES",
     "canonical_name",
+    "check_template",
     "resolve",
     "workload_kind",
 ]
@@ -117,6 +118,13 @@ def canonical_name(name: str) -> str:
         known = ", ".join(sorted(ALL_TEMPLATES))
         raise PlanError(f"unknown template {name!r}; known: {known}")
     return key
+
+
+def check_template(template) -> None:
+    """Raise :class:`ConfigError` unless ``template`` is a name or a template instance."""
+    if not isinstance(template, (str, _TemplateBase)):
+        raise ConfigError("template must be a registry name or a template instance, "
+                          f"got {type(template).__name__}")
 
 
 def resolve(name: str, kind: str | None = None):

@@ -27,6 +27,7 @@ __all__ = [
     "FERMI_C2050",
     "preset",
     "PRESETS",
+    "check_device",
     "supports_dynamic_parallelism",
 ]
 
@@ -278,6 +279,12 @@ def preset(name: str) -> DeviceConfig:
     except KeyError:
         known = ", ".join(sorted(PRESETS))
         raise ConfigError(f"unknown device preset {name!r}; known presets: {known}") from None
+
+
+def check_device(device) -> None:
+    """Raise :class:`ConfigError` unless ``device`` is a DeviceConfig."""
+    if not isinstance(device, DeviceConfig):
+        raise ConfigError(f"device must be a DeviceConfig (see preset()), got {device!r}")
 
 
 def supports_dynamic_parallelism(config: DeviceConfig) -> bool:

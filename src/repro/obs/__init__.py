@@ -39,7 +39,8 @@ Instrumented span names (the stable catalogue):
 ``gpusim.execute``    one executor pass over N >= 1 launch graphs (tagged
                       ``engine``, ``graphs``, ``launches``)
 ``gpusim.profile``    metric extraction from an executed graph
-``service.coalesce``  micro-batcher grouping one collection window
+``service.coalesce``  micro-batcher grouping one window: the queue's head
+                      plus whatever was already queued behind it
 ``service.batch``     one fusion-group dispatch (retries + degradation
                       included)
 ``service.execute``   one execution attempt: one ``execute_batch_fused``

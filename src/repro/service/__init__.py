@@ -4,7 +4,8 @@ The serving layer turns the one-shot ``repro.run`` facade into a
 long-lived runtime with the shape of an inference-serving stack:
 
 * :class:`TemplateService` — asyncio front end with admission control
-  (bounded in-flight requests, structured rejections), a micro-batcher
+  (bounded in-flight requests, structured rejections), a work-conserving
+  batch loop that dispatches whatever is queued at once, a micro-batcher
   that coalesces requests sharing a plan-cache identity into one
   execution, one fused executor pass per scheduling window, per-request
   timeouts, bounded retry with backoff, and graceful degradation of

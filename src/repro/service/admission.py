@@ -4,9 +4,7 @@ The service used to hold pending work in one ``asyncio.Queue``; with
 priority classes the pending set is a bank of per-class FIFOs drained
 strictly highest-class-first.  :class:`PriorityClassQueue` keeps the
 ``asyncio.Queue`` surface the batch loop already speaks (``put_nowait`` /
-``get`` / ``get_nowait`` / ``empty`` / ``qsize``) plus
-:meth:`requeue_front` for the stop-mid-window path, which must hand
-collected-but-undispatched requests back *ahead of* later arrivals.
+``get`` / ``get_nowait`` / ``empty`` / ``qsize``).
 
 The queue is single-consumer (the batch loop); producers may be any
 number of ``submit`` coroutines on the same event loop.  Bounds are not
@@ -29,8 +27,8 @@ class PriorityClassQueue:
 
     Items are ``(request, future)`` pairs; the class is read off
     ``request.priority``.  ``get()`` is cancellation-safe: an item is
-    popped synchronously after the wakeup ``await``, so a cancelled
-    ``wait_for(queue.get(), ...)`` never loses an item.
+    popped synchronously after the wakeup ``await``, so cancelling a
+    waiting ``get()`` (``stop()`` does) never loses an item.
     """
 
     def __init__(self, classes: tuple[str, ...] = PRIORITIES) -> None:
@@ -45,19 +43,6 @@ class PriorityClassQueue:
         self._queues[request.priority].append(item)
         self._size += 1
         self._wakeup.set()
-
-    def requeue_front(self, items) -> None:
-        """Put items back at the *head* of their classes, preserving order.
-
-        Used when the batch loop is cancelled mid-collection: the items
-        were already dequeued once and must not fall behind requests that
-        arrived after them.
-        """
-        for item in reversed(list(items)):
-            self._queues[item[0].priority].appendleft(item)
-            self._size += 1
-        if self._size:
-            self._wakeup.set()
 
     def _pop(self):
         for name in self._classes:

@@ -1,10 +1,10 @@
 """Micro-batching: coalesce pending requests into batches.
 
-A collection window's worth of pending requests is grouped by
-:meth:`Request.batch_key` — workload fingerprint, template, engine,
-device, params, backend, priority — and each group becomes one
-:class:`Batch`: **one** plan build and **one** run whose result
-answers every member.
+One collection window — the head of the service queue plus whatever
+was already queued behind it — is grouped by :meth:`Request.batch_key`
+(workload fingerprint, template, engine, device, params, backend,
+priority), and each group becomes one :class:`Batch`: **one** plan build
+and **one** run whose result answers every member.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ submit/request/stats surface::
         print(svc.stats()["latency_ms"])
 
 ``submit`` returns a ``concurrent.futures.Future`` so many requests can
-be in flight from one caller thread — that concurrency is what gives the
-micro-batcher co-travellers to coalesce.
+be in flight from one caller thread; requests that are queued together
+when the batch loop takes a window coalesce.
 """
 
 from __future__ import annotations

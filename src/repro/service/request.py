@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.params import TemplateParams
-from repro.core.registry import resolve, workload_kind
+from repro.core.params import TemplateParams, check_params
+from repro.core.registry import check_template, resolve, workload_kind
 from repro.errors import ConfigError, check_duration
-from repro.gpusim.config import DeviceConfig, KEPLER_K20
+from repro.gpusim.config import DeviceConfig, KEPLER_K20, check_device
 from repro.gpusim.executor import resolve_engine
 from repro.ir.select import auto_select, is_auto
 
@@ -83,6 +83,10 @@ class Request:
         from repro.backends import resolve_backend
 
         self.kind = workload_kind(self.workload)
+        # before selection and the batch key: never fail in the batch loop
+        check_template(self.template)
+        check_params(self.params)
+        check_device(self.device)
         resolve_engine(self.engine, error=ConfigError)
         resolve_backend(self.backend, error=ConfigError)
         if self.priority not in PRIORITY_RANK:

@@ -7,10 +7,11 @@ long-lived server.  The life of a request:
    backpressure: beyond ``max_pending`` in-flight requests, the answer is
    an immediate structured *rejection* response (never an indefinite
    block) so callers can shed or retry upstream.
-2. **Collection** — the batch loop drains the queue for up to
-   ``batch_window_s`` (or ``max_batch`` requests) and hands the window to
-   the :class:`~repro.service.batcher.MicroBatcher`, which coalesces
-   requests sharing a batch key into one batch.
+2. **Collection** — the batch loop takes the head of the queue plus
+   whatever else is already queued (up to ``max_batch`` requests) and
+   hands that window to the :class:`~repro.service.batcher.MicroBatcher`,
+   which coalesces requests sharing a batch key into one batch.  It never
+   waits for co-travellers: the loop is work-conserving.
 3. **Execution** — the window's batches split into fusion groups, one
    per (backend kind, device, engine, priority); each group runs as one
    :func:`~repro.service.workers.execute_batch_fused` call on a worker
@@ -62,9 +63,9 @@ _COUNT_FLOORS = {
 }
 #: time config fields (seconds) and whether each accepts zero
 _DURATION_ZERO_OK = {
-    "batch_window_s": True, "request_timeout_s": False,
-    "retry_backoff_s": True, "drain_timeout_s": False,
-    "scale_check_interval_s": False, "scale_cooldown_s": True,
+    "request_timeout_s": False, "retry_backoff_s": True,
+    "drain_timeout_s": False, "scale_check_interval_s": False,
+    "scale_cooldown_s": True,
 }
 #: numeric fields whose None means "no bound"
 _NONE_OK = frozenset({
@@ -81,8 +82,6 @@ class ServiceConfig:
     max_pending: int = 256
     #: most requests one collection window may gather
     max_batch: int = 16
-    #: how long the batch loop waits for co-travellers (seconds)
-    batch_window_s: float = 0.002
     #: per-attempt execution timeout (None = unbounded)
     request_timeout_s: float | None = 30.0
     #: retries after the first failed attempt
@@ -510,27 +509,20 @@ class TemplateService:
 
     # ------------------------------------------------------ batching loop
     async def _batch_loop(self) -> None:
-        loop = asyncio.get_running_loop()
+        """Take the head of the queue, add whatever else is already
+        queued (up to ``max_batch``) and dispatch the window.
+
+        Requests enqueued in one event-loop tick (one ``gather``, or a
+        burst that arrived while the loop was busy) share a window; a
+        lone request is dispatched at once.  The only await is for the
+        head, so ``stop()`` can cancel the loop only while it waits for
+        one, never with a window in hand.
+        """
         while True:
             pending = [await self._queue.get()]
-            deadline = loop.time() + self.config.batch_window_s
-            try:
-                while len(pending) < self.config.max_batch:
-                    remaining = deadline - loop.time()
-                    if remaining <= 0:
-                        break
-                    try:
-                        pending.append(
-                            await asyncio.wait_for(self._queue.get(), remaining)
-                        )
-                    except asyncio.TimeoutError:
-                        break
-            except asyncio.CancelledError:
-                # stop() cancelled us mid-window: hand collected-but-
-                # undispatched requests back so the stop path answers
-                # them instead of leaving their futures pending forever
-                self._queue.requeue_front(pending)
-                raise
+            while len(pending) < self.config.max_batch \
+                    and not self._queue.empty():
+                pending.append(self._queue.get_nowait())
             with obs.span("service.coalesce", pending=len(pending)):
                 batches = self.batcher.group(pending)
             for group in self._fusion_groups(batches):
@@ -913,7 +905,6 @@ class TemplateService:
         snap["config"] = {
             "max_pending": self.config.max_pending,
             "max_batch": self.config.max_batch,
-            "batch_window_s": self.config.batch_window_s,
             "engine": self.config.engine,
             "backend": self.config.backend,
             "devices": self.config.devices,

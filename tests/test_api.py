@@ -22,6 +22,21 @@ from repro.trees.generator import generate_tree
 from test_executor_fused import assert_result_equal
 
 
+#: (template, keyword arguments, the argument the ConfigError names):
+#: inputs every front door (``repro.run``, ``TemplateService.submit``)
+#: must reject before selection, under a named template and under auto
+MALFORMED_ARGUMENTS = [
+    ("thread-mapped", dict(params={"lb_threshold": 3}), "params"),
+    ("auto", dict(params={"lb_threshold": 3}), "params"),
+    ("thread-mapped", dict(device="k20"), "device"),
+    ("auto", dict(device="k20"), "device"),
+    (5, {}, "template"),
+    (["flat"], {}, "template"),
+]
+MALFORMED_IDS = ["named-params", "auto-params", "named-device",
+                 "auto-device", "int-template", "list-template"]
+
+
 @pytest.fixture(scope="module")
 def loop_workload():
     rng = np.random.default_rng(0)
@@ -129,6 +144,13 @@ class TestRunFacade:
         with pytest.raises(ConfigError, match="got dict"):
             repro.run(loop_workload, "baseline", params={"lb_threshold": 3})
 
+    @pytest.mark.parametrize("template, kwargs, argument",
+                             MALFORMED_ARGUMENTS, ids=MALFORMED_IDS)
+    def test_malformed_argument_is_named(self, loop_workload, template,
+                                         kwargs, argument):
+        with pytest.raises(ConfigError, match=f"^{argument} must be"):
+            repro.run(loop_workload, template, **kwargs)
+
 
 class TestEngineSelection:
     def test_engine_kwarg_fast_and_exact_agree(self, loop_workload):
@@ -200,6 +222,10 @@ class TestExplainFacade:
     def test_params_must_be_template_params(self, loop_workload):
         with pytest.raises(ConfigError, match="got dict"):
             repro.explain(loop_workload, params={"lb_threshold": 3})
+
+    def test_device_must_be_device_config(self, loop_workload):
+        with pytest.raises(ConfigError, match="^device must be"):
+            repro.explain(loop_workload, device="k20")
 
     def test_explain_matches_run(self, loop_workload):
         info = repro.explain(loop_workload)

@@ -15,7 +15,8 @@ silently:
 * the ``ServiceConfig`` fields ``default_template``, ``default_priority``
   and ``default_deadline_s`` (pass the ``submit`` argument), and
   ``min_devices`` and ``scale_up_p99_ms`` (the autoscaler's floor is
-  ``devices`` and its trigger the queue depth);
+  ``devices`` and its trigger the queue depth), and ``batch_window_s``
+  (the batch loop dispatches whatever is queued at once);
 * the serving load generator ``repro.service.loadgen``, the
   ``python -m repro.service`` demo, the ``service`` bench experiment and
   the helpers only they used (``percentiles``, ``workload_cost``); host
@@ -136,6 +137,7 @@ class TestServiceDefaultsRemoved:
         ("default_deadline_s", 5.0),
         ("min_devices", 1),
         ("scale_up_p99_ms", 50.0),
+        ("batch_window_s", 0.002),
     ])
     def test_serve_rejects_removed_field(self, field, value):
         with pytest.raises(TypeError):

@@ -207,7 +207,7 @@ class TestServiceFusion:
         import asyncio
 
         async def driver():
-            config = ServiceConfig(batch_window_s=0.05, max_batch=16)
+            config = ServiceConfig(max_batch=16)
             service = TemplateService(config)
             await service.start()
             try:

@@ -121,7 +121,7 @@ class TestServiceInvariants:
 
         responses, snap = run_service(
             scenario,
-            ServiceConfig(max_pending=2, batch_window_s=0.0, **FAST_RETRY),
+            ServiceConfig(max_pending=2, **FAST_RETRY),
             run_fn=slow,
         )
         rejected = [r for r in responses if r.status == "rejected"]
@@ -134,16 +134,17 @@ class TestServiceInvariants:
         assert snap["admission_rejected"] + snap["drain_rejected"] == 6
 
     def test_stop_mid_window_counts_drain_rejects(self, workload):
-        """Requests caught inside an open collection window are answered
-        (drain-rejected), not silently dropped."""
+        """Requests queued but not yet collected into a window when
+        ``stop(drain=False)`` runs are answered (drain-rejected), not
+        silently dropped."""
         async def driver():
-            service = TemplateService(ServiceConfig(batch_window_s=1.0))
+            service = TemplateService()
             await service.start()
             tasks = [
                 asyncio.create_task(service.submit("dual-queue", workload))
                 for _ in range(3)
             ]
-            await asyncio.sleep(0.05)  # let the window open and collect
+            await asyncio.sleep(0)  # all three queue; none is collected
             await service.stop(drain=False)
             responses = await asyncio.gather(*tasks)
             assert_books_balance(service)

@@ -135,8 +135,7 @@ class TestServiceBasics:
             ])
             return responses, service.snapshot()
 
-        responses, stats = run_service(
-            scenario, ServiceConfig(max_batch=16, batch_window_s=0.05))
+        responses, stats = run_service(scenario)
         assert all(r.ok for r in responses)
         assert len({r.time_ms for r in responses}) == 1
         assert max(r.batch_size for r in responses) > 1
@@ -225,7 +224,7 @@ class TestFusionGroups:
             workload,
             [("dual-queue", dict(priority="high")),
              ("dbuf-global", dict(priority="low"))],
-            ServiceConfig(batch_window_s=0.05), run_fn=record,
+            None, run_fn=record,
         )
         assert sorted(record.calls) == [["dbuf-global"], ["dual-queue"]]
         for name, response in zip(("dual-queue", "dbuf-global"), responses):
@@ -240,7 +239,7 @@ class TestFusionGroups:
         names = ("dbuf-shared", "dual-queue")
         responses, stats = self._window(
             workload, [(name, {}) for name in names],
-            ServiceConfig(backend="queue", batch_window_s=0.05),
+            ServiceConfig(backend="queue"),
             run_fn=record,
         )
         assert record.calls == [list(names)]
@@ -257,7 +256,7 @@ class TestFusionGroups:
         names = ("dbuf-global", "dual-queue")
         responses, stats = self._window(
             workload, [(name, {}) for name in names],
-            ServiceConfig(devices=2, batch_window_s=0.05),
+            ServiceConfig(devices=2),
         )
         for name, response in zip(names, responses):
             assert response.ok
@@ -294,10 +293,7 @@ class TestFusionGroups:
             ])
             return responses, service.snapshot()
 
-        responses, stats = run_service(
-            scenario, ServiceConfig(max_batch=16, batch_window_s=0.05),
-            run_fn=record,
-        )
+        responses, stats = run_service(scenario, run_fn=record)
         assert record.calls == [["dbuf-global", "dbuf-global"]]
         assert passes == [2]
         batching = stats["batching"]
@@ -310,6 +306,42 @@ class TestFusionGroups:
             assert response.workload == workloads[i % 2].name
             assert response.time_ms == want.time_ms
             assert response.metrics == want.metrics.as_dict()
+
+
+class TestCollection:
+    """The batch loop is work-conserving: a window is the head of the
+    queue plus whatever is already queued behind it."""
+
+    def test_lone_request_is_dispatched_without_waiting(
+            self, workload, monkeypatch):
+        """On a default-config service a lone request is coalesced right
+        after the one awaited ``get`` that took it: the loop does not
+        await a second ``get`` for co-travellers that are not queued."""
+        events = []
+        get = PriorityClassQueue.get
+
+        async def recording_get(queue):
+            events.append("get")
+            return await get(queue)
+
+        monkeypatch.setattr(PriorityClassQueue, "get", recording_get)
+        record = RecordingRun()
+
+        async def scenario(service):
+            group = service.batcher.group
+
+            def recording_group(pending):
+                events.append(("group", len(pending)))
+                return group(pending)
+
+            service.batcher.group = recording_group
+            return await service.submit("dbuf-global", workload)
+
+        response = run_service(scenario, run_fn=record)
+        assert events[:2] == ["get", ("group", 1)]
+        assert record.calls == [["dbuf-global"]]
+        assert response.ok
+        assert response.time_ms == repro.run(workload, "dbuf-global").time_ms
 
 
 class TestAdmissionControl:
@@ -330,7 +362,7 @@ class TestAdmissionControl:
 
         first, second = run_service(
             scenario,
-            ServiceConfig(max_pending=1, batch_window_s=0.0),
+            ServiceConfig(max_pending=1),
             run_fn=slow_run,
         )
         assert first.ok
@@ -364,7 +396,7 @@ class TestAdmissionControl:
 class TestServiceHandle:
     def test_sync_facade_roundtrip(self, workload):
         expected = repro.run(workload, "dbuf-global")
-        with repro.serve(max_batch=8, batch_window_s=0.01) as svc:
+        with repro.serve(max_batch=8) as svc:
             assert isinstance(svc, ServiceHandle)
             futures = [svc.submit("dbuf-global", workload) for _ in range(6)]
             responses = [f.result(timeout=30) for f in futures]
@@ -413,18 +445,6 @@ class TestPriorityQueue:
         assert drained == ["high", "high", "normal", "low", "low"]
         assert q.empty()
 
-    def test_requeue_front_preserves_fifo_within_class(self):
-        q = PriorityClassQueue()
-        items = []
-        for i, priority in enumerate(("normal", "normal", "high")):
-            request = type("R", (), {"priority": priority})()
-            items.append((request, (priority, i)))
-            q.put_nowait(items[-1])
-        window = [q.get_nowait() for _ in range(2)]  # high, normal#0
-        q.requeue_front(window)
-        order = [q.get_nowait()[1] for _ in range(3)]
-        assert order == [("high", 2), ("normal", 0), ("normal", 1)]
-
 
 class TestSLOScheduling:
     def test_priority_separates_batch_identities(self, workload):
@@ -458,7 +478,7 @@ class TestSLOScheduling:
             return windows, responses
 
         return run_service(
-            scenario, ServiceConfig(max_batch=1, batch_window_s=0.0))
+            scenario, ServiceConfig(max_batch=1))
 
     def test_high_class_window_drains_first(self):
         """Four ``low`` requests then one ``high``, queued together: the
@@ -498,8 +518,7 @@ class TestSLOScheduling:
 
         blocker, low, high, stats = run_service(
             scenario,
-            ServiceConfig(max_pending_per_class={"low": 1},
-                          batch_window_s=0.0),
+            ServiceConfig(max_pending_per_class={"low": 1}),
             run_fn=slow,
         )
         assert blocker.ok and high.ok
@@ -526,7 +545,7 @@ class TestSLOScheduling:
 
         blocker, over, other, stats = run_service(
             scenario,
-            ServiceConfig(tenant_quotas={"acme": 1}, batch_window_s=0.0),
+            ServiceConfig(tenant_quotas={"acme": 1}),
             run_fn=slow,
         )
         assert blocker.ok and other.ok
@@ -534,27 +553,30 @@ class TestSLOScheduling:
         assert "tenant quota" in over.reason and over.tenant == "acme"
         assert stats["requests"]["quota_rejected"] == 1
 
-    def test_expired_deadline_is_shed(self, workload):
+    @staticmethod
+    def _expired(workload, config=None):
+        """One request whose 1 ms deadline passes before the batch loop
+        collects it: the scenario blocks the event loop for 10 ms between
+        admission and collection."""
         async def scenario(service):
-            response = await service.submit("dual-queue", workload,
-                                            deadline_s=0.001)
-            return response, service.snapshot()
+            task = asyncio.create_task(
+                service.submit("dual-queue", workload, deadline_s=0.001))
+            await asyncio.sleep(0)  # the request is admitted and queued
+            time.sleep(0.01)        # ... and expires before collection
+            return await task, service.snapshot()
 
-        response, stats = run_service(
-            scenario, ServiceConfig(batch_window_s=0.05))
+        return run_service(scenario, config)
+
+    def test_expired_deadline_is_shed(self, workload):
+        response, stats = self._expired(workload)
         assert response.status == "shed" and not response.ok
         assert "deadline" in response.reason
         assert stats["requests"]["shed"] == 1
         assert stats["requests"]["served"] == 1  # shed is a terminal answer
 
     def test_shedding_disabled_runs_late_work(self, workload):
-        async def scenario(service):
-            return await service.submit("dual-queue", workload,
-                                        deadline_s=0.001)
-
-        response = run_service(
-            scenario,
-            ServiceConfig(batch_window_s=0.05, shed_deadlines=False))
+        response, _ = self._expired(
+            workload, ServiceConfig(shed_deadlines=False))
         assert response.ok
 
     def test_low_priority_dynpar_degrades_under_load(self, workload):
@@ -606,7 +628,7 @@ class TestSLOScheduling:
                 devices=devices, autoscale=True, max_devices=3,
                 scale_up_pending_per_device=1,
                 scale_check_interval_s=interval,
-                scale_cooldown_s=0.02, batch_window_s=0.0, max_batch=1,
+                scale_cooldown_s=0.02, max_batch=1,
             ),
             run_fn=slow,
         )

@@ -14,8 +14,9 @@ import pytest
 
 import repro
 from repro.core.workload import AccessStream, NestedLoopWorkload
-from repro.errors import ServiceError
+from repro.errors import ConfigError, ServiceError
 from repro.service import ServiceConfig, TemplateService, execute_batch_fused
+from test_api import MALFORMED_ARGUMENTS, MALFORMED_IDS
 
 
 def make_workload(name="fault-wl", outer=800, seed=3):
@@ -190,7 +191,7 @@ class TestFusedGroupFailure:
             return responses, service.snapshot()
 
         return run_service(
-            scenario, ServiceConfig(batch_window_s=0.05, **FAST_RETRY),
+            scenario, ServiceConfig(**FAST_RETRY),
             run_fn=run_fn)
 
     def test_group_failure_alone_fails_nobody(self, workload):
@@ -255,7 +256,7 @@ class TestFusedGroupFailure:
             return responses, service.snapshot()
 
         (late, other), stats = run_service(
-            scenario, ServiceConfig(batch_window_s=0.05, **FAST_RETRY),
+            scenario, ServiceConfig(**FAST_RETRY),
             run_fn=slow_fused_failure)
         assert sizes == [2, 1]
         assert late.status == "shed" and late.attempts == 0
@@ -323,8 +324,7 @@ class TestStopBehaviour:
             return execute_batch_fused(specs)
 
         async def driver():
-            service = TemplateService(
-                ServiceConfig(batch_window_s=0.0), run_fn=slow)
+            service = TemplateService(run_fn=slow)
             await service.start()
             tasks = [
                 asyncio.create_task(service.submit("dual-queue", workload))
@@ -376,8 +376,7 @@ class TestDispatchCrash:
 
         async def driver():
             service = TemplateService(
-                ServiceConfig(max_retries=0, retry_backoff_s=0.001,
-                              batch_window_s=0.0),
+                ServiceConfig(max_retries=0, retry_backoff_s=0.001),
                 run_fn=malformed,
             )
             await service.start()
@@ -403,8 +402,7 @@ class TestDispatchCrash:
 
         async def driver():
             service = TemplateService(
-                ServiceConfig(request_timeout_s=None, drain_timeout_s=0.05,
-                              batch_window_s=0.0),
+                ServiceConfig(request_timeout_s=None, drain_timeout_s=0.05),
                 run_fn=hang,
             )
             await service.start()
@@ -419,6 +417,31 @@ class TestDispatchCrash:
         assert response.status == "failed"
         assert "cancelled" in response.reason
         assert stop_s < 0.4  # bounded by drain_timeout_s, not the hang
+
+
+class TestMalformedRequests:
+    @pytest.mark.parametrize("template, kwargs, argument",
+                             MALFORMED_ARGUMENTS, ids=MALFORMED_IDS)
+    def test_rejected_at_submit_and_service_keeps_serving(
+            self, workload, template, kwargs, argument):
+        """A malformed argument raises a ConfigError naming it from
+        ``submit``, before anything is queued, and the same service
+        answers the next valid request.  The bounded waits turn a wedged
+        batch loop into a failure instead of a hang."""
+        async def scenario(service):
+            with pytest.raises(ConfigError, match=f"^{argument} must be"):
+                await asyncio.wait_for(
+                    service.submit(template, workload, **kwargs), 5.0)
+            response = await asyncio.wait_for(
+                service.submit("thread-mapped", workload), 30.0)
+            return response, service.snapshot()
+
+        response, stats = run_service(
+            scenario, ServiceConfig(drain_timeout_s=1.0))
+        assert response.ok
+        assert response.time_ms == \
+            repro.run(workload, "thread-mapped").time_ms
+        assert stats["requests"]["submitted"] == 1
 
 
 class TestRejectionIds:
@@ -440,7 +463,7 @@ class TestRejectionIds:
 
         ok, rejected = run_service(
             scenario,
-            ServiceConfig(max_pending=1, batch_window_s=0.0),
+            ServiceConfig(max_pending=1),
             run_fn=slow,
         )
         assert ok.ok and ok.id == 0
@@ -455,7 +478,7 @@ class TestRejectionIds:
 
         async def driver():
             service = TemplateService(
-                ServiceConfig(batch_window_s=0.0, max_batch=1), run_fn=slow)
+                ServiceConfig(max_batch=1), run_fn=slow)
             await service.start()
             tasks = [
                 asyncio.create_task(service.submit("dual-queue", workload))
@@ -482,10 +505,10 @@ class TestConfigValidation:
             (dict(request_timeout_s=-1.5),
              "request_timeout_s must be positive"),
             (dict(stats_window=0), "stats_window must be >= 1"),
-            # an infinite window never closes: a lone request would wait
-            # forever for co-travellers
-            (dict(batch_window_s=float("inf"), max_batch=4),
-             "batch_window_s must be a finite number"),
+            # a zero-ok duration still rejects infinity: the first retry
+            # would never start
+            (dict(retry_backoff_s=float("inf")),
+             "retry_backoff_s must be a finite number"),
             (dict(drain_timeout_s=0), "drain_timeout_s must be positive"),
             # priority class names are exact, not case-folded
             (dict(max_pending_per_class={"High": 4}), "unknown priority"),
@@ -525,7 +548,7 @@ class TestConfigValidation:
     def test_valid_boundary_values_accepted(self):
         config = ServiceConfig(
             stats_window=1, max_batch=np.int64(4), max_retries=0,
-            batch_window_s=0, retry_backoff_s=0,
+            retry_backoff_s=0,
             request_timeout_s=None, drain_timeout_s=None,
             tenant_quota=1, max_pending_per_class={"low": 1},
             degrade_pending_threshold=1,

@@ -116,7 +116,7 @@ def check_service_invariants() -> None:
     obs.reset()
     obs.set_enabled(True)
     workload = make_workload(outer=400, seed=21)
-    with serve(max_batch=8, batch_window_s=0.001) as svc:
+    with serve(max_batch=8) as svc:
         for _ in range(6):
             response = svc.request("dual-queue", workload)
             if not response.ok:

@@ -19,7 +19,7 @@ below.  Three backends ship:
   bit-for-bit.
 * :class:`~repro.backends.group.DeviceGroup` — N simulated devices;
   shards whole workloads across members (template runs) and routes
-  individual graphs to the least-loaded member (serving batches).
+  individual graphs to the least-loaded member (``submit_many``).
 * :class:`~repro.queue.backend.QueueBackend` — one simulated device
   running the Atos-style persistent-worker task-queue model instead of
   bulk-synchronous launches (``capabilities.persistent_queue``; see

@@ -5,9 +5,7 @@ members (identical device configs) and supports two modes of use:
 
 * **Graph routing** (:meth:`DeviceGroup.submit_many`) — each launch
   graph goes to the least-loaded member, where load is the simulated busy
-  time it has accumulated plus its in-flight submissions.  The serving
-  layer routes on the same load through :meth:`DeviceGroup.acquire` /
-  :meth:`DeviceGroup.complete`, one reservation per fusion group.
+  time it has accumulated plus its in-flight submissions.
 * **Sharded runs** (:func:`run_sharded`) — one workload is split by the
   planner in :mod:`repro.core.sharding`, each shard builds and executes
   its own plan on its member device (concurrently, on a thread pool —
@@ -82,11 +80,6 @@ class DeviceGroup(Backend):
         self._capabilities = capabilities_of(device, devices=n_devices)
         self._lock = threading.Lock()
         self._inflight = [0] * n_devices
-        #: complete() calls that would have driven an in-flight counter
-        #: negative — a double release.  The counter is clamped so load
-        #: routing survives, but the underflow is counted (and asserted
-        #: zero in the multi-device smoke) instead of silently masked.
-        self.release_underflows = 0
 
     @property
     def device(self) -> DeviceConfig:
@@ -101,108 +94,24 @@ class DeviceGroup(Backend):
         return self.members[0].engine
 
     # ------------------------------------------------------------- routing
-    def least_loaded(self) -> int:
-        """Member index with the least accumulated + in-flight load."""
-        with self._lock:
-            return self._pick_locked()
-
-    def _loads_locked(self) -> tuple[list[float], float]:
-        """Per-member load (busy + in-flight) and the average busy time
-        one in-flight graph is assumed to add."""
-        avg = (sum(m.busy_ms for m in self.members)
-               / len(self.members)) or 1.0
-        load = [m.busy_ms + self._inflight[i] * avg
-                for i, m in enumerate(self.members)]
-        return load, avg
-
-    def _pick_locked(self) -> int:
-        load, _ = self._loads_locked()
-        # least load, lowest index on ties
-        return min(range(len(load)), key=lambda j: (load[j], j))
-
-    def acquire(self) -> int:
-        """Reserve the least-loaded member for an external execution.
-
-        The serving layer reserves one member per fusion group: the group
-        runs on a backend of its own (the member's executor never sees
-        the graphs), so the reservation tracks expected load until
-        :meth:`complete`.
-        """
-        with self._lock:
-            i = self._pick_locked()
-            self._inflight[i] += 1
-            return i
-
-    def complete(self, index: int, busy_ms: float = 0.0) -> None:
-        """Release a reservation, crediting the simulated time it ran.
-
-        A release without a matching :meth:`acquire` (a double release)
-        is a caller bug: the counter stays clamped at zero so routing
-        keeps working, but the underflow is counted on
-        ``release_underflows`` and the ``device.release_underflow`` obs
-        counter rather than silently masked.
-        """
-        with self._lock:
-            if self._inflight[index] <= 0:
-                self.release_underflows += 1
-                obs.add_counter("device.release_underflow")
-                obs.instant("device.release_underflow", device=index)
-            else:
-                self._inflight[index] -= 1
-            self.members[index].busy_ms += busy_ms
-
-    # ------------------------------------------------------- elasticity
-    def add_member(self) -> int:
-        """Grow the group by one device; returns the new member's index.
-
-        The autoscaling path of the serving tier: a new idle member
-        immediately attracts routing (least-loaded picks it first).
-        """
-        with self._lock:
-            index = len(self.members)
-            first = self.members[0]
-            self.members.append(
-                SimBackend(first.device, engine=first.engine,
-                           device_index=index)
-            )
-            self._inflight.append(0)
-            self._capabilities = capabilities_of(
-                first.device, devices=len(self.members)
-            )
-            return index
-
-    def remove_member(self) -> bool:
-        """Shrink the group by its last member, only when that member is
-        idle (no in-flight reservations); returns whether it shrank.
-
-        Only the *last* member is ever removed so indices handed out by
-        :meth:`acquire` stay valid — a device with reservations can never
-        disappear underneath a ``complete()``.
-        """
-        with self._lock:
-            if len(self.members) <= 1 or self._inflight[-1] != 0:
-                return False
-            self.members.pop()
-            self._inflight.pop()
-            self._capabilities = capabilities_of(
-                self.members[0].device, devices=len(self.members)
-            )
-            return True
-
     def submit_many(self, graphs: list[LaunchGraph]) -> list[ExecutionResult]:
         """Spread a batch over members, fusing each member's share.
 
         Graphs are dealt greedily: each graph goes to the member that is
         least loaded *including the graphs already dealt this batch*
-        (lowest index on ties — a single graph lands on
-        :meth:`least_loaded`), then every member executes its share as
-        one fused pass.  Results come back in input order; each graph's
+        (lowest index on ties).  A member's load is its simulated busy
+        time plus its in-flight graphs, each counted at the members'
+        average busy time.  Then every member executes its share as one
+        fused pass.  Results come back in input order; each graph's
         result is bit-identical to executing it alone on that member.
         """
         if not graphs:
             return []
         with self._lock:
-            load, avg = self._loads_locked()
+            avg = (sum(m.busy_ms for m in self.members)
+                   / len(self.members)) or 1.0
+            load = [m.busy_ms + self._inflight[i] * avg
+                    for i, m in enumerate(self.members)]
             shares: list[list[int]] = [[] for _ in self.members]
             for pos in range(len(graphs)):
                 i = min(range(len(self.members)), key=lambda j: (load[j], j))
@@ -224,23 +133,6 @@ class DeviceGroup(Backend):
                 for i, share in enumerate(shares):
                     self._inflight[i] -= len(share)
         return results
-
-    def snapshot(self) -> dict:
-        """Per-device load counters (for service/bench stats)."""
-        with self._lock:
-            return {
-                "devices": len(self.members),
-                "release_underflows": self.release_underflows,
-                "per_device": [
-                    {
-                        "index": i,
-                        "busy_ms": m.busy_ms,
-                        "submissions": m.submissions,
-                        "inflight": self._inflight[i],
-                    }
-                    for i, m in enumerate(self.members)
-                ],
-            }
 
 
 # ------------------------------------------------------------------ merging

@@ -127,7 +127,7 @@ def serve(config: ServiceConfig | None = None, **config_kwargs) -> ServiceHandle
     """Start a serving runtime and return its synchronous handle.
 
     Pass a full :class:`ServiceConfig`, or its fields as keyword
-    arguments (``repro.serve(max_batch=32, devices=2)``); combining both
+    arguments (``repro.serve(max_batch=32, max_retries=0)``); combining both
     is ambiguous and raises.
     """
     if config is not None and config_kwargs:

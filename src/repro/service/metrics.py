@@ -18,6 +18,9 @@ from collections import deque
 
 __all__ = ["percentile", "ServiceStats", "ClassStats"]
 
+#: samples each latency / batch-size window keeps
+WINDOW = 4096
+
 
 def percentile(values: list[float], q: float) -> float:
     """The ``q``-th percentile (0..100) with linear interpolation.
@@ -44,7 +47,7 @@ class ClassStats:
     __slots__ = ("submitted", "succeeded", "failed", "rejected", "shed",
                  "degraded", "latencies")
 
-    def __init__(self, window: int) -> None:
+    def __init__(self) -> None:
         self.submitted = 0
         self.succeeded = 0
         self.failed = 0
@@ -52,7 +55,7 @@ class ClassStats:
         self.rejected = 0
         self.shed = 0
         self.degraded = 0
-        self.latencies: deque[float] = deque(maxlen=window)
+        self.latencies: deque[float] = deque(maxlen=WINDOW)
 
     def snapshot(self) -> dict:
         lat = sorted(self.latencies)
@@ -92,9 +95,8 @@ class ServiceStats:
     ``class_rejected`` (per-priority-class queue bound).
     """
 
-    def __init__(self, window: int = 4096) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.window = window
         # request lifecycle
         self.submitted = 0
         self.served = 0
@@ -119,9 +121,6 @@ class ServiceStats:
         self.load_degraded = 0
         self.retries = 0
         self.timeouts = 0
-        # autoscaling
-        self.scale_ups = 0
-        self.scale_downs = 0
         # batching
         self.batches = 0
         self.coalesced_requests = 0  # requests beyond the first in a batch
@@ -133,7 +132,7 @@ class ServiceStats:
         self.fused_batches = 0
         #: passes of fusion groups of >= 2 batches
         self.fused_passes = 0
-        self._batch_sizes: deque[int] = deque(maxlen=window)
+        self._batch_sizes: deque[int] = deque(maxlen=WINDOW)
         # queue
         self.queue_depth = 0
         self.max_queue_depth = 0
@@ -143,17 +142,17 @@ class ServiceStats:
         #: committed workload-stream mutation batches (mutate_workload)
         self.mutations = 0
         # latency window (seconds)
-        self._latencies: deque[float] = deque(maxlen=window)
+        self._latencies: deque[float] = deque(maxlen=WINDOW)
         # rolling batch-execution wall time (the deadline predictor reads
         # this)
-        self._exec_wall: deque[float] = deque(maxlen=min(window, 256))
+        self._exec_wall: deque[float] = deque(maxlen=256)
         # per-priority-class breakdown, created on first sighting
         self.per_class: dict[str, ClassStats] = {}
 
     def _class(self, priority: str) -> ClassStats:
         stats = self.per_class.get(priority)
         if stats is None:
-            stats = self.per_class[priority] = ClassStats(self.window)
+            stats = self.per_class[priority] = ClassStats()
         return stats
 
     # ------------------------------------------------------------ recording
@@ -218,14 +217,6 @@ class ServiceStats:
             if not self._exec_wall:
                 return 0.0
             return sum(self._exec_wall) / len(self._exec_wall)
-
-    def record_scale(self, up: bool) -> None:
-        """One autoscaler resize of the device group."""
-        with self._lock:
-            if up:
-                self.scale_ups += 1
-            else:
-                self.scale_downs += 1
 
     def record_queue_fallback(self) -> None:
         """A batch the queue backend handed back to the BSP simulator."""
@@ -338,10 +329,6 @@ class ServiceStats:
                 "classes": {
                     name: cls.snapshot()
                     for name, cls in sorted(self.per_class.items())
-                },
-                "autoscaler": {
-                    "scale_ups": self.scale_ups,
-                    "scale_downs": self.scale_downs,
                 },
                 "batching": {
                     "batches": self.batches,

@@ -89,11 +89,16 @@ class Request:
         check_device(self.device)
         resolve_engine(self.engine, error=ConfigError)
         resolve_backend(self.backend, error=ConfigError)
-        if self.priority not in PRIORITY_RANK:
+        # type first: an unhashable priority must not reach the lookup
+        if not isinstance(self.priority, str) \
+                or self.priority not in PRIORITY_RANK:
             raise ConfigError(
-                f"unknown priority {self.priority!r}; "
-                f"known: {', '.join(PRIORITIES)}"
+                f"priority must be one of {', '.join(PRIORITIES)}, "
+                f"got {self.priority!r}"
             )
+        if not isinstance(self.tenant, str):
+            raise ConfigError(
+                f"tenant must be a string, got {self.tenant!r}")
         if self.deadline_s is not None:
             check_duration("deadline_s", self.deadline_s, zero_ok=False)
         #: absolute deadline on the service's event-loop clock, stamped
@@ -168,8 +173,6 @@ class Response:
     attempts: int = 0
     #: whether the plan build was served from the plan cache
     cache_hit: bool = False
-    #: device the batch was routed to (0 on a single-device service)
-    device: int = 0
     #: priority class the request carried (echoed for correlation)
     priority: str = "normal"
     #: tenant the request billed against (echoed for correlation)

@@ -13,18 +13,21 @@ long-lived server.  The life of a request:
    which coalesces requests sharing a batch key into one batch.  It never
    waits for co-travellers: the loop is work-conserving.
 3. **Execution** — the window's batches split into fusion groups, one
-   per (backend kind, device, engine, priority); each group runs as one
-   :func:`~repro.service.workers.execute_batch_fused` call on a worker
-   thread under a per-request timeout.  A lone batch is a one-member
-   group and gets bounded exponential-backoff retries; a failed group of
-   several batches splits into one-batch groups.
+   per (backend kind, device config, engine, priority); each group runs
+   as one :func:`~repro.service.workers.execute_batch_fused` call, on a
+   one-device backend of its own and a worker thread, under a
+   per-request timeout.  A lone batch is a one-member group and gets
+   bounded exponential-backoff retries; a failed group of several
+   batches splits into one-batch groups.
 4. **Degradation** — when every attempt of a one-batch group failed and
    the template uses dynamic parallelism, the batch re-runs on the
    family's non-nested fallback (``thread-mapped`` / ``flat``) and the
    responses carry ``degraded=True``; otherwise the responses are
    ``failed`` with the last error as the reason.
 
-Everything observable lands in ``stats()``.
+Everything observable lands in ``stats()``.  The service simulates one
+device per group; sharding one workload across several simulated devices
+is ``repro.run(workload, devices=N)``.
 """
 
 from __future__ import annotations
@@ -57,20 +60,18 @@ __all__ = ["ServiceConfig", "TemplateService"]
 
 #: integer config fields and the smallest value each accepts
 _COUNT_FLOORS = {
-    "max_pending": 1, "max_batch": 1, "max_retries": 0, "devices": 1,
-    "stats_window": 1, "tenant_quota": 1, "degrade_pending_threshold": 1,
-    "max_devices": 1, "scale_up_pending_per_device": 1,
+    "max_pending": 1, "max_batch": 1, "max_retries": 0, "tenant_quota": 1,
+    "degrade_pending_threshold": 1,
 }
 #: time config fields (seconds) and whether each accepts zero
 _DURATION_ZERO_OK = {
     "request_timeout_s": False, "retry_backoff_s": True,
-    "drain_timeout_s": False, "scale_check_interval_s": False,
-    "scale_cooldown_s": True,
+    "drain_timeout_s": False,
 }
 #: numeric fields whose None means "no bound"
 _NONE_OK = frozenset({
     "request_timeout_s", "drain_timeout_s", "tenant_quota",
-    "degrade_pending_threshold", "max_devices",
+    "degrade_pending_threshold",
 })
 
 
@@ -100,13 +101,6 @@ class ServiceConfig:
     backend: str = "sim"
     #: default simulated device
     device: DeviceConfig = field(default_factory=lambda: KEPLER_K20)
-    #: simulated devices serving this process: 1 behaves exactly as the
-    #: single-device service always has; N > 1 routes each fusion group
-    #: to the least-loaded device of a
-    #: :class:`~repro.backends.DeviceGroup` (see docs/architecture.md)
-    devices: int = 1
-    #: latency/batch-size window kept for percentile stats
-    stats_window: int = 4096
     #: disk artifact cache: None inherits the process default
     #: (REPRO_CACHE_DIR), "" disables it, a path enables it
     cache_dir: str | None = None
@@ -130,18 +124,6 @@ class ServiceConfig:
     #: batches are proactively degraded to their non-nested fallback
     #: (None disables overload degradation)
     degrade_pending_threshold: int | None = None
-    # ------------------------------------------------------- autoscaling
-    #: autoscale the device group between ``devices`` and
-    #: ``max_devices`` from the queue depth (see docs/serving.md)
-    autoscale: bool = False
-    #: autoscaler ceiling (defaults to ``devices``)
-    max_devices: int | None = None
-    #: seconds between autoscaler evaluations
-    scale_check_interval_s: float = 0.05
-    #: scale up when in-flight depth exceeds this many requests per device
-    scale_up_pending_per_device: int = 8
-    #: minimum seconds between consecutive autoscaler resizes
-    scale_cooldown_s: float = 0.25
 
     def __post_init__(self) -> None:
         for name, floor in _COUNT_FLOORS.items():
@@ -157,10 +139,6 @@ class ServiceConfig:
         from repro.backends import resolve_backend
 
         resolve_backend(self.backend, error=ServiceError)
-        if self.backend == "queue" and self.devices > 1:
-            raise ServiceError(
-                "the queue backend is single-device; use devices=1"
-            )
         for name, bound in (self.max_pending_per_class or {}).items():
             if name not in PRIORITY_RANK:
                 raise ServiceError(
@@ -172,18 +150,6 @@ class ServiceConfig:
         for tenant, quota in (self.tenant_quotas or {}).items():
             check_count(f"tenant_quotas[{tenant!r}]", quota, 1,
                         error=ServiceError)
-        if self.max_devices is None:
-            self.max_devices = self.devices
-        if self.autoscale:
-            if self.backend == "queue":
-                raise ServiceError(
-                    "the queue backend is single-device; autoscale needs sim"
-                )
-            if self.devices > self.max_devices:
-                raise ServiceError(
-                    f"autoscale bounds must satisfy devices "
-                    f"({self.devices}) <= max_devices ({self.max_devices})"
-                )
 
     def tenant_quota_of(self, tenant: str) -> int | None:
         """Effective in-flight quota of one tenant (None = unlimited)."""
@@ -212,25 +178,11 @@ class TemplateService:
             from repro.core.artifactcache import configure_artifact_cache
 
             configure_artifact_cache(self.config.cache_dir or None)
-        self.stats = ServiceStats(window=self.config.stats_window)
+        self.stats = ServiceStats()
         self.batcher = MicroBatcher()
-        #: device topology: None for the classic single-device service, a
-        #: DeviceGroup tracking per-device load when devices > 1 (or when
-        #: the autoscaler may grow past one device)
-        self.device_group = None
-        if self.config.devices > 1 or (
-            self.config.autoscale and self.config.max_devices > 1
-        ):
-            from repro.backends import DeviceGroup
-
-            self.device_group = DeviceGroup(
-                self.config.device, self.config.devices,
-                engine=self.config.engine,
-            )
         self._run_fn = run_fn or execute_batch_fused
         self._queue: PriorityClassQueue | None = None
         self._loop_task: asyncio.Task | None = None
-        self._scale_task: asyncio.Task | None = None
         self._dispatch_tasks: set[asyncio.Task] = set()
         self._pending = 0
         #: in-flight requests per priority class / per tenant (admission
@@ -261,10 +213,6 @@ class TemplateService:
         self._loop_task = asyncio.create_task(
             self._batch_loop(), name="repro-service-batch-loop"
         )
-        if self.config.autoscale and self.device_group is not None:
-            self._scale_task = asyncio.create_task(
-                self._autoscale_loop(), name="repro-service-autoscaler"
-            )
 
     async def stop(self, drain: bool = True) -> None:
         """Stop serving; with ``drain`` wait for in-flight work first.
@@ -290,13 +238,6 @@ class TemplateService:
                                 pending=self._pending)
                     break
                 await asyncio.sleep(0.005)
-        if self._scale_task is not None:
-            self._scale_task.cancel()
-            try:
-                await self._scale_task
-            except asyncio.CancelledError:
-                pass
-            self._scale_task = None
         self._loop_task.cancel()
         try:
             await self._loop_task
@@ -422,15 +363,17 @@ class TemplateService:
             raise ServiceError(
                 "version= requires a registered stream name as the workload"
             )
+        # only None means "the default": a falsy malformed argument
+        # ({}, "", 0) reaches the Request checks like any other
         request = Request(
             template="auto" if template is None else template,
             workload=workload,
-            device=device or self.config.device,
-            params=params or TemplateParams(),
-            engine=engine or self.config.engine,
+            device=self.config.device if device is None else device,
+            params=TemplateParams() if params is None else params,
+            engine=self.config.engine if engine is None else engine,
             backend=self.config.backend,
             tenant=tenant,
-            priority=priority or "normal",
+            priority="normal" if priority is None else priority,
             deadline_s=deadline_s,
         )
         return await self.submit_request(request)
@@ -516,16 +459,28 @@ class TemplateService:
         burst that arrived while the loop was busy) share a window; a
         lone request is dispatched at once.  The only await is for the
         head, so ``stop()`` can cancel the loop only while it waits for
-        one, never with a window in hand.
+        one, never with a window in hand.  A window that cannot be
+        grouped is answered with structured ``failed`` responses, and the
+        loop goes on to the next one.
         """
         while True:
             pending = [await self._queue.get()]
             while len(pending) < self.config.max_batch \
                     and not self._queue.empty():
                 pending.append(self._queue.get_nowait())
-            with obs.span("service.coalesce", pending=len(pending)):
-                batches = self.batcher.group(pending)
-            for group in self._fusion_groups(batches):
+            try:
+                with obs.span("service.coalesce", pending=len(pending)):
+                    batches = self.batcher.group(pending)
+                groups = self._fusion_groups(batches)
+            except Exception as exc:  # noqa: BLE001 - lifecycle boundary
+                error = f"{type(exc).__name__}: {exc}"
+                obs.instant("service.dispatch_error", error=error)
+                for request, future in pending:
+                    self._answer(Batch(key=(), spec=None, requests=[request],
+                                       futures=[future]),
+                                 "failed", reason=f"dispatch error: {error}")
+                continue
+            for group in groups:
                 task = asyncio.create_task(self._dispatch(group))
                 self._dispatch_tasks.add(task)
                 task.add_done_callback(self._dispatch_tasks.discard)
@@ -616,37 +571,20 @@ class TemplateService:
     async def _run_group(self, batches: list[Batch]) -> None:
         """Execute one fusion group and answer its members.
 
-        The group holds one device of a device group from start to
-        settlement.  If a group of several batches fails, each batch runs
-        again as a one-batch group with the full retry and degradation
-        policy, so fusion never fails a request that would have succeeded
-        alone.
+        If a group of several batches fails, each batch runs again as a
+        one-batch group with the full retry and degradation policy, so
+        fusion never fails a request that would have succeeded alone.
         """
-        group = self.device_group
-        # least-loaded routing: reserve one device for the group; release
-        # it, crediting the simulated time the group ran, once it settles
-        device = group.acquire() if group is not None else 0
-        busy_ms = 0.0
-        try:
-            for batch in batches:
-                batch.spec.device_index = None if group is None else device
-            runs, error, attempts, degraded = await self._attempt(
-                batches, device)
-            if runs is not None:
-                for i, batch in enumerate(batches):
-                    self._answer(
-                        batch, "ok", run=runs[i], attempts=attempts,
-                        degraded=degraded or batch.load_degraded,
-                        device=device,
-                    )
-                    busy_ms += runs[i].time_ms
-                if len(batches) > 1:
-                    self.stats.record_fused(len(batches))
-                    obs.add_counter("service.fused_batches", len(batches))
-        finally:
-            if group is not None:
-                group.complete(device, busy_ms=busy_ms)
+        runs, error, attempts, degraded = await self._attempt(batches)
         if runs is not None:
+            for i, batch in enumerate(batches):
+                self._answer(
+                    batch, "ok", run=runs[i], attempts=attempts,
+                    degraded=degraded or batch.load_degraded,
+                )
+            if len(batches) > 1:
+                self.stats.record_fused(len(batches))
+                obs.add_counter("service.fused_batches", len(batches))
             return
         if len(batches) == 1:
             self._answer(batches[0], "failed",
@@ -658,7 +596,7 @@ class TemplateService:
         for batch in batches:
             await self._dispatch([batch], split=True)
 
-    async def _attempt(self, batches: list[Batch], device: int):
+    async def _attempt(self, batches: list[Batch]):
         """Run one group under the retry and degradation policy.
 
         Returns ``(runs, last error, attempts, degraded)``; runs is None
@@ -677,8 +615,7 @@ class TemplateService:
         tries = 1 if len(batches) > 1 else 1 + self.config.max_retries
         error: BaseException | None = None
         with obs.span("service.batch", batches=len(batches),
-                      size=sum(b.size for b in batches), template=template,
-                      device=device):
+                      size=sum(b.size for b in batches), template=template):
             for attempt in range(tries):
                 try:
                     with obs.span("service.execute", attempt=attempt + 1,
@@ -724,7 +661,7 @@ class TemplateService:
 
     def _answer(self, batch: Batch, status: str, *, run=None,
                 reason: str | None = None, attempts: int = 0,
-                degraded: bool = False, device: int = 0) -> None:
+                degraded: bool = False) -> None:
         """Answer every not-yet-answered member of ``batch``: from one
         :class:`~repro.core.base.TemplateRun` when there is one, else with
         ``status`` and ``reason`` alone."""
@@ -757,7 +694,6 @@ class TemplateService:
                     batch_size=batch.size,
                     attempts=attempts,
                     cache_hit=cache_hit,
-                    device=device,
                     priority=request.priority,
                     tenant=request.tenant,
                 ),
@@ -839,46 +775,6 @@ class TemplateService:
         if not future.done():
             future.set_result(response)
 
-    # ------------------------------------------------------- autoscaling
-    async def _autoscale_loop(self) -> None:
-        """Elastic device-group sizing from the queue depth.
-
-        Scale **up** when the in-flight depth exceeds
-        ``scale_up_pending_per_device`` per device; scale **down** when
-        depth would comfortably fit on one device fewer.  Resizes stay
-        between ``devices`` and ``max_devices`` and respect a cooldown,
-        and the group only ever removes an idle member, so a device with
-        in-flight batches is never torn down (see
-        DeviceGroup.remove_member).
-        """
-        loop = asyncio.get_running_loop()
-        last_change = loop.time() - self.config.scale_cooldown_s
-        while True:
-            await asyncio.sleep(self.config.scale_check_interval_s)
-            now = loop.time()
-            if now - last_change < self.config.scale_cooldown_s:
-                continue
-            n = self.device_group.n_devices
-            overloaded = (
-                self._pending >= self.config.scale_up_pending_per_device * n
-            )
-            if overloaded and n < self.config.max_devices:
-                self.device_group.add_member()
-                self.stats.record_scale(up=True)
-                obs.instant("service.scale_up", devices=n + 1,
-                            pending=self._pending)
-                last_change = now
-                continue
-            if n > self.config.devices:
-                fits_smaller = self._pending * 2 <= (
-                    self.config.scale_up_pending_per_device * (n - 1)
-                )
-                if fits_smaller and self.device_group.remove_member():
-                    self.stats.record_scale(up=False)
-                    obs.instant("service.scale_down", devices=n - 1,
-                                pending=self._pending)
-                    last_change = now
-
     # ----------------------------------------------------------- metrics
     def snapshot(self) -> dict:
         """Service counters in one dict (``stats()`` on handles)."""
@@ -893,8 +789,6 @@ class TemplateService:
             # tracer is process-wide, so concurrent traced work outside
             # this service shows up too
             snap["obs"] = obs.summary()
-        if self.device_group is not None:
-            snap["devices"] = self.device_group.snapshot()
         if self._queue is not None:
             snap["queue"] = {"per_class": self._queue.sizes()}
         if self._streams:
@@ -907,13 +801,10 @@ class TemplateService:
             "max_batch": self.config.max_batch,
             "engine": self.config.engine,
             "backend": self.config.backend,
-            "devices": self.config.devices,
             "tenant_quota": self.config.tenant_quota,
             "shed_deadlines": self.config.shed_deadlines,
             "degrade_pending_threshold":
                 self.config.degrade_pending_threshold,
-            "autoscale": self.config.autoscale,
-            "max_devices": self.config.max_devices,
             "drain_timeout_s": self.config.drain_timeout_s,
         }
         return snap

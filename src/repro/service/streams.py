@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from repro.core.workload import NestedLoopWorkload
-from repro.errors import ServiceError
+from repro.errors import ServiceError, check_count
 
 __all__ = ["WorkloadStream"]
 
@@ -46,9 +46,9 @@ class WorkloadStream:
                 "workload streams carry NestedLoopWorkloads (the mutation "
                 f"API is nested-loop only), got {type(workload).__name__}"
             )
-        if keep_versions < 1:
-            raise ServiceError("keep_versions must be >= 1")
+        check_count("keep_versions", keep_versions, 1, error=ServiceError)
         self.name = name
+        # a plain int in snapshot(), even from a NumPy integer
         self.keep_versions = int(keep_versions)
         self.mutations = 0
         self._versions: OrderedDict[int, NestedLoopWorkload] = OrderedDict()
@@ -91,7 +91,8 @@ class WorkloadStream:
         """Resolve a snapshot: the head, or a pinned retained version."""
         if version is None:
             return self._head
-        snapshot = self._versions.get(int(version))
+        check_count("version", version, 0, error=ServiceError)
+        snapshot = self._versions.get(version)
         if snapshot is None:
             raise ServiceError(
                 f"version {version} of stream {self.name!r} is not retained "

@@ -3,8 +3,9 @@
 :func:`execute_batch_fused` runs the :class:`BatchSpec` of every batch in
 one fusion group through :func:`repro.core.base.run_many` — the same
 plan/disk cache ladder and fused executor pass ``repro.run`` uses — on
-the backend the group shares.  The service calls it on a worker thread
-of its event loop; a lone batch is a one-spec group.
+a fresh one-device backend of the kind the group shares.  The service
+calls it on a worker thread of its event loop; a lone batch is a
+one-spec group.
 """
 
 from __future__ import annotations
@@ -30,9 +31,6 @@ class BatchSpec:
     device: DeviceConfig = KEPLER_K20
     params: TemplateParams = field(default_factory=TemplateParams)
     engine: str = "fast"
-    #: device this batch was routed to by the service's DeviceGroup;
-    #: None on a single-device service (no per-device obs counters)
-    device_index: int | None = None
     #: execution model: "sim" (bulk-synchronous) or "queue" (persistent
     #: task queues, single-device; see docs/taskqueue.md)
     backend: str = "sim"
@@ -41,8 +39,8 @@ class BatchSpec:
 def execute_batch_fused(specs: list[BatchSpec]) -> list[TemplateRun]:
     """Run every spec of one fusion group; runs align with ``specs``.
 
-    All specs share a device config, engine, device index and backend
-    kind (the service's fusion grouping guarantees this).  They run as one
+    All specs share a device config, engine and backend kind (the
+    service's fusion grouping guarantees this).  They run as one
     :func:`~repro.core.base.run_many` call, so the run-cache misses
     execute as one fused pass per backend (a queue-incompatible template
     falls back to its own sim backend) — bit-identical to running each
@@ -56,7 +54,6 @@ def execute_batch_fused(specs: list[BatchSpec]) -> list[TemplateRun]:
 
         backend = QueueBackend(first.device, engine=first.engine)
     else:
-        backend = SimBackend(first.device, engine=first.engine,
-                             device_index=first.device_index)
+        backend = SimBackend(first.device, engine=first.engine)
     items = [(spec.template, spec.workload, spec.params) for spec in specs]
     return run_many(items, first.device, backend=backend)

@@ -31,7 +31,7 @@ from repro.backends import (
 )
 from repro.backends.base import BackendCapabilities, capabilities_of
 from repro.backends.group import run_sharded
-from repro.core.base import plan_key, run_many
+from repro.core.base import plan_key
 from repro.core.params import TemplateParams
 from repro.core.recursive import RecursiveTreeWorkload
 from repro.core.registry import LOAD_BALANCING_TEMPLATES, resolve
@@ -134,17 +134,12 @@ class TestDeviceGroup:
         group = DeviceGroup(KEPLER_K20, 3, engine="fast")
         for member, busy in zip(group.members, (5.0, 1.0, 1.0)):
             member.busy_ms = busy
-        target = group.least_loaded()
-        assert target == 1  # least load, lowest index on ties
-        before = [m.submissions for m in group.members]
         graph, _ = resolve("dbuf-global").build(loop_wl, KEPLER_K20,
                                                 TemplateParams())
         result = group.submit(graph)
-        after = [m.submissions for m in group.members]
-        assert after[target] == before[target] + 1
-        assert sum(after) == sum(before) + 1
-        assert all(d["inflight"] == 0
-                   for d in group.snapshot()["per_device"])
+        # least load, lowest index on ties
+        assert [m.submissions for m in group.members] == [0, 1, 0]
+        assert group._inflight == [0, 0, 0]
         assert_result_equal(result, SimBackend(KEPLER_K20).submit(graph))
 
     def test_merged_schedule_covers_workload(self, loop_wl):
@@ -203,12 +198,17 @@ class TestDeviceGroup:
         assert run_sharded(resolve("thread-mapped"), tiny, group,
                            KEPLER_K20, TemplateParams()) is None
 
-    def test_least_loaded_routing(self):
+    def test_least_loaded_routing(self, loop_wl):
+        """In-flight graphs count as load while a batch is dealt, and
+        simulated busy time counts after it settles."""
         group = DeviceGroup(KEPLER_K20, 3)
-        idx = group.acquire()
-        assert group.least_loaded() != idx
-        group.complete(idx, busy_ms=100.0)
-        assert group.least_loaded() != idx
+        graph, _ = resolve("dbuf-global").build(loop_wl, KEPLER_K20,
+                                                TemplateParams())
+        group.submit_many([graph, graph])
+        assert [m.submissions for m in group.members] == [1, 1, 0]
+        group.submit(graph)
+        assert [m.submissions for m in group.members] == [1, 1, 1]
+        assert group._inflight == [0, 0, 0]
 
     def test_group_fingerprint_distinct_from_single(self):
         group = DeviceGroup(KEPLER_K20, 2)
@@ -217,9 +217,10 @@ class TestDeviceGroup:
 
     def test_fig5_sweep_routed_across_four_devices(self):
         """The Fig. 5 SSSP sweep (5 templates x 4 lbTHRES x 7 rounds),
-        heaviest first, each run to the least-loaded member: one device
-        would take the sum of the members' busy times, the group the
-        largest (3.65x at scale 0.02)."""
+        heaviest first, each plan submitted to the group, which routes it
+        to the least-loaded member: one device would take the sum of the
+        members' busy times, the group the largest (3.65x at scale
+        0.02)."""
         app = SSSPApp(citeseer_like(scale=0.02))
         rounds = [app.round_workload(frontier, edges, targets, improving)
                   for frontier, edges, targets, improving, _ in app._rounds()]
@@ -228,13 +229,11 @@ class TestDeviceGroup:
             ((tmpl, lbt, wl) for tmpl in LOAD_BALANCING_TEMPLATES
              for lbt in (32, 64, 128, 256) for wl in rounds),
             key=lambda unit: unit[2].n_pairs, reverse=True)
-        runs = run_many(
-            [(resolve(tmpl, kind="nested-loop"), wl,
-              TemplateParams(lb_threshold=lbt)) for tmpl, lbt, wl in units],
-            KEPLER_K20, backend=SimBackend(KEPLER_K20))
         group = DeviceGroup(KEPLER_K20, 4)
-        for run in runs:
-            group.complete(group.acquire(), busy_ms=run.time_ms)
+        for tmpl, lbt, wl in units:
+            graph, _ = resolve(tmpl, kind="nested-loop").build(
+                wl, KEPLER_K20, TemplateParams(lb_threshold=lbt))
+            group.submit(graph)
         busy = [member.busy_ms for member in group.members]
         assert sum(busy) / max(busy) >= 2.5
 

@@ -13,10 +13,15 @@ silently:
   ``record_timeline`` switch of ``DeviceGroup``, ``SimBackend`` and
   ``backend_for``;
 * the ``ServiceConfig`` fields ``default_template``, ``default_priority``
-  and ``default_deadline_s`` (pass the ``submit`` argument), and
-  ``min_devices`` and ``scale_up_p99_ms`` (the autoscaler's floor is
-  ``devices`` and its trigger the queue depth), and ``batch_window_s``
-  (the batch loop dispatches whatever is queued at once);
+  and ``default_deadline_s`` (pass the ``submit`` argument),
+  ``batch_window_s`` (the batch loop dispatches whatever is queued at
+  once), ``stats_window`` (the stats keep a fixed 4,096-sample window),
+  and the service's device group and its autoscaler: ``devices``,
+  ``autoscale``, ``max_devices``, ``min_devices``,
+  ``scale_check_interval_s``, ``scale_up_pending_per_device``,
+  ``scale_up_p99_ms`` and ``scale_cooldown_s`` (every fusion group runs on
+  a one-device backend of its own; ``repro.run(devices=N)`` shards work
+  across devices);
 * the serving load generator ``repro.service.loadgen``, the
   ``python -m repro.service`` demo, the ``service`` bench experiment and
   the helpers only they used (``percentiles``, ``workload_cost``); host
@@ -138,6 +143,13 @@ class TestServiceDefaultsRemoved:
         ("min_devices", 1),
         ("scale_up_p99_ms", 50.0),
         ("batch_window_s", 0.002),
+        ("devices", 2),
+        ("autoscale", True),
+        ("max_devices", 3),
+        ("scale_check_interval_s", 0.05),
+        ("scale_up_pending_per_device", 8),
+        ("scale_cooldown_s", 0.25),
+        ("stats_window", 4096),
     ])
     def test_serve_rejects_removed_field(self, field, value):
         with pytest.raises(TypeError):

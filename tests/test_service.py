@@ -252,21 +252,6 @@ class TestFusionGroups:
         assert stats["batching"]["queue_fallbacks"] == 1
         assert stats["batching"]["fused_passes"] == 1
 
-    def test_device_group_books_settle(self, workload):
-        names = ("dbuf-global", "dual-queue")
-        responses, stats = self._window(
-            workload, [(name, {}) for name in names],
-            ServiceConfig(devices=2),
-        )
-        for name, response in zip(names, responses):
-            assert response.ok
-            assert response.time_ms == repro.run(workload, name).time_ms
-        assert responses[0].device == responses[1].device
-        devices = stats["devices"]
-        assert devices["release_underflows"] == 0
-        assert all(d["inflight"] == 0 for d in devices["per_device"])
-        assert stats["batching"]["fused_passes"] == 1
-
     def test_window_executes_each_identity_once(self, monkeypatch):
         """Twelve concurrent requests over two identities are two batches
         in one window: one ``run_fn`` call and one executor pass of two
@@ -592,53 +577,6 @@ class TestSLOScheduling:
         assert low.template == "baseline"
         assert high.ok and not high.degraded  # only low traffic pays
         assert stats["requests"]["load_degraded"] == 1
-
-    @pytest.mark.parametrize("devices", [1, 2])
-    def test_autoscaler_grows_the_device_group(self, workload, devices):
-        interval = 0.01
-
-        def slow(specs):
-            time.sleep(0.3)
-            return execute_batch_fused(specs)
-
-        async def scenario(service):
-            sizes = []
-
-            async def sample():
-                while True:
-                    sizes.append(service.device_group.n_devices)
-                    await asyncio.sleep(interval)
-
-            sampler = asyncio.create_task(sample())
-            tasks = [
-                asyncio.create_task(service.submit("dual-queue", workload))
-                for _ in range(6)
-            ]
-            await asyncio.sleep(0.15)  # several evaluations, work in flight
-            under_load = service.snapshot()
-            responses = await asyncio.gather(*tasks)
-            await asyncio.sleep(30 * interval)  # idle for 30 evaluations
-            sampler.cancel()
-            await asyncio.gather(sampler, return_exceptions=True)
-            return responses, under_load, sizes, service.snapshot()
-
-        responses, under_load, sizes, final = run_service(
-            scenario,
-            ServiceConfig(
-                devices=devices, autoscale=True, max_devices=3,
-                scale_up_pending_per_device=1,
-                scale_check_interval_s=interval,
-                scale_cooldown_s=0.02, max_batch=1,
-            ),
-            run_fn=slow,
-        )
-        assert all(r.ok for r in responses)
-        assert under_load["autoscaler"]["scale_ups"] >= 1
-        assert under_load["devices"]["devices"] > devices
-        # ``devices`` is the floor: idle, the group shrinks back to it
-        # and never below
-        assert min(sizes) >= devices
-        assert final["devices"]["devices"] == devices
 
     def test_response_echoes_slo_metadata(self, workload):
         async def scenario(service):

@@ -36,6 +36,20 @@ def workload():
 
 FAST_RETRY = dict(max_retries=2, retry_backoff_s=0.001)
 
+#: malformed arguments only ``submit`` takes (``repro.run`` has no
+#: priority or tenant); each must raise a ConfigError naming it
+SUBMIT_MALFORMED_ARGUMENTS = [
+    ("thread-mapped", dict(priority=["high"]), "priority"),
+    ("thread-mapped", dict(priority=""), "priority"),
+    ("thread-mapped", dict(tenant=["a"]), "tenant"),
+    ("thread-mapped", dict(tenant=5), "tenant"),
+    # falsy, so once swapped for the default
+    ("thread-mapped", dict(params={}), "params"),
+    ("thread-mapped", dict(device=0), "device"),
+]
+SUBMIT_MALFORMED_IDS = ["list-priority", "empty-priority", "list-tenant",
+                        "int-tenant", "empty-params", "zero-device"]
+
 
 def names(specs):
     """Template names of one run_fn call's specs."""
@@ -418,10 +432,44 @@ class TestDispatchCrash:
         assert "cancelled" in response.reason
         assert stop_s < 0.4  # bounded by drain_timeout_s, not the hang
 
+    def test_grouping_error_fails_its_window_and_loop_serves_on(
+            self, workload):
+        """An exception from grouping a window used to end the batch
+        loop: that request and every later one went unanswered, and
+        ``stop()`` re-raised it.  Now the window is answered ``failed``
+        and the next request is served."""
+        async def two_requests():
+            service = TemplateService(ServiceConfig(drain_timeout_s=1.0))
+            group = service.batcher.group
+            calls = []
+
+            def group_failing_once(pending):
+                calls.append(len(pending))
+                if len(calls) == 1:
+                    raise RuntimeError("grouping failed")
+                return group(pending)
+
+            service.batcher.group = group_failing_once
+            await service.start()
+            first = await asyncio.wait_for(
+                service.submit("thread-mapped", workload), 5.0)
+            second = await asyncio.wait_for(
+                service.submit("thread-mapped", workload), 30.0)
+            await asyncio.wait_for(service.stop(), 5.0)
+            return first, second, service.stats.invariant_violations()
+
+        first, second, problems = asyncio.run(two_requests())
+        assert first.status == "failed"
+        assert first.reason == "dispatch error: RuntimeError: grouping failed"
+        assert second.ok
+        assert problems == []
+
 
 class TestMalformedRequests:
-    @pytest.mark.parametrize("template, kwargs, argument",
-                             MALFORMED_ARGUMENTS, ids=MALFORMED_IDS)
+    @pytest.mark.parametrize(
+        "template, kwargs, argument",
+        MALFORMED_ARGUMENTS + SUBMIT_MALFORMED_ARGUMENTS,
+        ids=MALFORMED_IDS + SUBMIT_MALFORMED_IDS)
     def test_rejected_at_submit_and_service_keeps_serving(
             self, workload, template, kwargs, argument):
         """A malformed argument raises a ConfigError naming it from
@@ -494,17 +542,21 @@ class TestRejectionIds:
 
 
 class TestConfigValidation:
-    """ServiceConfig gaps that used to slip through to runtime faults."""
+    """ServiceConfig gaps that used to slip through to runtime faults.
+
+    Rows are never deleted from the table, only replaced in place, so
+    the parametrized ids of the rows after them keep their positions.
+    """
 
     @pytest.mark.parametrize(
         "kwargs, match",
         [
             (dict(max_batch="3"), "max_batch must be an integer"),
-            (dict(stats_window=2.5), "stats_window must be an integer"),
+            (dict(max_pending=2.5), "max_pending must be an integer"),
             (dict(request_timeout_s=0), "request_timeout_s must be positive"),
             (dict(request_timeout_s=-1.5),
              "request_timeout_s must be positive"),
-            (dict(stats_window=0), "stats_window must be >= 1"),
+            (dict(max_retries=-1), "max_retries cannot be negative"),
             # a zero-ok duration still rejects infinity: the first retry
             # would never start
             (dict(retry_backoff_s=float("inf")),
@@ -516,18 +568,16 @@ class TestConfigValidation:
             (dict(max_pending_per_class={"low": 0}), "must be >= 1"),
             (dict(tenant_quota=0), "tenant_quota must be >= 1"),
             (dict(tenant_quotas={"acme": 0}), "must be >= 1"),
-            (dict(devices=2.5), "devices must be an integer"),
+            (dict(degrade_pending_threshold=2.5),
+             "degrade_pending_threshold must be an integer"),
             (dict(degrade_pending_threshold=0), "degrade_pending_threshold"),
-            (dict(autoscale=True, devices=2, max_devices=1),
-             "autoscale bounds"),
-            (dict(autoscale=True, backend="queue"), "single-device"),
-            (dict(autoscale=True, max_devices=2, scale_check_interval_s=0),
-             "scale_check_interval_s"),
-            (dict(autoscale=True, max_devices=2,
-                  scale_up_pending_per_device=0),
-             "scale_up_pending_per_device"),
-            (dict(autoscale=True, max_devices=2, scale_cooldown_s=-1),
-             "scale_cooldown_s"),
+            (dict(drain_timeout_s=float("inf")),
+             "drain_timeout_s must be a finite number"),
+            (dict(backend="gpu"), "unknown backend"),
+            (dict(request_timeout_s="1"),
+             "request_timeout_s must be a finite number"),
+            (dict(tenant_quotas={"acme": 2.5}), "must be an integer"),
+            (dict(retry_backoff_s=-1), "retry_backoff_s cannot be negative"),
             # NaN compares false with every bound, so each used to pass
             (dict(request_timeout_s=float("nan")),
              "request_timeout_s must be a finite number"),
@@ -535,8 +585,8 @@ class TestConfigValidation:
              "drain_timeout_s must be a finite number"),
             (dict(retry_backoff_s=float("nan")),
              "retry_backoff_s must be a finite number"),
-            (dict(autoscale=True, max_devices=float("nan")),
-             "max_devices must be an integer"),
+            (dict(tenant_quota=float("nan")),
+             "tenant_quota must be an integer"),
             (dict(max_retries=True), "max_retries must be an integer"),
             (dict(max_pending_per_class={"low": 1.5}), "must be an integer"),
         ],
@@ -547,11 +597,9 @@ class TestConfigValidation:
 
     def test_valid_boundary_values_accepted(self):
         config = ServiceConfig(
-            stats_window=1, max_batch=np.int64(4), max_retries=0,
-            retry_backoff_s=0,
+            max_batch=np.int64(4), max_retries=0, retry_backoff_s=0,
             request_timeout_s=None, drain_timeout_s=None,
             tenant_quota=1, max_pending_per_class={"low": 1},
             degrade_pending_threshold=1,
         )
         assert config.max_batch == 4
-        assert config.max_devices == config.devices

@@ -70,6 +70,26 @@ class TestWorkloadStream:
         with pytest.raises(ServiceError):
             WorkloadStream("s", wl, keep_versions=0)
 
+    @pytest.mark.parametrize("argument, value", [
+        ("version", 1.9), ("version", True), ("version", "1"),
+        ("version", ["1"]), ("version", -1),
+        ("keep_versions", 2.5), ("keep_versions", "8"),
+        ("keep_versions", True),
+    ])
+    def test_malformed_count_is_named(self, argument, value):
+        """A pinned version or a version window that is not a count
+        raises a ServiceError naming it; nothing is coerced (1.9, True
+        and "1" used to pin version 1, 2.5 to keep 2 versions)."""
+        stream = WorkloadStream("s", make_workload(seed=3))
+        stream.mutate(insert_batch(np.random.default_rng(2), stream.head))
+        assert stream.versions() == [0, 1]
+        with pytest.raises(ServiceError, match=f"^{argument} (must|cannot)"):
+            if argument == "version":
+                stream.get(value)
+            else:
+                WorkloadStream("s", make_workload(seed=3),
+                               keep_versions=value)
+
     def test_mutate_advances_and_parent_survives(self):
         wl = make_workload(seed=1)
         stream = WorkloadStream("s", wl, keep_versions=4)

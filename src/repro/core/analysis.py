@@ -11,7 +11,10 @@ points computes them once and the cheap ``specialize`` stage assembles the
 remaining launch graph N times.  The warp-window table
 (:class:`WarpWindows`) carries the same idea into the cost model: the
 per-issue-slot memory and atomic facts of block-mapped phases are computed
-once per workload, and each schedule only relabels them onto warps.
+once per workload, and each schedule only relabels them onto warps.  The
+unit-stride record (:attr:`WorkloadAnalysis.unit_stride`) marks the
+streams whose addresses are affine in the pair index, which the mapping
+layer and the window tables count without a sort.
 
 Artifacts are the ``analysis`` kind of the tiered cache
 (:mod:`~repro.core.artifactcache`): memory, then — when a cache directory
@@ -86,13 +89,25 @@ def _issues_whole_windows(block_size: int, warp_size: int) -> bool:
     return warp_size == WINDOW_STEPS and block_size % WINDOW_STEPS == 0
 
 
+def _is_unit_stride(stream) -> bool:
+    """Whether ``stream.addresses[p] == addresses[0] + p * element_bytes``
+    for every pair ``p`` (the first and last step reject most others)."""
+    addresses, step = stream.addresses, stream.element_bytes
+    if addresses.size < 2:
+        return True
+    if (addresses[1] - addresses[0] != step
+            or addresses[-1] - addresses[0] != step * (addresses.size - 1)):
+        return False
+    return bool(np.all(np.diff(addresses) == step))
+
+
 class WindowFacts:
     """Per-window work facts of a pair stream cut into warp windows.
 
-    ``window_of[e]`` names the window of stream entry ``e``, and ``pairs``
-    its global pair index (None: entry ``e`` is pair ``e``).  One window is
-    one warp issue slot, so these are exactly the per-slot facts the cost
-    model reads.  Per window:
+    ``window_of[e]`` names the window of stream entry ``e`` (non-decreasing
+    in ``e``), and ``pairs`` its global pair index (None: entry ``e`` is
+    pair ``e``).  One window is one warp issue slot, so these are exactly
+    the per-slot facts the cost model reads.  Per window:
 
     * ``segments[s]`` — distinct 128-byte segments of access stream ``s``;
     * ``staged[s]`` — the same for a staged store stream flushed from
@@ -101,6 +116,12 @@ class WindowFacts:
     * ``live`` / ``mult`` — live atomics, and the most of them aimed at
       one target (both None for workloads without atomics).
 
+    When ``ascending`` (each window lists its pairs in ascending order), a
+    unit-stride stream's segments do not decrease within a window, so its
+    distinct segments are the window's first entry plus its segment
+    changes: one neighbour comparison and one ``bincount``.  Every other
+    stream counts distinct ``(window, segment)`` keys with a sort.
+
     A window holds at most 32 entries, so every count fits in ``uint8``.
     ``live_keys`` gives each live atomic, in entry order, a dense target
     id, for the phase-wide hottest-target statistic.
@@ -108,21 +129,31 @@ class WindowFacts:
 
     def __init__(self, workload, analysis: "WorkloadAnalysis",
                  window_of: np.ndarray, n_windows: int,
-                 pairs: np.ndarray | None = None) -> None:
+                 pairs: np.ndarray | None = None,
+                 ascending: bool = True) -> None:
         def distinct(segments: np.ndarray, span: int) -> np.ndarray:
             return transaction_counts(
                 window_of, window_of, None, n_windows, agg_divisor=1,
                 segments=segments, spans=(n_windows, span),
             ).astype(np.uint8)
 
+        new_window = np.empty(window_of.size, dtype=bool)
+        new_window[:1] = True
+        np.not_equal(window_of[1:], window_of[:-1], out=new_window[1:])
         self.segments: list[np.ndarray] = []
         self.staged: list[np.ndarray | None] = []
         for si, stream in enumerate(workload.streams):
             segments = analysis.stream_segments(si)
-            self.segments.append(distinct(
-                segments if pairs is None else segments[pairs],
-                analysis.stream_seg_span(si),
-            ))
+            if pairs is not None:
+                segments = segments[pairs]
+            if ascending and analysis.unit_stride[si]:
+                first = new_window.copy()
+                first[1:] |= segments[1:] != segments[:-1]
+                counts = np.bincount(window_of[first], minlength=n_windows)
+                self.segments.append(counts.astype(np.uint8))
+            else:
+                self.segments.append(
+                    distinct(segments, analysis.stream_seg_span(si)))
             staged = None
             if stream.kind == "store" and stream.staged_in_shared:
                 index = np.arange(window_of.size) if pairs is None else pairs
@@ -237,7 +268,10 @@ class BufferWindows(WindowFacts):
         self.block = np.repeat(np.arange(n_blocks, dtype=np.int64), per_block)
         self.rank = (np.arange(n_windows, dtype=np.int64)
                      - np.repeat(offsets[:-1], per_block))
-        super().__init__(workload, analysis, window_of, n_windows, pairs)
+        # ascending rows (every lbTHRES partition) list ascending pairs
+        ascending = bool(np.all(outer_ids[1:] > outer_ids[:-1]))
+        super().__init__(workload, analysis, window_of, n_windows, pairs,
+                         ascending)
         self.hot = 0
         if self.live_keys is not None and self.live_keys.size:
             self.hot = int(np.bincount(self.live_keys).max())
@@ -252,10 +286,17 @@ class WorkloadAnalysis:
     per-stream segment ids are memoized on the instance, so they also ride
     along through the disk cache; so is the warp-window table
     (:meth:`warp_windows`), built on first use.
+
+    ``unit_stride[s]`` records whether stream ``s`` reads
+    ``base + pair * element_bytes`` for every pair, like the row arrays
+    of a CSR loop (``col[row_start + j]``).  The mapping layer counts such
+    streams without expanding pairs or sorting; an all-False record is
+    always exact, since every stream then takes the per-pair path.
     """
 
     def __init__(self, fingerprint: str, trip_counts: np.ndarray,
-                 stream_segments: list[np.ndarray]) -> None:
+                 stream_segments: list[np.ndarray],
+                 unit_stride: tuple[bool, ...]) -> None:
         self.fingerprint = fingerprint
         self.outer_size = int(trip_counts.size)
         self.n_pairs = int(trip_counts.sum())
@@ -268,6 +309,7 @@ class WorkloadAnalysis:
         )
         #: per-stream global-memory segment ids (addresses // 128), pair order
         self._segments = stream_segments
+        self.unit_stride = unit_stride
         self._partitions: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._trip_cumsum: np.ndarray | None = None
         self._seg_spans: dict[int, int] = {}
@@ -305,7 +347,9 @@ class WorkloadAnalysis:
             stream.addresses // _TRACE_SEGMENT_BYTES
             for stream in workload.streams
         ]
-        return cls(workload.fingerprint(), workload.trip_counts, segments)
+        unit = tuple(_is_unit_stride(stream) for stream in workload.streams)
+        return cls(workload.fingerprint(), workload.trip_counts, segments,
+                   unit)
 
     def partition(self, threshold: int) -> tuple[np.ndarray, np.ndarray]:
         """``(small, large)`` outer ids — large iff ``f(i) > threshold``.
@@ -403,7 +447,9 @@ class WorkloadAnalysis:
         * per-stream segment ids — the same ``(deleted, inserted)``
           pair-splice the workload commit ran over its address arrays;
         * window tables — dropped, and rebuilt from the mutated trace on
-          first use.
+          first use;
+        * unit-stride record — none (all False): every stream of the child
+          takes the per-pair path.
         """
         if delta.parent_fingerprint != self.fingerprint:
             raise WorkloadError(
@@ -488,6 +534,7 @@ class WorkloadAnalysis:
                    delta.insert_segments[k])
             for k, seg in enumerate(self._segments)
         ]
+        child.unit_stride = (False,) * len(self._segments)
         child._partitions = {}
         for threshold, (small, large) in self._partitions.items():
             if changed.size:

@@ -24,6 +24,16 @@ closed form plus one ``bincount`` per stream over the selected windows,
 with no per-pair expansion or sort.  The per-pair path remains for other
 block sizes and for callers without an analysis; both give bit-identical
 builders.
+
+Streams the analysis records as unit-stride (``base + pair *
+element_bytes``, :attr:`~repro.core.analysis.WorkloadAnalysis.unit_stride`)
+are counted without a sort too.  In a thread-mapped phase whose rows
+ascend with their threads, a warp's lanes at one step read ascending
+pairs, so their segments do not decrease and a lane adds a transaction
+unless it shares a segment with the previous active lane; the move counts
+those shares from the rows alone (:func:`_unit_stride_counts`).  The
+window tables count such streams with one neighbour comparison.  Other
+streams and atomics keep the per-pair path, which is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -34,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.artifactcache import tiered_cache
+from repro.core.mutation import TRACE_SEGMENT_BYTES
 from repro.errors import PlanError, WorkloadError
 from repro.core.workload import NestedLoopWorkload
 from repro.gpusim.atomics import AtomicStats, flat_atomic_cycles
@@ -199,6 +210,7 @@ def _apply_streams(
     coalesce_stores: bool = False,
     group_divisor: int | None = None,
     analysis=None,
+    known: dict[int, np.ndarray] | None = None,
 ) -> None:
     """Cost every access stream + atomics of the selected pairs.
 
@@ -208,6 +220,8 @@ def _apply_streams(
     :class:`~repro.core.analysis.WorkloadAnalysis` is supplied, the
     per-stream memory-segment ids come precomputed from it instead of
     being re-derived from raw addresses on every parameter point.
+    ``known`` maps stream indices to per-warp transactions already counted
+    (:func:`_unit_stride_counts`); those streams skip the sort.
     """
     n = pair_idx.size
     if n == 0:
@@ -217,6 +231,10 @@ def _apply_streams(
         builder.n_warps * group_divisor if group_divisor is not None else None
     )
     for si, stream in enumerate(workload.streams):
+        if known and si in known:
+            builder.add_traffic(known[si], n * stream.element_bytes,
+                                stream.kind)
+            continue
         segments = None
         spans = None
         if coalesce_stores and stream.kind == "store" and stream.staged_in_shared:
@@ -379,7 +397,8 @@ def add_thread_mapped_inner(
         raise PlanError("outer_ids and thread_ids must align")
     if outer_ids.size == 0:
         return
-    sorted_threads = np.sort(thread_ids)
+    by_thread = np.argsort(thread_ids, kind="stable")
+    sorted_threads = thread_ids[by_thread]
     if np.any(sorted_threads[1:] == sorted_threads[:-1]):
         raise PlanError("a thread cannot own two outer iterations in one phase")
     eff_trips = workload.subset_trips(outer_ids) if trips is None else np.asarray(trips, np.int64)
@@ -389,19 +408,92 @@ def add_thread_mapped_inner(
         per_thread[thread_ids] = eff_trips
         b.add_loop(per_thread, insts_per_iter=workload.inner_insts)
 
-        pair_idx, steps = workload.pairs_of(outer_ids, eff_trips)
-        if pair_idx.size == 0:
+        n_pairs = int(eff_trips.sum())
+        if n_pairs == 0:
             return
+        known = _unit_stride_counts(b, workload, outer_ids[by_thread],
+                                    sorted_threads, eff_trips[by_thread],
+                                    n_pairs, analysis)
+        if len(known) == len(workload.streams) and workload.atomic_targets is None:
+            for si, stream in enumerate(workload.streams):
+                b.add_traffic(known[si], n_pairs * stream.element_bytes,
+                              stream.kind)
+            return
+        pair_idx, steps = workload.pairs_of(outer_ids, eff_trips)
         pair_threads = np.repeat(thread_ids, eff_trips)
         warp_ids = b.warp_of_thread(pair_threads)
         max_step = int(steps.max()) + 1
         group_ids = warp_ids * max_step + steps
         _apply_streams(b, workload, pair_idx, warp_ids, group_ids,
-                       group_divisor=max_step, analysis=analysis)
+                       group_divisor=max_step, analysis=analysis, known=known)
 
     key = _phase_key("thread", builder, workload, analysis,
                      (outer_ids, thread_ids, eff_trips), ())
     _run_phase(builder, key, body)
+
+
+def _unit_stride_counts(
+    b: KernelCostBuilder,
+    workload: NestedLoopWorkload,
+    rows: np.ndarray,
+    threads: np.ndarray,
+    trips: np.ndarray,
+    n_pairs: int,
+    analysis,
+) -> dict[int, np.ndarray]:
+    """Per-warp transactions of a thread-mapped phase's unit-stride
+    streams, by stream index, counted from the rows alone.
+
+    ``rows[k]`` runs ``trips[k]`` steps on thread ``threads[k]``, in
+    ascending thread order.  When the rows ascend too, the active lanes of
+    a warp at step ``s`` read pairs ``o_k + s`` with ascending row starts
+    ``o_k``, so a unit-stride stream's segments do not decrease from lane
+    to lane and a warp's transactions are its lane-steps minus the lanes
+    that share a segment with the previous active lane.  Two pairs share
+    a 128-byte segment only when at most ``L = 127 // element_bytes``
+    apart, and consecutive active lanes at step ``s`` are at least
+    ``s + 1`` pairs apart, so shares need ``s < L`` and a lane within
+    ``L`` pairs of a live neighbour.  The shares are read off a step-major
+    ``(min(L, max trip), near lanes)`` activity mask.  A stream whose
+    mask would exceed the phase's pairs (short rows) is left out, as is
+    every stream when the analysis records none or the rows do not
+    ascend: the per-pair path counts those.
+    """
+    if (analysis is None or not any(analysis.unit_stride)
+            or np.any(rows[1:] <= rows[:-1])):
+        return {}
+    live = trips > 0
+    warps = b.warp_of_thread(threads[live])
+    starts = workload.pair_offsets[rows[live]]
+    trips = trips[live]
+    lane_steps = np.bincount(warps, weights=trips, minlength=b.n_warps)
+    same_warp = warps[1:] == warps[:-1]
+    gaps = starts[1:] - starts[:-1]
+    known = {}
+    for si, stream in enumerate(workload.streams):
+        if not analysis.unit_stride[si]:
+            continue
+        reach = (TRACE_SEGMENT_BYTES - 1) // stream.element_bytes
+        close = same_warp & (gaps <= reach)
+        near = np.zeros(trips.size, dtype=bool)
+        near[1:] = close
+        near[:-1] |= close
+        lanes = np.flatnonzero(near)
+        n_steps = min(reach, int(trips[lanes].max())) if lanes.size else 0
+        if lanes.size * n_steps > n_pairs:
+            continue
+        known[si] = lane_steps
+        if n_steps:
+            step, k = np.nonzero(trips[lanes] > np.arange(n_steps)[:, None])
+            lane = lanes[k]
+            lane_warp = warps[lane]
+            segments = analysis.stream_segments(si)[starts[lane] + step]
+            shared = ((step[1:] == step[:-1])
+                      & (lane_warp[1:] == lane_warp[:-1])
+                      & (segments[1:] == segments[:-1]))
+            known[si] = lane_steps - np.bincount(lane_warp[1:][shared],
+                                                 minlength=b.n_warps)
+    return known
 
 
 def add_block_mapped_inner(

@@ -126,15 +126,19 @@ class ServiceConfig:
     degrade_pending_threshold: int | None = None
 
     def __post_init__(self) -> None:
+        # checked values are stored as plain int / float, so a NumPy
+        # number never reaches stats() (whose snapshot must be JSON)
         for name, floor in _COUNT_FLOORS.items():
             value = getattr(self, name)
             if value is not None or name not in _NONE_OK:
                 check_count(name, value, floor, error=ServiceError)
+                setattr(self, name, int(value))
         for name, zero_ok in _DURATION_ZERO_OK.items():
             value = getattr(self, name)
             if value is not None or name not in _NONE_OK:
                 check_duration(name, value, zero_ok=zero_ok,
                                error=ServiceError)
+                setattr(self, name, float(value))
         resolve_engine(self.engine, error=ServiceError)
         from repro.backends import resolve_backend
 
@@ -148,8 +152,21 @@ class ServiceConfig:
             check_count(f"max_pending_per_class[{name!r}]", bound, 1,
                         error=ServiceError)
         for tenant, quota in (self.tenant_quotas or {}).items():
+            # a request's tenant is a non-empty string: any other key
+            # names a quota that could never apply
+            if not isinstance(tenant, str) or not tenant:
+                raise ServiceError(f"tenant_quotas key {tenant!r} must be "
+                                   "a non-empty tenant name string")
             check_count(f"tenant_quotas[{tenant!r}]", quota, 1,
                         error=ServiceError)
+        if self.max_pending_per_class is not None:
+            self.max_pending_per_class = {
+                name: int(bound)
+                for name, bound in self.max_pending_per_class.items()}
+        if self.tenant_quotas is not None:
+            self.tenant_quotas = {
+                tenant: int(quota)
+                for tenant, quota in self.tenant_quotas.items()}
 
     def tenant_quota_of(self, tenant: str) -> int | None:
         """Effective in-flight quota of one tenant (None = unlimited)."""

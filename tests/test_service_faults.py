@@ -7,6 +7,7 @@ configured timeout.
 """
 
 import asyncio
+import json
 import time
 
 import numpy as np
@@ -589,6 +590,10 @@ class TestConfigValidation:
              "tenant_quota must be an integer"),
             (dict(max_retries=True), "max_retries must be an integer"),
             (dict(max_pending_per_class={"low": 1.5}), "must be an integer"),
+            # a request's tenant is a non-empty string, so these quotas
+            # could never apply
+            (dict(tenant_quotas={5: 1}), "tenant_quotas key 5"),
+            (dict(tenant_quotas={"": 1}), "tenant_quotas key ''"),
         ],
     )
     def test_invalid_config_fails_fast(self, kwargs, match):
@@ -603,3 +608,21 @@ class TestConfigValidation:
             degrade_pending_threshold=1,
         )
         assert config.max_batch == 4
+
+    @pytest.mark.parametrize("field, value, kind", [
+        ("max_pending", np.int64(64), int),
+        ("tenant_quota", np.int32(3), int),
+        ("drain_timeout_s", np.float32(5), float),
+    ])
+    def test_numpy_numbers_are_stored_plain(self, field, value, kind):
+        with repro.serve(**{field: value}) as svc:
+            snapshot = json.loads(json.dumps(svc.stats()))
+        assert type(getattr(svc.service.config, field)) is kind
+        assert snapshot["config"][field] == value
+
+    def test_numpy_numbers_in_per_key_bounds_are_stored_plain(self):
+        config = ServiceConfig(max_pending_per_class={"low": np.int64(2)},
+                               tenant_quotas={"acme": np.int16(3)})
+        assert type(config.max_pending_per_class["low"]) is int
+        assert type(config.tenant_quotas["acme"]) is int
+        assert config.tenant_quota_of("acme") == 3

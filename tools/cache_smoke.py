@@ -13,6 +13,9 @@ Fast end-to-end gate (wired into ``make test`` as ``make cache-smoke``):
 2. **analysis sharing** — the second process is also probed with a
    different template of the same workload, which must reuse the disk
    ``analysis`` tier (the two-level pipeline's cross-template artifact);
+   the analysis it reads carries the unit-stride record the first
+   process built, and a thread-mapped phase costed with it equals the
+   first process's;
 3. **stale code** — a copy of ``src/`` with one line of
    ``gpusim/costmodel.py`` edited runs against the warm directory: it
    must miss the ``plan`` and ``run`` tiers (every disk key names the
@@ -49,21 +52,27 @@ _EDITED_LINE = (
 #: shared cache dir and report simulated times, per-tier disk counters and
 #: what the repeat cost as JSON
 _CHILD = r"""
-import json, sys
+import dataclasses, hashlib, json, sys
 import numpy as np
+from repro.core.analysis import get_analysis
 from repro.core.artifactcache import configure_artifact_cache, tiered_cache
+from repro.core.mapping import add_thread_mapped_inner, clear_phase_memo
 from repro.core.registry import resolve
 from repro.core.workload import AccessStream, NestedLoopWorkload
 from repro.gpusim.config import KEPLER_K20
+from repro.gpusim.costmodel import KernelCostBuilder
 
 cache_dir, template = sys.argv[1], sys.argv[2]
 cache = configure_artifact_cache(cache_dir)
 rng = np.random.default_rng(7)
-trips = rng.zipf(1.8, size=400).clip(max=60).astype(np.int64)
+# rows of 8+ pairs: the thread-mapped phase below counts the unit-stride
+# stream in closed form, not by the short-row rule's per-pair path
+trips = rng.zipf(1.8, size=400).clip(max=60).astype(np.int64) * 8
 nnz = int(trips.sum())
 workload = NestedLoopWorkload(
     name="cache-smoke", trip_counts=trips,
-    streams=[AccessStream("x", rng.integers(0, nnz, size=nnz) * 4)],
+    streams=[AccessStream("rows", 68 + np.arange(nnz) * 4),
+             AccessStream("x", rng.integers(0, nnz, size=nnz) * 4)],
 )
 tmpl = resolve(template, kind="nested-loop")
 run = tmpl.run(workload, KEPLER_K20)
@@ -71,8 +80,20 @@ disk_run = cache.snapshot()["tiers"]["run"]
 memory = tiered_cache().stats["run", "memory"]
 memory_hits = memory.hits
 again = tmpl.run(workload, KEPLER_K20)
+# one thread-mapped phase costed with the analysis this process holds
+analysis = get_analysis(workload)
+clear_phase_memo()
+builder = KernelCostBuilder(KEPLER_K20, "smoke", 64, -(-trips.size // 64))
+rows = np.arange(trips.size)
+add_thread_mapped_inner(builder, workload, rows, rows, analysis=analysis)
+arrays = builder._arrays
+phase = hashlib.blake2b(digest_size=8)
+for part in (arrays.compute_slots.tobytes(), arrays.mem_transactions.tobytes(),
+             repr(dataclasses.asdict(builder.counters)).encode()):
+    phase.update(part)
 print(json.dumps({
     "time_ms": run.time_ms, "stats": cache.snapshot(),
+    "unit_stride": list(analysis.unit_stride), "thread_phase": phase.hexdigest(),
     "repeat": {"time_ms": again.time_ms,
                "memory_hits": memory.hits - memory_hits,
                "disk_probes_before": disk_run["hits"] + disk_run["misses"]},
@@ -152,8 +173,19 @@ def main() -> int:
         if tier(other, "analysis")["hits"] < 1:
             fail("a different template did not reuse the shared workload "
                  f"analysis: {other['stats']}")
+        if cold["unit_stride"] != [True, False]:
+            fail(f"a fresh analysis recorded unit-stride streams "
+                 f"{cold['unit_stride']}, not [True, False]")
+        if other["unit_stride"] != cold["unit_stride"]:
+            fail(f"the analysis read from disk records unit-stride streams "
+                 f"{other['unit_stride']}, a fresh build "
+                 f"{cold['unit_stride']}")
+        if other["thread_phase"] != cold["thread_phase"]:
+            fail("a thread-mapped phase costed with the analysis read from "
+                 "disk differs from the first process's")
         print(f"analysis sharing ok: "
-              f"{tier(other, 'analysis')['hits']} cross-template hit(s)")
+              f"{tier(other, 'analysis')['hits']} cross-template hit(s), "
+              "same unit-stride record and thread-mapped phase")
 
         with tempfile.TemporaryDirectory(prefix="repro-cache-smoke-") as copy:
             src = edited_source(Path(copy))

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import WorkloadError
+from repro.errors import WorkloadError, check_count
 from repro.graphs.csr import concat_ranges
 
 __all__ = [
@@ -49,6 +49,19 @@ __all__ = [
 #: segment ids precomputed at this granularity (keep in sync with
 #: ``analysis._TRACE_SEGMENT_BYTES``)
 TRACE_SEGMENT_BYTES = 128
+
+
+def _int_array(name: str, values) -> np.ndarray:
+    """``values`` as an int64 array; a non-empty one must hold integers.
+
+    Bools, floats (NaN included) and strings raise instead of being
+    truncated or parsed into an index; an empty sequence is valid.
+    """
+    array = np.asarray(values)
+    if array.size and not np.issubdtype(array.dtype, np.integer):
+        raise WorkloadError(
+            f"{name} must hold integers, got dtype {array.dtype}")
+    return array.astype(np.int64, copy=False)
 
 
 @dataclass
@@ -67,11 +80,12 @@ class PairInserts:
     atomic_targets: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        self.outer_ids = np.asarray(self.outer_ids, dtype=np.int64)
+        self.outer_ids = _int_array("outer_ids", self.outer_ids)
         if self.outer_ids.ndim != 1:
             raise WorkloadError("inserts: outer_ids must be 1-D")
         self.stream_addresses = [
-            np.asarray(a, dtype=np.int64) for a in self.stream_addresses
+            _int_array(f"stream_addresses[{k}]", a)
+            for k, a in enumerate(self.stream_addresses)
         ]
         n = self.outer_ids.size
         for k, addresses in enumerate(self.stream_addresses):
@@ -83,7 +97,8 @@ class PairInserts:
             if addresses.size and addresses.min() < 0:
                 raise WorkloadError(f"inserts: stream {k} has negative addresses")
         if self.atomic_targets is not None:
-            self.atomic_targets = np.asarray(self.atomic_targets, dtype=np.int64)
+            self.atomic_targets = _int_array("atomic_targets",
+                                             self.atomic_targets)
             if self.atomic_targets.shape != (n,):
                 raise WorkloadError("inserts: atomic_targets must match outer_ids")
 
@@ -111,12 +126,12 @@ class MutationBatch:
 
     def __post_init__(self) -> None:
         if self.delete_pairs is not None:
-            self.delete_pairs = np.asarray(self.delete_pairs, dtype=np.int64)
+            self.delete_pairs = _int_array("delete_pairs", self.delete_pairs)
         if self.isolate_outer is not None:
-            self.isolate_outer = np.asarray(self.isolate_outer, dtype=np.int64)
+            self.isolate_outer = _int_array("isolate_outer",
+                                            self.isolate_outer)
+        check_count("append_outer", self.append_outer, 0, error=WorkloadError)
         self.append_outer = int(self.append_outer)
-        if self.append_outer < 0:
-            raise WorkloadError("append_outer cannot be negative")
 
     def is_empty(self) -> bool:
         """True when the batch would not change anything."""

@@ -2,9 +2,9 @@
 
 One collection window — the head of the service queue plus whatever
 was already queued behind it — is grouped by :meth:`Request.batch_key`
-(workload fingerprint, template, engine, device, params, backend,
-priority), and each group becomes one :class:`Batch`: **one** plan build
-and **one** run whose result answers every member.
+(workload fingerprint, template, engine, device, params, backend), and
+each group becomes one :class:`Batch`: **one** plan build and **one** run
+whose result answers every member.
 """
 
 from __future__ import annotations
@@ -21,29 +21,13 @@ __all__ = ["Batch", "MicroBatcher"]
 class Batch:
     """One coalesced unit of execution plus the futures awaiting it."""
 
-    key: tuple
     spec: BatchSpec
     requests: list[Request] = field(default_factory=list)
     futures: list = field(default_factory=list)
-    #: set when the overload policy rewrote ``spec`` to the family's
-    #: non-nested fallback before execution
-    load_degraded: bool = False
 
     @property
     def size(self) -> int:
         return len(self.requests)
-
-    @property
-    def priority(self) -> str:
-        """The batch's priority class (homogeneous: part of the key)."""
-        return self.requests[0].priority if self.requests else "normal"
-
-    @property
-    def deadline_at(self) -> float | None:
-        """Tightest absolute member deadline (None when none carries one)."""
-        deadlines = [r.deadline_at for r in self.requests
-                     if getattr(r, "deadline_at", None) is not None]
-        return min(deadlines) if deadlines else None
 
 
 class MicroBatcher:
@@ -68,8 +52,7 @@ class MicroBatcher:
                     engine=request.engine,
                     backend=request.backend,
                 )
-                batch = Batch(key=key, spec=spec)
-                batches[key] = batch
+                batch = batches[key] = Batch(spec=spec)
             batch.requests.append(request)
             batch.futures.append(future)
         return list(batches.values())

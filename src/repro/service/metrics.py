@@ -5,10 +5,6 @@ into it; ``snapshot()`` may be called from any thread (the sync handle
 reads it from the caller's thread), so mutation goes through a lock.
 Latencies and batch sizes are kept in bounded windows — the service is
 long-lived and must not grow memory with traffic.
-
-Every lifecycle counter is additionally kept **per priority class**
-(``high`` / ``normal`` / ``low``), including a per-class latency window,
-so one snapshot reports p50/p99 per class.
 """
 
 from __future__ import annotations
@@ -16,7 +12,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 
-__all__ = ["percentile", "ServiceStats", "ClassStats"]
+__all__ = ["percentile", "ServiceStats"]
 
 #: samples each latency / batch-size window keeps
 WINDOW = 4096
@@ -38,42 +34,6 @@ def percentile(values: list[float], q: float) -> float:
     return float(values[lo] * (1 - frac) + values[hi] * frac)
 
 
-class ClassStats:
-    """Per-priority-class lifecycle counters + a bounded latency window.
-
-    Mutated only under the owning :class:`ServiceStats` lock.
-    """
-
-    __slots__ = ("submitted", "succeeded", "failed", "rejected", "shed",
-                 "degraded", "latencies")
-
-    def __init__(self) -> None:
-        self.submitted = 0
-        self.succeeded = 0
-        self.failed = 0
-        #: admission + drain rejections of this class combined
-        self.rejected = 0
-        self.shed = 0
-        self.degraded = 0
-        self.latencies: deque[float] = deque(maxlen=WINDOW)
-
-    def snapshot(self) -> dict:
-        lat = sorted(self.latencies)
-        return {
-            "submitted": self.submitted,
-            "succeeded": self.succeeded,
-            "failed": self.failed,
-            "rejected": self.rejected,
-            "shed": self.shed,
-            "degraded": self.degraded,
-            "latency_ms": {
-                "count": len(lat),
-                "p50": round(percentile(lat, 50) * 1e3, 3),
-                "p99": round(percentile(lat, 99) * 1e3, 3),
-            },
-        }
-
-
 class ServiceStats:
     """Counters and windows behind ``TemplateService.stats()``.
 
@@ -83,16 +43,13 @@ class ServiceStats:
     * ``submitted == served + admission_rejected`` — every submission is
       either turned away at admission or eventually answered through the
       response path, never both and never neither;
-    * ``served == succeeded + failed + drain_rejected + shed`` — every
-      response has exactly one terminal status (a drain reject *is* a
-      response: the request was admitted, then answered with ``rejected``
-      when the service stopped before executing it; a shed response is a
-      request dropped by deadline-aware scheduling).
+    * ``served == succeeded + failed + drain_rejected`` — every response
+      has exactly one terminal status (a drain reject *is* a response: the
+      request was admitted, then answered with ``rejected`` when the
+      service stopped before executing it).
 
     :meth:`snapshot` reports the two reject kinds separately (their sum
-    is every rejected request).  ``admission_rejected`` additionally
-    splits out ``quota_rejected`` (per-tenant quota) and
-    ``class_rejected`` (per-priority-class queue bound).
+    is every rejected request).
     """
 
     def __init__(self) -> None:
@@ -103,22 +60,10 @@ class ServiceStats:
         self.succeeded = 0
         #: turned away at admission (never entered the queue)
         self.admission_rejected = 0
-        #: admission rejections due to a per-tenant quota (subset of
-        #: admission_rejected)
-        self.quota_rejected = 0
-        #: admission rejections due to a per-priority-class queue bound
-        #: (subset of admission_rejected)
-        self.class_rejected = 0
         #: admitted but answered "rejected" at stop(drain=False)
         self.drain_rejected = 0
-        #: admitted, then dropped by deadline-aware scheduling (the batch
-        #: loop determined the deadline could not be met)
-        self.shed = 0
         self.failed = 0
         self.degraded = 0
-        #: degradations forced proactively by the overload policy (also
-        #: counted in ``degraded``)
-        self.load_degraded = 0
         self.retries = 0
         self.timeouts = 0
         # batching
@@ -143,44 +88,19 @@ class ServiceStats:
         self.mutations = 0
         # latency window (seconds)
         self._latencies: deque[float] = deque(maxlen=WINDOW)
-        # rolling batch-execution wall time (the deadline predictor reads
-        # this)
-        self._exec_wall: deque[float] = deque(maxlen=256)
-        # per-priority-class breakdown, created on first sighting
-        self.per_class: dict[str, ClassStats] = {}
-
-    def _class(self, priority: str) -> ClassStats:
-        stats = self.per_class.get(priority)
-        if stats is None:
-            stats = self.per_class[priority] = ClassStats()
-        return stats
 
     # ------------------------------------------------------------ recording
-    def record_admitted(self, depth: int, priority: str = "normal") -> None:
+    def record_admitted(self, depth: int) -> None:
         with self._lock:
             self.submitted += 1
-            self._class(priority).submitted += 1
             self.queue_depth = depth
             self.max_queue_depth = max(self.max_queue_depth, depth)
 
-    def record_rejected(self, kind: str = "pending",
-                        priority: str = "normal") -> None:
-        """An admission rejection: submitted but never admitted/served.
-
-        ``kind`` names the bound that fired: ``"pending"`` (global
-        ``max_pending``), ``"tenant"`` (per-tenant quota) or ``"class"``
-        (per-priority-class queue bound).
-        """
+    def record_rejected(self) -> None:
+        """An admission rejection: submitted but never admitted/served."""
         with self._lock:
             self.submitted += 1
             self.admission_rejected += 1
-            if kind == "tenant":
-                self.quota_rejected += 1
-            elif kind == "class":
-                self.class_rejected += 1
-            cls = self._class(priority)
-            cls.submitted += 1
-            cls.rejected += 1
 
     def record_depth(self, depth: int) -> None:
         with self._lock:
@@ -198,25 +118,9 @@ class ServiceStats:
             if timed_out:
                 self.timeouts += 1
 
-    def record_degraded(self, priority: str = "normal",
-                        under_load: bool = False) -> None:
+    def record_degraded(self) -> None:
         with self._lock:
             self.degraded += 1
-            if under_load:
-                self.load_degraded += 1
-            self._class(priority).degraded += 1
-
-    def record_exec(self, wall_s: float) -> None:
-        """One batch execution's wall time (feeds the deadline predictor)."""
-        with self._lock:
-            self._exec_wall.append(wall_s)
-
-    def mean_exec_s(self) -> float:
-        """Rolling mean batch-execution wall time (0.0 with no samples)."""
-        with self._lock:
-            if not self._exec_wall:
-                return 0.0
-            return sum(self._exec_wall) / len(self._exec_wall)
 
     def record_queue_fallback(self) -> None:
         """A batch the queue backend handed back to the BSP simulator."""
@@ -242,25 +146,16 @@ class ServiceStats:
         with self._lock:
             self.mutations += 1
 
-    def record_response(self, status: str, latency_s: float,
-                        priority: str = "normal") -> None:
+    def record_response(self, status: str, latency_s: float) -> None:
         """A response delivered to an *admitted* request (any status)."""
         with self._lock:
             self.served += 1
-            cls = self._class(priority)
             if status == "ok":
                 self.succeeded += 1
-                cls.succeeded += 1
-                cls.latencies.append(latency_s)
             elif status == "rejected":
                 self.drain_rejected += 1
-                cls.rejected += 1
-            elif status == "shed":
-                self.shed += 1
-                cls.shed += 1
             else:
                 self.failed += 1
-                cls.failed += 1
             self._latencies.append(latency_s)
 
     def invariant_violations(self) -> list[str]:
@@ -277,29 +172,12 @@ class ServiceStats:
                     f"({self.served}) + admission_rejected "
                     f"({self.admission_rejected})"
                 )
-            terminal = (self.succeeded + self.failed + self.drain_rejected
-                        + self.shed)
+            terminal = self.succeeded + self.failed + self.drain_rejected
             if self.served != terminal:
                 problems.append(
                     f"served ({self.served}) != succeeded "
                     f"({self.succeeded}) + failed ({self.failed}) + "
-                    f"drain_rejected ({self.drain_rejected}) + "
-                    f"shed ({self.shed})"
-                )
-            if self.admission_rejected < self.quota_rejected \
-                    + self.class_rejected:
-                problems.append(
-                    f"admission_rejected ({self.admission_rejected}) < "
-                    f"quota_rejected ({self.quota_rejected}) + "
-                    f"class_rejected ({self.class_rejected})"
-                )
-            per_class_submitted = sum(
-                c.submitted for c in self.per_class.values()
-            )
-            if self.per_class and per_class_submitted != self.submitted:
-                problems.append(
-                    f"per-class submitted ({per_class_submitted}) != "
-                    f"submitted ({self.submitted})"
+                    f"drain_rejected ({self.drain_rejected})"
                 )
             return problems
 
@@ -316,19 +194,11 @@ class ServiceStats:
                     "served": self.served,
                     "succeeded": self.succeeded,
                     "admission_rejected": self.admission_rejected,
-                    "quota_rejected": self.quota_rejected,
-                    "class_rejected": self.class_rejected,
                     "drain_rejected": self.drain_rejected,
-                    "shed": self.shed,
                     "failed": self.failed,
                     "degraded": self.degraded,
-                    "load_degraded": self.load_degraded,
                     "retries": self.retries,
                     "timeouts": self.timeouts,
-                },
-                "classes": {
-                    name: cls.snapshot()
-                    for name, cls in sorted(self.per_class.items())
                 },
                 "batching": {
                     "batches": self.batches,

@@ -7,11 +7,12 @@ serving metadata (latency, batch size, retry count, degradation flag).
 
 Requests resolve their template and workload family eagerly, so malformed
 queries fail in the caller's context instead of inside the batch loop.
-The **batch key** — what the micro-batcher groups on — is the same
-content-addressed identity the plan cache uses: workload fingerprint,
-canonical template name, engine, device, and the (frozen, hashable)
-template parameters.  Two structurally identical workloads submitted as
-different objects coalesce into one batch.
+The **batch key** — what the micro-batcher groups on — is what the
+computation is and nothing else: the content-addressed identity the plan
+cache uses (workload fingerprint, canonical template name, engine,
+device, and the frozen, hashable template parameters) plus the backend
+kind.  Two structurally identical workloads submitted as different
+objects coalesce into one batch.
 """
 
 from __future__ import annotations
@@ -20,30 +21,16 @@ from dataclasses import dataclass, field
 
 from repro.core.params import TemplateParams, check_params
 from repro.core.registry import check_template, resolve, workload_kind
-from repro.errors import ConfigError, check_duration
+from repro.errors import ConfigError
 from repro.gpusim.config import DeviceConfig, KEPLER_K20, check_device
 from repro.gpusim.executor import resolve_engine
 from repro.ir.select import auto_select, is_auto
 
-__all__ = [
-    "Request",
-    "Response",
-    "workload_kind",
-    "DEGRADE_FALLBACK",
-    "PRIORITIES",
-    "PRIORITY_RANK",
-]
+__all__ = ["Request", "Response", "workload_kind", "DEGRADE_FALLBACK"]
 
 #: fallback template per workload family when a dynamic-parallelism
 #: template keeps failing (the graceful-degradation path)
 DEGRADE_FALLBACK = {"nested-loop": "thread-mapped", "tree": "flat"}
-
-#: admission priority classes, highest first — the batch loop always
-#: drains a higher class before touching a lower one
-PRIORITIES = ("high", "normal", "low")
-
-#: class name -> scheduling rank (lower rank drains first)
-PRIORITY_RANK = {name: rank for rank, name in enumerate(PRIORITIES)}
 
 
 @dataclass
@@ -70,14 +57,6 @@ class Request:
     #: execution model the batch should run on (``"sim"`` | ``"queue"``;
     #: stamped from ``ServiceConfig.backend`` at submit)
     backend: str = "sim"
-    #: tenant this request bills against (admission quotas; "" = untracked)
-    tenant: str = ""
-    #: priority class: ``"high"`` | ``"normal"`` | ``"low"`` — enters the
-    #: batch key, so batches are priority-homogeneous
-    priority: str = "normal"
-    #: relative deadline in seconds from admission (None = no deadline);
-    #: the absolute event-loop deadline lands in ``deadline_at``
-    deadline_s: float | None = None
 
     def __post_init__(self) -> None:
         from repro.backends import resolve_backend
@@ -89,21 +68,6 @@ class Request:
         check_device(self.device)
         resolve_engine(self.engine, error=ConfigError)
         resolve_backend(self.backend, error=ConfigError)
-        # type first: an unhashable priority must not reach the lookup
-        if not isinstance(self.priority, str) \
-                or self.priority not in PRIORITY_RANK:
-            raise ConfigError(
-                f"priority must be one of {', '.join(PRIORITIES)}, "
-                f"got {self.priority!r}"
-            )
-        if not isinstance(self.tenant, str):
-            raise ConfigError(
-                f"tenant must be a string, got {self.tenant!r}")
-        if self.deadline_s is not None:
-            check_duration("deadline_s", self.deadline_s, zero_ok=False)
-        #: absolute deadline on the service's event-loop clock, stamped
-        #: at admission (None until admitted or when no deadline applies)
-        self.deadline_at: float | None = None
         self.selection = None
         if is_auto(self.template):
             # resolve the auto choice at admission: the batch then carries
@@ -124,12 +88,7 @@ class Request:
             self._template_key = (self.template_obj.name, id(self.template))
 
     def batch_key(self) -> tuple:
-        """Identity the micro-batcher coalesces on (content-addressed).
-
-        ``priority`` is part of the key: a batch must be
-        priority-homogeneous so shed/degrade decisions apply to the whole
-        batch (tenants still coalesce freely — quotas act at admission).
-        """
+        """Identity the micro-batcher coalesces on (content-addressed)."""
         return (
             self.workload.fingerprint(),
             self._template_key,
@@ -137,7 +96,6 @@ class Request:
             self.device,
             self.params,
             self.backend,
-            self.priority,
         )
 
 
@@ -146,13 +104,13 @@ class Response:
     """Everything one request's caller gets back.
 
     ``status`` is ``"ok"``, ``"rejected"`` (admission control turned the
-    request away — see ``reason``), ``"shed"`` (admitted, then dropped by
-    deadline-aware scheduling because the deadline could not be met) or
-    ``"failed"`` (execution kept failing after retries and no degradation
-    path applied).  A degraded response has ``status == "ok"`` with
-    ``degraded=True`` and ``template`` naming the fallback that actually
-    ran.  Every response — rejections included — carries a real monotonic
-    ``id``, so client-side correlation works on all paths.
+    request away, or the service stopped before running it — see
+    ``reason``) or ``"failed"`` (execution kept failing after retries and
+    no degradation path applied).  A degraded response has
+    ``status == "ok"`` with ``degraded=True`` and ``template`` naming the
+    fallback that actually ran.  Every response — rejections included —
+    carries a real monotonic ``id``, so client-side correlation works on
+    all paths.
     """
 
     id: int
@@ -173,10 +131,6 @@ class Response:
     attempts: int = 0
     #: whether the plan build was served from the plan cache
     cache_hit: bool = False
-    #: priority class the request carried (echoed for correlation)
-    priority: str = "normal"
-    #: tenant the request billed against (echoed for correlation)
-    tenant: str = ""
 
     @property
     def ok(self) -> bool:

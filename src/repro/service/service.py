@@ -13,7 +13,7 @@ long-lived server.  The life of a request:
    which coalesces requests sharing a batch key into one batch.  It never
    waits for co-travellers: the loop is work-conserving.
 3. **Execution** — the window's batches split into fusion groups, one
-   per (backend kind, device config, engine, priority); each group runs
+   per (backend kind, device config, engine); each group runs
    as one :func:`~repro.service.workers.execute_batch_fused` call, on a
    one-device backend of its own and a worker thread, under a
    per-request timeout.  A lone batch is a one-member group and gets
@@ -33,6 +33,7 @@ is ``repro.run(workload, devices=N)``.
 from __future__ import annotations
 
 import asyncio
+import os
 import time
 from dataclasses import dataclass, field, replace
 
@@ -42,16 +43,9 @@ from repro.core.registry import resolve
 from repro.errors import ServiceError, check_count, check_duration
 from repro.gpusim.config import DeviceConfig, KEPLER_K20
 from repro.gpusim.executor import resolve_engine
-from repro.service.admission import PriorityClassQueue
 from repro.service.batcher import Batch, MicroBatcher
 from repro.service.metrics import ServiceStats
-from repro.service.request import (
-    DEGRADE_FALLBACK,
-    PRIORITIES,
-    PRIORITY_RANK,
-    Request,
-    Response,
-)
+from repro.service.request import DEGRADE_FALLBACK, Request, Response
 from repro.service.streams import WorkloadStream
 from repro.service.workers import BatchSpec, execute_batch_fused
 
@@ -59,20 +53,14 @@ __all__ = ["ServiceConfig", "TemplateService"]
 
 
 #: integer config fields and the smallest value each accepts
-_COUNT_FLOORS = {
-    "max_pending": 1, "max_batch": 1, "max_retries": 0, "tenant_quota": 1,
-    "degrade_pending_threshold": 1,
-}
+_COUNT_FLOORS = {"max_pending": 1, "max_batch": 1, "max_retries": 0}
 #: time config fields (seconds) and whether each accepts zero
 _DURATION_ZERO_OK = {
     "request_timeout_s": False, "retry_backoff_s": True,
     "drain_timeout_s": False,
 }
-#: numeric fields whose None means "no bound"
-_NONE_OK = frozenset({
-    "request_timeout_s", "drain_timeout_s", "tenant_quota",
-    "degrade_pending_threshold",
-})
+#: duration fields whose None means "no bound"
+_NONE_OK = frozenset({"request_timeout_s", "drain_timeout_s"})
 
 
 @dataclass
@@ -108,31 +96,14 @@ class ServiceConfig:
     #: before answering stragglers with structured failures (None waits
     #: forever — the pre-bound behaviour)
     drain_timeout_s: float | None = 30.0
-    # ------------------------------------------------- SLO / multi-tenant
-    #: per-priority-class in-flight bounds, e.g. ``{"low": 64}``; classes
-    #: absent from the dict are bounded only by ``max_pending``
-    max_pending_per_class: dict | None = None
-    #: max in-flight requests per tenant (None = unlimited); rejections
-    #: are structured and counted as ``quota_rejected``
-    tenant_quota: int | None = None
-    #: per-tenant overrides of ``tenant_quota``, e.g. ``{"acme": 8}``
-    tenant_quotas: dict | None = None
-    #: shed batches whose deadline has passed (or provably cannot be met)
-    #: instead of executing them; responses carry ``status="shed"``
-    shed_deadlines: bool = True
-    #: in-flight depth beyond which low-priority dynamic-parallelism
-    #: batches are proactively degraded to their non-nested fallback
-    #: (None disables overload degradation)
-    degrade_pending_threshold: int | None = None
 
     def __post_init__(self) -> None:
         # checked values are stored as plain int / float, so a NumPy
         # number never reaches stats() (whose snapshot must be JSON)
         for name, floor in _COUNT_FLOORS.items():
             value = getattr(self, name)
-            if value is not None or name not in _NONE_OK:
-                check_count(name, value, floor, error=ServiceError)
-                setattr(self, name, int(value))
+            check_count(name, value, floor, error=ServiceError)
+            setattr(self, name, int(value))
         for name, zero_ok in _DURATION_ZERO_OK.items():
             value = getattr(self, name)
             if value is not None or name not in _NONE_OK:
@@ -143,36 +114,18 @@ class ServiceConfig:
         from repro.backends import resolve_backend
 
         resolve_backend(self.backend, error=ServiceError)
-        for name, bound in (self.max_pending_per_class or {}).items():
-            if name not in PRIORITY_RANK:
-                raise ServiceError(
-                    f"unknown priority {name!r} in max_pending_per_class; "
-                    f"known: {', '.join(PRIORITIES)}"
-                )
-            check_count(f"max_pending_per_class[{name!r}]", bound, 1,
-                        error=ServiceError)
-        for tenant, quota in (self.tenant_quotas or {}).items():
-            # a request's tenant is a non-empty string: any other key
-            # names a quota that could never apply
-            if not isinstance(tenant, str) or not tenant:
-                raise ServiceError(f"tenant_quotas key {tenant!r} must be "
-                                   "a non-empty tenant name string")
-            check_count(f"tenant_quotas[{tenant!r}]", quota, 1,
-                        error=ServiceError)
-        if self.max_pending_per_class is not None:
-            self.max_pending_per_class = {
-                name: int(bound)
-                for name, bound in self.max_pending_per_class.items()}
-        if self.tenant_quotas is not None:
-            self.tenant_quotas = {
-                tenant: int(quota)
-                for tenant, quota in self.tenant_quotas.items()}
-
-    def tenant_quota_of(self, tenant: str) -> int | None:
-        """Effective in-flight quota of one tenant (None = unlimited)."""
-        if self.tenant_quotas and tenant in self.tenant_quotas:
-            return self.tenant_quotas[tenant]
-        return self.tenant_quota
+        # a truthy string such as "no" must not switch degradation on
+        if not isinstance(self.degrade, bool):
+            raise ServiceError(
+                f"degrade must be a bool, got {self.degrade!r}")
+        if not isinstance(self.device, DeviceConfig):
+            raise ServiceError(
+                f"device must be a DeviceConfig, got {self.device!r}")
+        if self.cache_dir is not None \
+                and not isinstance(self.cache_dir, (str, os.PathLike)):
+            raise ServiceError(
+                "cache_dir must be None, a string or a path, "
+                f"got {self.cache_dir!r}")
 
 
 class TemplateService:
@@ -198,14 +151,10 @@ class TemplateService:
         self.stats = ServiceStats()
         self.batcher = MicroBatcher()
         self._run_fn = run_fn or execute_batch_fused
-        self._queue: PriorityClassQueue | None = None
+        self._queue: asyncio.Queue | None = None
         self._loop_task: asyncio.Task | None = None
         self._dispatch_tasks: set[asyncio.Task] = set()
         self._pending = 0
-        #: in-flight requests per priority class / per tenant (admission
-        #: bounds check these; decremented in _finish)
-        self._class_pending = {name: 0 for name in PRIORITIES}
-        self._tenant_pending: dict[str, int] = {}
         self._next_id = 0
         self._running = False
         #: named versioned workload streams (see register_workload)
@@ -225,7 +174,7 @@ class TemplateService:
         """Bring the batch loop up (idempotent)."""
         if self._running:
             return
-        self._queue = PriorityClassQueue()
+        self._queue = asyncio.Queue()
         self._running = True
         self._loop_task = asyncio.create_task(
             self._batch_loop(), name="repro-service-batch-loop"
@@ -281,8 +230,6 @@ class TemplateService:
                     template=str(getattr(request.template_obj, "name", "")),
                     workload=getattr(request.workload, "name", ""),
                     reason="service stopped before execution",
-                    priority=request.priority,
-                    tenant=request.tenant,
                 ),
             )
 
@@ -349,9 +296,6 @@ class TemplateService:
         device: DeviceConfig | None = None,
         params: TemplateParams | None = None,
         engine: str | None = None,
-        tenant: str = "",
-        priority: str | None = None,
-        deadline_s: float | None = None,
         version: int | None = None,
     ) -> Response:
         """Admit one query and await its response.
@@ -366,11 +310,11 @@ class TemplateService:
         against version ``v`` executes against exactly ``v``'s trace even
         while the mutation stream advances.
 
-        ``tenant``/``priority``/``deadline_s`` are the SLO knobs: tenant
-        quotas and per-class bounds act at admission, the priority class
-        (``"normal"`` unless given) orders scheduling, and the deadline
-        (none unless given) arms deadline-aware shedding (see
-        docs/serving.md).
+        Admission control is immediate: over ``max_pending`` in-flight
+        requests the return value is a ``rejected`` response carrying the
+        queue state in ``reason``; the caller is never blocked on a full
+        queue.  Every response, rejections included, carries a real
+        monotonic ``id``.
         """
         if workload is None:
             template, workload = None, template
@@ -389,80 +333,29 @@ class TemplateService:
             params=TemplateParams() if params is None else params,
             engine=self.config.engine if engine is None else engine,
             backend=self.config.backend,
-            tenant=tenant,
-            priority="normal" if priority is None else priority,
-            deadline_s=deadline_s,
         )
-        return await self.submit_request(request)
-
-    def _reject(self, request: Request, kind: str, reason: str) -> Response:
-        """Build one structured admission rejection (counted by kind)."""
-        self.stats.record_rejected(kind=kind, priority=request.priority)
-        obs.instant("service.reject", kind=kind, pending=self._pending,
-                    priority=request.priority)
-        return Response(
-            id=request.id,
-            status="rejected",
-            template=str(getattr(request.template_obj, "name", "")),
-            workload=getattr(request.workload, "name", ""),
-            reason=reason,
-            priority=request.priority,
-            tenant=request.tenant,
-        )
-
-    async def submit_request(self, request: Request) -> Response:
-        """Admit an already-built :class:`Request` and await its response.
-
-        Admission control is immediate: over ``max_pending`` in-flight
-        requests — or over the request's class bound or its tenant's
-        quota — the return value is a ``rejected`` response carrying the
-        queue state in ``reason``; the caller is never blocked on a full
-        queue.  Every response, rejections included, carries a real
-        monotonic ``id``.
-        """
         if not self._running:
             raise ServiceError("service is not running (call start())")
-        # ids are assigned before any admission check so every structured
-        # rejection is correlatable (no more id=-1 responses)
+        # ids are assigned before the admission check so every structured
+        # rejection is correlatable (no id=-1 responses)
         request.id = self._next_id
         self._next_id += 1
         if self._pending >= self.config.max_pending:
-            return self._reject(
-                request, "pending",
-                f"queue full: {self._pending} in-flight requests >= "
-                f"max_pending={self.config.max_pending}",
-            )
-        class_bound = (self.config.max_pending_per_class or {}).get(
-            request.priority
-        )
-        if class_bound is not None \
-                and self._class_pending[request.priority] >= class_bound:
-            return self._reject(
-                request, "class",
-                f"class full: {self._class_pending[request.priority]} "
-                f"in-flight {request.priority!r} requests >= "
-                f"max_pending_per_class[{request.priority!r}]={class_bound}",
-            )
-        quota = self.config.tenant_quota_of(request.tenant)
-        if quota is not None \
-                and self._tenant_pending.get(request.tenant, 0) >= quota:
-            return self._reject(
-                request, "tenant",
-                f"tenant quota: {self._tenant_pending.get(request.tenant, 0)} "
-                f"in-flight requests of tenant {request.tenant!r} >= "
-                f"quota={quota}",
+            self.stats.record_rejected()
+            obs.instant("service.reject", pending=self._pending)
+            return Response(
+                id=request.id,
+                status="rejected",
+                template=str(getattr(request.template_obj, "name", "")),
+                workload=getattr(request.workload, "name", ""),
+                reason=(f"queue full: {self._pending} in-flight requests "
+                        f">= max_pending={self.config.max_pending}"),
             )
         loop = asyncio.get_running_loop()
         request.created_s = loop.time()
         request.created_perf = time.perf_counter()
-        if request.deadline_s is not None:
-            request.deadline_at = request.created_s + request.deadline_s
         self._pending += 1
-        self._class_pending[request.priority] += 1
-        self._tenant_pending[request.tenant] = (
-            self._tenant_pending.get(request.tenant, 0) + 1
-        )
-        self.stats.record_admitted(self._pending, priority=request.priority)
+        self.stats.record_admitted(self._pending)
         future = loop.create_future()
         self._queue.put_nowait((request, future))
         return await future
@@ -489,11 +382,13 @@ class TemplateService:
                 with obs.span("service.coalesce", pending=len(pending)):
                     batches = self.batcher.group(pending)
                 groups = self._fusion_groups(batches)
+                for batch in batches:
+                    self._admit(batch)
             except Exception as exc:  # noqa: BLE001 - lifecycle boundary
                 error = f"{type(exc).__name__}: {exc}"
                 obs.instant("service.dispatch_error", error=error)
                 for request, future in pending:
-                    self._answer(Batch(key=(), spec=None, requests=[request],
+                    self._answer(Batch(spec=None, requests=[request],
                                        futures=[future]),
                                  "failed", reason=f"dispatch error: {error}")
                 continue
@@ -507,39 +402,30 @@ class TemplateService:
         """Split a window's batches into fusion groups.
 
         A group is every batch of the window sharing a backend kind,
-        device, engine and priority class; it runs as one ``run_fn`` call,
-        whose results are bit-identical to running each batch alone.
-        Priority is in the key so a high-priority batch never waits on a
-        low-priority co-traveller's build and run.  A lone batch is a
+        device and engine; it runs as one ``run_fn`` call, whose results
+        are bit-identical to running each batch alone.  A lone batch is a
         one-member group.  Groups keep first-arrival order.
         """
         groups: dict[tuple, list[Batch]] = {}
         for batch in batches:
             spec = batch.spec
-            key = (spec.backend, spec.device.fingerprint(), spec.engine,
-                   batch.priority)
+            key = (spec.backend, spec.device.fingerprint(), spec.engine)
             groups.setdefault(key, []).append(batch)
         return list(groups.values())
 
     # -------------------------------------------------- execution policy
-    async def _dispatch(self, batches: list[Batch], *,
-                        split: bool = False) -> None:
+    async def _dispatch(self, batches: list[Batch]) -> None:
         """Run one fusion group; every member future is always answered.
 
-        Each batch first passes :meth:`_admit` (with ``split`` when the
-        batches of a failed group re-enter here one at a time), then the
-        live batches run as one group (:meth:`_run_group`).  A failure
-        the policy does not model — a run_fn returning something other
-        than one run per spec, a bug in the degradation path,
-        cancellation by a timed-out drain — answers every member not yet
-        answered with a structured ``failed`` response, so ``_pending``
-        always drains and ``stop(drain=True)`` cannot spin forever.
+        The batches run as one group (:meth:`_run_group`).  A failure the
+        policy does not model — a run_fn returning something other than
+        one run per spec, a bug in the degradation path, cancellation by a
+        timed-out drain — answers every member not yet answered with a
+        structured ``failed`` response, so ``_pending`` always drains and
+        ``stop(drain=True)`` cannot spin forever.
         """
         try:
-            batches = [batch for batch in batches
-                       if self._admit(batch, split=split)]
-            if batches:
-                await self._run_group(batches)
+            await self._run_group(batches)
         except asyncio.CancelledError:
             for batch in batches:
                 self._answer(batch, "failed",
@@ -554,25 +440,9 @@ class TemplateService:
                     reason=f"dispatch error: {type(exc).__name__}: {exc}",
                 )
 
-    def _admit(self, batch: Batch, *, split: bool = False) -> bool:
-        """Per-batch policy before execution; False when ``batch`` was
-        shed (and answered).
-
-        A batch re-entering from a failed group (``split``) is checked
-        against its deadline again — the failed attempt may have outlived
-        it — but is counted, load-degraded and queue-routed only once.
-        """
-        if not split:
-            self.stats.record_batch(batch.size)
-        shed_reason = self._should_shed(batch)
-        if shed_reason is not None:
-            obs.instant("service.shed", size=batch.size,
-                        priority=batch.priority, reason=shed_reason)
-            self._answer(batch, "shed", reason=shed_reason)
-            return False
-        if split:
-            return True
-        self._maybe_degrade_for_load(batch)
+    def _admit(self, batch: Batch) -> None:
+        """Count one batch, and its queue fallback, once per window."""
+        self.stats.record_batch(batch.size)
         template_obj = batch.requests[0].template_obj
         if batch.spec.backend == "queue" and not getattr(
             template_obj, "queue_compatible", True
@@ -583,7 +453,6 @@ class TemplateService:
             self.stats.record_queue_fallback()
             obs.instant("service.queue_fallback",
                         template=str(getattr(template_obj, "name", "")))
-        return True
 
     async def _run_group(self, batches: list[Batch]) -> None:
         """Execute one fusion group and answer its members.
@@ -595,10 +464,8 @@ class TemplateService:
         runs, error, attempts, degraded = await self._attempt(batches)
         if runs is not None:
             for i, batch in enumerate(batches):
-                self._answer(
-                    batch, "ok", run=runs[i], attempts=attempts,
-                    degraded=degraded or batch.load_degraded,
-                )
+                self._answer(batch, "ok", run=runs[i], attempts=attempts,
+                             degraded=degraded)
             if len(batches) > 1:
                 self.stats.record_fused(len(batches))
                 obs.add_counter("service.fused_batches", len(batches))
@@ -611,7 +478,7 @@ class TemplateService:
         obs.instant("service.fuse_fallback", batches=len(batches),
                     error=f"{type(error).__name__}: {error}")
         for batch in batches:
-            await self._dispatch([batch], split=True)
+            await self._dispatch([batch])
 
     async def _attempt(self, batches: list[Batch]):
         """Run one group under the retry and degradation policy.
@@ -663,18 +530,15 @@ class TemplateService:
                 raise
             except BaseException as exc:  # noqa: BLE001 - policy boundary
                 return None, exc, tries, False
-            self.stats.record_degraded(priority=lead.priority)
+            self.stats.record_degraded()
             return runs, None, tries + 1, True
 
     async def _execute(self, specs: list[BatchSpec]) -> list:
         """One ``run_fn`` call on a worker thread, under the timeout."""
-        start = time.perf_counter()
-        runs = await asyncio.wait_for(
+        return await asyncio.wait_for(
             asyncio.to_thread(self._run_fn, specs),
             self.config.request_timeout_s,
         )
-        self.stats.record_exec(time.perf_counter() - start)
-        return runs
 
     def _answer(self, batch: Batch, status: str, *, run=None,
                 reason: str | None = None, attempts: int = 0,
@@ -711,76 +575,16 @@ class TemplateService:
                     batch_size=batch.size,
                     attempts=attempts,
                     cache_hit=cache_hit,
-                    priority=request.priority,
-                    tenant=request.tenant,
                 ),
             )
-
-    def _should_shed(self, batch: Batch) -> str | None:
-        """Deadline-aware scheduling: reason to shed, or None to run.
-
-        A batch is shed when its tightest member deadline already passed,
-        or when the rolling mean execution time predicts the run cannot
-        finish before it.  Predictive shedding drops work *before* paying
-        for it — the paper's admission analogue of cutting a kernel whose
-        launch latency alone would blow the budget.
-        """
-        if not self.config.shed_deadlines:
-            return None
-        deadline_at = batch.deadline_at
-        if deadline_at is None:
-            return None
-        now = asyncio.get_running_loop().time()
-        if now >= deadline_at:
-            return "deadline expired before execution"
-        mean = self.stats.mean_exec_s()
-        if mean > 0.0 and now + mean > deadline_at:
-            return (
-                f"deadline unreachable: {deadline_at - now:.4f}s left, "
-                f"mean execution {mean:.4f}s"
-            )
-        return None
-
-    def _maybe_degrade_for_load(self, batch: Batch) -> None:
-        """Overload policy: degrade low-priority dynpar batches up front.
-
-        When the in-flight depth crosses ``degrade_pending_threshold``,
-        a ``low``-priority batch whose template uses dynamic parallelism
-        is rewritten to the family's non-nested fallback *before*
-        execution — trading its fidelity for queue headroom, without
-        touching high/normal traffic.
-        """
-        threshold = self.config.degrade_pending_threshold
-        if threshold is None or self._pending < threshold:
-            return
-        if batch.priority != "low":
-            return
-        template_obj = batch.requests[0].template_obj
-        if not getattr(template_obj, "uses_dynamic_parallelism", False):
-            return
-        kind = batch.requests[0].kind
-        fallback = DEGRADE_FALLBACK[kind]
-        batch.spec = replace(batch.spec, template=resolve(fallback, kind=kind))
-        batch.load_degraded = True
-        self.stats.record_degraded(priority=batch.priority, under_load=True)
-        obs.instant("service.load_degrade", fallback=fallback,
-                    pending=self._pending, size=batch.size)
 
     def _finish(self, request: Request, future, response: Response) -> None:
         if getattr(request, "_answered", False):
             return
         request._answered = True
         self._pending -= 1
-        self._class_pending[request.priority] -= 1
-        tenant_left = self._tenant_pending.get(request.tenant, 0) - 1
-        if tenant_left > 0:
-            self._tenant_pending[request.tenant] = tenant_left
-        else:
-            self._tenant_pending.pop(request.tenant, None)
         self.stats.record_depth(self._pending)
-        self.stats.record_response(
-            response.status, response.latency_s, priority=request.priority
-        )
+        self.stats.record_response(response.status, response.latency_s)
         if obs.enabled() and request.created_perf:
             now = time.perf_counter()
             obs.complete(
@@ -806,8 +610,6 @@ class TemplateService:
             # tracer is process-wide, so concurrent traced work outside
             # this service shows up too
             snap["obs"] = obs.summary()
-        if self._queue is not None:
-            snap["queue"] = {"per_class": self._queue.sizes()}
         if self._streams:
             snap["streams"] = {
                 name: stream.snapshot()
@@ -818,10 +620,6 @@ class TemplateService:
             "max_batch": self.config.max_batch,
             "engine": self.config.engine,
             "backend": self.config.backend,
-            "tenant_quota": self.config.tenant_quota,
-            "shed_deadlines": self.config.shed_deadlines,
-            "degrade_pending_threshold":
-                self.config.degrade_pending_threshold,
             "drain_timeout_s": self.config.drain_timeout_s,
         }
         return snap

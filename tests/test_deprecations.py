@@ -22,6 +22,12 @@ silently:
   ``scale_up_p99_ms`` and ``scale_cooldown_s`` (every fusion group runs on
   a one-device backend of its own; ``repro.run(devices=N)`` shards work
   across devices);
+* the service's SLO layer: the ``ServiceConfig`` fields
+  ``max_pending_per_class``, ``tenant_quota``, ``tenant_quotas``,
+  ``shed_deadlines`` and ``degrade_pending_threshold``, the ``priority``,
+  ``tenant`` and ``deadline_s`` arguments of ``submit``, and the
+  priority-class queue module ``repro.service.admission`` (admission is
+  one ``max_pending`` bound over one FIFO queue);
 * the serving load generator ``repro.service.loadgen``, the
   ``python -m repro.service`` demo, the ``service`` bench experiment and
   the helpers only they used (``percentiles``, ``workload_cost``); host
@@ -29,6 +35,7 @@ silently:
   workload.
 """
 
+import asyncio
 import importlib.util
 import warnings
 
@@ -42,6 +49,7 @@ from repro.core.registry import resolve
 from repro.core.workload import NestedLoopWorkload
 from repro.errors import ExperimentError, WorkloadError
 from repro.gpusim import KEPLER_K20, GpuExecutor
+from repro.service import TemplateService
 
 
 @pytest.fixture()
@@ -150,10 +158,44 @@ class TestServiceDefaultsRemoved:
         ("scale_up_pending_per_device", 8),
         ("scale_cooldown_s", 0.25),
         ("stats_window", 4096),
+        ("max_pending_per_class", {"low": 4}),
+        ("tenant_quota", 1),
+        ("tenant_quotas", {"acme": 1}),
+        ("shed_deadlines", False),
+        ("degrade_pending_threshold", 1),
     ])
     def test_serve_rejects_removed_field(self, field, value):
         with pytest.raises(TypeError):
             repro.serve(**{field: value})
+
+
+class TestServiceSLORemoved:
+    @pytest.mark.parametrize("argument, value", [
+        ("priority", "high"),
+        ("tenant", "acme"),
+        ("deadline_s", 5.0),
+    ])
+    def test_submit_rejects_removed_argument(self, workload, argument,
+                                             value):
+        """The argument is a TypeError, and the same service then answers
+        a valid request."""
+        async def scenario():
+            service = TemplateService()
+            await service.start()
+            try:
+                with pytest.raises(TypeError):
+                    await asyncio.wait_for(service.submit(
+                        "thread-mapped", workload, **{argument: value}), 5.0)
+                return await asyncio.wait_for(
+                    service.submit("thread-mapped", workload), 30.0)
+            finally:
+                await asyncio.wait_for(service.stop(), 30.0)
+
+        assert asyncio.run(scenario()).status == "ok"
+
+    def test_admission_module_import_fails(self):
+        with pytest.raises(ImportError):
+            import repro.service.admission  # noqa: F401
 
 
 class TestServingHarnessRemoved:

@@ -206,6 +206,45 @@ class TestApplyMutations:
                 np.array([0]), [np.array([4]), np.array([8])],
                 atomic_targets=np.array([0]))))
 
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(append_outer=2.5), "append_outer"),
+        (dict(append_outer=True), "append_outer"),
+        (dict(append_outer="3"), "append_outer"),
+        (dict(delete_pairs=[1.7]), "delete_pairs"),
+        (dict(delete_pairs=["3"]), "delete_pairs"),
+        (dict(delete_pairs=[float("nan")]), "delete_pairs"),
+        (dict(isolate_outer=[2.9]), "isolate_outer"),
+        (dict(outer_ids=[1.5]), "outer_ids"),
+        (dict(stream_addresses=[[8.7], [8]]), r"stream_addresses\[0\]"),
+        (dict(atomic_targets=[0.5]), "atomic_targets"),
+    ], ids=["float-append", "bool-append", "str-append", "float-delete",
+            "str-delete", "nan-delete", "float-isolate", "float-outer-id",
+            "float-address", "float-atomic"])
+    def test_non_integer_values_are_refused(self, kwargs, field):
+        """Each value used to be truncated, parsed or counted as an
+        integer (NaN raised a bare ValueError); the batch and the
+        workload it targets are refused untouched."""
+        wl = make_workload(seed=7, outer=100)
+        parent = wl.fingerprint()
+        insert_fields = {"outer_ids", "stream_addresses", "atomic_targets"}
+        with pytest.raises(WorkloadError, match=field):
+            if insert_fields & kwargs.keys():
+                inserts = dict(outer_ids=[1], stream_addresses=[[4], [8]],
+                               atomic_targets=[0])
+                batch = MutationBatch(inserts=PairInserts(
+                    **{**inserts, **kwargs}))
+            else:
+                batch = MutationBatch(**kwargs)
+            wl.apply_mutations(batch)
+        assert wl.fingerprint() == parent
+
+    def test_empty_index_list_stays_valid(self):
+        wl = make_workload(seed=7, outer=100)
+        delta = wl.apply_mutations(MutationBatch(delete_pairs=[],
+                                                 append_outer=1))
+        assert wl.outer_size == 101
+        assert delta.n_deleted == 0
+
 
 class TestIncrementalAnalysis:
     def test_apply_delta_bit_identical(self):

@@ -4,7 +4,6 @@ metrics, and the synchronous handle (fault injection lives in
 
 import asyncio
 import concurrent.futures
-import time
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from repro.errors import ServiceError, WorkloadError
 from repro.gpusim import GpuExecutor
 from repro.service import (
     MicroBatcher,
-    PriorityClassQueue,
     Request,
     ServiceConfig,
     ServiceHandle,
@@ -96,10 +94,6 @@ class TestRequestModel:
             Request(template="flat", workload=workload)
         with pytest.raises(repro.ConfigError):
             Request(template="dual-queue", workload=workload, engine="warp")
-        for deadline in (0, -1.0, float("nan"), float("inf"), "3"):
-            with pytest.raises(repro.ConfigError, match="deadline_s"):
-                Request(template="dual-queue", workload=workload,
-                        deadline_s=deadline)
 
 
 class TestMicroBatcher:
@@ -180,7 +174,8 @@ class TestServiceBasics:
 
     def test_stats_snapshot_shape(self, workload):
         async def scenario(service):
-            await service.submit("dbuf-global", workload)
+            await asyncio.wait_for(service.submit("dbuf-global", workload),
+                                   30.0)
             return service.snapshot()
 
         stats = run_service(scenario)
@@ -189,6 +184,8 @@ class TestServiceBasics:
             assert section in stats
         assert stats["requests"]["served"] == 1
         assert stats["requests"]["succeeded"] == 1
+        # the service's own snapshot keeps the depth counters while it runs
+        assert stats["queue"] == {"depth": 0, "max_depth": 1}
         assert stats["latency_ms"]["p99"] >= stats["latency_ms"]["p50"] >= 0
 
 
@@ -204,43 +201,37 @@ class RecordingRun:
 
 
 class TestFusionGroups:
-    """A window's batches run as one group per (backend, device, engine,
-    priority); every answer equals ``repro.run``."""
+    """A window's batches run as one group per (backend, device, engine);
+    every answer equals ``repro.run``."""
 
     @staticmethod
-    def _window(workload, submissions, config, run_fn=None):
+    def _window(workload, names, config, run_fn=None):
         async def scenario(service):
-            responses = await asyncio.gather(*[
-                service.submit(name, workload, **kwargs)
-                for name, kwargs in submissions
-            ])
+            responses = await asyncio.wait_for(asyncio.gather(*[
+                service.submit(name, workload) for name in names
+            ]), 60.0)
             return responses, service.snapshot()
 
         return run_service(scenario, config, run_fn=run_fn)
 
-    def test_priority_classes_never_share_a_group(self, workload):
+    def test_two_templates_in_one_window_share_a_group(self, workload):
         record = RecordingRun()
-        responses, stats = self._window(
-            workload,
-            [("dual-queue", dict(priority="high")),
-             ("dbuf-global", dict(priority="low"))],
-            None, run_fn=record,
-        )
-        assert sorted(record.calls) == [["dbuf-global"], ["dual-queue"]]
-        for name, response in zip(("dual-queue", "dbuf-global"), responses):
+        names = ("dual-queue", "dbuf-global")
+        responses, stats = self._window(workload, names, None,
+                                        run_fn=record)
+        assert record.calls == [list(names)]
+        for name, response in zip(names, responses):
             expected = repro.run(workload, name)
             assert response.ok and response.template == name
             assert response.time_ms == expected.time_ms
             assert response.metrics == expected.metrics.as_dict()
-        assert stats["batching"]["fused_passes"] == 0
+        assert stats["batching"]["fused_passes"] == 1
 
     def test_queue_backend_window_fuses(self, workload):
         record = RecordingRun()
         names = ("dbuf-shared", "dual-queue")
         responses, stats = self._window(
-            workload, [(name, {}) for name in names],
-            ServiceConfig(backend="queue"),
-            run_fn=record,
+            workload, names, ServiceConfig(backend="queue"), run_fn=record,
         )
         assert record.calls == [list(names)]
         for name, response in zip(names, responses):
@@ -297,22 +288,23 @@ class TestCollection:
     """The batch loop is work-conserving: a window is the head of the
     queue plus whatever is already queued behind it."""
 
-    def test_lone_request_is_dispatched_without_waiting(
-            self, workload, monkeypatch):
+    def test_lone_request_is_dispatched_without_waiting(self, workload):
         """On a default-config service a lone request is coalesced right
         after the one awaited ``get`` that took it: the loop does not
         await a second ``get`` for co-travellers that are not queued."""
         events = []
-        get = PriorityClassQueue.get
-
-        async def recording_get(queue):
-            events.append("get")
-            return await get(queue)
-
-        monkeypatch.setattr(PriorityClassQueue, "get", recording_get)
         record = RecordingRun()
 
         async def scenario(service):
+            # patched before the scenario's first await, so before the
+            # batch loop's first ``get``
+            get = service._queue.get
+
+            async def recording_get():
+                events.append("get")
+                return await get()
+
+            service._queue.get = recording_get
             group = service.batcher.group
 
             def recording_group(pending):
@@ -320,13 +312,44 @@ class TestCollection:
                 return group(pending)
 
             service.batcher.group = recording_group
-            return await service.submit("dbuf-global", workload)
+            return await asyncio.wait_for(
+                service.submit("dbuf-global", workload), 30.0)
 
         response = run_service(scenario, run_fn=record)
         assert events[:2] == ["get", ("group", 1)]
         assert record.calls == [["dbuf-global"]]
         assert response.ok
         assert response.time_ms == repro.run(workload, "dbuf-global").time_ms
+
+    def test_windows_keep_arrival_order(self):
+        """Five requests queued together under ``max_batch=1`` form five
+        windows in arrival order.  ``submit`` queues its request before
+        it first awaits, so all five are queued before the batch loop
+        takes its first window."""
+        workloads = [make_workload(name=f"svc-fifo-{i}", outer=300,
+                                   seed=40 + i) for i in range(5)]
+        expected = [repro.run(wl, "dbuf-global") for wl in workloads]
+
+        async def scenario(service):
+            windows = []
+            group = service.batcher.group
+
+            def recording_group(pending):
+                windows.append([r.workload.name for r, _ in pending])
+                return group(pending)
+
+            service.batcher.group = recording_group
+            responses = await asyncio.wait_for(asyncio.gather(*[
+                service.submit("dbuf-global", wl) for wl in workloads
+            ]), 60.0)
+            return windows, responses
+
+        windows, responses = run_service(scenario, ServiceConfig(max_batch=1))
+        assert windows == [[wl.name] for wl in workloads]
+        for want, response in zip(expected, responses):
+            assert response.ok
+            assert response.time_ms == want.time_ms
+            assert response.metrics == want.metrics.as_dict()
 
 
 class TestAdmissionControl:
@@ -418,175 +441,6 @@ class TestServiceHandle:
             ServiceConfig(engine="warp")
         with pytest.raises(ServiceError):
             ServiceConfig(retry_backoff_s=-1)
-
-
-class TestPriorityQueue:
-    def test_strict_priority_dequeue(self):
-        q = PriorityClassQueue()
-        for priority in ("low", "normal", "high", "low", "high"):
-            request = type("R", (), {"priority": priority})()
-            q.put_nowait((request, priority))
-        drained = [q.get_nowait()[1] for _ in range(q.qsize())]
-        assert drained == ["high", "high", "normal", "low", "low"]
-        assert q.empty()
-
-
-class TestSLOScheduling:
-    def test_priority_separates_batch_identities(self, workload):
-        batcher = MicroBatcher()
-        reqs = [
-            Request(template="dbuf-global", workload=workload,
-                    priority=priority)
-            for priority in ("high", "high", "low")
-        ]
-        batches = batcher.group([(r, None) for r in reqs])
-        assert sorted(b.size for b in batches) == [1, 2]
-        assert {b.priority for b in batches} == {"high", "low"}
-
-    @staticmethod
-    def _windows(workloads, priorities):
-        """Submit one request per workload in one gather; returns each
-        collection window's workload names and the responses."""
-        async def scenario(service):
-            windows = []
-            group = service.batcher.group
-
-            def recording_group(pending):
-                windows.append([r.workload.name for r, _ in pending])
-                return group(pending)
-
-            service.batcher.group = recording_group
-            responses = await asyncio.gather(*[
-                service.submit("dbuf-global", wl, priority=priority)
-                for wl, priority in zip(workloads, priorities)
-            ])
-            return windows, responses
-
-        return run_service(
-            scenario, ServiceConfig(max_batch=1))
-
-    def test_high_class_window_drains_first(self):
-        """Four ``low`` requests then one ``high``, queued together: the
-        ``high`` one forms the first window and the rest keep arrival
-        order; the same five at ``normal`` form windows in arrival order.
-        ``submit`` queues its request before it first awaits, so all five
-        are queued before the batch loop takes its first window."""
-        workloads = [make_workload(name=f"svc-class-{i}", outer=300,
-                                   seed=40 + i) for i in range(5)]
-        names = [wl.name for wl in workloads]
-        expected = [repro.run(wl, "dbuf-global") for wl in workloads]
-        for priorities, order in (
-            (["low"] * 4 + ["high"], [4, 0, 1, 2, 3]),
-            (["normal"] * 5, [0, 1, 2, 3, 4]),
-        ):
-            windows, responses = self._windows(workloads, priorities)
-            assert windows == [[names[i]] for i in order]
-            for want, priority, response in zip(expected, priorities,
-                                                responses):
-                assert response.ok and response.priority == priority
-                assert response.time_ms == want.time_ms
-                assert response.metrics == want.metrics.as_dict()
-
-    def test_class_bound_rejects_with_kind(self, workload):
-        def slow(specs):
-            time.sleep(0.1)
-            return execute_batch_fused(specs)
-
-        async def scenario(service):
-            blocker = asyncio.create_task(
-                service.submit("dual-queue", workload, priority="low"))
-            await asyncio.sleep(0.03)
-            low = await service.submit("dual-queue", workload, priority="low")
-            high = await service.submit("dual-queue", workload,
-                                        priority="high")
-            return await blocker, low, high, service.snapshot()
-
-        blocker, low, high, stats = run_service(
-            scenario,
-            ServiceConfig(max_pending_per_class={"low": 1}),
-            run_fn=slow,
-        )
-        assert blocker.ok and high.ok
-        assert low.status == "rejected"
-        assert "class full" in low.reason
-        assert low.priority == "low" and low.id >= 0
-        assert stats["requests"]["class_rejected"] == 1
-        assert stats["classes"]["low"]["rejected"] == 1
-        assert stats["classes"]["high"]["succeeded"] == 1
-
-    def test_tenant_quota_rejects_with_kind(self, workload):
-        def slow(specs):
-            time.sleep(0.1)
-            return execute_batch_fused(specs)
-
-        async def scenario(service):
-            blocker = asyncio.create_task(
-                service.submit("dual-queue", workload, tenant="acme"))
-            await asyncio.sleep(0.03)
-            over = await service.submit("dual-queue", workload, tenant="acme")
-            other = await service.submit("dual-queue", workload,
-                                         tenant="globex")
-            return await blocker, over, other, service.snapshot()
-
-        blocker, over, other, stats = run_service(
-            scenario,
-            ServiceConfig(tenant_quotas={"acme": 1}),
-            run_fn=slow,
-        )
-        assert blocker.ok and other.ok
-        assert over.status == "rejected"
-        assert "tenant quota" in over.reason and over.tenant == "acme"
-        assert stats["requests"]["quota_rejected"] == 1
-
-    @staticmethod
-    def _expired(workload, config=None):
-        """One request whose 1 ms deadline passes before the batch loop
-        collects it: the scenario blocks the event loop for 10 ms between
-        admission and collection."""
-        async def scenario(service):
-            task = asyncio.create_task(
-                service.submit("dual-queue", workload, deadline_s=0.001))
-            await asyncio.sleep(0)  # the request is admitted and queued
-            time.sleep(0.01)        # ... and expires before collection
-            return await task, service.snapshot()
-
-        return run_service(scenario, config)
-
-    def test_expired_deadline_is_shed(self, workload):
-        response, stats = self._expired(workload)
-        assert response.status == "shed" and not response.ok
-        assert "deadline" in response.reason
-        assert stats["requests"]["shed"] == 1
-        assert stats["requests"]["served"] == 1  # shed is a terminal answer
-
-    def test_shedding_disabled_runs_late_work(self, workload):
-        response, _ = self._expired(
-            workload, ServiceConfig(shed_deadlines=False))
-        assert response.ok
-
-    def test_low_priority_dynpar_degrades_under_load(self, workload):
-        async def scenario(service):
-            low = await service.submit("dpar-opt", workload, priority="low")
-            high = await service.submit("dpar-opt", workload, priority="high")
-            return low, high, service.snapshot()
-
-        low, high, stats = run_service(
-            scenario, ServiceConfig(degrade_pending_threshold=1))
-        assert low.ok and low.degraded
-        # ThreadMappedTemplate's historical .name is "baseline"
-        assert low.template == "baseline"
-        assert high.ok and not high.degraded  # only low traffic pays
-        assert stats["requests"]["load_degraded"] == 1
-
-    def test_response_echoes_slo_metadata(self, workload):
-        async def scenario(service):
-            return await service.submit(
-                "dual-queue", workload, tenant="acme", priority="high",
-                deadline_s=30.0)
-
-        response = run_service(scenario)
-        assert response.ok
-        assert response.tenant == "acme" and response.priority == "high"
 
 
 class TestPercentiles:

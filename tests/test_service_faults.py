@@ -37,19 +37,13 @@ def workload():
 
 FAST_RETRY = dict(max_retries=2, retry_backoff_s=0.001)
 
-#: malformed arguments only ``submit`` takes (``repro.run`` has no
-#: priority or tenant); each must raise a ConfigError naming it
+#: malformed arguments ``submit`` once swapped for its defaults (they
+#: are falsy); each must raise a ConfigError naming it
 SUBMIT_MALFORMED_ARGUMENTS = [
-    ("thread-mapped", dict(priority=["high"]), "priority"),
-    ("thread-mapped", dict(priority=""), "priority"),
-    ("thread-mapped", dict(tenant=["a"]), "tenant"),
-    ("thread-mapped", dict(tenant=5), "tenant"),
-    # falsy, so once swapped for the default
     ("thread-mapped", dict(params={}), "params"),
     ("thread-mapped", dict(device=0), "device"),
 ]
-SUBMIT_MALFORMED_IDS = ["list-priority", "empty-priority", "list-tenant",
-                        "int-tenant", "empty-params", "zero-device"]
+SUBMIT_MALFORMED_IDS = ["empty-params", "zero-device"]
 
 
 def names(specs):
@@ -227,6 +221,8 @@ class TestFusedGroupFailure:
         assert stats["requests"]["retries"] == 0
         assert stats["requests"]["failed"] == 0
         assert stats["batching"]["fused_passes"] == 0
+        # the split counts each batch once, in its window
+        assert stats["batching"]["batches"] == 2
 
     @pytest.mark.parametrize("bad", ["dpar-opt", "dbuf-shared"])
     def test_failing_member_gets_the_one_batch_policy(self, workload, bad):
@@ -250,40 +246,6 @@ class TestFusedGroupFailure:
             assert failing.status == "failed" and not failing.degraded
             assert f"{bad} crashed" in failing.reason
             assert stats["requests"]["failed"] == 1
-
-    def test_split_member_past_its_deadline_is_shed(self, workload):
-        """The failed group attempt outlives one member's deadline: on the
-        split that member is shed, not run late."""
-        sizes = []
-
-        def slow_fused_failure(specs):
-            sizes.append(len(specs))
-            if len(specs) > 1:
-                time.sleep(0.5)
-                raise RuntimeError("fused pass failed")
-            return execute_batch_fused(specs)
-
-        async def scenario(service):
-            responses = await asyncio.gather(
-                service.submit("dual-queue", workload, deadline_s=0.3),
-                service.submit("dbuf-global", workload),
-            )
-            return responses, service.snapshot()
-
-        (late, other), stats = run_service(
-            scenario, ServiceConfig(**FAST_RETRY),
-            run_fn=slow_fused_failure)
-        assert sizes == [2, 1]
-        assert late.status == "shed" and late.attempts == 0
-        assert "deadline" in late.reason
-        assert other.ok and other.attempts == 1
-        assert other.time_ms == repro.run(workload, "dbuf-global").time_ms
-        requests = stats["requests"]
-        assert requests["shed"] == 1
-        assert stats["classes"]["normal"]["shed"] == 1
-        assert requests["failed"] == 0 and requests["retries"] == 0
-        # the split counts each batch once, at its first admission
-        assert stats["batching"]["batches"] == 2
 
 
 class TestTimeouts:
@@ -563,21 +525,25 @@ class TestConfigValidation:
             (dict(retry_backoff_s=float("inf")),
              "retry_backoff_s must be a finite number"),
             (dict(drain_timeout_s=0), "drain_timeout_s must be positive"),
-            # priority class names are exact, not case-folded
-            (dict(max_pending_per_class={"High": 4}), "unknown priority"),
-            (dict(max_pending_per_class={"urgent": 4}), "unknown priority"),
-            (dict(max_pending_per_class={"low": 0}), "must be >= 1"),
-            (dict(tenant_quota=0), "tenant_quota must be >= 1"),
-            (dict(tenant_quotas={"acme": 0}), "must be >= 1"),
-            (dict(degrade_pending_threshold=2.5),
-             "degrade_pending_threshold must be an integer"),
-            (dict(degrade_pending_threshold=0), "degrade_pending_threshold"),
+            # a device name used to start the service, then fail every
+            # submit
+            (dict(device="k20"), "device must be a DeviceConfig"),
+            (dict(device=None), "device must be a DeviceConfig"),
+            (dict(max_pending=0), "must be >= 1"),
+            # a truthy string used to leave degradation on
+            (dict(degrade="no"), "degrade must be a bool"),
+            (dict(max_batch=0), "must be >= 1"),
+            # each used to raise a bare TypeError from pathlib
+            (dict(cache_dir=5), "cache_dir must be None, a string or a path"),
+            (dict(cache_dir=b"/tmp/x"),
+             "cache_dir must be None, a string or a path"),
             (dict(drain_timeout_s=float("inf")),
              "drain_timeout_s must be a finite number"),
             (dict(backend="gpu"), "unknown backend"),
             (dict(request_timeout_s="1"),
              "request_timeout_s must be a finite number"),
-            (dict(tenant_quotas={"acme": 2.5}), "must be an integer"),
+            (dict(cache_dir=["/tmp"]),
+             "cache_dir must be None, a string or a path"),
             (dict(retry_backoff_s=-1), "retry_backoff_s cannot be negative"),
             # NaN compares false with every bound, so each used to pass
             (dict(request_timeout_s=float("nan")),
@@ -586,14 +552,8 @@ class TestConfigValidation:
              "drain_timeout_s must be a finite number"),
             (dict(retry_backoff_s=float("nan")),
              "retry_backoff_s must be a finite number"),
-            (dict(tenant_quota=float("nan")),
-             "tenant_quota must be an integer"),
+            (dict(engine="warp"), "unknown engine"),
             (dict(max_retries=True), "max_retries must be an integer"),
-            (dict(max_pending_per_class={"low": 1.5}), "must be an integer"),
-            # a request's tenant is a non-empty string, so these quotas
-            # could never apply
-            (dict(tenant_quotas={5: 1}), "tenant_quotas key 5"),
-            (dict(tenant_quotas={"": 1}), "tenant_quotas key ''"),
         ],
     )
     def test_invalid_config_fails_fast(self, kwargs, match):
@@ -604,14 +564,12 @@ class TestConfigValidation:
         config = ServiceConfig(
             max_batch=np.int64(4), max_retries=0, retry_backoff_s=0,
             request_timeout_s=None, drain_timeout_s=None,
-            tenant_quota=1, max_pending_per_class={"low": 1},
-            degrade_pending_threshold=1,
         )
         assert config.max_batch == 4
 
     @pytest.mark.parametrize("field, value, kind", [
         ("max_pending", np.int64(64), int),
-        ("tenant_quota", np.int32(3), int),
+        ("max_batch", np.int32(3), int),
         ("drain_timeout_s", np.float32(5), float),
     ])
     def test_numpy_numbers_are_stored_plain(self, field, value, kind):
@@ -619,10 +577,3 @@ class TestConfigValidation:
             snapshot = json.loads(json.dumps(svc.stats()))
         assert type(getattr(svc.service.config, field)) is kind
         assert snapshot["config"][field] == value
-
-    def test_numpy_numbers_in_per_key_bounds_are_stored_plain(self):
-        config = ServiceConfig(max_pending_per_class={"low": np.int64(2)},
-                               tenant_quotas={"acme": np.int16(3)})
-        assert type(config.max_pending_per_class["low"]) is int
-        assert type(config.tenant_quotas["acme"]) is int
-        assert config.tenant_quota_of("acme") == 3

@@ -129,7 +129,7 @@ def check_service_invariants() -> None:
             + requests["admission_rejected"]:
         fail(f"service books do not balance: {requests}")
     terminal = requests["succeeded"] + requests["failed"] \
-        + requests["drain_rejected"] + requests["shed"]
+        + requests["drain_rejected"]
     if requests["served"] != terminal:
         fail(f"served != terminal statuses: {requests}")
     if "obs" not in stats:

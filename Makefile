@@ -10,8 +10,10 @@ install:
 	pip install -e . --no-build-isolation
 
 # the repo's own checks first, the benchmark smoke last: a failure in
-# perfbench/ still fails `make test`, but after everything else has run
-test: lint trace-smoke cache-smoke multidevice-smoke ir-smoke queue-smoke fuse-smoke stream-smoke
+# perfbench/ still fails `make test`, but after everything else has run;
+# the examples run after the smokes, so removing a public name one of
+# them uses fails `make test`
+test: lint trace-smoke cache-smoke multidevice-smoke ir-smoke queue-smoke fuse-smoke stream-smoke examples
 	$(PYTHON) -m pytest tests/
 	$(MAKE) perfbench-smoke
 

@@ -9,15 +9,12 @@ from repro.apps.asyncq import (
 )
 from repro.apps.base import AppRun, combine_rounds
 from repro.apps.bc import BCApp
-from repro.apps.cc import CCApp, cc_serial
 from repro.apps.bfs import (
     BFSApp,
     RecursiveBFSApp,
     VisitForest,
     unordered_bfs_visits,
 )
-from repro.apps.kcore import KCoreApp
-from repro.apps.mis import MISApp
 from repro.apps.pagerank import PageRankApp
 from repro.apps.sort import (
     SORT_VARIANTS,
@@ -28,14 +25,12 @@ from repro.apps.sort import (
 )
 from repro.apps.spmv import SpMVApp
 from repro.apps.sssp import SSSPApp
-from repro.apps.triangles import TrianglesApp
 from repro.apps.tree_desc import TreeDescendantsApp
 from repro.apps.tree_height import TreeHeightsApp
 
 __all__ = [
     "AppRun", "combine_rounds",
-    "SpMVApp", "SSSPApp", "PageRankApp", "BCApp", "CCApp", "cc_serial",
-    "TrianglesApp", "KCoreApp", "MISApp",
+    "SpMVApp", "SSSPApp", "PageRankApp", "BCApp",
     "BFSApp", "RecursiveBFSApp", "VisitForest", "unordered_bfs_visits",
     "AsyncSSSPApp", "AsyncBFSApp", "AsyncTreeWalkApp",
     "RequestLog", "async_relax_requests",

@@ -35,8 +35,8 @@ import numpy as np
 from repro.apps.base import AppRun
 from repro.backends import backend_for
 from repro.cpu.costmodel import XEON_E5_2620, CPUConfig, OpCounts
-from repro.cpu.reference import bfs_serial, sssp_serial
-from repro.errors import GraphError, WorkloadError
+from repro.cpu.reference import _check_source, bfs_serial, sssp_serial
+from repro.errors import GraphError, WorkloadError, check_count
 from repro.gpusim.coalesce import MemoryTraffic, contiguous_transactions
 from repro.gpusim.config import DeviceConfig, KEPLER_K20
 from repro.gpusim.costmodel import (
@@ -132,10 +132,9 @@ def async_relax_requests(
     and the fixpoint distance array — which is schedule-independent
     (``seed`` changes the log, never the distances).
     """
-    if chunk < 1:
-        raise WorkloadError("chunk must be >= 1")
-    if not (0 <= source < graph.n_nodes):
-        raise GraphError(f"source {source} out of range")
+    check_count("chunk", chunk, 1, error=WorkloadError)
+    check_count("seed", seed, 0, error=WorkloadError)
+    _check_source(graph, source)
     g = graph
     if weights is None:
         weights = np.ones(g.n_edges)
@@ -335,8 +334,6 @@ class _AsyncRelaxApp:
 
     def __init__(self, graph: CSRGraph, source: int = 0,
                  chunk: int = 256, seed: int = 0) -> None:
-        if not (0 <= source < graph.n_nodes):
-            raise GraphError(f"source {source} out of range")
         self.graph = graph
         self.source = source
         self.chunk = chunk

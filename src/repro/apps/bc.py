@@ -22,7 +22,7 @@ from repro.core.registry import resolve
 from repro.core.workload import AccessStream, NestedLoopWorkload
 from repro.cpu.costmodel import XEON_E5_2620, CPUConfig
 from repro.cpu.reference import bc_serial
-from repro.errors import GraphError
+from repro.errors import GraphError, check_count
 from repro.gpusim.config import DeviceConfig, KEPLER_K20
 from repro.backends import backend_for
 from repro.graphs.csr import CSRGraph, concat_ranges
@@ -37,12 +37,12 @@ class BCApp:
 
     def __init__(self, graph: CSRGraph, n_sources: int | None = 8,
                  seed: int = 0) -> None:
+        check_count("seed", seed, 0, error=GraphError)
         self.graph = graph
         if n_sources is None:
             self.sources = np.arange(graph.n_nodes, dtype=np.int64)
         else:
-            if n_sources < 1:
-                raise GraphError("n_sources must be >= 1")
+            check_count("n_sources", n_sources, 1, error=GraphError)
             rng = np.random.default_rng(seed)
             n_sources = min(n_sources, graph.n_nodes)
             self.sources = rng.choice(graph.n_nodes, size=n_sources,

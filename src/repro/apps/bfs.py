@@ -25,8 +25,8 @@ from repro.core.params import TemplateParams
 from repro.core.registry import resolve
 from repro.core.workload import AccessStream, NestedLoopWorkload
 from repro.cpu.costmodel import XEON_E5_2620, CPUConfig
-from repro.cpu.reference import bfs_recursive_serial, bfs_serial
-from repro.errors import GraphError, WorkloadError
+from repro.cpu.reference import _check_source, bfs_recursive_serial, bfs_serial
+from repro.errors import WorkloadError, check_count
 from repro.gpusim.coalesce import MemoryTraffic, contiguous_transactions
 from repro.gpusim.config import DeviceConfig, KEPLER_K20
 from repro.gpusim.costmodel import (
@@ -48,8 +48,7 @@ class BFSApp:
     name = "bfs"
 
     def __init__(self, graph: CSRGraph, source: int = 0) -> None:
-        if not (0 <= source < graph.n_nodes):
-            raise GraphError(f"source {source} out of range")
+        _check_source(graph, source)
         self.graph = graph
         self.source = source
 
@@ -163,7 +162,7 @@ class VisitForest:
 
 
 def unordered_bfs_visits(
-    graph: CSRGraph, source: int = 0, chunk: int = 1024, seed: int = 0
+    graph: CSRGraph, source: int = 0, chunk: int = 1024
 ) -> tuple[VisitForest, np.ndarray]:
     """Simulate an unordered (recursive) BFS and record every visit.
 
@@ -174,10 +173,8 @@ def unordered_bfs_visits(
     neighbor they improve.  Returns the visit forest and the final level
     array — which must equal the level-synchronous BFS fixpoint.
     """
-    if chunk < 1:
-        raise WorkloadError("chunk must be >= 1")
-    if not (0 <= source < graph.n_nodes):
-        raise GraphError(f"source {source} out of range")
+    check_count("chunk", chunk, 1, error=WorkloadError)
+    _check_source(graph, source)
     g = graph
     INF = np.iinfo(np.int64).max
     level = np.full(g.n_nodes, INF, dtype=np.int64)

@@ -18,7 +18,7 @@ from repro.core.registry import resolve
 from repro.core.workload import AccessStream, NestedLoopWorkload
 from repro.cpu.costmodel import XEON_E5_2620, CPUConfig
 from repro.cpu.reference import pagerank_serial
-from repro.errors import GraphError
+from repro.errors import GraphError, check_count
 from repro.gpusim.config import DeviceConfig, KEPLER_K20
 from repro.backends import backend_for
 
@@ -33,8 +33,7 @@ class PageRankApp:
     def __init__(self, graph, damping: float = 0.85, n_iters: int = 20) -> None:
         if not (0.0 < damping < 1.0):
             raise GraphError("damping must lie in (0, 1)")
-        if n_iters < 1:
-            raise GraphError("n_iters must be >= 1")
+        check_count("n_iters", n_iters, 1, error=GraphError)
         self.graph = graph
         self.damping = damping
         self.n_iters = n_iters

@@ -18,7 +18,7 @@ from repro.core.registry import resolve
 from repro.core.workload import AccessStream, NestedLoopWorkload
 from repro.cpu.costmodel import XEON_E5_2620, CPUConfig
 from repro.cpu.reference import spmv_serial
-from repro.errors import GraphError
+from repro.errors import GraphError, check_count
 from repro.gpusim.config import DeviceConfig, KEPLER_K20
 from repro.graphs.csr import CSRGraph
 
@@ -32,6 +32,7 @@ class SpMVApp:
 
     def __init__(self, graph: CSRGraph, x: np.ndarray | None = None,
                  seed: int = 0) -> None:
+        check_count("seed", seed, 0, error=GraphError)
         self.graph = graph
         if x is None:
             rng = np.random.default_rng(seed)

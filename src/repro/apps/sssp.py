@@ -17,8 +17,8 @@ from repro.core.params import TemplateParams
 from repro.core.registry import resolve
 from repro.core.workload import AccessStream, NestedLoopWorkload
 from repro.cpu.costmodel import XEON_E5_2620, CPUConfig
-from repro.cpu.reference import sssp_serial
-from repro.errors import GraphError
+from repro.cpu.reference import _check_source, sssp_serial
+from repro.errors import GraphError, check_count
 from repro.gpusim.config import DeviceConfig, KEPLER_K20
 from repro.backends import backend_for
 from repro.graphs.csr import CSRGraph, concat_ranges
@@ -35,8 +35,9 @@ class SSSPApp:
 
     def __init__(self, graph: CSRGraph, source: int = 0,
                  max_rounds: int | None = None) -> None:
-        if not (0 <= source < graph.n_nodes):
-            raise GraphError(f"source {source} out of range")
+        _check_source(graph, source)
+        if max_rounds is not None:
+            check_count("max_rounds", max_rounds, 1, error=GraphError)
         self.graph = graph
         self.source = source
         self.max_rounds = max_rounds

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import GraphError
+from repro.errors import GraphError, check_count
 from repro.cpu.costmodel import OpCounts
 from repro.graphs.csr import CSRGraph, concat_ranges
 
@@ -27,10 +27,6 @@ __all__ = [
     "bfs_serial",
     "bfs_recursive_serial",
     "recursive_bfs_cpu_speedup",
-    "simple_undirected",
-    "triangles_serial",
-    "kcore_serial",
-    "mis_serial",
 ]
 
 INF = np.float64(np.inf)
@@ -46,7 +42,11 @@ class SerialRun:
 
 
 def _check_source(graph: CSRGraph, source: int) -> None:
-    if not (0 <= source < graph.n_nodes):
+    """Raise :class:`GraphError` unless ``source`` is an integer node id
+    of ``graph``: ``dist[True]`` would write every entry and ``dist[1.5]``
+    raise an ``IndexError``.  Every graph app checks its source here."""
+    check_count("source", source, 0, error=GraphError)
+    if source >= graph.n_nodes:
         raise GraphError(f"source {source} out of range")
 
 
@@ -82,6 +82,8 @@ def sssp_serial(graph: CSRGraph, source: int = 0, max_rounds: int | None = None)
     counts reflect the serial worklist version of the same algorithm.
     """
     _check_source(graph, source)
+    if max_rounds is not None:
+        check_count("max_rounds", max_rounds, 1, error=GraphError)
     weights = graph.weights if graph.weights is not None else np.ones(graph.n_edges)
     if np.any(weights < 0):
         raise GraphError("SSSP requires non-negative weights")
@@ -145,8 +147,7 @@ def pagerank_serial(
     """
     if not (0.0 < damping < 1.0):
         raise GraphError("damping must lie in (0, 1)")
-    if n_iters < 1:
-        raise GraphError("n_iters must be >= 1")
+    check_count("n_iters", n_iters, 1, error=GraphError)
     n = graph.n_nodes
     out_deg = graph.out_degrees.astype(np.float64)
     dangling = out_deg == 0
@@ -363,160 +364,3 @@ def bfs_recursive_serial(
     return SerialRun(result=iterative.result, ops=ops,
                      meta={"exact": False, "modeled_speedup": speedup})
 
-
-# ------------------------------------------------------- streaming apps
-def simple_undirected(graph: CSRGraph) -> CSRGraph:
-    """The simple undirected view: symmetrized, self-loops and parallel
-    edges removed, neighbor lists sorted ascending.
-
-    Triangle counting, k-core and MIS are defined on simple undirected
-    graphs (networkx's ``triangles``/``core_number`` reject multi-edges);
-    deriving the view here keeps every reference and its workload trace
-    on exactly the same adjacency.
-    """
-    from repro.graphs.csr import expand_rows
-
-    n = graph.n_nodes
-    rows = expand_rows(graph.row_offsets)
-    src = np.concatenate([rows, graph.col_indices])
-    dst = np.concatenate([graph.col_indices, rows])
-    off_diag = src != dst
-    keys = np.unique(src[off_diag] * np.int64(n) + dst[off_diag])
-    return CSRGraph.from_edges(n, keys // n, keys % n,
-                               name=f"{graph.name}+simple")
-
-
-def _forward_oriented(simple: CSRGraph) -> CSRGraph:
-    """Edges of a simple undirected view oriented low id -> high id."""
-    from repro.graphs.csr import expand_rows
-
-    rows = expand_rows(simple.row_offsets)
-    fwd = rows < simple.col_indices
-    return CSRGraph.from_edges(simple.n_nodes, rows[fwd],
-                               simple.col_indices[fwd],
-                               name=f"{simple.name}+fwd")
-
-
-def triangles_serial(graph: CSRGraph) -> SerialRun:
-    """Per-node triangle counts by forward-edge intersection.
-
-    Each triangle ``{u < v < w}`` is discovered exactly once, at its
-    lowest-id edge ``(u, v)``: ``w`` ranges over the intersection of the
-    two forward (higher-id) adjacency lists.  The serial op counts model
-    the sorted-list merge the CPU loop nest performs per edge.
-    """
-    simple = simple_undirected(graph)
-    fwd = _forward_oriented(simple)
-    n = fwd.n_nodes
-    counts = np.zeros(n, dtype=np.int64)
-    total = 0
-    edge_work = 0
-    for u in np.flatnonzero(fwd.out_degrees).tolist():
-        adj_u = fwd.neighbors(u)
-        for v in adj_u.tolist():
-            common = np.intersect1d(adj_u, fwd.neighbors(v),
-                                    assume_unique=True)
-            edge_work += adj_u.size + fwd.out_degrees[v]
-            if common.size:
-                total += common.size
-                counts[u] += common.size
-                counts[v] += common.size
-                np.add.at(counts, common, 1)
-    ops = OpCounts(
-        alu=2.0 * edge_work + 2.0 * fwd.n_edges,
-        seq_loads=2.0 * edge_work,
-        rand_loads=2.0 * fwd.n_edges,
-        stores=0.3 * edge_work + n,
-        branches=1.0 * edge_work,
-    )
-    return SerialRun(result=counts, ops=ops,
-                     meta={"total": total, "edge_work": edge_work,
-                           "forward_edges": fwd.n_edges})
-
-
-def kcore_serial(graph: CSRGraph) -> SerialRun:
-    """Core numbers by iterative peeling (Matula-Beck) on the simple
-    undirected view; matches ``networkx.core_number``.
-
-    Each cascade round removes every remaining node of degree <= k and
-    decrements its surviving neighbors — the round structure KCoreApp's
-    per-round workloads mirror.
-    """
-    simple = simple_undirected(graph)
-    n = simple.n_nodes
-    deg = simple.out_degrees.copy()
-    core = np.zeros(n, dtype=np.int64)
-    alive = np.ones(n, dtype=bool)
-    k = 0
-    rounds = 0
-    edges_touched = 0
-    while alive.any():
-        k = max(k, int(deg[alive].min()))
-        while True:
-            peel = np.flatnonzero(alive & (deg <= k))
-            if peel.size == 0:
-                break
-            rounds += 1
-            core[peel] = k
-            alive[peel] = False
-            idx = concat_ranges(simple.row_offsets[peel],
-                                simple.out_degrees[peel])
-            edges_touched += idx.size
-            dst = simple.col_indices[idx]
-            survivors = dst[alive[dst]]
-            np.add.at(deg, survivors, -1)
-    ops = OpCounts(
-        alu=2.0 * edges_touched + 3.0 * n,
-        seq_loads=1.0 * edges_touched + 2.0 * n,
-        rand_loads=2.0 * edges_touched,
-        stores=1.0 * edges_touched * 0.5 + n,
-        branches=1.0 * edges_touched + 1.0 * n,
-    )
-    return SerialRun(result=core, ops=ops,
-                     meta={"rounds": rounds, "max_core": int(core.max()),
-                           "edges_touched": edges_touched})
-
-
-def mis_serial(graph: CSRGraph) -> SerialRun:
-    """Lexicographically-first maximal independent set.
-
-    Deterministic Luby rounds with node ids as static priorities: every
-    round selects the remaining nodes that are local minima among their
-    remaining neighbors, then removes them and their neighborhoods.  With
-    fixed id priorities this computes exactly the set the sequential
-    greedy scan (admit ``u`` iff no admitted neighbor ``< u``) produces,
-    but in parallel rounds — the template-shaped formulation.
-    """
-    simple = simple_undirected(graph)
-    n = simple.n_nodes
-    alive = np.ones(n, dtype=bool)
-    in_set = np.zeros(n, dtype=bool)
-    rounds = 0
-    edges_touched = 0
-    while alive.any():
-        rounds += 1
-        frontier = np.flatnonzero(alive)
-        degs = simple.out_degrees[frontier]
-        idx = concat_ranges(simple.row_offsets[frontier], degs)
-        edges_touched += idx.size
-        src = np.repeat(frontier, degs)
-        dst = simple.col_indices[idx]
-        live = alive[dst]
-        best = np.full(n, n, dtype=np.int64)
-        np.minimum.at(best, src[live], dst[live])
-        winners = frontier[frontier < best[frontier]]
-        in_set[winners] = True
-        alive[winners] = False
-        kill = concat_ranges(simple.row_offsets[winners],
-                             simple.out_degrees[winners])
-        alive[simple.col_indices[kill]] = False
-    ops = OpCounts(
-        alu=2.0 * edges_touched + 2.0 * n,
-        seq_loads=1.0 * edges_touched + 1.0 * n,
-        rand_loads=2.0 * edges_touched,
-        stores=0.5 * edges_touched + n,
-        branches=1.0 * edges_touched,
-    )
-    return SerialRun(result=in_set, ops=ops,
-                     meta={"rounds": rounds, "set_size": int(in_set.sum()),
-                           "edges_touched": edges_touched})

@@ -90,7 +90,11 @@ class ServiceConfig:
     #: default simulated device
     device: DeviceConfig = field(default_factory=lambda: KEPLER_K20)
     #: disk artifact cache: None inherits the process default
-    #: (REPRO_CACHE_DIR), "" disables it, a path enables it
+    #: (REPRO_CACHE_DIR), "" disables it, a path enables it.  The disk
+    #: level is process-wide: a service built with a cache_dir replaces
+    #: it for every service and every ``repro.run`` in the process (the
+    #: last service built wins), and the setting outlives ``stop()`` /
+    #: ``close()``
     cache_dir: str | None = None
     #: bound on how long ``stop(drain=True)`` waits for in-flight work
     #: before answering stragglers with structured failures (None waits

@@ -48,6 +48,13 @@ class TestSpMVApp:
         with pytest.raises(GraphError):
             SpMVApp(small_graph, x=np.ones(3))
 
+    def test_seed_validated(self, small_graph):
+        for seed in (-1, 2.5, True):
+            with pytest.raises(GraphError):
+                SpMVApp(small_graph, seed=seed)
+        np.testing.assert_array_equal(SpMVApp(small_graph, seed=np.int64(1)).x,
+                                      SpMVApp(small_graph, seed=1).x)
+
     def test_speedup_is_cpu_over_gpu(self, small_graph):
         run = SpMVApp(small_graph).run("baseline")
         assert run.speedup == pytest.approx(run.cpu_time_ms / run.gpu_time_ms)
@@ -77,8 +84,20 @@ class TestSSSPApp:
         assert dbuf.gpu_time_ms < base.gpu_time_ms
 
     def test_source_validated(self, small_graph):
-        with pytest.raises(GraphError):
-            SSSPApp(small_graph, source=10**6)
+        # a bool is no node id: dist[True] = 0.0 would zero every distance
+        for source in (10**6, -1, True, 1.5, float("nan")):
+            with pytest.raises(GraphError):
+                SSSPApp(small_graph, source=source)
+        np.testing.assert_array_equal(
+            SSSPApp(small_graph, source=np.int64(1)).compute(),
+            SSSPApp(small_graph, source=1).compute())
+
+    def test_max_rounds_validated(self, small_graph):
+        for rounds in (0, -1, 2.5, True):
+            with pytest.raises(GraphError):
+                SSSPApp(small_graph, max_rounds=rounds)
+        run = SSSPApp(small_graph, max_rounds=np.int64(2)).run("baseline")
+        assert run.meta["rounds"] == 2
 
     def test_negative_weights_rejected(self, small_graph):
         bad = citeseer_like(scale=0.01, seed=9)
@@ -106,8 +125,10 @@ class TestPageRankApp:
     def test_validation(self, small_graph):
         with pytest.raises(GraphError):
             PageRankApp(small_graph, damping=2.0)
-        with pytest.raises(GraphError):
-            PageRankApp(small_graph, n_iters=0)
+        for n_iters in (0, 2.5, True, float("nan")):
+            with pytest.raises(GraphError):
+                PageRankApp(small_graph, n_iters=n_iters)
+        assert PageRankApp(small_graph, n_iters=np.int64(3)).n_iters == 3
 
 
 class TestBCApp:
@@ -123,8 +144,12 @@ class TestBCApp:
         assert app.sources.size == small_graph.n_nodes
 
     def test_source_count_validated(self, small_graph):
+        for n_sources in (0, 2.5, True, float("nan")):
+            with pytest.raises(GraphError):
+                BCApp(small_graph, n_sources=n_sources)
         with pytest.raises(GraphError):
-            BCApp(small_graph, n_sources=0)
+            BCApp(small_graph, seed=-1)
+        assert BCApp(small_graph, n_sources=np.int64(3)).sources.size == 3
 
     def test_forward_and_backward_kernels(self):
         g = wiki_vote_like(seed=2)
@@ -145,5 +170,9 @@ class TestBFSApp:
         assert run.meta["levels"] >= 1
 
     def test_source_validated(self, small_graph):
-        with pytest.raises(GraphError):
-            BFSApp(small_graph, source=-1)
+        for source in (-1, small_graph.n_nodes, True, 1.5, float("nan")):
+            with pytest.raises(GraphError):
+                BFSApp(small_graph, source=source)
+        np.testing.assert_array_equal(
+            BFSApp(small_graph, source=np.int64(1)).compute(),
+            BFSApp(small_graph, source=1).compute())

@@ -12,7 +12,7 @@ from repro.apps import (
 from repro.core import TemplateParams
 from repro.cpu.reference import bfs_serial
 from repro.cpu.trees import descendants_recursive_py, heights_recursive_py
-from repro.errors import PlanError, WorkloadError
+from repro.errors import GraphError, PlanError, WorkloadError
 from repro.graphs import uniform_random_graph
 from repro.trees import generate_tree
 
@@ -94,8 +94,9 @@ class TestUnorderedBFS:
         np.testing.assert_array_equal(best[reached], levels[reached])
 
     def test_validation(self, graph):
-        with pytest.raises(WorkloadError):
-            unordered_bfs_visits(graph, 0, chunk=0)
+        for chunk in (0, 2.5, True):
+            with pytest.raises(WorkloadError):
+                unordered_bfs_visits(graph, 0, chunk=chunk)
 
 
 class TestRecursiveBFSApp:
@@ -128,6 +129,14 @@ class TestRecursiveBFSApp:
     def test_unknown_variant(self, app):
         with pytest.raises(WorkloadError):
             app.run("rec-flat")
+
+    def test_source_and_chunk_validated(self, graph):
+        # checked when the visit forest is built, before any run()
+        for source in (graph.n_nodes, True, 1.5):
+            with pytest.raises(GraphError):
+                RecursiveBFSApp(graph, source=source)
+        with pytest.raises(WorkloadError):
+            RecursiveBFSApp(graph, chunk=2.5)
 
     def test_meta_reports_visits(self, app):
         run = app.run("rec-hier")

@@ -103,8 +103,14 @@ class TestSSSP:
             sssp_serial(g)
 
     def test_rejects_bad_source(self):
-        with pytest.raises(GraphError):
-            sssp_serial(random_graph(10), source=100)
+        for source in (100, True, 1.5):
+            with pytest.raises(GraphError):
+                sssp_serial(random_graph(10), source=source)
+
+    def test_rejects_bad_max_rounds(self):
+        for rounds in (0, 2.5):
+            with pytest.raises(GraphError):
+                sssp_serial(random_graph(10), max_rounds=rounds)
 
 
 def simple_graph(n=150, n_edges=800, seed=0):
@@ -143,8 +149,9 @@ class TestPageRank:
         g = random_graph(10)
         with pytest.raises(GraphError):
             pagerank_serial(g, damping=1.5)
-        with pytest.raises(GraphError):
-            pagerank_serial(g, n_iters=0)
+        for n_iters in (0, 2.5):
+            with pytest.raises(GraphError):
+                pagerank_serial(g, n_iters=n_iters)
 
 
 class TestBC:
@@ -193,6 +200,14 @@ class TestBFS:
         for node in range(g.n_nodes):
             expected = lengths.get(node, -1)
             assert run.result[node] == expected
+
+    def test_rejects_bad_source(self):
+        g = random_graph(10, weighted=False)
+        for source in (10, True, 1.5):
+            with pytest.raises(GraphError):
+                bfs_serial(g, source)
+            with pytest.raises(GraphError):
+                bfs_recursive_serial(g, source)
 
     def test_recursive_exact_matches_iterative(self):
         g = random_graph(200, seed=14, weighted=False)

@@ -32,10 +32,15 @@ silently:
   ``python -m repro.service`` demo, the ``service`` bench experiment and
   the helpers only they used (``percentiles``, ``workload_cost``); host
   wall time of the service is the repository benchmark's ``serve``
-  workload.
+  workload;
+* the applications the paper does not evaluate: connected components
+  (``CCApp``, ``cc_serial``), triangle counting, k-core and MIS
+  (``TrianglesApp``, ``KCoreApp``, ``MISApp``), their serial references
+  and their modules.
 """
 
 import asyncio
+import importlib
 import importlib.util
 import warnings
 
@@ -217,3 +222,21 @@ class TestServingHarnessRemoved:
     def test_workload_cost_import_fails(self):
         with pytest.raises(ImportError):
             from repro.service import workload_cost  # noqa: F401
+
+
+class TestNonPaperAppsRemoved:
+    def test_names_and_modules_import_fails(self):
+        import repro.apps
+        import repro.cpu.reference
+
+        for name in ("CCApp", "cc_serial", "TrianglesApp", "KCoreApp",
+                     "MISApp"):
+            assert not hasattr(repro.apps, name), name
+            assert name not in repro.apps.__all__
+        for name in ("simple_undirected", "triangles_serial",
+                     "kcore_serial", "mis_serial"):
+            assert not hasattr(repro.cpu.reference, name), name
+            assert name not in repro.cpu.reference.__all__
+        for module in ("cc", "kcore", "mis", "triangles"):
+            with pytest.raises(ImportError):
+                importlib.import_module(f"repro.apps.{module}")

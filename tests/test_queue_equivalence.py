@@ -26,7 +26,7 @@ from repro.apps.asyncq import (
     AsyncTreeWalkApp,
     async_relax_requests,
 )
-from repro.errors import GraphError
+from repro.errors import GraphError, WorkloadError
 from repro.gpusim.config import KEPLER_K20
 from repro.graphs import citeseer_like
 from repro.graphs.generators import grid_graph
@@ -68,8 +68,12 @@ class TestFixpointEquivalence:
         assert np.all(dist >= 0)  # grid is connected
 
     def test_source_validated(self, grid):
-        with pytest.raises(GraphError):
-            AsyncSSSPApp(grid, source=grid.n_nodes)
+        for source in (grid.n_nodes, True, 1.5):
+            with pytest.raises(GraphError):
+                AsyncSSSPApp(grid, source=source)
+        for bad in ({"chunk": 0}, {"chunk": 2.5}, {"seed": -1}):
+            with pytest.raises(WorkloadError):
+                AsyncBFSApp(grid, **bad)
 
 
 class TestScheduleNondeterminism:

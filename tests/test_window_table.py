@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.apps import BFSApp, CCApp, SpMVApp, SSSPApp
+from repro.apps import BFSApp, SpMVApp, SSSPApp
 from repro.core import analysis as analysis_mod
 from repro.core.analysis import WorkloadAnalysis
 from repro.core.mapping import clear_phase_memo
@@ -42,12 +42,6 @@ def _sssp_round():
     rounds = list(app._rounds())
     frontier, edge_idx, targets, improving, _ = rounds[len(rounds) // 2]
     return app.round_workload(frontier, edge_idx, targets, improving)
-
-
-def _cc_round():
-    app = CCApp(_graph())
-    frontier, idx, dst, improving = next(app._rounds())
-    return app._round_workload(frontier, idx, dst, improving)
 
 
 def _bfs_level():
@@ -84,7 +78,6 @@ def _synthetic():
 WORKLOADS = {
     "spmv": lambda: SpMVApp(_graph(), seed=0).workload(),
     "sssp": _sssp_round,
-    "cc": _cc_round,
     "bfs": _bfs_level,
     "synthetic": _synthetic,
 }
@@ -130,6 +123,18 @@ def test_table_matches_per_pair_oracle(template, workload, monkeypatch):
     _per_pair(monkeypatch)
     for params, got in zip(points, table):
         assert got == _plan_state(*_build(template, wl, an, params)), params
+
+
+def test_live_atomics_on_both_sides_of_every_threshold():
+    """The oracle sees live atomics in short and long rows at every
+    lbTHRES: the SSSP round at each, the synthetic input at 8 and 64."""
+    for name, thresholds in (("sssp", THRESHOLDS), ("synthetic", (8, 64))):
+        wl = WORKLOADS[name]()
+        trips = np.repeat(wl.trip_counts, wl.trip_counts)
+        live = wl.atomic_targets >= 0
+        for lbt in thresholds:
+            assert np.any(live & (trips <= lbt)), (name, lbt)
+            assert np.any(live & (trips > lbt)), (name, lbt)
 
 
 def test_other_block_sizes_take_the_per_pair_path():

@@ -2,8 +2,8 @@
 
 Every nested-loop template schedules the *same* iteration-space facts —
 trip-count statistics, the sorted-degree order behind every ``lbTHRES``
-partition, per-stream memory-segment ids — and every tree template walks
-the same structural arrays (degrees, sibling ranks, ancestor hop chains).
+partition, per-stream memory-segment ids — and the tree templates read
+the same per-node facts (degrees, sibling ranks, child-degree sums).
 This module hoists those facts out of the per-``(template, params)`` build
 path into a :class:`WorkloadAnalysis` / :class:`TreeAnalysis` artifact
 keyed on the workload fingerprint alone, so a parameter sweep over N
@@ -563,69 +563,37 @@ class WorkloadAnalysis:
 class TreeAnalysis:
     """Template-independent structure of one :class:`RecursiveTreeWorkload`.
 
-    Covers what all three tree templates re-derive per build: out-degrees,
-    the internal-node set and its nested-launch fan-out (rec-naive),
-    per-node sibling ranks and child-degree sums (rec-hier), and the full
-    ancestor hop chain the flat template's atomic model walks.
+    Per-node facts the tree templates would otherwise re-derive per
+    build: out-degrees, the internal-node set and its nested-launch
+    fan-out (rec-naive), per-node sibling ranks and child-degree sums and
+    the launch owners (rec-hier).  Each is one vector pass over the BFS
+    arrays (children are ``1 .. n-1``, so node ``i``'s children are ids
+    ``child_offsets[i] + 1 .. child_offsets[i + 1]``).  The flat
+    template's ancestor walk needs no stored facts: it reads the level
+    structure (see :class:`~repro.core.recursive.FlatTreeTemplate`).
     """
 
     def __init__(self, fingerprint: str, tree) -> None:
         self.fingerprint = fingerprint
         n = tree.n_nodes
         self.n_nodes = n
+        co = tree.child_offsets
         self.degrees = tree.out_degrees
         self.internal = np.flatnonzero(self.degrees > 0)
-        #: number of internal children of each node (rec-naive spawn count)
-        child_internal = np.zeros(n, dtype=np.int64)
-        if self.internal.size:
-            non_root = self.internal[self.internal != 0]
-            np.add.at(child_internal, tree.parents[non_root], 1)
-        self.spawns = child_internal[self.internal]
+        #: number of internal children of each internal node (rec-naive
+        #: spawn count)
+        self.spawns = np.bincount(tree.parents[self.internal[1:]],
+                                  minlength=n)[self.internal]
         #: rank of each node among its siblings (child-slice position)
         self.sibling_rank = np.zeros(n, dtype=np.int64)
-        if self.internal.size:
-            ranks = np.concatenate([
-                np.arange(deg, dtype=np.int64)
-                for deg in self.degrees[self.degrees > 0].tolist()
-            ])
-            self.sibling_rank[tree.children] = ranks
-        #: sum of the children's degrees (grandchild count) per node
-        self.child_deg_sum = np.zeros(n, dtype=np.int64)
-        if n > 1:
-            np.add.at(self.child_deg_sum, tree.parents[1:], self.degrees[1:])
-        needs = np.flatnonzero(self.child_deg_sum > 0)
-        if 0 not in needs:
-            needs = np.union1d(needs, np.array([0]))
+        self.sibling_rank[1:] = np.arange(n - 1) - co[tree.parents[1:]]
+        #: sum of the children's degrees (grandchild count) per node: the
+        #: degrees of nodes ``0 .. k-1`` sum to ``child_offsets[k]``
+        self.child_deg_sum = co[co[1:] + 1] - co[co[:-1] + 1]
         #: nodes owning a rec-hier launch (have grandchildren, plus root)
-        self.needs_launch = needs
-        # ancestor-chain walk: hop k of node v touches its k-th ancestor
-        hop_nodes: list[np.ndarray] = []
-        hop_ancestors: list[np.ndarray] = []
-        hop_ids: list[np.ndarray] = []
-        current = tree.parents.copy()
-        hop = 0
-        alive = np.flatnonzero(current >= 0)
-        while alive.size:
-            hop_nodes.append(alive)
-            hop_ancestors.append(current[alive])
-            hop_ids.append(np.full(alive.size, hop, dtype=np.int64))
-            nxt = np.full(n, -1, dtype=np.int64)
-            nxt[alive] = tree.parents[current[alive]]
-            current = nxt
-            alive = np.flatnonzero(current >= 0)
-            hop += 1
-        if hop_nodes:
-            self.hop_nodes = np.concatenate(hop_nodes)
-            self.hop_ancestors = np.concatenate(hop_ancestors)
-            self.hop_ids = np.concatenate(hop_ids)
-            self.ancestor_counts = np.bincount(self.hop_ancestors, minlength=n)
-        else:
-            self.hop_nodes = np.zeros(0, dtype=np.int64)
-            self.hop_ancestors = np.zeros(0, dtype=np.int64)
-            self.hop_ids = np.zeros(0, dtype=np.int64)
-            self.ancestor_counts = np.zeros(n, dtype=np.int64)
-        #: segment ids of the 8-byte parent-pointer loads along the chain
-        self.hop_segments = (self.hop_ancestors * 8) // _TRACE_SEGMENT_BYTES
+        owns = self.child_deg_sum > 0
+        owns[0] = True
+        self.needs_launch = np.flatnonzero(owns)
 
     @classmethod
     def from_workload(cls, workload) -> "TreeAnalysis":

@@ -29,10 +29,11 @@ import numpy as np
 
 from repro.core.analysis import TreeAnalysis, get_tree_analysis
 from repro.core.base import _TemplateBase
+from repro.core.mutation import TRACE_SEGMENT_BYTES
 from repro.core.params import TemplateParams
 from repro.errors import WorkloadError
 from repro.gpusim.atomics import AtomicStats
-from repro.gpusim.coalesce import MemoryTraffic, contiguous_transactions, transaction_counts
+from repro.gpusim.coalesce import MemoryTraffic, contiguous_transactions
 from repro.gpusim.config import DeviceConfig
 from repro.gpusim.costmodel import (
     KernelCostBuilder,
@@ -84,14 +85,22 @@ class RecursiveTreeWorkload:
     def fingerprint(self) -> str:
         """Content hash of the tree structure + computation (plan cache key).
 
-        Memoized; trees are treated as immutable after construction.
+        In the BFS order :class:`Tree` enforces, the internal nodes and
+        their out-degrees determine ``parents`` exactly, so those (with
+        the node count and level offsets) are what is hashed.  Memoized;
+        trees are treated as immutable after construction.
         """
         cached = getattr(self, "_fingerprint", None)
         if cached is not None:
             return cached
         tree = self.tree
+        degrees = tree.out_degrees
+        internal = np.flatnonzero(degrees)
         h = hashlib.blake2b(digest_size=16)
-        h.update(tree.parents.tobytes())
+        h.update(f"{tree.n_nodes}|{internal.size}|".encode())
+        h.update(internal.tobytes())
+        h.update(b"|")
+        h.update(degrees[internal].tobytes())
         h.update(b"|")
         h.update(tree.level_offsets.tobytes())
         h.update(f"|{self.kind}|{self.inner_insts}".encode())
@@ -129,6 +138,50 @@ class _TreeTemplateBase(_TemplateBase):
         return plan, {"nodes": np.arange(workload.tree.n_nodes)}
 
 
+def _ancestor_walk(tree: Tree, warp: np.ndarray, n_warps: int,
+                   config: DeviceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per-warp parent-pointer transactions and atomic cycles of the flat
+    kernel's ancestor walk.
+
+    ``warp[v]`` is the warp of node ``v``'s thread.  At hop ``k`` the
+    nodes still walking are ids ``level_offsets[k+1] .. n``, each
+    touching its ancestor ``k + 1`` levels up, and BFS order makes both
+    their warps and those ancestors non-decreasing.  So one (warp, hop) issue slot is a run of entries,
+    cut into sub-runs of one ancestor each by neighbour comparisons.  The
+    slot's longest sub-run sets its atomic conflict cost, and its
+    parent-pointer transactions are its first sub-run plus every later
+    one that starts a new segment (segments only change where ancestors
+    do).  Each warp accumulates its slots' cycles in hop order.
+    """
+    n = tree.n_nodes
+    slot_start = np.empty(n, dtype=bool)
+    slot_start[0] = True
+    np.not_equal(warp[1:], warp[:-1], out=slot_start[1:])
+    tx = np.zeros(n_warps, dtype=np.int64)
+    cycles = np.zeros(n_warps, dtype=np.float64)
+    starts = [s for s in tree.level_offsets[1:-1].tolist() if s < n]
+    ancestors = tree.parents[1:]
+    for hop, start in enumerate(starts):
+        if hop:
+            ancestors = tree.parents[ancestors[start - starts[hop - 1]:]]
+        w = warp[start:]
+        new_run = slot_start[start:].copy()
+        new_run[0] = True
+        new_run[1:] |= ancestors[1:] != ancestors[:-1]
+        heads = np.flatnonzero(new_run)
+        opens_slot = slot_start[start + heads]
+        opens_slot[0] = True
+        segments = ancestors[heads] * 8 // TRACE_SEGMENT_BYTES
+        new_segment = opens_slot.copy()
+        new_segment[1:] |= segments[1:] != segments[:-1]
+        tx += np.bincount(w[heads[new_segment]], minlength=n_warps)
+        slots = np.flatnonzero(opens_slot)
+        longest = np.maximum.reduceat(np.diff(heads, append=w.size), slots)
+        cycles[w[heads[slots]]] += (config.atomic_cycles
+                                    + (longest - 1) * config.atomic_conflict_cycles)
+    return tx, cycles
+
+
 class FlatTreeTemplate(_TreeTemplateBase):
     """Fig. 3(c): thread-mapped iterative kernel with ancestor-walk atomics."""
 
@@ -149,29 +202,19 @@ class FlatTreeTemplate(_TreeTemplateBase):
         builder.add_uniform(n, insts=8.0)
         builder.add_loop(levels, insts_per_iter=workload.inner_insts)
 
-        # ancestor-chain walk (precomputed): hop k of node v touches its
-        # k-th ancestor
-        nodes = analysis.hop_nodes
-        ancestors = analysis.hop_ancestors
-        hops = analysis.hop_ids
-        if nodes.size:
-            warp = builder.warp_of_thread(nodes)
-            max_hop = int(hops.max()) + 1
-            group = warp * max_hop + hops
+        # ancestor-chain walk: hop k of node v touches its ancestor k + 1
+        # levels up
+        if n > 1:
+            warp = builder.warp_of_thread(np.arange(n))
+            tx, cycles = _ancestor_walk(tree, warp, builder.n_warps, config)
+            pairs = int(levels.sum())
             # parent-pointer loads (scattered within the chain)
-            tx = transaction_counts(warp, group, None, builder.n_warps,
-                                    agg_divisor=max_hop,
-                                    segments=analysis.hop_segments)
-            builder.add_traffic(tx, int(nodes.size) * 8, "load")
-            # one atomic RMW per (node, ancestor) pair
-            from repro.gpusim.atomics import flat_atomic_cycles
-
-            cycles, stats = flat_atomic_cycles(
-                warp, group, ancestors, builder.n_warps, config
-            )
-            builder.add_atomic_cycles(cycles, stats)
-            # hot addresses: RMW multiplicity per ancestor
-            builder.add_hot_address_tail(analysis.ancestor_counts)
+            builder.add_traffic(tx, pairs * 8, "load")
+            # one atomic RMW per (node, ancestor) pair; the root is the
+            # hottest address, hit once by each of the other n - 1 nodes
+            builder.add_atomic_cycles(cycles, AtomicStats(
+                n_atomics=pairs, max_address_multiplicity=n - 1))
+            builder.add_hot_address_tail(n - 1)
         graph = LaunchGraph()
         graph.add(builder.build())
         return graph

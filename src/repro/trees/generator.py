@@ -102,7 +102,7 @@ def generate_tree(
             raise DatasetError(
                 f"tree exceeded max_nodes={max_nodes} at level {level}"
             )
-        parents_chunks.append(np.repeat(current_ids, degs))
+        parents_chunks.append(np.repeat(current_ids[branching], outdegree))
         level_sizes.append(n_new)
         current_ids = np.arange(next_id, next_id + n_new, dtype=np.int64)
         next_id += n_new

@@ -2,9 +2,13 @@
 
 Trees are stored in BFS order: node ids are assigned level by level, so
 each level is a contiguous id range and each node's children form a
-contiguous slice.  This makes both the functional level sweeps (tree
-descendants / heights) and the simulator trace generation fully
-vectorizable.
+contiguous slice.  :class:`Tree` enforces that order, and the package
+relies on what follows from it: ``children`` is ``1 .. n-1``, so the
+internal nodes and their out-degrees determine ``parents`` (the workload
+fingerprint hashes just those); the ``k``-th ancestors of the nodes
+``level_offsets[k] .. n`` are non-decreasing, so the flat template costs
+its ancestor walk level by level without a sort; and a node's level is
+its depth, which the level sweeps (tree descendants / heights) read.
 """
 
 from __future__ import annotations
@@ -26,6 +30,11 @@ class Tree:
     ``level_offsets`` delimits levels (nodes of level ``L`` are ids
     ``level_offsets[L] .. level_offsets[L+1]``); ``child_offsets`` /
     ``children`` form a CSR adjacency over children.
+
+    Construction raises :class:`GraphError` unless the arrays are in BFS
+    order: ``children`` is ``1 .. n-1``, ``parents[1:]`` is non-decreasing
+    and agrees with ``child_offsets``, level 0 is the root alone, and
+    every other level's parents are in the level before it.
     """
 
     parents: np.ndarray
@@ -46,29 +55,45 @@ class Tree:
             raise GraphError("node 0 must be the root (parent -1)")
         if np.count_nonzero(self.parents == -1) != 1:
             raise GraphError("exactly one root expected")
-        if self.level_offsets[0] != 0 or self.level_offsets[-1] != n:
+        offsets = self.level_offsets
+        if offsets.size < 2 or offsets[0] != 0 or offsets[-1] != n:
             raise GraphError("level_offsets must span [0, n_nodes]")
-        if np.any(np.diff(self.level_offsets) < 0):
+        if np.any(np.diff(offsets) < 0):
             raise GraphError("level_offsets must be non-decreasing")
-        if self.child_offsets.size != n + 1:
+        co = self.child_offsets
+        if co.size != n + 1:
             raise GraphError("child_offsets must have n_nodes + 1 entries")
-        if self.child_offsets[-1] != self.children.size:
+        if co[-1] != self.children.size:
             raise GraphError("child_offsets end must equal len(children)")
         if self.children.size != n - 1:
             raise GraphError(
                 f"a tree over {n} nodes must have exactly {n - 1} child edges, "
                 f"got {self.children.size}"
             )
-        if self.children.size and (
-            self.children.min() < 1 or self.children.max() >= n
-        ):
-            raise GraphError("children ids out of range")
-        # children of node i must agree with parents[]
-        owner = np.repeat(
-            np.arange(n, dtype=np.int64), np.diff(self.child_offsets)
-        )
-        if not np.array_equal(self.parents[self.children], owner):
+        if co[0] != 0 or np.any(co[1:] < co[:-1]):
+            raise GraphError("child_offsets must start at 0 and be "
+                             "non-decreasing")
+        if not np.array_equal(self.children, np.arange(1, n)):
+            raise GraphError("children must list nodes 1 .. n-1 in BFS order")
+        if np.any(self.parents[2:] < self.parents[1:-1]):
+            raise GraphError("parents[1:] must be non-decreasing (BFS order)")
+        # parents[] is monotone, so each child slice agrees with it iff
+        # its first and last node name the slice's owner
+        internal = np.flatnonzero(co[1:] > co[:-1])
+        if not (np.array_equal(self.parents[co[internal] + 1], internal)
+                and np.array_equal(self.parents[co[internal + 1]], internal)):
             raise GraphError("child_offsets/children disagree with parents[]")
+        # the same monotonicity puts a level's parents in the level above
+        # iff its first and last node's parents are there
+        if offsets[1] != 1:
+            raise GraphError("level 0 must hold the root alone")
+        starts, ends = offsets[1:-1], offsets[2:]
+        filled = np.flatnonzero(starts < ends)
+        if not (np.all(self.parents[starts[filled]] >= offsets[filled])
+                and np.all(self.parents[ends[filled] - 1]
+                           < offsets[filled + 1])):
+            raise GraphError("every level's parents must be in the level "
+                             "before it (BFS order)")
 
     # ------------------------------------------------------------- properties
     @property

@@ -77,6 +77,30 @@ class TestStructure:
                 children=np.array([1, 2]),  # claims 2 is a child of 0
             )
 
+    @pytest.mark.parametrize("parents, level_offsets, child_offsets, children", [
+        # node 3's child listed before node 2: subtree sizes and heights
+        # came out wrong on this tree
+        ([-1, 0, 3, 0], [0, 1, 4], [0, 2, 2, 2, 3], [1, 3, 2]),
+        # a chain whose last node sits in its parent's level
+        ([-1, 0, 1], [0, 1, 3], [0, 1, 2, 2], [1, 2]),
+        # the root's children listed out of order
+        ([-1, 0, 0], [0, 1, 3], [0, 2, 2, 2], [2, 1]),
+        # level 0 holding a second node besides the root
+        ([-1, 0], [0, 2], [0, 1, 1], [1]),
+        # a negative out-degree (was a bare ValueError from np.repeat)
+        ([-1, 0, 0], [0, 1, 3], [0, 3, 1, 2], [1, 2]),
+        # no level offsets at all (was a bare IndexError)
+        ([-1], [], [0, 0], []),
+    ], ids=["child-before-parent", "parent-in-own-level", "children-reversed",
+            "root-level-shared", "negative-degree", "no-levels"])
+    def test_rejects_trees_out_of_bfs_order(self, parents, level_offsets,
+                                            child_offsets, children):
+        with pytest.raises(GraphError):
+            Tree(parents=np.array(parents),
+                 level_offsets=np.array(level_offsets),
+                 child_offsets=np.array(child_offsets),
+                 children=np.array(children))
+
     def test_level_out_of_range(self):
         t = generate_tree(2, 2)
         with pytest.raises(GraphError):

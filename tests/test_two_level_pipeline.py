@@ -114,7 +114,11 @@ class TestWorkloadAnalysis:
         analysis = get_tree_analysis(tree_wl)
         tree = tree_wl.tree
         np.testing.assert_array_equal(analysis.degrees, tree.out_degrees)
-        assert analysis.ancestor_counts.sum() == analysis.hop_nodes.size
+        # grandchildren counted per grandparent and per level agree
+        assert analysis.child_deg_sum.sum() == tree.n_nodes - tree.level_offsets[2]
+        np.testing.assert_array_equal(
+            analysis.sibling_rank[tree.children_of(0)],
+            np.arange(analysis.degrees[0]))
         assert 0 in analysis.needs_launch
 
 

@@ -15,7 +15,9 @@ Fast end-to-end gate (wired into ``make test`` as ``make cache-smoke``):
    ``analysis`` tier (the two-level pipeline's cross-template artifact);
    the analysis it reads carries the unit-stride record the first
    process built, and a thread-mapped phase costed with it equals the
-   first process's;
+   first process's; likewise a tree workload's analysis, written by one
+   process, is read from disk by another, whose flat and rec-hier plans
+   specialized from it equal the first process's;
 3. **stale code** — a copy of ``src/`` with one line of
    ``gpusim/costmodel.py`` edited runs against the warm directory: it
    must miss the ``plan`` and ``run`` tiers (every disk key names the
@@ -101,23 +103,54 @@ print(json.dumps({
 """
 
 
+#: runs in a fresh child process: fetch one tree workload's analysis
+#: through the shared cache dir and specialize the flat and rec-hier plans
+#: from it (not through the plan tier); reports the plans' digests
+_TREE_CHILD = r"""
+import hashlib, json, pickle, sys
+from repro.core.analysis import get_tree_analysis
+from repro.core.artifactcache import configure_artifact_cache
+from repro.core.params import TemplateParams
+from repro.core.recursive import (FlatTreeTemplate, RecHierTreeTemplate,
+                                  RecursiveTreeWorkload)
+from repro.gpusim.config import KEPLER_K20
+from repro.trees.generator import generate_tree
+
+cache = configure_artifact_cache(sys.argv[1])
+workload = RecursiveTreeWorkload(generate_tree(4, 16, sparsity=0.5, seed=7))
+analysis = get_tree_analysis(workload)
+plans = {
+    template.name: hashlib.blake2b(pickle.dumps(template.specialize(
+        workload, analysis, KEPLER_K20, TemplateParams())),
+        digest_size=8).hexdigest()
+    for template in (FlatTreeTemplate(), RecHierTreeTemplate())
+}
+print(json.dumps({"plans": plans, "stats": cache.snapshot()}))
+"""
+
+
 def fail(message: str) -> None:
     print(f"FAIL: {message}", file=sys.stderr)
     sys.exit(1)
 
 
-def run_child(cache_dir: str, template: str = "dual-queue",
-              src: Path = REPO_ROOT / "src") -> dict:
+def spawn(script: str, *args: str, src: Path = REPO_ROOT / "src") -> dict:
+    """Run ``script`` in a fresh interpreter on ``src``; its JSON report."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(src)
     env.pop("REPRO_CACHE_DIR", None)  # the child must rely on argv alone
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, cache_dir, template],
+        [sys.executable, "-c", script, *args],
         capture_output=True, text=True, env=env,
     )
     if proc.returncode != 0:
         fail(f"child process failed:\n{proc.stderr}")
-    report = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def run_child(cache_dir: str, template: str = "dual-queue",
+              src: Path = REPO_ROOT / "src") -> dict:
+    report = spawn(_CHILD, cache_dir, template, src=src)
     repeat = report["repeat"]
     disk_run = tier(report, "run")
     if (repeat["memory_hits"] != 1
@@ -186,6 +219,21 @@ def main() -> int:
         print(f"analysis sharing ok: "
               f"{tier(other, 'analysis')['hits']} cross-template hit(s), "
               "same unit-stride record and thread-mapped phase")
+
+        with tempfile.TemporaryDirectory(prefix="repro-cache-smoke-") as trees:
+            built = spawn(_TREE_CHILD, trees)
+            read = spawn(_TREE_CHILD, trees)
+        if tier(built, "analysis")["writes"] < 1:
+            fail(f"a fresh tree analysis was not written: {built['stats']}")
+        if tier(read, "analysis")["hits"] < 1:
+            fail("a second process did not read the tree analysis from "
+                 f"disk: {read['stats']}")
+        if read["plans"] != built["plans"]:
+            fail(f"plans specialized from the tree analysis read from disk "
+                 f"{read['plans']} differ from a fresh build's "
+                 f"{built['plans']}")
+        print("tree analysis ok: read from disk by a second process, same "
+              "flat and rec-hier plans")
 
         with tempfile.TemporaryDirectory(prefix="repro-cache-smoke-") as copy:
             src = edited_source(Path(copy))

@@ -4,7 +4,7 @@ PYTHON ?= python
 # make targets work from a clean checkout, without `pip install -e .`
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: install test lint bench perfbench-smoke trace-smoke cache-smoke multidevice-smoke ir-smoke queue-smoke fuse-smoke stream-smoke experiments examples results clean
+.PHONY: install test lint bench perfbench-smoke trace-smoke cache-smoke ir-smoke fuse-smoke stream-smoke golden experiments examples results clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -13,7 +13,7 @@ install:
 # perfbench/ still fails `make test`, but after everything else has run;
 # the examples run after the smokes, so removing a public name one of
 # them uses fails `make test`
-test: lint trace-smoke cache-smoke multidevice-smoke ir-smoke queue-smoke fuse-smoke stream-smoke examples
+test: lint trace-smoke cache-smoke ir-smoke fuse-smoke stream-smoke golden examples
 	$(PYTHON) -m pytest tests/
 	$(MAKE) perfbench-smoke
 
@@ -53,20 +53,6 @@ cache-smoke:
 trace-smoke:
 	$(PYTHON) tools/trace_smoke.py
 
-# multi-device execution end-to-end: 1- vs 4-device runs of a loop and a
-# tree app must conserve work (per-device counters sum to single-device
-# totals), merge as max-time/sum-busy, and keep devices=1 bit-for-bit
-multidevice-smoke:
-	$(PYTHON) tools/multidevice_smoke.py
-
-# persistent task-queue backend end-to-end: task conservation
-# (enqueued == executed + cancelled), async fixpoints bit-identical to
-# the serial references, queue beating launch-per-round BSP on a
-# high-diameter grid, and barrier-dependent templates falling back to
-# BSP bit-for-bit
-queue-smoke:
-	$(PYTHON) tools/queue_smoke.py
-
 # parallelization IR + auto-select end-to-end: pass pipeline reproduces
 # the golden decision table, selection fingerprints are rebuild-stable,
 # and a warm template="auto" run executes nothing: one memory hit each
@@ -76,8 +62,8 @@ ir-smoke:
 
 # fused batch execution end-to-end: GpuExecutor.run_many over a mixed
 # batch (block-mapped + dynamic-parallelism graphs) bit-identical to
-# sequential runs, empty/singleton demux, backend accounting, and the
-# executor.fused_graphs counter
+# sequential runs, empty/singleton demux, core.base.run_many executing
+# its run-cache misses as one pass, and the executor.fused_graphs counter
 fuse-smoke:
 	$(PYTHON) tools/fuse_smoke.py
 
@@ -88,6 +74,19 @@ fuse-smoke:
 # cycle-identical results from either analysis path
 stream-smoke:
 	$(PYTHON) tools/stream_fuzz.py
+
+# the paper's tables as golden files: regenerate all 46 files of
+# tests/golden/ (and fig4 under the exact engine) without a disk cache
+# and compare them byte for byte
+GOLDEN_OUT = .golden_out
+golden:
+	rm -rf $(GOLDEN_OUT)
+	$(PYTHON) -m repro.bench all --scale 0.01 --no-disk-cache --out $(GOLDEN_OUT)/all > /dev/null
+	$(PYTHON) -m repro.bench fig4 --scale 0.01 --exact --no-disk-cache --out $(GOLDEN_OUT)/exact > /dev/null
+	diff -r -x MANIFEST.json tests/golden $(GOLDEN_OUT)/all
+	for f in $(GOLDEN_OUT)/exact/*; do cmp $$f tests/golden/$$(basename $$f) || exit 1; done
+	rm -rf $(GOLDEN_OUT)
+	@echo "golden: 46 tables and fig4 --exact match tests/golden/"
 
 # regenerate every paper artifact into results/
 experiments:
@@ -102,5 +101,5 @@ results: experiments
 
 clean:
 	rm -rf results .pytest_cache .benchmarks .perfbench_smoke.out \
-		.perfbench_tmp
+		.perfbench_tmp .golden_out
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -25,7 +25,6 @@ from collections.abc import Iterable
 from repro.core.base import TemplateRun
 from repro.core.params import TemplateParams, check_params
 from repro.core.registry import check_template, resolve, workload_kind
-from repro.errors import ConfigError, check_count
 from repro.gpusim.config import DeviceConfig, KEPLER_K20, check_device
 from repro.gpusim.executor import resolve_engine
 from repro.ir.select import auto_select, is_auto
@@ -33,47 +32,13 @@ from repro.ir.select import auto_select, is_auto
 __all__ = ["run", "compare", "explain", "serve"]
 
 
-def _coerce_backend_arg(backend, device, devices, engine):
-    """Resolve the facade's ``backend`` argument to (backend, kind).
-
-    ``backend`` may be None (classic paths, untouched), a kind string
-    (``"sim"`` / ``"queue"``) or an already-constructed
-    :class:`~repro.backends.Backend`.  Returns the backend object (or
-    None) plus the kind string auto-select reasons about.
-    """
-    from repro.backends import Backend, backend_for, resolve_backend
-
-    if backend is None:
-        return None, "sim"
-    if isinstance(backend, str):
-        kind = resolve_backend(backend)
-        if kind == "sim" and devices == 1:
-            # the spelled-out default: keep the classic (byte-identical)
-            # executor path rather than a differently-constructed backend
-            return None, "sim"
-        return backend_for(device, devices, engine=engine, kind=kind), kind
-    if isinstance(backend, Backend):
-        if devices != 1:
-            raise ConfigError(
-                "pass either a backend instance or devices>1, not both"
-            )
-        kind = "queue" if backend.capabilities.persistent_queue else "sim"
-        return backend, kind
-    raise ConfigError(
-        f"backend must be a kind string or a repro.backends.Backend, "
-        f"got {type(backend).__name__}"
-    )
-
-
 def run(
     workload,
     template="auto",
     *,
     device: DeviceConfig = KEPLER_K20,
-    devices: int = 1,
     params: TemplateParams | None = None,
     engine: str | None = None,
-    backend=None,
 ) -> TemplateRun:
     """Run a workload and return the full result.
 
@@ -94,13 +59,6 @@ def run(
         silently misdispatching.
     device:
         simulated device (default: the paper's Kepler K20).
-    devices:
-        simulated device count.  ``1`` (the default) executes exactly as
-        a single device always has; ``N > 1`` shards the workload across
-        a :class:`~repro.backends.DeviceGroup` of N identical devices
-        and returns a merged run whose ``device_runs`` /
-        ``result.per_device`` keep the per-device components inspectable
-        (see ``docs/architecture.md``).
     params:
         :class:`TemplateParams`; defaults are the paper's choices.  Under
         ``template="auto"`` these are the starting point — the selection
@@ -110,40 +68,18 @@ def run(
         (the reference event-per-block engine; bit-identical results —
         see ``docs/performance.md``).  None defers to the process-wide
         default engine.
-    backend:
-        execution model: ``"sim"`` (bulk-synchronous, the default) or
-        ``"queue"`` (Atos-style persistent task queues, single device —
-        see ``docs/taskqueue.md``), or an already-constructed
-        :class:`~repro.backends.Backend` instance.  Under
-        ``template="auto"`` the selection records the chosen backend and
-        its capability reasons (``run.selection`` / ``repro.explain``);
-        queue-incompatible templates fall back to BSP execution.
     """
     kind = workload_kind(workload)
     check_template(template)
     check_params(params)
     check_device(device)
     engine = resolve_engine(engine)
-    check_count("devices", devices, 1)
-    backend_obj, backend_kind = _coerce_backend_arg(
-        backend, device, devices, engine
-    )
     selection = None
     if is_auto(template):
-        selection = auto_select(workload, device, params, engine,
-                                backend=backend_kind)
+        selection = auto_select(workload, device, params, engine)
         template, params = selection.template, selection.params
     tmpl = resolve(template, kind=kind) if isinstance(template, str) else template
-    if backend_obj is None and devices > 1:
-        from repro.backends import backend_for
-
-        backend_obj = backend_for(device, devices, engine=engine)
-    elif backend_obj is None and engine is not None:
-        from repro.backends import SimBackend
-
-        backend_obj = SimBackend(device, engine=engine)
-    result = tmpl.run(workload, device, params or TemplateParams(),
-                      backend=backend_obj)
+    result = tmpl.run(workload, device, params, engine=engine)
     result.selection = selection
     return result
 
@@ -154,10 +90,8 @@ def compare(
     *,
     include=None,
     device: DeviceConfig = KEPLER_K20,
-    devices: int = 1,
     params: TemplateParams | None = None,
     engine: str | None = None,
-    backend=None,
 ) -> list[TemplateRun]:
     """Run several templates on one workload; runs come back in request order.
 
@@ -179,8 +113,7 @@ def compare(
         templates = templates + extra
     engine = resolve_engine(engine)
     return [
-        run(workload, t, device=device, devices=devices, params=params,
-            engine=engine, backend=backend)
+        run(workload, t, device=device, params=params, engine=engine)
         for t in templates
     ]
 
@@ -191,28 +124,22 @@ def explain(
     device: DeviceConfig = KEPLER_K20,
     params: TemplateParams | None = None,
     engine: str | None = None,
-    backend: str | None = None,
 ) -> dict:
     """The auto-select audit trail for a workload, as a structured dict.
 
-    Keys: ``template`` / ``params`` (the decision), ``kind``, ``backend``
-    (the chosen execution model, with its capability reasoning in
-    ``reasons``), ``ir`` / ``final_ir`` (the loop structure before and
-    after the passes, nested dicts), ``decisions`` (every pass rewrite),
+    Keys: ``template`` / ``params`` (the decision), ``kind``, ``ir`` /
+    ``final_ir`` (the loop structure before and after the passes, nested
+    dicts), ``decisions`` (every pass rewrite),
     ``reasons`` (the lowering rationale), ``raced`` (the candidates the
     cost race compared, empty for unambiguous lowerings) and
     ``fingerprint`` (the final IR digest that keyed the decision).
     Selection is cached, so explaining and then running costs one
     selection, not two.
     """
-    from repro.backends import resolve_backend
-
     check_params(params)
     check_device(device)
     engine = resolve_engine(engine)
-    kind = resolve_backend(backend) or "sim"
-    return auto_select(workload, device, params, engine,
-                       backend=kind).to_dict()
+    return auto_select(workload, device, params, engine).to_dict()
 
 
 def serve(config=None, **config_kwargs):

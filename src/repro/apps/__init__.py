@@ -1,12 +1,5 @@
 """``repro.apps`` — the paper's seven applications + the sort case study."""
 
-from repro.apps.asyncq import (
-    AsyncBFSApp,
-    AsyncSSSPApp,
-    AsyncTreeWalkApp,
-    RequestLog,
-    async_relax_requests,
-)
 from repro.apps.base import AppRun, combine_rounds
 from repro.apps.bc import BCApp
 from repro.apps.bfs import (
@@ -32,8 +25,6 @@ __all__ = [
     "AppRun", "combine_rounds",
     "SpMVApp", "SSSPApp", "PageRankApp", "BCApp",
     "BFSApp", "RecursiveBFSApp", "VisitForest", "unordered_bfs_visits",
-    "AsyncSSSPApp", "AsyncBFSApp", "AsyncTreeWalkApp",
-    "RequestLog", "async_relax_requests",
     "TreeDescendantsApp", "TreeHeightsApp",
     "SortApp", "SORT_VARIANTS", "merge_sort", "quicksort", "PartitionRecord",
 ]

@@ -14,9 +14,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.base import TemplateRun
+from repro.core.params import TemplateParams, check_params
+from repro.gpusim.config import DeviceConfig, check_device
 from repro.gpusim.profiler import ProfileMetrics
 
-__all__ = ["AppRun", "combine_rounds"]
+__all__ = ["AppRun", "checked_params", "combine_rounds"]
+
+
+def checked_params(config: DeviceConfig,
+                   params: TemplateParams | None) -> TemplateParams:
+    """An app run's params, after checking its ``config`` and ``params``
+    arguments; only None selects the defaults."""
+    check_device(config)
+    check_params(params)
+    return TemplateParams() if params is None else params
 
 
 @dataclass

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.base import AppRun, combine_rounds
+from repro.apps.base import AppRun, checked_params, combine_rounds
 from repro.core.params import TemplateParams
 from repro.core.registry import resolve
 from repro.core.workload import AccessStream, NestedLoopWorkload
@@ -24,7 +24,6 @@ from repro.cpu.costmodel import XEON_E5_2620, CPUConfig
 from repro.cpu.reference import bc_serial
 from repro.errors import GraphError, check_count
 from repro.gpusim.config import DeviceConfig, KEPLER_K20
-from repro.backends import backend_for
 from repro.graphs.csr import CSRGraph, concat_ranges
 
 __all__ = ["BCApp"]
@@ -113,21 +112,20 @@ class BCApp:
         cpu: CPUConfig = XEON_E5_2620,
     ) -> AppRun:
         """Both phases over all configured sources under one template."""
-        params = params or TemplateParams()
+        params = checked_params(config, params)
         tmpl = resolve(template, kind="nested-loop")
-        executor = backend_for(config)
         runs = []
         for source in self.sources.tolist():
             levels = list(self._source_levels(source))
             for frontier in levels:                     # forward BFS
                 runs.append(tmpl.run(
                     self._phase_workload(frontier, "forward"),
-                    config, params, executor,
+                    config, params,
                 ))
             for frontier in reversed(levels[1:]):       # dependency sweep
                 runs.append(tmpl.run(
                     self._phase_workload(frontier, "backward"),
-                    config, params, executor,
+                    config, params,
                 ))
         total_ms, metrics = combine_rounds(runs)
         serial = bc_serial(self.graph, self.sources)

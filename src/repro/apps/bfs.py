@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps.base import AppRun, combine_rounds
+from repro.apps.base import AppRun, checked_params, combine_rounds
 from repro.core.params import TemplateParams
 from repro.core.registry import resolve
 from repro.core.workload import AccessStream, NestedLoopWorkload
@@ -33,7 +33,7 @@ from repro.gpusim.costmodel import (
     effective_segment_cycles,
     resident_warps_estimate,
 )
-from repro.backends import backend_for
+from repro.gpusim.executor import GpuExecutor
 from repro.gpusim.kernels import KernelCosts, Launch, LaunchGraph, ProfileCounters
 from repro.gpusim.profiler import profile
 from repro.gpusim.warps import WarpExecStats
@@ -104,11 +104,10 @@ class BFSApp:
         cpu: CPUConfig = XEON_E5_2620,
     ) -> AppRun:
         """Level-synchronous BFS under a nested-loop template."""
-        params = params or TemplateParams()
+        params = checked_params(config, params)
         tmpl = resolve(template, kind="nested-loop")
-        executor = backend_for(config)
         runs = [
-            tmpl.run(self._level_workload(frontier), config, params, executor)
+            tmpl.run(self._level_workload(frontier), config, params)
             for frontier in self._level_frontiers()
         ]
         total_ms, metrics = combine_rounds(runs)
@@ -418,9 +417,9 @@ class RecursiveBFSApp:
         """
         if variant not in ("rec-naive", "rec-hier"):
             raise WorkloadError(f"unknown recursive BFS variant {variant!r}")
-        params = params or TemplateParams()
+        params = checked_params(config, params)
         graph = self._build_graph(config, params, variant == "rec-hier")
-        result = backend_for(config).submit(graph)
+        result = GpuExecutor(config).run(graph)
         metrics = profile(graph, result, config)
         serial = bfs_recursive_serial(self.graph, self.source)
         return AppRun(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.base import AppRun, combine_rounds
+from repro.apps.base import AppRun, checked_params, combine_rounds
 from repro.core.params import TemplateParams
 from repro.core.registry import resolve
 from repro.core.workload import AccessStream, NestedLoopWorkload
@@ -20,7 +20,6 @@ from repro.cpu.costmodel import XEON_E5_2620, CPUConfig
 from repro.cpu.reference import pagerank_serial
 from repro.errors import GraphError, check_count
 from repro.gpusim.config import DeviceConfig, KEPLER_K20
-from repro.backends import backend_for
 
 __all__ = ["PageRankApp"]
 
@@ -78,10 +77,9 @@ class PageRankApp:
         cpu: CPUConfig = XEON_E5_2620,
     ) -> AppRun:
         """Execute ``n_iters`` identical iterations under one template."""
-        params = params or TemplateParams()
+        params = checked_params(config, params)
         tmpl = resolve(template, kind="nested-loop")
-        executor = backend_for(config)
-        one = tmpl.run(self.workload(), config, params, executor)
+        one = tmpl.run(self.workload(), config, params)
         # iterations are identical and serialized on the default stream
         runs = [one] * self.n_iters
         total_ms, metrics = combine_rounds(runs)

@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.gpusim.config import DeviceConfig, KEPLER_K20
+from repro.gpusim.config import DeviceConfig, KEPLER_K20, check_device
 from repro.gpusim.dynpar import require_device_support
-from repro.backends import backend_for
+from repro.gpusim.executor import GpuExecutor
 from repro.gpusim.kernels import KernelCosts, Launch, LaunchGraph
 from repro.gpusim.profiler import ProfileMetrics, profile
 
@@ -268,6 +268,7 @@ class SortApp:
     # ------------------------------------------------------------------ run
     def run(self, variant: str, config: DeviceConfig = KEPLER_K20) -> SortRun:
         """Sort under one of the three Fig. 2 implementations."""
+        check_device(config)
         if variant not in SORT_VARIANTS:
             raise WorkloadError(
                 f"unknown sort variant {variant!r}; known: {SORT_VARIANTS}"
@@ -278,7 +279,7 @@ class SortApp:
             graph, result = self._quicksort_graph(
                 config, advanced=(variant == "quicksort-advanced")
             )
-        exec_result = backend_for(config).submit(graph)
+        exec_result = GpuExecutor(config).run(graph)
         metrics = profile(graph, exec_result, config)
         expected = np.sort(self.values)
         if not np.array_equal(result, expected):

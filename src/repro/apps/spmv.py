@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.base import AppRun
+from repro.apps.base import AppRun, checked_params
 from repro.core.params import TemplateParams
 from repro.core.registry import resolve
 from repro.core.workload import AccessStream, NestedLoopWorkload
@@ -99,7 +99,7 @@ class SpMVApp:
         cpu: CPUConfig = XEON_E5_2620,
     ) -> AppRun:
         """Execute SpMV under a template; returns timing + verified result."""
-        params = params or TemplateParams()
+        params = checked_params(config, params)
         tmpl_run = resolve(template, kind="nested-loop").run(self.workload(), config, params)
         if self._serial is None:
             self._serial = spmv_serial(self.graph, self.x)

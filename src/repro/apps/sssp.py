@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.base import AppRun, combine_rounds
+from repro.apps.base import AppRun, checked_params, combine_rounds
 from repro.core.params import TemplateParams
 from repro.core.registry import resolve
 from repro.core.workload import AccessStream, NestedLoopWorkload
@@ -20,7 +20,6 @@ from repro.cpu.costmodel import XEON_E5_2620, CPUConfig
 from repro.cpu.reference import _check_source, sssp_serial
 from repro.errors import GraphError, check_count
 from repro.gpusim.config import DeviceConfig, KEPLER_K20
-from repro.backends import backend_for
 from repro.graphs.csr import CSRGraph, concat_ranges
 
 __all__ = ["SSSPApp"]
@@ -134,13 +133,12 @@ class SSSPApp:
         cpu: CPUConfig = XEON_E5_2620,
     ) -> AppRun:
         """Execute all relaxation rounds under one template."""
-        params = params or TemplateParams()
+        params = checked_params(config, params)
         tmpl = resolve(template, kind="nested-loop")
-        executor = backend_for(config)
         runs = []
         for frontier, edge_idx, targets, improving, _ in self._rounds():
             wl = self.round_workload(frontier, edge_idx, targets, improving)
-            runs.append(tmpl.run(wl, config, params, executor))
+            runs.append(tmpl.run(wl, config, params))
         total_ms, metrics = combine_rounds(runs)
         serial = sssp_serial(self.graph, self.source, self.max_rounds)
         return AppRun(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.base import AppRun
+from repro.apps.base import AppRun, checked_params
 from repro.core.params import TemplateParams
 from repro.core.recursive import RecursiveTreeWorkload
 from repro.core.registry import resolve
@@ -52,8 +52,9 @@ class TreeDescendantsApp:
         cpu: CPUConfig = XEON_E5_2620,
     ) -> AppRun:
         """Execute under one recursive template."""
+        params = checked_params(config, params)
         tmpl_run = resolve(template, kind="tree").run(
-            self.workload(), config, params or TemplateParams()
+            self.workload(), config, params
         )
         return AppRun(
             app=self.name,

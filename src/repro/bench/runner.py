@@ -21,11 +21,6 @@ import time
 from pathlib import Path
 
 from repro import obs
-from repro.backends import (
-    resolve_backend,
-    set_default_backend,
-    set_default_devices,
-)
 from repro.bench.registry import (
     ExperimentConfig,
     all_experiments,
@@ -96,14 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "default) or exact (reference event-per-block)")
     parser.add_argument("--exact", action="store_true",
                         help="shorthand for --engine exact")
-    parser.add_argument("--devices", type=int, default=1, metavar="N",
-                        help="simulated devices per run: every template run "
-                             "shards its workload across N devices "
-                             "(default 1; see docs/architecture.md)")
-    parser.add_argument("--backend", default=None, metavar="NAME",
-                        help="execution model: sim (bulk-synchronous, the "
-                             "default) or queue (persistent task queues; "
-                             "see docs/taskqueue.md)")
     parser.add_argument("--cache-dir", type=Path, default=None, metavar="DIR",
                         help="persist workload analyses, plans and run "
                              "results under DIR so repeat runs share them "
@@ -134,9 +121,6 @@ def main(argv: list[str] | None = None) -> int:
         for exp in registry.values():
             print(f"  {exp.id:10s} {exp.paper_ref:16s} {exp.title}")
         return 0
-    if args.devices < 1:
-        print("--devices must be >= 1", file=sys.stderr)
-        return 2
 
     ids = list(registry) if "all" in requested else requested
     config = ExperimentConfig(
@@ -149,13 +133,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # same validation (and message) as repro.run and the service
         engine = resolve_engine("exact" if args.exact else args.engine) or "fast"
-        backend = resolve_backend(args.backend) or "sim"
     except ConfigError as exc:
         print(exc, file=sys.stderr)
-        return 2
-    if backend == "queue" and args.devices > 1:
-        print("--backend queue is single-device; drop --devices",
-              file=sys.stderr)
         return 2
     if args.cache_dir and args.no_disk_cache:
         print("--cache-dir and --no-disk-cache are mutually exclusive",
@@ -163,8 +142,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     set_default_engine(engine)
-    set_default_devices(args.devices)
-    set_default_backend(backend)
     if args.no_disk_cache:
         configure_artifact_cache(None)
     elif args.cache_dir:

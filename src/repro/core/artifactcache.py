@@ -8,10 +8,10 @@ kind          levels         value; key
 ``analysis``  memory, disk   Workload/TreeAnalysis; (family, workload fp)
 ``lineage``   disk           MutationDelta; child workload fingerprint
 ``select``    memory, disk   Selection; (workload fp, device fp, pass
-                             config, params, engine, backend)
+                             config, params, engine)
 ``plan``      memory, disk   built plan; plan key
 ``phase``     memory         one mapping move's replayable effect
-``run``       memory, disk   ExecutionResult; (plan key, engine, run tag)
+``run``       memory, disk   ExecutionResult; (plan key, engine)
 ============  =============  ============================================
 
 One probe path (:meth:`TieredCache.fetch`): memory, then disk, then

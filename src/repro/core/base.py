@@ -8,14 +8,18 @@ from dataclasses import dataclass, field, fields as dataclass_fields
 import numpy as np
 
 from repro import obs
-from repro.backends import coerce_backend, effective_backend, run_sharded
 from repro.core.analysis import WorkloadAnalysis, get_analysis
 from repro.core.artifactcache import tiered_cache
-from repro.core.params import TemplateParams
+from repro.core.params import TemplateParams, check_params
 from repro.core.workload import NestedLoopWorkload
 from repro.errors import PlanError
-from repro.gpusim.config import DeviceConfig
-from repro.gpusim.executor import ExecutionResult, get_default_engine
+from repro.gpusim.config import DeviceConfig, check_device
+from repro.gpusim.executor import (
+    ExecutionResult,
+    GpuExecutor,
+    get_default_engine,
+    resolve_engine,
+)
 from repro.gpusim.kernels import LaunchGraph
 from repro.gpusim.profiler import ProfileMetrics, profile
 
@@ -59,13 +63,10 @@ class TemplateRun:
     #: phase name -> outer iteration ids handled by that phase
     schedule: dict[str, np.ndarray] = field(default_factory=dict)
     params: TemplateParams | None = None
-    #: per-shard runs of a multi-device execution (None for single-device)
-    device_runs: list["TemplateRun"] | None = None
     #: the auto-select decision behind a ``template="auto"`` run
     #: (:class:`~repro.ir.select.Selection`; None for named-template runs)
     selection: object | None = None
     #: cache level that served the plan: "memory", "disk" or "build"
-    #: (None for a merged multi-device run, whose shards report their own)
     plan_level: str | None = None
 
     @property
@@ -104,7 +105,7 @@ class _PreparedRun:
 
     What :meth:`_TemplateBase._prepare` returns, so :func:`run_many` can
     resolve many plans first, execute every run-cache miss as **one**
-    fused backend pass, and only then finalize.
+    fused executor pass, and only then finalize.
     """
 
     template: "_TemplateBase"
@@ -156,10 +157,6 @@ class _TemplateBase:
     name: str = "abstract"
     #: whether the template needs CC >= 3.5 nested launches
     uses_dynamic_parallelism: bool = False
-    #: whether the plan is legal under persistent-queue execution; False
-    #: for templates whose correctness depends on launch-wide barrier
-    #: semantics (see repro.backends.effective_backend)
-    queue_compatible: bool = True
     #: :class:`TemplateParams` fields this template's build() reads; the
     #: plan cache keys only on these (None = key on every field)
     PLAN_RELEVANT_PARAMS: tuple[str, ...] | None = None
@@ -178,24 +175,22 @@ class _TemplateBase:
         workload,
         config: DeviceConfig,
         params: TemplateParams | None = None,
-        backend=None,
+        *,
+        engine: str | None = None,
     ) -> TemplateRun:
         """Build, validate, execute and profile in one call.
 
-        Execution goes through a :class:`~repro.backends.Backend` —
-        ``backend``, or the process's default device topology.  A
-        multi-device backend shards the workload and merges the
-        per-device runs (see :func:`repro.backends.run_sharded`).  This is
-        the one-item case of :func:`run_many`.
+        ``engine`` names the executor engine (None: the process
+        default).  This is the one-item case of :func:`run_many`.
 
         Plans and execution results come from the tiered cache (the
         simulator is deterministic); cached graphs are shared, so treat
         them as read-only.
         """
-        return run_many([(self, workload, params)], config, backend=backend)[0]
+        return run_many([(self, workload, params)], config, engine=engine)[0]
 
     def _prepare(self, workload, config: DeviceConfig, params: TemplateParams,
-                 backend) -> _PreparedRun:
+                 engine: str) -> _PreparedRun:
         """Resolve the plan and probe the run cache (skipped under
         tracing, which needs a live run); execution stays pending.
         The returned :class:`_PreparedRun` carries ``result`` on a run
@@ -217,8 +212,7 @@ class _TemplateBase:
         run_key = None
         result = None
         if not obs.enabled():
-            run_key = (key, backend.engine or get_default_engine(),
-                       backend.run_cache_tag)
+            run_key = (key, engine)
             result = cache.get("run", run_key)
         return _PreparedRun(
             template=self,
@@ -296,43 +290,37 @@ def run_many(
     items,
     config: DeviceConfig,
     *,
-    backend=None,
+    engine: str | None = None,
 ) -> list[TemplateRun]:
-    """Execute several template runs, fusing executor passes where legal.
+    """Execute several template runs as one fused executor pass.
 
     ``items`` is a sequence of ``(template, workload)`` or ``(template,
     workload, params)`` tuples sharing one device config; a template's
-    :meth:`~_TemplateBase.run` is the one-item call.  Every item goes
-    through the caching of :meth:`~_TemplateBase._prepare`; the
-    run-cache *misses* that land on the same single-device backend are
-    then executed as **one** fused event-loop pass via
-    :meth:`~repro.backends.Backend.submit_many`, each distinct run key
-    once: items repeating a key share its result.  Results are
-    bit-identical to running each item alone (fused lanes share only the
-    event heap, never state) and come back in input order.
-
-    Items on a multi-device backend are sharded and merged by
-    :func:`~repro.backends.run_sharded` instead (on the group's first
-    member when the workload cannot shard).
+    :meth:`~_TemplateBase.run` is the one-item call, and params of None
+    mean ``TemplateParams()``.  Every item goes through the caching of
+    :meth:`~_TemplateBase._prepare`; the run-cache *misses* then execute
+    as **one** :meth:`GpuExecutor.run_many
+    <repro.gpusim.executor.GpuExecutor.run_many>` pass on ``engine``
+    (None: the process default), each distinct run key once: items
+    repeating a key share its result.  Results are bit-identical to
+    running each item alone (fused lanes share only the event heap,
+    never state) and come back in input order.
     """
-    base = coerce_backend(backend, config)
+    check_device(config)
+    engine = resolve_engine(engine) or get_default_engine()
     runs: list[TemplateRun | None] = [None] * len(items)
-    pending: list[tuple[int, object, _PreparedRun]] = []
+    pending: list[tuple[int, _PreparedRun]] = []
     #: run key -> the pending item that executes it; later items with the
     #: key are ``repeats`` and take its result
     executes: dict[tuple, _PreparedRun] = {}
     repeats: list[tuple[int, _PreparedRun, _PreparedRun]] = []
     for idx, item in enumerate(items):
         template, workload = item[0], item[1]
-        params = (item[2] if len(item) > 2 else None) or TemplateParams()
-        eff = effective_backend(base, template)
-        if eff.n_devices > 1:
-            merged = run_sharded(template, workload, eff, config, params)
-            if merged is not None:
-                runs[idx] = merged
-                continue
-            eff = eff.members[0]
-        prep = template._prepare(workload, config, params, eff)
+        params = item[2] if len(item) > 2 else None
+        check_params(params)
+        if params is None:
+            params = TemplateParams()
+        prep = template._prepare(workload, config, params, engine)
         if prep.result is not None:
             runs[idx] = prep.finish()
         elif prep.run_key in executes:
@@ -340,15 +328,11 @@ def run_many(
         else:
             if prep.run_key is not None:
                 executes[prep.run_key] = prep
-            pending.append((idx, eff, prep))
-    # one fused pass per distinct backend object (queue->sim fallbacks may
-    # materialize per item; identity grouping keeps each pass coherent)
-    groups: dict[int, tuple[object, list[tuple[int, _PreparedRun]]]] = {}
-    for idx, eff, prep in pending:
-        groups.setdefault(id(eff), (eff, []))[1].append((idx, prep))
-    for eff, members in groups.values():
-        results = eff.submit_many([prep.graph for _, prep in members])
-        for (idx, prep), result in zip(members, results):
+            pending.append((idx, prep))
+    if pending:
+        results = GpuExecutor(config, engine=engine).run_many(
+            [prep.graph for _, prep in pending])
+        for (idx, prep), result in zip(pending, results):
             prep.record(result)
             runs[idx] = prep.finish()
     for idx, prep, source in repeats:

@@ -121,11 +121,6 @@ class DelayedBufferSharedTemplate(NestedLoopTemplate):
     #: the in-block phase reuses the thread-mapped blocks: no lb_block
     PLAN_RELEVANT_PARAMS = ("lb_threshold", "thread_block",
                             "registers_per_thread", "max_grid_blocks")
-    #: the in-kernel two-phase handoff (fill shared buffer, then drain it
-    #: block-wide) assumes every thread of the bulk launch reaches the
-    #: phase boundary together — persistent workers pulling tasks give no
-    #: such launch-wide barrier, so queue backends fall back to BSP
-    queue_compatible = False
 
     def specialize(self, workload: NestedLoopWorkload, analysis,
                    config: DeviceConfig, params: TemplateParams):

@@ -359,8 +359,8 @@ class LaunchGraph:
     def launches(self) -> tuple[Launch, ...]:
         """Every row as a :class:`Launch` record, built on each access.
 
-        For tests and other cold readers; the executor, the profiler and
-        the backends read the columns.
+        For tests and other cold readers; the executor and the profiler
+        read the columns.
         """
         records = []
         for i, cid in enumerate(self.class_ids):

@@ -4,7 +4,6 @@ from repro.graphs.csr import CSRGraph, expand_rows, inner_steps
 from repro.graphs.generators import (
     citeseer_like,
     degree_sequence_graph,
-    grid_graph,
     lognormal_degrees,
     power_law_degrees,
     rmat_graph,
@@ -24,7 +23,7 @@ from repro.graphs.properties import DegreeStats, degree_stats, fraction_above_th
 __all__ = [
     "CSRGraph", "expand_rows", "inner_steps",
     "power_law_degrees", "lognormal_degrees", "degree_sequence_graph", "citeseer_like",
-    "wiki_vote_like", "uniform_random_graph", "rmat_graph", "grid_graph",
+    "wiki_vote_like", "uniform_random_graph", "rmat_graph",
     "read_dimacs", "write_dimacs", "read_edge_list", "write_edge_list",
     "read_matrix_market", "write_matrix_market",
     "DegreeStats", "degree_stats", "fraction_above_threshold",

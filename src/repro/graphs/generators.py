@@ -30,7 +30,6 @@ __all__ = [
     "wiki_vote_like",
     "uniform_random_graph",
     "rmat_graph",
-    "grid_graph",
 ]
 
 
@@ -283,41 +282,4 @@ def rmat_graph(
     dst[loops] = (dst[loops] + 1) % n
     return CSRGraph.from_edges(
         n, src, dst, name=name or f"rmat-{scale}-{edge_factor}"
-    )
-
-
-def grid_graph(
-    side: int,
-    seed: int = 0,
-    weighted: bool = True,
-    name: str | None = None,
-) -> CSRGraph:
-    """A ``side x side`` 4-neighbor grid: the high-diameter stress input.
-
-    Road-network-like graphs are the opposite extreme from the paper's
-    power-law datasets: degree is uniform (no load imbalance) but the
-    diameter is ``2*(side-1)``, so level-synchronous traversal needs one
-    kernel launch per level — thousands of barrier/launch round-trips for
-    frontiers of a few hundred nodes.  This is exactly the regime where
-    the persistent-queue backend's single launch wins
-    (``tests/test_queue_equivalence.py::TestQueueVsBSP``).  Edges are
-    bidirectional; ``weighted`` draws uniform weights in ``[1, 4)``.
-    """
-    if side < 2:
-        raise DatasetError("side must be >= 2")
-    n = side * side
-    node = np.arange(n, dtype=np.int64)
-    right = node[node % side != side - 1]
-    down = node[node < n - side]
-    src = np.concatenate([right, right + 1, down, down + side])
-    dst = np.concatenate([right + 1, right, down + side, down])
-    weights = None
-    if weighted:
-        rng = np.random.default_rng(seed)
-        # symmetric weights: both directions of an undirected edge match
-        w_right = rng.uniform(1.0, 4.0, size=right.size)
-        w_down = rng.uniform(1.0, 4.0, size=down.size)
-        weights = np.concatenate([w_right, w_right, w_down, w_down])
-    return CSRGraph.from_edges(
-        n, src, dst, weights, name=name or f"grid-{side}x{side}"
     )

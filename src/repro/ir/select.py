@@ -29,7 +29,7 @@ template runs, not N rebuilds.
 Selections are the ``select`` kind of the tiered cache (memory, then
 disk; :mod:`repro.core.artifactcache`) under a repr-stable key
 ``(workload fingerprint, device fingerprint, pass-config key, params,
-engine, backend)``, so the decision is stable across processes and
+engine)``, so the decision is stable across processes and
 sessions (fingerprint-stability is what lets ``template="auto"`` share
 the plan cache with the equivalent named run).
 """
@@ -39,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields as dataclass_fields
 
 from repro import obs
-from repro.backends import SimBackend
 from repro.core.analysis import get_analysis
 from repro.core.artifactcache import tiered_cache
 from repro.core.autotune import best_run
@@ -91,16 +90,12 @@ class Selection:
     raced: tuple[tuple[str, int], ...]
     #: content digest of the final IR (what the decision was made from)
     fingerprint: str
-    #: execution model the selection chose (``"sim"`` or ``"queue"``);
-    #: capability reasoning appears in ``reasons``
-    backend: str = "sim"
 
     def to_dict(self) -> dict:
         """JSON-friendly form (the ``repro.explain`` payload)."""
         return {
             "template": self.template,
             "kind": self.kind,
-            "backend": self.backend,
             "params": {
                 f.name: getattr(self.params, f.name)
                 for f in dataclass_fields(self.params)
@@ -182,7 +177,6 @@ def _race(workload, kind, candidates, thresholds, device, params, engine):
     device (through the plan/run caches) and
     :func:`~repro.core.autotune.best_run` breaks ties deterministically.
     """
-    backend = SimBackend(device, engine=engine) if engine is not None else None
     dynpar_ok = supports_dynamic_parallelism(device)
     runs = []
     raced: list[tuple[str, int]] = []
@@ -193,7 +187,7 @@ def _race(workload, kind, candidates, thresholds, device, params, engine):
         lbts = thresholds if kind == "nested-loop" else (params.lb_threshold,)
         for lbt in lbts:
             p = params.replace(lb_threshold=int(lbt))
-            runs.append(template.run(workload, device, p, backend=backend))
+            runs.append(template.run(workload, device, p, engine=engine))
             raced.append((name, int(lbt)))
     if not runs:
         raise IRError(
@@ -210,19 +204,12 @@ def auto_select(
     params: TemplateParams | None = None,
     engine: str | None = None,
     cfg: PassConfig | None = None,
-    backend: str = "sim",
 ) -> Selection:
     """Choose the template (and params) for a workload via the IR pipeline.
 
     Deterministic and cached: the same ``(workload fingerprint, device,
-    pass config, params, engine, backend)`` always yields the same
+    pass config, params, engine)`` always yields the same
     :class:`Selection`, served from the tiered cache when seen before.
-    ``backend="queue"`` makes the lowering capability-aware:
-    queue-incompatible candidates are dropped (with the reasons
-    recorded), and the selection's ``backend`` field reports whether the
-    pick can actually run on the queue or must fall back to BSP.  The
-    cost race always runs on the BSP simulator, so queue and sim
-    selections share the plan/run caches.
     """
     params = params or TemplateParams()
     kind = ir_kind_of(workload)
@@ -237,14 +224,12 @@ def auto_select(
         cfg.key(),
         _params_key(params),
         engine or get_default_engine(),
-        backend,
     )
 
     def build():
         with obs.span("ir.select", kind=kind,
                       workload=getattr(workload, "name", "?")):
-            return _select(workload, kind, device, params, engine, cfg,
-                           backend)
+            return _select(workload, kind, device, params, engine, cfg)
 
     selection, level = tiered_cache().fetch("select", key, build)
     if level == "memory" and obs.enabled():
@@ -253,22 +238,7 @@ def auto_select(
     return selection
 
 
-def _queue_filter(candidates: list[str], kind: str) -> tuple[list[str], list[str]]:
-    """Drop queue-incompatible candidates; return (kept, reasons)."""
-    kept, reasons = [], []
-    for name in candidates:
-        if getattr(resolve(name, kind=kind), "queue_compatible", True):
-            kept.append(name)
-        else:
-            reasons.append(
-                f"dropped {name}: not queue-compatible (needs launch-wide "
-                "barrier semantics the persistent workers cannot provide)"
-            )
-    return kept, reasons
-
-
-def _select(workload, kind, device, params, engine, cfg,
-            backend: str = "sim") -> Selection:
+def _select(workload, kind, device, params, engine, cfg) -> Selection:
     ir = from_workload(workload)
     ctx = PassContext(
         split_counts=get_analysis(workload).split_counts
@@ -281,18 +251,6 @@ def _select(workload, kind, device, params, engine, cfg,
     else:
         candidates, reason = _tree_candidates(subject)
     reasons = [reason]
-    chosen_backend = backend
-    if backend == "queue":
-        kept, drop_reasons = _queue_filter(candidates, kind)
-        reasons.extend(drop_reasons)
-        if kept:
-            candidates = kept
-        else:
-            chosen_backend = "sim"
-            reasons.append(
-                "requested queue backend but no candidate is "
-                "queue-compatible; falling back to BSP execution"
-            )
     if len(candidates) == 1:
         chosen, derived, raced = candidates[0], params, ()
         reasons.append(f"unambiguous lowering: {chosen}")
@@ -321,7 +279,6 @@ def _select(workload, kind, device, params, engine, cfg,
         reasons=tuple(reasons),
         raced=raced,
         fingerprint=result.ir.fingerprint(),
-        backend=chosen_backend,
     )
 
 

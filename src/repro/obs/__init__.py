@@ -49,10 +49,6 @@ Instrumented span names (the stable catalogue):
 ``service.request``   one request, admission to response
 ``service.reject``    instant: admission rejection
 ``bench.unit``        one experiment run by the bench runner
-``device.run``        one shard's template run on one device of a
-                      multi-device group (tagged ``device=<i>``)
-``queue.execute``     one persistent-queue execution (tagged with the
-                      task count; see ``docs/taskqueue.md``)
 ====================  ====================================================
 
 Per-kernel simulated-device events (named after their launches) land on
@@ -69,17 +65,6 @@ Each traced executor pass adds ``executor.fused_graphs``,
 per kind: ``host_ready``, ``gmu_done``, ``sm_check``, ``linger_done``,
 ``tail_done``) and ``executor.stale_checks`` (``sm_check`` events that
 found their SM changed).
-Multi-device runs add per-device counters
-under ``device.<i>.*``: ``launches`` / ``busy_cycles`` on every graph a
-device executes, plus per-shard work totals — ``outer`` / ``pairs`` for
-nested-loop shards, ``nodes`` for tree shards — which sum exactly to the
-single-device workload totals (the multi-device equivalence invariant).
-Queue-backend runs add ``queue.tasks`` / ``queue.cancelled`` (task graph
-composition), ``queue.steals`` / ``queue.polls`` (scheduler activity),
-``queue.depth`` (max queue depth), ``queue.termination_wait`` /
-``queue.worker_busy_cycles`` (cycles idle workers spent waiting for the
-quiescence check vs total busy cycles) and ``queue.fallbacks`` (batches
-routed back to BSP because the template is not queue-compatible).
 """
 
 from __future__ import annotations

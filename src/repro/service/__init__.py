@@ -8,11 +8,9 @@ long-lived runtime with the shape of an inference-serving stack:
   structured rejections), a work-conserving batch loop that dispatches
   whatever is queued at once, a micro-batcher that coalesces requests
   sharing a plan-cache identity into one execution, one fused executor
-  pass per fusion group of a scheduling window (each on a one-device
-  backend of its own), per-request timeouts, bounded retry with
-  backoff, and graceful degradation of dynamic-parallelism templates to
-  their non-nested fallbacks.
-  Multi-device execution is ``repro.run(workload, devices=N)``.
+  pass per fusion group of a scheduling window, per-request timeouts,
+  bounded retry with backoff, and graceful degradation of
+  dynamic-parallelism templates to their non-nested fallbacks.
 * :class:`ServiceHandle` / :func:`serve` — synchronous facade running
   the event loop on a background thread (also exported as
   ``repro.serve``).

@@ -2,7 +2,7 @@
 
 One collection window — the head of the service queue plus whatever
 was already queued behind it — is grouped by :meth:`Request.batch_key`
-(workload fingerprint, template, engine, device, params, backend), and
+(workload fingerprint, template, engine, device, params), and
 each group becomes one :class:`Batch`: **one** plan build and **one** run
 whose result answers every member.
 """
@@ -50,7 +50,6 @@ class MicroBatcher:
                     device=request.device,
                     params=request.params,
                     engine=request.engine,
-                    backend=request.backend,
                 )
                 batch = batches[key] = Batch(spec=spec)
             batch.requests.append(request)

@@ -69,9 +69,6 @@ class ServiceStats:
         # batching
         self.batches = 0
         self.coalesced_requests = 0  # requests beyond the first in a batch
-        #: batches routed back to the BSP simulator because the queue
-        #: backend cannot run their template (capability fallback)
-        self.queue_fallbacks = 0
         #: batches answered by a fusion group of >= 2 batches (one
         #: ``run_many`` pass) instead of a group of their own
         self.fused_batches = 0
@@ -121,11 +118,6 @@ class ServiceStats:
     def record_degraded(self) -> None:
         with self._lock:
             self.degraded += 1
-
-    def record_queue_fallback(self) -> None:
-        """A batch the queue backend handed back to the BSP simulator."""
-        with self._lock:
-            self.queue_fallbacks += 1
 
     def record_fused(self, batches: int) -> None:
         """One fusion-group pass covering ``batches`` (>= 2) batches."""
@@ -203,7 +195,6 @@ class ServiceStats:
                 "batching": {
                     "batches": self.batches,
                     "coalesced_requests": self.coalesced_requests,
-                    "queue_fallbacks": self.queue_fallbacks,
                     "fused_batches": self.fused_batches,
                     "fused_passes": self.fused_passes,
                     "mean_batch": (

@@ -10,9 +10,9 @@ queries fail in the caller's context instead of inside the batch loop.
 The **batch key** — what the micro-batcher groups on — is what the
 computation is and nothing else: the content-addressed identity the plan
 cache uses (workload fingerprint, canonical template name, engine,
-device, and the frozen, hashable template parameters) plus the backend
-kind.  Two structurally identical workloads submitted as different
-objects coalesce into one batch.
+device, and the frozen, hashable template parameters).  Two structurally
+identical workloads submitted as different objects coalesce into one
+batch.
 """
 
 from __future__ import annotations
@@ -54,20 +54,14 @@ class Request:
     #: ``time.perf_counter()`` at admission (for the tracing layer's
     #: ``service.request`` lifecycle spans; 0.0 = never admitted)
     created_perf: float = 0.0
-    #: execution model the batch should run on (``"sim"`` | ``"queue"``;
-    #: stamped from ``ServiceConfig.backend`` at submit)
-    backend: str = "sim"
 
     def __post_init__(self) -> None:
-        from repro.backends import resolve_backend
-
         self.kind = workload_kind(self.workload)
         # before selection and the batch key: never fail in the batch loop
         check_template(self.template)
         check_params(self.params)
         check_device(self.device)
         resolve_engine(self.engine, error=ConfigError)
-        resolve_backend(self.backend, error=ConfigError)
         self.selection = None
         if is_auto(self.template):
             # resolve the auto choice at admission: the batch then carries
@@ -75,7 +69,6 @@ class Request:
             # requests, and the degradation path sees real capabilities
             self.selection = auto_select(
                 self.workload, self.device, self.params, self.engine,
-                backend=self.backend,
             )
             self.template = self.selection.template
             self.params = self.selection.params
@@ -95,7 +88,6 @@ class Request:
             self.engine,
             self.device,
             self.params,
-            self.backend,
         )
 
 

@@ -13,10 +13,9 @@ long-lived server.  The life of a request:
    which coalesces requests sharing a batch key into one batch.  It never
    waits for co-travellers: the loop is work-conserving.
 3. **Execution** — the window's batches split into fusion groups, one
-   per (backend kind, device config, engine); each group runs
-   as one :func:`~repro.service.workers.execute_batch_fused` call, on a
-   one-device backend of its own and a worker thread, under a
-   per-request timeout.  A lone batch is a one-member group and gets
+   per (device config, engine); each group runs as one
+   :func:`~repro.service.workers.execute_batch_fused` call, on a worker
+   thread, under a per-request timeout.  A lone batch is a one-member group and gets
    bounded exponential-backoff retries; a failed group of several
    batches splits into one-batch groups.
 4. **Degradation** — when every attempt of a one-batch group failed and
@@ -25,9 +24,7 @@ long-lived server.  The life of a request:
    responses carry ``degraded=True``; otherwise the responses are
    ``failed`` with the last error as the reason.
 
-Everything observable lands in ``stats()``.  The service simulates one
-device per group; sharding one workload across several simulated devices
-is ``repro.run(workload, devices=N)``.
+Everything observable lands in ``stats()``.
 """
 
 from __future__ import annotations
@@ -82,11 +79,6 @@ class ServiceConfig:
     degrade: bool = True
     #: default executor engine for requests that don't specify one
     engine: str = "fast"
-    #: execution model every batch runs on: ``"sim"`` (bulk-synchronous,
-    #: the default) or ``"queue"`` (persistent task queues — single
-    #: device; queue-incompatible templates are routed back to sim and
-    #: counted, see docs/taskqueue.md)
-    backend: str = "sim"
     #: default simulated device
     device: DeviceConfig = field(default_factory=lambda: KEPLER_K20)
     #: disk artifact cache: None inherits the process default
@@ -115,9 +107,6 @@ class ServiceConfig:
                                error=ServiceError)
                 setattr(self, name, float(value))
         resolve_engine(self.engine, error=ServiceError)
-        from repro.backends import resolve_backend
-
-        resolve_backend(self.backend, error=ServiceError)
         # a truthy string such as "no" must not switch degradation on
         if not isinstance(self.degrade, bool):
             raise ServiceError(
@@ -336,7 +325,6 @@ class TemplateService:
             device=self.config.device if device is None else device,
             params=TemplateParams() if params is None else params,
             engine=self.config.engine if engine is None else engine,
-            backend=self.config.backend,
         )
         if not self._running:
             raise ServiceError("service is not running (call start())")
@@ -387,7 +375,7 @@ class TemplateService:
                     batches = self.batcher.group(pending)
                 groups = self._fusion_groups(batches)
                 for batch in batches:
-                    self._admit(batch)
+                    self.stats.record_batch(batch.size)
             except Exception as exc:  # noqa: BLE001 - lifecycle boundary
                 error = f"{type(exc).__name__}: {exc}"
                 obs.instant("service.dispatch_error", error=error)
@@ -405,15 +393,15 @@ class TemplateService:
     def _fusion_groups(batches: list[Batch]) -> list[list[Batch]]:
         """Split a window's batches into fusion groups.
 
-        A group is every batch of the window sharing a backend kind,
-        device and engine; it runs as one ``run_fn`` call, whose results
+        A group is every batch of the window sharing a device and an
+        engine; it runs as one ``run_fn`` call, whose results
         are bit-identical to running each batch alone.  A lone batch is a
         one-member group.  Groups keep first-arrival order.
         """
         groups: dict[tuple, list[Batch]] = {}
         for batch in batches:
             spec = batch.spec
-            key = (spec.backend, spec.device.fingerprint(), spec.engine)
+            key = (spec.device.fingerprint(), spec.engine)
             groups.setdefault(key, []).append(batch)
         return list(groups.values())
 
@@ -443,20 +431,6 @@ class TemplateService:
                     batch, "failed",
                     reason=f"dispatch error: {type(exc).__name__}: {exc}",
                 )
-
-    def _admit(self, batch: Batch) -> None:
-        """Count one batch, and its queue fallback, once per window."""
-        self.stats.record_batch(batch.size)
-        template_obj = batch.requests[0].template_obj
-        if batch.spec.backend == "queue" and not getattr(
-            template_obj, "queue_compatible", True
-        ):
-            # the queue cannot honour this template's launch-wide barrier
-            # semantics; run_many routes the batch to the BSP simulator
-            # (counted here, never silent)
-            self.stats.record_queue_fallback()
-            obs.instant("service.queue_fallback",
-                        template=str(getattr(template_obj, "name", "")))
 
     async def _run_group(self, batches: list[Batch]) -> None:
         """Execute one fusion group and answer its members.
@@ -623,7 +597,6 @@ class TemplateService:
             "max_pending": self.config.max_pending,
             "max_batch": self.config.max_batch,
             "engine": self.config.engine,
-            "backend": self.config.backend,
             "drain_timeout_s": self.config.drain_timeout_s,
         }
         return snap

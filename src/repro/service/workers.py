@@ -2,9 +2,8 @@
 
 :func:`execute_batch_fused` runs the :class:`BatchSpec` of every batch in
 one fusion group through :func:`repro.core.base.run_many` — the same
-plan/disk cache ladder and fused executor pass ``repro.run`` uses — on
-a fresh one-device backend of the kind the group shares.  The service
-calls it on a worker thread of its event loop; a lone batch is a
+plan/disk cache ladder and fused executor pass ``repro.run`` uses.  The
+service calls it on a worker thread of its event loop; a lone batch is a
 one-spec group.
 """
 
@@ -12,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.backends import SimBackend
 from repro.core.base import TemplateRun, run_many
 from repro.core.params import TemplateParams
 from repro.gpusim.config import DeviceConfig, KEPLER_K20
@@ -31,29 +29,18 @@ class BatchSpec:
     device: DeviceConfig = KEPLER_K20
     params: TemplateParams = field(default_factory=TemplateParams)
     engine: str = "fast"
-    #: execution model: "sim" (bulk-synchronous) or "queue" (persistent
-    #: task queues, single-device; see docs/taskqueue.md)
-    backend: str = "sim"
 
 
 def execute_batch_fused(specs: list[BatchSpec]) -> list[TemplateRun]:
     """Run every spec of one fusion group; runs align with ``specs``.
 
-    All specs share a device config, engine and backend kind (the
-    service's fusion grouping guarantees this).  They run as one
+    All specs share a device config and engine (the service's fusion
+    grouping guarantees this).  They run as one
     :func:`~repro.core.base.run_many` call, so the run-cache misses
-    execute as one fused pass per backend (a queue-incompatible template
-    falls back to its own sim backend) — bit-identical to running each
-    spec alone.
+    execute as one fused pass — bit-identical to running each spec alone.
     """
     if not specs:
         return []
     first = specs[0]
-    if first.backend == "queue":
-        from repro.queue.backend import QueueBackend
-
-        backend = QueueBackend(first.device, engine=first.engine)
-    else:
-        backend = SimBackend(first.device, engine=first.engine)
     items = [(spec.template, spec.workload, spec.params) for spec in specs]
-    return run_many(items, first.device, backend=backend)
+    return run_many(items, first.device, engine=first.engine)

@@ -6,12 +6,18 @@ silently:
 
 * ``get_template`` and the ``exact=`` kwarg;
 * the template-first argument order of ``repro.run``/``repro.compare``;
-* the ``executor=`` argument of template runs (``backend`` replaces it);
+* the ``executor=`` argument of template runs (``engine=`` names the
+  executor engine);
 * ``repro.gpusim.execute_fused`` (``GpuExecutor.run_many`` replaces it);
 * the service's ``fuse_batches`` knob (windows always fuse);
-* the device group's work-stealing mode (``steal_chunks``) and the
-  ``record_timeline`` switch of ``DeviceGroup``, ``SimBackend`` and
-  ``backend_for``;
+* the second execution model and the multi-device mode, with the seam
+  they shared: the packages ``repro.backends`` and ``repro.queue``,
+  ``repro.core.sharding``, the asynchronous queue apps and
+  ``grid_graph``; the ``devices=`` and ``backend=`` arguments of
+  ``repro.run``, ``repro.compare``, ``repro.explain``, ``repro.serve`` and
+  template runs; the bench runner's ``--devices`` and ``--backend``
+  (templates run on the simulator directly, through
+  ``GpuExecutor.run_many``);
 * the ``ServiceConfig`` fields ``default_template``, ``default_priority``
   and ``default_deadline_s`` (pass the ``submit`` argument),
   ``batch_window_s`` (the batch loop dispatches whatever is queued at
@@ -19,9 +25,8 @@ silently:
   and the service's device group and its autoscaler: ``devices``,
   ``autoscale``, ``max_devices``, ``min_devices``,
   ``scale_check_interval_s``, ``scale_up_pending_per_device``,
-  ``scale_up_p99_ms`` and ``scale_cooldown_s`` (every fusion group runs on
-  a one-device backend of its own; ``repro.run(devices=N)`` shards work
-  across devices);
+  ``scale_up_p99_ms`` and ``scale_cooldown_s`` (every fusion group runs
+  on one simulated device);
 * the service's SLO layer: the ``ServiceConfig`` fields
   ``max_pending_per_class``, ``tenant_quota``, ``tenant_quotas``,
   ``shed_deadlines`` and ``degrade_pending_threshold``, the ``priority``,
@@ -48,7 +53,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.backends import DeviceGroup, SimBackend, backend_for
+from repro.bench import runner
 from repro.bench.registry import get_experiment
 from repro.core.registry import resolve
 from repro.core.workload import NestedLoopWorkload
@@ -126,26 +131,62 @@ class TestFuseBatchesRemoved:
             repro.serve(fuse_batches=False)
 
 
-class TestBackendOptionsRemoved:
-    def test_device_group_rejects_steal_chunks(self):
-        with pytest.raises(TypeError):
-            DeviceGroup(n_devices=2, steal_chunks=4)
+class TestBackendsRemoved:
+    @pytest.mark.parametrize("module", [
+        "repro.backends", "repro.queue", "repro.core.sharding",
+        "repro.apps.asyncq",
+    ])
+    def test_module_import_fails(self, module):
+        with pytest.raises(ImportError):
+            importlib.import_module(module)
 
-    def test_backend_for_rejects_steal_chunks(self):
+    @pytest.mark.parametrize("kwargs", [
+        {"devices": 1}, {"devices": 2}, {"backend": "sim"},
+        {"backend": "queue"},
+    ], ids=["devices-1", "devices-2", "backend-sim", "backend-queue"])
+    def test_run_and_compare_reject_removed_keyword(self, workload, kwargs):
         with pytest.raises(TypeError):
-            backend_for(devices=2, steal_chunks=4)
+            repro.run(workload, "dbuf-global", **kwargs)
+        with pytest.raises(TypeError):
+            repro.compare(workload, ["dual-queue"], **kwargs)
 
-    def test_backend_for_rejects_record_timeline(self):
+    def test_explain_rejects_backend(self, workload):
         with pytest.raises(TypeError):
-            backend_for(devices=2, record_timeline=True)
+            repro.explain(workload, backend="sim")
 
-    def test_device_group_rejects_record_timeline(self):
+    def test_serve_rejects_backend(self):
         with pytest.raises(TypeError):
-            DeviceGroup(n_devices=2, record_timeline=True)
+            repro.serve(backend="sim")
 
-    def test_sim_backend_rejects_record_timeline(self):
+    def test_template_run_rejects_backend(self, workload):
+        template = resolve("dbuf-global")
         with pytest.raises(TypeError):
-            SimBackend(KEPLER_K20, record_timeline=True)
+            template.run(workload, KEPLER_K20, None, backend=None)
+        # the engine is keyword-only: a fourth positional argument is a
+        # TypeError, never an engine
+        with pytest.raises(TypeError):
+            template.run(workload, KEPLER_K20, None, "exact")
+
+    @pytest.mark.parametrize("flag", [["--devices", "2"],
+                                      ["--backend", "queue"]],
+                             ids=["devices", "backend"])
+    def test_bench_flag_exits_2(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            runner.main(["fig4", "--scale", "0.01", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_async_apps_and_grid_graph_gone(self):
+        import repro.apps
+        import repro.graphs
+        import repro.graphs.generators
+
+        for name in ("AsyncSSSPApp", "AsyncBFSApp", "AsyncTreeWalkApp"):
+            assert not hasattr(repro.apps, name), name
+            assert name not in repro.apps.__all__
+        assert not hasattr(repro.graphs, "grid_graph")
+        assert not hasattr(repro.graphs.generators, "grid_graph")
+        assert "grid_graph" not in repro.graphs.__all__
 
 
 class TestServiceDefaultsRemoved:

@@ -12,7 +12,6 @@ ones).
 import numpy as np
 import pytest
 
-from repro.backends import SimBackend
 from repro.core import (
     AccessStream,
     NestedLoopWorkload,
@@ -82,10 +81,8 @@ def tree_workloads():
 
 
 def _run_both(template, workload, params=None):
-    exact = template.run(workload, KEPLER_K20, params,
-                         SimBackend(KEPLER_K20, engine="exact"))
-    fast = template.run(workload, KEPLER_K20, params,
-                        SimBackend(KEPLER_K20, engine="fast"))
+    exact = template.run(workload, KEPLER_K20, params, engine="exact")
+    fast = template.run(workload, KEPLER_K20, params, engine="fast")
     return exact, fast
 
 

@@ -201,7 +201,7 @@ class RecordingRun:
 
 
 class TestFusionGroups:
-    """A window's batches run as one group per (backend, device, engine);
+    """A window's batches run as one group per (device, engine);
     every answer equals ``repro.run``."""
 
     @staticmethod
@@ -225,22 +225,6 @@ class TestFusionGroups:
             assert response.ok and response.template == name
             assert response.time_ms == expected.time_ms
             assert response.metrics == expected.metrics.as_dict()
-        assert stats["batching"]["fused_passes"] == 1
-
-    def test_queue_backend_window_fuses(self, workload):
-        record = RecordingRun()
-        names = ("dbuf-shared", "dual-queue")
-        responses, stats = self._window(
-            workload, names, ServiceConfig(backend="queue"), run_fn=record,
-        )
-        assert record.calls == [list(names)]
-        for name, response in zip(names, responses):
-            expected = repro.run(workload, name, backend="queue")
-            assert response.ok and response.template == name
-            assert response.time_ms == expected.time_ms
-            assert response.metrics == expected.metrics.as_dict()
-        # dbuf-shared needs launch-wide barriers: counted, run on BSP
-        assert stats["batching"]["queue_fallbacks"] == 1
         assert stats["batching"]["fused_passes"] == 1
 
     def test_window_executes_each_identity_once(self, monkeypatch):

@@ -539,7 +539,7 @@ class TestConfigValidation:
              "cache_dir must be None, a string or a path"),
             (dict(drain_timeout_s=float("inf")),
              "drain_timeout_s must be a finite number"),
-            (dict(backend="gpu"), "unknown backend"),
+            (dict(max_batch=2.5), "max_batch must be an integer"),
             (dict(request_timeout_s="1"),
              "request_timeout_s must be a finite number"),
             (dict(cache_dir=["/tmp"]),

@@ -11,8 +11,10 @@ batch-fusion invariants:
    counter;
 2. **degenerate shapes** — an empty batch, a singleton batch, and empty
    graphs interleaved with real ones demux at their original positions;
-3. **backend seam** — ``SimBackend.submit_many`` matches per-graph
-   ``submit`` and accounts every graph (submissions, busy_ms);
+3. **template layer** — ``core.base.run_many`` over the same templates
+   and workloads, from a cold cache, executes its run-cache misses as
+   one ``GpuExecutor.run_many`` pass, each distinct run once (a repeated
+   item shares its result), and every run equals the sequential result;
 4. **fusion observability** — a traced fused pass emits the
    ``executor.fused_graphs`` counter.
 
@@ -29,13 +31,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from repro import obs  # noqa: E402
-from repro.backends import SimBackend  # noqa: E402
 from repro.core import (  # noqa: E402
     AccessStream,
     NestedLoopWorkload,
     RecursiveTreeWorkload,
     TemplateParams,
 )
+from repro.core.base import run_many  # noqa: E402
+from repro.core.plancache import default_cache  # noqa: E402
 from repro.core.registry import resolve  # noqa: E402
 from repro.gpusim import KEPLER_K20, GpuExecutor  # noqa: E402
 from repro.gpusim.kernels import LaunchGraph  # noqa: E402
@@ -68,8 +71,10 @@ def check_equal(got, want, label: str) -> None:
 
 
 def build_batch():
+    """Graphs, their labels and the ``(template, workload)`` items they
+    were built from."""
     rng = np.random.default_rng(23)
-    graphs, labels = [], []
+    graphs, labels, items = [], [], []
     for seed, shape in enumerate(("power", "hot")):
         if shape == "power":
             trips = rng.zipf(1.8, size=500).clip(max=300).astype(np.int64)
@@ -88,16 +93,18 @@ def build_batch():
             built = resolve(name).build(wl, KEPLER_K20, TemplateParams())
             graphs.append(built[0] if isinstance(built, tuple) else built)
             labels.append(f"{name}/{shape}")
+            items.append((resolve(name), wl))
     tree = generate_tree(depth=6, outdegree=4, sparsity=0.5, seed=9)
     twl = RecursiveTreeWorkload(tree, "descendants")
     built = resolve("rec-hier").build(twl, KEPLER_K20, TemplateParams())
     graphs.append(built[0] if isinstance(built, tuple) else built)
     labels.append("rec-hier/descendants")
-    return graphs, labels
+    items.append((resolve("rec-hier"), twl))
+    return graphs, labels, items
 
 
 def main() -> None:
-    graphs, labels = build_batch()
+    graphs, labels, items = build_batch()
     executor = GpuExecutor(KEPLER_K20, engine="fast")
     sequential = [executor.run(g) for g in graphs]
 
@@ -122,17 +129,29 @@ def main() -> None:
     check_equal(mixed[1], sequential[1], "empty-graph interleave")
     print("degenerate batches demux correctly")
 
-    # 3. backend seam + accounting
-    backend = SimBackend(KEPLER_K20, engine="fast")
-    results = backend.submit_many(graphs)
-    for label, got, want in zip(labels, results, sequential):
-        check_equal(got, want, f"submit_many {label}")
-    if backend.submissions != len(graphs):
-        fail(f"submit_many accounted {backend.submissions} of {len(graphs)}")
-    want_busy = sum(r.time_ms for r in sequential)
-    if abs(backend.busy_ms - want_busy) > 1e-9 * max(want_busy, 1.0):
-        fail(f"busy_ms {backend.busy_ms} != sequential total {want_busy}")
-    print("SimBackend.submit_many matches submit with full accounting")
+    # 3. template layer: the run-cache misses of one run_many call are one
+    # executor pass, each distinct run once
+    default_cache().clear(reset_stats=True)
+    passes = []
+    executor_run_many = GpuExecutor.run_many
+
+    def counting_run_many(self, batch):
+        passes.append(len(batch))
+        return executor_run_many(self, batch)
+
+    GpuExecutor.run_many = counting_run_many
+    try:
+        runs = run_many(items + items[:2], KEPLER_K20, engine="fast")
+    finally:
+        GpuExecutor.run_many = executor_run_many
+    if passes != [len(items)]:
+        fail(f"run_many made executor passes of {passes}, "
+             f"expected one of {len(items)}")
+    for label, run, want in zip(labels + labels[:2], runs,
+                                sequential + sequential[:2]):
+        check_equal(run.result, want, f"run_many {label}")
+    print(f"run_many executes {len(items)} distinct runs of "
+          f"{len(items) + 2} items as one pass")
 
     # 4. fused pass is observable
     obs.reset()

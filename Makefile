@@ -67,11 +67,11 @@ ir-smoke:
 fuse-smoke:
 	$(PYTHON) tools/fuse_smoke.py
 
-# streaming mutation differential fuzz: random mutation streams over
-# random workloads; incremental analysis must stay bit-identical to
-# from-scratch re-analysis at every step, in-place and functional
-# mutation forms must agree, and every nested-loop template must produce
-# cycle-identical results from either analysis path
+# streaming mutation differential fuzz: random mutation chains over
+# random workloads; every step must leave the parent snapshot untouched
+# and give the child a new fingerprint, and every nested-loop template
+# must give equal results on the first and last snapshot with warm
+# caches and with every memory kind cleared
 stream-smoke:
 	$(PYTHON) tools/stream_fuzz.py
 

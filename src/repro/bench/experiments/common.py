@@ -50,8 +50,3 @@ def random_graph_for(config: ExperimentConfig,
 def params_for(lb_threshold: int, **kw) -> TemplateParams:
     """Template parameters with a given lbTHRES."""
     return TemplateParams(lb_threshold=lb_threshold, **kw)
-
-
-def speedup_over(base_ms: float, time_ms: float) -> float:
-    """Speedup of a variant over a baseline time."""
-    return base_ms / time_ms if time_ms > 0 else float("inf")

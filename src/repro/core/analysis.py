@@ -18,8 +18,7 @@ layer and the window tables count without a sort.
 
 Artifacts are the ``analysis`` kind of the tiered cache
 (:mod:`~repro.core.artifactcache`): memory, then — when a cache directory
-is configured — disk, where repeat runs and service pool processes share
-them.
+is configured — disk, where repeat runs and other processes share them.
 """
 
 from __future__ import annotations
@@ -31,9 +30,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.artifactcache import tiered_cache
-from repro.core.mutation import TRACE_SEGMENT_BYTES, splice
-from repro.errors import WorkloadError
-from repro.gpusim.coalesce import transaction_counts
+from repro.gpusim.coalesce import TRACE_SEGMENT_BYTES, transaction_counts
 from repro.graphs.csr import concat_ranges
 
 __all__ = [
@@ -48,26 +45,6 @@ __all__ = [
     "analysis_stats",
     "clear_analysis_cache",
 ]
-
-#: segment size used by the pair-trace coalescing model (see
-#: ``core.mapping._apply_streams`` — Kepler L1-cached accesses); shared
-#: with the mutation layer, which precomputes inserted pairs' segment ids
-_TRACE_SEGMENT_BYTES = TRACE_SEGMENT_BYTES
-
-#: apply_delta bails to a from-scratch rebuild when a delta touches more
-#: than this fraction of the rows or pairs — beyond it the O(delta · log n)
-#: splices stop beating the O(n log n) rebuild
-REBUILD_FRACTION = 0.25
-
-#: delta-chain hops walked before giving up on lineage resolution
-_MAX_CHAIN = 32
-
-#: chains at least this long re-anchor the resolved analysis into the
-#: disk ``analysis`` tier (chain compaction: future walks stay short)
-_COMPACT_AFTER = 4
-
-#: shared empty index array for insert-only splice calls
-_NO_DELETES = np.empty(0, dtype=np.int64)
 
 #: inner-loop steps per warp window: the lanes of one warp at one issue
 #: slot.  The window tables are built for this warp size; phases on a
@@ -157,7 +134,7 @@ class WindowFacts:
             staged = None
             if stream.kind == "store" and stream.staged_in_shared:
                 index = np.arange(window_of.size) if pairs is None else pairs
-                flushed = index * stream.element_bytes // _TRACE_SEGMENT_BYTES
+                flushed = index * stream.element_bytes // TRACE_SEGMENT_BYTES
                 span = int(flushed.max()) + 1 if flushed.size else 1
                 staged = distinct(flushed, span)
             self.staged.append(staged)
@@ -344,7 +321,7 @@ class WorkloadAnalysis:
     def from_workload(cls, workload) -> "WorkloadAnalysis":
         """Analyze a workload (the expensive, once-per-fingerprint path)."""
         segments = [
-            stream.addresses // _TRACE_SEGMENT_BYTES
+            stream.addresses // TRACE_SEGMENT_BYTES
             for stream in workload.streams
         ]
         unit = tuple(_is_unit_stride(stream) for stream in workload.streams)
@@ -423,142 +400,6 @@ class WorkloadAnalysis:
                 memo[key] = entry
         return entry
 
-    def apply_delta(self, delta) -> "WorkloadAnalysis | None":
-        """Derive the child analysis from a
-        :class:`~repro.core.mutation.MutationDelta`, without rebuilding.
-
-        Returns a *new* instance (``self`` may be cached and shared —
-        it is never mutated), or ``None`` when the delta touches more
-        than :data:`REBUILD_FRACTION` of the rows or pairs, in which case
-        the caller should rebuild from scratch (the ``delta_fallbacks``
-        counter).  Every derived fact is updated so the result is
-        bit-identical to ``from_workload`` on the mutated trace:
-
-        * trip histogram — signed merge of decrements (old trips of
-          changed rows) and increments (new trips of changed + added
-          rows), keeping only positive frequencies;
-        * sorted-degree order — a stable argsort equals sorting by
-          ``(trip, id)``, so changed entries are masked out and all
-          changed/added entries re-inserted at their ``(trip, id)``
-          positions via binary search;
-        * memoized lbTHRES partitions — per memoized threshold, changed
-          ids are masked out of both sides and re-inserted (with the
-          added ids) on the side their new trip selects, ascending;
-        * per-stream segment ids — the same ``(deleted, inserted)``
-          pair-splice the workload commit ran over its address arrays;
-        * window tables — dropped, and rebuilt from the mutated trace on
-          first use;
-        * unit-stride record — none (all False): every stream of the child
-          takes the per-pair path.
-        """
-        if delta.parent_fingerprint != self.fingerprint:
-            raise WorkloadError(
-                "delta parent fingerprint does not match this analysis "
-                f"({delta.parent_fingerprint[:8]}… vs {self.fingerprint[:8]}…)"
-            )
-        rows_frac, pairs_frac = delta.touch_fractions(self.n_pairs)
-        if max(rows_frac, pairs_frac) > REBUILD_FRACTION:
-            return None
-
-        changed = delta.changed
-        ins_ids = np.concatenate([changed, delta.added])
-        ins_trips = np.concatenate([delta.changed_new, delta.added_trips])
-
-        # ids are dense (< outer_before), so membership tests are O(1)
-        # lookups into a per-delta flag array instead of np.isin sorts
-        changed_flag = np.zeros(int(delta.outer_before), dtype=bool)
-        changed_flag[changed] = True
-
-        # ---- sorted-degree order: mask out changed, re-insert by (trip, id)
-        if changed.size:
-            keep = np.flatnonzero(~changed_flag[self.order])
-            keep_order = self.order[keep]
-            keep_trips = self.sorted_trips[keep]
-        else:
-            keep_order = self.order.copy()
-            keep_trips = self.sorted_trips.copy()
-        if ins_ids.size:
-            lex = np.lexsort((ins_ids, ins_trips))
-            sorted_ids = ins_ids[lex]
-            sorted_ins_trips = ins_trips[lex]
-            max_trip = int(max(keep_trips.max(initial=0),
-                               sorted_ins_trips.max(initial=0)))
-            if max_trip < (1 << 31) and delta.outer_after < (1 << 31):
-                # one vectorized search over the combined (trip, id) key
-                keep_keys = (keep_trips << 31) | keep_order
-                ins_keys = (sorted_ins_trips << 31) | sorted_ids
-                positions = np.searchsorted(keep_keys, ins_keys)
-            else:  # keys would overflow int64: per-entry two-level search
-                positions = np.empty(sorted_ids.size, dtype=np.int64)
-                for j in range(sorted_ids.size):
-                    trip = sorted_ins_trips[j]
-                    lo = int(np.searchsorted(keep_trips, trip, side="left"))
-                    hi = int(np.searchsorted(keep_trips, trip, side="right"))
-                    positions[j] = lo + int(
-                        np.searchsorted(keep_order[lo:hi], sorted_ids[j])
-                    )
-            new_order = splice(keep_order, _NO_DELETES, positions, sorted_ids)
-            new_sorted = splice(keep_trips, _NO_DELETES, positions,
-                                sorted_ins_trips)
-        else:
-            new_order, new_sorted = keep_order, keep_trips
-
-        # ---- trip histogram: signed merge, keep positive frequencies
-        values = [self.trip_values]
-        counts = [self.trip_freqs]
-        if changed.size:
-            dec_v, dec_c = np.unique(delta.changed_old, return_counts=True)
-            values.append(dec_v)
-            counts.append(-dec_c)
-        if ins_ids.size:
-            inc_v, inc_c = np.unique(ins_trips, return_counts=True)
-            values.append(inc_v)
-            counts.append(inc_c)
-        all_values = np.concatenate(values)
-        all_counts = np.concatenate(counts).astype(np.int64)
-        uniq, inverse = np.unique(all_values, return_inverse=True)
-        freqs = np.zeros(uniq.size, dtype=np.int64)
-        np.add.at(freqs, inverse, all_counts)
-        positive = freqs > 0
-
-        child = WorkloadAnalysis.__new__(WorkloadAnalysis)
-        child.fingerprint = delta.fingerprint
-        child.outer_size = int(delta.outer_after)
-        child.n_pairs = self.n_pairs - delta.n_deleted + delta.n_inserted
-        child.order = new_order
-        child.sorted_trips = new_sorted
-        child.trip_values = uniq[positive]
-        child.trip_freqs = freqs[positive]
-        child._segments = [
-            splice(seg, delta.deleted_pairs, delta.insert_positions,
-                   delta.insert_segments[k])
-            for k, seg in enumerate(self._segments)
-        ]
-        child.unit_stride = (False,) * len(self._segments)
-        child._partitions = {}
-        for threshold, (small, large) in self._partitions.items():
-            if changed.size:
-                small = small[~changed_flag[small]]
-                large = large[~changed_flag[large]]
-            if ins_ids.size:
-                goes_small = ins_trips <= threshold
-                small_ids = np.sort(ins_ids[goes_small])
-                large_ids = np.sort(ins_ids[~goes_small])
-                if small_ids.size:
-                    small = splice(small, _NO_DELETES,
-                                   np.searchsorted(small, small_ids),
-                                   small_ids)
-                if large_ids.size:
-                    large = splice(large, _NO_DELETES,
-                                   np.searchsorted(large, large_ids),
-                                   large_ids)
-            child._partitions[threshold] = (small, large)
-        child._trip_cumsum = None
-        child._seg_spans = {}
-        child._windows = None
-        child._buffer_windows = {}
-        return child
-
 
 class TreeAnalysis:
     """Template-independent structure of one :class:`RecursiveTreeWorkload`.
@@ -622,76 +463,16 @@ class TreeAnalysis:
         }
 
 
-#: outcomes of lineage resolution (the other counters are the cache's)
-_lineage_stats = {"incremental_hits": 0, "delta_fallbacks": 0}
-
-
-def _count(event: str) -> None:
-    _lineage_stats[event] += 1
-    if obs.enabled():
-        obs.add_counter(f"analysis.{event}")
-
-
-def _resolve_incremental(workload, fingerprint: str):
-    """Nearest-ancestor resolution over the mutation lineage.
-
-    Walks the delta chain child → parent (the workload's in-object
-    ``lineage``, then the ``lineage`` kind) to a fingerprint whose
-    analysis is cached, then replays the deltas forward with
-    :meth:`WorkloadAnalysis.apply_delta`.  ``None`` when no ancestor is
-    within ``_MAX_CHAIN`` hops or a delta exceeds the rebuild threshold.
-    """
-    cache = tiered_cache()
-    local = {d.fingerprint: d for d in getattr(workload, "lineage", None) or ()}
-    chain = []
-    ancestor = None
-    current = fingerprint
-    while len(chain) < _MAX_CHAIN:
-        delta = local.get(current)
-        if delta is None:
-            delta = cache.get("lineage", current)
-        if delta is None or delta.fingerprint != current:
-            break
-        chain.append(delta)
-        current = delta.parent_fingerprint
-        ancestor = cache.get("analysis", ("nested", current))
-        if ancestor is not None:
-            break
-    if ancestor is None:
-        if chain:
-            _count("delta_fallbacks")
-        return None
-    analysis = ancestor
-    with obs.span("analysis.apply_delta", hops=len(chain),
-                  workload=getattr(workload, "name", "?")):
-        for delta in reversed(chain):
-            analysis = analysis.apply_delta(delta)
-            if analysis is None:
-                _count("delta_fallbacks")
-                return None
-            _count("incremental_hits")
-            # intermediate fingerprints are live snapshot versions in the
-            # serving layer — keep the whole replayed prefix in memory
-            cache.memoize("analysis", ("nested", delta.fingerprint), analysis)
-    if len(chain) >= _COMPACT_AFTER:
-        # chain compaction: re-anchor a full artifact so future walks
-        # (and other processes) stop after one hop
-        cache.put("analysis", ("nested", fingerprint), analysis)
-    return analysis
-
-
 def _get(workload, kind: str, factory) -> object:
-    key = (kind, workload.fingerprint())
-    cache = tiered_cache()
-    analysis = cache.get("analysis", key)
-    if analysis is None and kind == "nested":
-        analysis = _resolve_incremental(workload, key[1])
-    if analysis is None:
+    """Memory, then disk, then ``factory(workload)``: a mutated snapshot
+    is analysed like any workload never seen before."""
+    def build():
         with obs.span("analysis.build", kind=kind,
                       workload=getattr(workload, "name", "?")):
-            analysis = factory(workload)
-        cache.put("analysis", key, analysis)
-    return analysis
+            return factory(workload)
+
+    key = (kind, workload.fingerprint())
+    return tiered_cache().fetch("analysis", key, build)[0]
 
 
 def get_analysis(workload) -> WorkloadAnalysis:
@@ -705,20 +486,15 @@ def get_tree_analysis(workload) -> TreeAnalysis:
 
 
 def analysis_stats() -> dict[str, int]:
-    """Analysis cache counters: memory hits and misses, disk hits, and the
-    lineage resolution outcomes."""
+    """Analysis cache counters: memory hits and misses, and disk hits."""
     stats = tiered_cache().stats
     return {
         "hits": stats["analysis", "memory"].hits,
         "misses": stats["analysis", "memory"].misses,
         "disk_hits": stats["analysis", "disk"].hits,
-        **_lineage_stats,
     }
 
 
 def clear_analysis_cache(reset_stats: bool = False) -> None:
     """Drop cached analyses from memory (optionally also the counters)."""
     tiered_cache().clear("analysis", reset_stats)
-    if reset_stats:
-        for k in _lineage_stats:
-            _lineage_stats[k] = 0

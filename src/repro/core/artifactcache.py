@@ -6,7 +6,6 @@ Every kind of artifact lives at fixed levels (:data:`KINDS`):
 kind          levels         value; key
 ============  =============  ============================================
 ``analysis``  memory, disk   Workload/TreeAnalysis; (family, workload fp)
-``lineage``   disk           MutationDelta; child workload fingerprint
 ``select``    memory, disk   Selection; (workload fp, device fp, pass
                              config, params, engine)
 ``plan``      memory, disk   built plan; plan key
@@ -63,10 +62,10 @@ __all__ = [
     "get_artifact_cache", "sizeof", "tiered_cache",
 ]
 
-#: artifact kind -> the levels that store it, in probe order
+#: artifact kind -> the levels that store it, in probe order (every kind
+#: has the memory level)
 KINDS = {
     "analysis": ("memory", "disk"),
-    "lineage": ("disk",),
     "select": ("memory", "disk"),
     "plan": ("memory", "disk"),
     "phase": ("memory",),
@@ -394,19 +393,18 @@ class TieredCache:
     def _lookup(self, kind: str, key: object) -> tuple[object | None, str]:
         """``(artifact, level)`` from the first level holding it, else
         ``(None, "")``; a memory hit refreshes recency."""
-        if "memory" in KINDS[kind]:
-            slot = (kind, key)
-            with self._lock:
-                entry = self._entries.get(slot)
-                if entry is not None:
-                    value, nbytes, hits = entry
-                    self._entries[slot] = (value, nbytes, hits + 1)
-                    self._entries.move_to_end(slot)
-                self._bump(kind, "memory", "misses" if entry is None else "hits")
+        slot = (kind, key)
+        with self._lock:
+            entry = self._entries.get(slot)
             if entry is not None:
-                if (hits + 1) & hits == 0:  # a power-of-two hit
-                    self._store(slot, value, hits + 1)
-                return value, "memory"
+                value, nbytes, hits = entry
+                self._entries[slot] = (value, nbytes, hits + 1)
+                self._entries.move_to_end(slot)
+            self._bump(kind, "memory", "misses" if entry is None else "hits")
+        if entry is not None:
+            if (hits + 1) & hits == 0:  # a power-of-two hit
+                self._store(slot, value, hits + 1)
+            return value, "memory"
         disk = get_artifact_cache() if "disk" in KINDS[kind] else None
         if disk is None:
             return None, ""
@@ -441,8 +439,7 @@ class TieredCache:
 
     def memoize(self, kind: str, key: object, value: object) -> None:
         """Store at the memory level only, as the most recent entry."""
-        if "memory" in KINDS[kind]:
-            self._store((kind, key), value)
+        self._store((kind, key), value)
 
     def _store(self, slot: tuple[str, object], value: object,
                hits: int = 0) -> None:

@@ -44,11 +44,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.artifactcache import tiered_cache
-from repro.core.mutation import TRACE_SEGMENT_BYTES
 from repro.errors import PlanError, WorkloadError
 from repro.core.workload import NestedLoopWorkload
 from repro.gpusim.atomics import AtomicStats, flat_atomic_cycles
 from repro.gpusim.coalesce import (
+    TRACE_SEGMENT_BYTES,
     MemoryTraffic,
     contiguous_transactions,
     transaction_counts,

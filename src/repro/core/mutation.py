@@ -4,36 +4,30 @@ Production irregular workloads are not frozen: a graph under live traffic
 gains and loses edges while queries keep arriving.  This module is the
 pure core of the streaming story — a :class:`MutationBatch` describes one
 batch of edge/node inserts and deletes against a
-:class:`~repro.core.workload.NestedLoopWorkload`, :func:`apply_batch`
-applies it functionally (fresh arrays, the input workload untouched), and
-the resulting :class:`MutationDelta` is a structured, self-contained
-record of exactly what changed.
+:class:`~repro.core.workload.NestedLoopWorkload`, and :func:`apply_batch`
+applies it functionally: it returns a new child workload (fresh arrays,
+the input workload untouched) and a :class:`MutationDelta`, a small
+record of what changed.  The serving layer's
+:class:`~repro.service.streams.WorkloadStream` returns that delta from
+every ``mutate`` call.
 
-The delta is the contract the rest of the stack builds on:
-
-* :meth:`WorkloadAnalysis.apply_delta <repro.core.analysis.WorkloadAnalysis.apply_delta>`
-  replays it over a parent analysis instead of recomputing from scratch;
-* the ``lineage`` tier of the disk artifact cache persists it keyed on the
-  child fingerprint, so any process sharing the cache can walk back to
-  the nearest ancestor analysis;
-* the serving layer's :class:`~repro.service.streams.WorkloadStream`
-  returns it from every ``mutate`` call.
+The child is analysed like any other workload: its analysis is keyed on
+its own fingerprint and built from its trace on first use.
 
 Pair-splice semantics: deleted pairs are removed by their global
 pre-mutation pair index; inserted pairs land at the *end* of their row's
-slice (insertion order preserved within a row).  Both the workload's
-per-pair arrays (stream addresses, atomic targets) and the analysis'
-per-pair arrays (segment ids) are spliced by the same
-``(deleted_pairs, insert_positions)`` coordinates, which is what makes the
-incremental analysis bit-identical to a from-scratch rebuild.
+slice (insertion order preserved within a row).  Every per-pair array of
+the workload (stream addresses, atomic targets) is spliced by the same
+``(deleted pairs, insert positions)`` coordinates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.core.workload import NestedLoopWorkload
 from repro.errors import WorkloadError, check_count
 from repro.graphs.csr import concat_ranges
 
@@ -44,11 +38,6 @@ __all__ = [
     "apply_batch",
     "splice",
 ]
-
-#: segment size of the pair-trace coalescing model; deltas carry inserted
-#: segment ids precomputed at this granularity (keep in sync with
-#: ``analysis._TRACE_SEGMENT_BYTES``)
-TRACE_SEGMENT_BYTES = 128
 
 
 def _int_array(name: str, values) -> np.ndarray:
@@ -145,68 +134,20 @@ class MutationBatch:
 
 @dataclass
 class MutationDelta:
-    """Structured record of one committed mutation batch.
+    """Record of one committed mutation batch.
 
-    Self-contained and picklable: everything
-    :meth:`~repro.core.analysis.WorkloadAnalysis.apply_delta` needs to
-    update a parent analysis is carried here, so delta chains loaded from
-    the disk lineage tier replay without the intermediate workloads.
-
-    ``changed``/``changed_old``/``changed_new`` cover pre-existing rows
-    whose trip count changed; ``added``/``added_trips`` cover rows
-    appended by this batch.  ``deleted_pairs`` are sorted pre-mutation
-    global pair indices; ``insert_rows``/``insert_positions`` describe the
-    inserted pairs sorted by row, with positions in *post-delete*
-    coordinates (``np.insert`` semantics).  ``insert_segments`` carries
-    the inserted pairs' per-stream segment ids
-    (``address // TRACE_SEGMENT_BYTES``), aligned with ``insert_rows``.
+    ``parent_fingerprint`` and ``fingerprint`` name the workload before
+    and after the batch, and ``version_to`` the child's version.
+    ``changed`` lists the pre-existing rows whose trip count changed;
+    ``n_inserted`` and ``n_deleted`` count the inserted and deleted pairs.
     """
 
     parent_fingerprint: str
     fingerprint: str
-    version_from: int
     version_to: int
-    outer_before: int
-    outer_after: int
     changed: np.ndarray
-    changed_old: np.ndarray
-    changed_new: np.ndarray
-    added: np.ndarray
-    added_trips: np.ndarray
-    deleted_pairs: np.ndarray
-    insert_rows: np.ndarray
-    insert_positions: np.ndarray
-    insert_segments: list[np.ndarray]
-    insert_atomics: np.ndarray | None
-
-    @property
-    def n_deleted(self) -> int:
-        return int(self.deleted_pairs.size)
-
-    @property
-    def n_inserted(self) -> int:
-        return int(self.insert_rows.size)
-
-    def touch_fractions(self, n_pairs_before: int) -> tuple[float, float]:
-        """``(rows_frac, pairs_frac)`` — how much of the workload this
-        delta touches, the rebuild-threshold inputs."""
-        rows = self.changed.size + self.added.size
-        pairs = self.n_deleted + self.n_inserted
-        return (
-            rows / max(1, self.outer_after),
-            pairs / max(1, n_pairs_before + self.n_inserted),
-        )
-
-    def summary(self) -> dict[str, int]:
-        """Plain-int description (service stats, bench records)."""
-        return {
-            "version_from": self.version_from,
-            "version_to": self.version_to,
-            "changed_rows": int(self.changed.size),
-            "added_rows": int(self.added.size),
-            "deleted_pairs": self.n_deleted,
-            "inserted_pairs": self.n_inserted,
-        }
+    n_inserted: int
+    n_deleted: int
 
 
 def splice(arr: np.ndarray, delete_idx: np.ndarray,
@@ -215,15 +156,13 @@ def splice(arr: np.ndarray, delete_idx: np.ndarray,
 
     ``delete_idx`` is in pre-splice coordinates, ``insert_pos`` in
     post-delete coordinates (repeated positions keep the order of
-    ``values``, per ``np.insert``).  The workload commit and the
-    incremental analysis run this exact function over their per-pair
-    arrays, which is what keeps them bit-identical.
+    ``values``, per ``np.insert``).
 
     Implemented as run-slicing + one concatenate per pass rather than
     ``np.delete``/``np.insert``: for the sparse edits streaming batches
     make, those build full-size boolean masks (~8x slower than copying
-    the surviving runs), and this function is the per-stream hot loop of
-    both the commit and the delta replay.
+    the surviving runs), and this function is the commit's per-stream
+    hot loop.
     """
     if delete_idx.size == 0:
         k = insert_pos.size
@@ -276,23 +215,16 @@ def splice(arr: np.ndarray, delete_idx: np.ndarray,
     return np.concatenate(pieces)
 
 
-@dataclass
-class _NewState:
-    """Post-mutation workload arrays (all freshly allocated)."""
+def apply_batch(workload: NestedLoopWorkload, batch: MutationBatch,
+                name: str | None = None
+                ) -> tuple[NestedLoopWorkload, MutationDelta]:
+    """Apply one batch functionally: ``(child, delta)``.
 
-    trip_counts: np.ndarray
-    stream_addresses: list[np.ndarray]
-    atomic_targets: np.ndarray | None
-
-
-def apply_batch(workload, batch: MutationBatch) -> tuple[_NewState, MutationDelta]:
-    """Apply one batch functionally: new arrays plus the structured delta.
-
-    Never touches ``workload`` — both the in-place
-    ``NestedLoopWorkload.apply_mutations`` commit and the functional
-    ``mutated`` snapshot path are thin wrappers around this.  The returned
-    delta's ``fingerprint``/``version_to`` are provisional (parent values)
-    until the caller constructs the child and stamps them.
+    The child is a new workload one version above ``workload``, with
+    fresh trace arrays and stream objects (named ``name``, else like the
+    parent); ``workload`` is never touched.  Backs
+    :meth:`NestedLoopWorkload.mutated
+    <repro.core.workload.NestedLoopWorkload.mutated>`.
     """
     if not isinstance(batch, MutationBatch):
         raise WorkloadError("expected a MutationBatch")
@@ -365,41 +297,26 @@ def apply_batch(workload, batch: MutationBatch) -> tuple[_NewState, MutationDelt
     np.cumsum(trips_after_delete, out=offsets_after_delete[1:])
     insert_positions = offsets_after_delete[insert_rows + 1]
 
-    new_streams = [
-        splice(stream.addresses, delete, insert_positions, insert_addresses[k])
-        for k, stream in enumerate(workload.streams)
-    ]
-    if workload.atomic_targets is not None:
-        new_atomics = splice(
-            workload.atomic_targets, delete, insert_positions, insert_atomics
-        )
-    else:
-        new_atomics = None
-
-    changed = np.flatnonzero(
-        (del_per_row > 0) | (ins_per_row[:n_old] > 0)
+    child = replace(
+        workload,
+        name=workload.name if name is None else name,
+        trip_counts=new_trips,
+        streams=[
+            replace(stream, addresses=splice(stream.addresses, delete,
+                                             insert_positions,
+                                             insert_addresses[k]))
+            for k, stream in enumerate(workload.streams)
+        ],
+        atomic_targets=None if workload.atomic_targets is None else splice(
+            workload.atomic_targets, delete, insert_positions, insert_atomics),
     )
+    child.version = workload.version + 1
     delta = MutationDelta(
         parent_fingerprint=workload.fingerprint(),
-        fingerprint=workload.fingerprint(),  # stamped by the caller
-        version_from=workload.version,
-        version_to=workload.version + 1,
-        outer_before=n_old,
-        outer_after=n_new,
-        changed=changed,
-        changed_old=old_trips[changed],
-        changed_new=new_trips[changed],
-        added=np.arange(n_old, n_new, dtype=np.int64),
-        added_trips=new_trips[n_old:].copy(),
-        deleted_pairs=delete,
-        insert_rows=insert_rows,
-        insert_positions=insert_positions,
-        insert_segments=[a // TRACE_SEGMENT_BYTES for a in insert_addresses],
-        insert_atomics=insert_atomics,
+        fingerprint=child.fingerprint(),
+        version_to=child.version,
+        changed=np.flatnonzero((del_per_row > 0) | (ins_per_row[:n_old] > 0)),
+        n_inserted=int(insert_rows.size),
+        n_deleted=int(delete.size),
     )
-    state = _NewState(
-        trip_counts=new_trips,
-        stream_addresses=new_streams,
-        atomic_targets=new_atomics,
-    )
-    return state, delta
+    return child, delta

@@ -29,11 +29,14 @@ import numpy as np
 
 from repro.core.analysis import TreeAnalysis, get_tree_analysis
 from repro.core.base import _TemplateBase
-from repro.core.mutation import TRACE_SEGMENT_BYTES
 from repro.core.params import TemplateParams
 from repro.errors import WorkloadError
 from repro.gpusim.atomics import AtomicStats
-from repro.gpusim.coalesce import MemoryTraffic, contiguous_transactions
+from repro.gpusim.coalesce import (
+    TRACE_SEGMENT_BYTES,
+    MemoryTraffic,
+    contiguous_transactions,
+)
 from repro.gpusim.config import DeviceConfig
 from repro.gpusim.costmodel import (
     KernelCostBuilder,

@@ -30,10 +30,6 @@ from repro.graphs.csr import concat_ranges
 
 __all__ = ["AccessStream", "NestedLoopWorkload"]
 
-#: deltas kept on the workload object itself (the in-object lineage the
-#: analysis layer walks before falling back to the disk lineage tier)
-MAX_LINEAGE = 16
-
 
 @dataclass
 class AccessStream:
@@ -106,12 +102,9 @@ class NestedLoopWorkload:
             if not (math.isfinite(value) and value >= 0):
                 raise WorkloadError(
                     f"{weight} must be finite and non-negative, got {value!r}")
-        #: mutation generation: bumped by every committed MutationBatch
-        #: (and by invalidate_fingerprint after an untracked edit)
+        #: mutation generation: one above the parent for a :meth:`mutated`
+        #: child, bumped by invalidate_fingerprint after an untracked edit
         self.version = 0
-        #: recent MutationDeltas ending at this workload's fingerprint,
-        #: oldest first, bounded at MAX_LINEAGE
-        self.lineage: list = []
 
     @property
     def outer_size(self) -> int:
@@ -192,10 +185,8 @@ class NestedLoopWorkload:
         trace.  All identities move together: the fingerprint memo drops,
         ``pair_offsets`` is recomputed from the edited trip counts (it was
         previously left stale, so row slices pointed at pre-edit pair
-        ranges), the version bumps, and the mutation lineage clears — an
-        untracked edit has no delta, so no incremental analysis may bridge
-        it.  Prefer :meth:`apply_mutations`/:meth:`mutated`, which keep
-        the delta.
+        ranges) and the version bumps.  Prefer :meth:`mutated`, which
+        leaves this workload untouched and returns a new one.
         """
         self._fingerprint = None
         self.pair_offsets = np.zeros(self.trip_counts.size + 1, dtype=np.int64)
@@ -210,42 +201,11 @@ class NestedLoopWorkload:
         if self.atomic_targets is not None and self.atomic_targets.shape != (nnz,):
             raise WorkloadError("atomic_targets must have one entry per pair")
         self.version += 1
-        self.lineage.clear()
 
     # ------------------------------------------------------ mutation API
-    def apply_mutations(self, batch):
-        """Commit a :class:`~repro.core.mutation.MutationBatch` in place.
-
-        All cache identities bump atomically: the new trace arrays are
-        assembled first (off to the side), then swapped in, and the new
-        fingerprint is computed eagerly before returning — there is no
-        window where stale ``pair_offsets`` or a stale fingerprint memo
-        can leak a pre-mutation plan.  Returns the
-        :class:`~repro.core.mutation.MutationDelta`, which is also
-        appended to :attr:`lineage` and persisted to the disk cache's
-        ``lineage`` tier when one is configured.
-
-        Note the *object* mutates: callers holding the pre-mutation trace
-        (e.g. a serving snapshot) should use :meth:`mutated` instead.
-        """
-        from repro.core.mutation import apply_batch
-
-        state, delta = apply_batch(self, batch)
-        self.trip_counts = state.trip_counts
-        self.pair_offsets = np.zeros(self.trip_counts.size + 1, dtype=np.int64)
-        np.cumsum(self.trip_counts, out=self.pair_offsets[1:])
-        for stream, addresses in zip(self.streams, state.stream_addresses):
-            stream.addresses = addresses
-        self.atomic_targets = state.atomic_targets
-        self._fingerprint = None
-        delta.fingerprint = self.fingerprint()
-        self.version += 1
-        delta.version_to = self.version
-        self._push_lineage(delta)
-        return delta
-
     def mutated(self, batch, name: str | None = None):
-        """Functional mutation: ``(child, delta)``; ``self`` is untouched.
+        """Apply a :class:`~repro.core.mutation.MutationBatch`: returns
+        ``(child, delta)`` and leaves ``self`` untouched.
 
         The child gets fresh trace arrays and fresh stream objects, so the
         parent remains a valid immutable snapshot — this is the path the
@@ -254,39 +214,4 @@ class NestedLoopWorkload:
         """
         from repro.core.mutation import apply_batch
 
-        state, delta = apply_batch(self, batch)
-        child = NestedLoopWorkload(
-            name=self.name if name is None else name,
-            trip_counts=state.trip_counts,
-            streams=[
-                AccessStream(
-                    name=stream.name,
-                    addresses=addresses,
-                    kind=stream.kind,
-                    element_bytes=stream.element_bytes,
-                    staged_in_shared=stream.staged_in_shared,
-                )
-                for stream, addresses in zip(self.streams, state.stream_addresses)
-            ],
-            atomic_targets=state.atomic_targets,
-            inner_insts=self.inner_insts,
-            outer_insts=self.outer_insts,
-            outer_load_bytes=self.outer_load_bytes,
-            outer_store_bytes=self.outer_store_bytes,
-        )
-        delta.fingerprint = child.fingerprint()
-        child.version = self.version + 1
-        delta.version_to = child.version
-        child.lineage = list(self.lineage)
-        child._push_lineage(delta)
-        return child, delta
-
-    def _push_lineage(self, delta) -> None:
-        """Append a delta to the bounded in-object lineage and cache it as
-        the ``lineage`` kind (keyed on the child fingerprint)."""
-        self.lineage.append(delta)
-        if len(self.lineage) > MAX_LINEAGE:
-            del self.lineage[: len(self.lineage) - MAX_LINEAGE]
-        from repro.core.artifactcache import tiered_cache
-
-        tiered_cache().put("lineage", delta.fingerprint, delta)
+        return apply_batch(self, batch, name)

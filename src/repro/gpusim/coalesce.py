@@ -25,7 +25,12 @@ __all__ = [
     "contiguous_transactions",
     "transaction_counts",
     "MemoryTraffic",
+    "TRACE_SEGMENT_BYTES",
 ]
+
+#: segment size of the nested-loop pair trace (the L1 path above): the
+#: analysis stores each stream's ``address // TRACE_SEGMENT_BYTES``
+TRACE_SEGMENT_BYTES = 128
 
 
 @dataclass

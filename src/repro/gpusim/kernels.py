@@ -68,11 +68,6 @@ class ProfileCounters:
         self.host_launches += other.host_launches
         self.device_launches += other.device_launches
 
-    @property
-    def total_launches(self) -> int:
-        """Host plus device kernel invocations."""
-        return self.host_launches + self.device_launches
-
 
 @dataclass
 class KernelCosts:

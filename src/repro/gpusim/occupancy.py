@@ -43,11 +43,6 @@ class OccupancyResult:
         """Resident warps on one SM."""
         return self.blocks_per_sm * self.warps_per_block
 
-    @property
-    def threads_per_sm(self) -> int:
-        """Resident threads on one SM."""
-        return self.blocks_per_sm * self.block_size
-
     def occupancy(self, config: DeviceConfig) -> float:
         """Fraction of the SM's warp slots occupied (0.0 - 1.0)."""
         return self.warps_per_sm / config.max_warps_per_sm

@@ -84,14 +84,12 @@ class ServiceHandle:
 
         return self._call(_register())
 
-    def mutate_workload(self, name: str, batch, *, warm_analysis: bool = True):
+    def mutate_workload(self, name: str, batch):
         """Apply a mutation batch to a registered stream; returns the
         :class:`~repro.core.mutation.MutationDelta`."""
 
         async def _mutate():
-            return self._service.mutate_workload(
-                name, batch, warm_analysis=warm_analysis
-            )
+            return self._service.mutate_workload(name, batch)
 
         return self._call(_mutate())
 

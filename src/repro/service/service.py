@@ -249,26 +249,18 @@ class TemplateService:
                     version=stream.version)
         return stream
 
-    def mutate_workload(self, name: str, batch, *,
-                        warm_analysis: bool = True):
+    def mutate_workload(self, name: str, batch):
         """Apply one mutation batch to a registered stream.
 
         The new head is derived functionally — requests pinned to retained
-        versions keep executing against their exact snapshots.  With
-        ``warm_analysis`` (the default) the head's analysis is derived
-        incrementally right here via :meth:`WorkloadAnalysis.apply_delta
-        <repro.core.analysis.WorkloadAnalysis.apply_delta>`, so the next
-        query on the new version pays a delta update, not a cold rebuild.
-        Returns the :class:`~repro.core.mutation.MutationDelta`.
+        versions keep executing against their exact snapshots.  Nothing is
+        analysed here: the first query on the new version builds its
+        analysis.  Returns the :class:`~repro.core.mutation.MutationDelta`.
         """
         stream = self._stream_of(name)
         with obs.span("service.mutate", stream=name):
             delta = stream.mutate(batch)
         self.stats.record_mutation()
-        if warm_analysis:
-            from repro.core.analysis import get_analysis
-
-            get_analysis(stream.head)
         return delta
 
     def _stream_of(self, name: str) -> WorkloadStream:

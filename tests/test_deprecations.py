@@ -41,7 +41,13 @@ silently:
 * the applications the paper does not evaluate: connected components
   (``CCApp``, ``cc_serial``), triangle counting, k-core and MIS
   (``TrianglesApp``, ``KCoreApp``, ``MISApp``), their serial references
-  and their modules.
+  and their modules;
+* the incremental analysis of mutated workloads: the in-place commit
+  ``NestedLoopWorkload.apply_mutations``, the in-object ``lineage``,
+  ``WorkloadAnalysis.apply_delta``, the ``lineage`` cache kind and the
+  ``warm_analysis`` argument of ``mutate_workload`` (``mutated`` is the
+  one commit form, and a mutated snapshot is analysed from its trace on
+  first use).
 """
 
 import asyncio
@@ -55,6 +61,9 @@ import pytest
 import repro
 from repro.bench import runner
 from repro.bench.registry import get_experiment
+from repro.core.analysis import WorkloadAnalysis
+from repro.core.artifactcache import KINDS
+from repro.core.mutation import MutationBatch
 from repro.core.registry import resolve
 from repro.core.workload import NestedLoopWorkload
 from repro.errors import ExperimentError, WorkloadError
@@ -281,3 +290,23 @@ class TestNonPaperAppsRemoved:
         for module in ("cc", "kcore", "mis", "triangles"):
             with pytest.raises(ImportError):
                 importlib.import_module(f"repro.apps.{module}")
+
+
+class TestIncrementalAnalysisRemoved:
+    def test_names_are_gone(self, workload):
+        assert not hasattr(NestedLoopWorkload, "apply_mutations")
+        assert not hasattr(WorkloadAnalysis, "apply_delta")
+        assert not hasattr(workload, "lineage")
+        child, _ = workload.mutated(MutationBatch(append_outer=1))
+        assert not hasattr(child, "lineage")
+        assert "lineage" not in KINDS
+
+    def test_mutate_workload_rejects_warm_analysis(self, workload):
+        batch = MutationBatch(append_outer=1)
+        with repro.serve() as svc:
+            svc.register_workload("s", workload)
+            with pytest.raises(TypeError):
+                svc.mutate_workload("s", batch, warm_analysis=False)
+            with pytest.raises(TypeError):
+                svc.service.mutate_workload("s", batch, warm_analysis=True)
+            assert svc.stats()["mutations"] == 0

@@ -199,12 +199,6 @@ class TestPlanCacheUnit:
         assert cache.get("plan", ("a",)) == b"a" * 1000
         assert cache.get("plan", ("c",)) == b"c" * 1000
 
-    def test_disabled_cache_stores_nothing(self, cache):
-        """``lineage`` deltas live on disk only, and the disk level is off."""
-        cache.put("lineage", ("k",), b"p" * 1000)
-        assert cache.get("lineage", ("k",)) is None
-        assert cache.count("lineage") == 0
-
 
 class TestPlanCacheIntegration:
     def _fresh_stats(self):

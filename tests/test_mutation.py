@@ -1,6 +1,6 @@
-"""Streaming mutation core: splice semantics, batch commit, the delta
-contract, incremental analysis, lineage resolution, and the stale-plan
-regression around in-place edits."""
+"""Streaming mutation core: splice semantics, the functional batch
+commit and its delta, the analysis of a mutated snapshot, and the
+stale-plan regression around in-place edits."""
 
 import os
 
@@ -9,17 +9,16 @@ import pytest
 
 import repro
 from repro.core import artifactcache
+from repro.apps import SpMVApp
 from repro.core.analysis import (
-    REBUILD_FRACTION,
     WorkloadAnalysis,
-    analysis_stats,
     clear_analysis_cache,
     get_analysis,
 )
-from repro.core.artifactcache import configure_artifact_cache
 from repro.core.mutation import MutationBatch, MutationDelta, PairInserts, splice
 from repro.core.plancache import default_cache
-from repro.core.workload import MAX_LINEAGE, AccessStream, NestedLoopWorkload
+from repro.core.workload import AccessStream, NestedLoopWorkload
+from repro.graphs import citeseer_like
 from repro.errors import WorkloadError
 
 pytestmark = []
@@ -119,12 +118,12 @@ class TestApplyMutations:
                               np.array([333, 444]) * 8],
             atomic_targets=np.array([-1, -1]),
         ))
-        delta = wl.apply_mutations(batch)
-        sl = wl.streams[0].addresses[
-            wl.pair_offsets[row]:wl.pair_offsets[row + 1]]
+        child, delta = wl.mutated(batch)
+        sl = child.streams[0].addresses[
+            child.pair_offsets[row]:child.pair_offsets[row + 1]]
         assert np.array_equal(sl[:-2], before)
         assert np.array_equal(sl[-2:], np.array([111, 222]) * 4)
-        assert wl.trip_counts[row] == before.size + 2
+        assert child.trip_counts[row] == before.size + 2
         assert delta.n_inserted == 2 and delta.n_deleted == 0
         assert np.array_equal(delta.changed, [row])
 
@@ -135,74 +134,60 @@ class TestApplyMutations:
         dele = np.array([0, 3, nnz - 1])
         keep_mask[dele] = False
         expected = wl.streams[1].addresses[keep_mask]
-        wl.apply_mutations(MutationBatch(delete_pairs=dele))
-        assert wl.n_pairs == nnz - 3
-        assert np.array_equal(wl.streams[1].addresses, expected)
-        assert wl.pair_offsets[-1] == wl.n_pairs
-        assert np.array_equal(np.diff(wl.pair_offsets), wl.trip_counts)
+        child, _ = wl.mutated(MutationBatch(delete_pairs=dele))
+        assert child.n_pairs == nnz - 3
+        assert np.array_equal(child.streams[1].addresses, expected)
+        assert child.pair_offsets[-1] == child.n_pairs
+        assert np.array_equal(np.diff(child.pair_offsets), child.trip_counts)
 
     def test_isolate_and_append(self):
         wl = make_workload(seed=3)
         n = wl.outer_size
         row = int(np.flatnonzero(wl.trip_counts > 0)[-1])
-        wl.apply_mutations(MutationBatch(isolate_outer=np.array([row]),
-                                         append_outer=2))
-        assert wl.outer_size == n + 2  # tombstone keeps the row slot
-        assert wl.trip_counts[row] == 0
-        assert np.array_equal(wl.trip_counts[-2:], [0, 0])
+        child, _ = wl.mutated(MutationBatch(isolate_outer=np.array([row]),
+                                            append_outer=2))
+        assert child.outer_size == n + 2  # tombstone keeps the row slot
+        assert child.trip_counts[row] == 0
+        assert np.array_equal(child.trip_counts[-2:], [0, 0])
 
     def test_version_fingerprint_and_lineage_advance(self):
         wl = make_workload(seed=4)
         rng = np.random.default_rng(0)
         fp0, v0 = wl.fingerprint(), wl.version
-        delta = wl.apply_mutations(insert_batch(rng, wl))
-        assert wl.version == v0 + 1
-        assert wl.fingerprint() != fp0
+        trips0 = wl.trip_counts.copy()
+        addresses0 = [s.addresses.copy() for s in wl.streams]
+        child, delta = wl.mutated(insert_batch(rng, wl), name="child")
+        assert child.version == v0 + 1
+        assert child.fingerprint() != fp0
+        assert child.name == "child"
         assert isinstance(delta, MutationDelta)
         assert delta.parent_fingerprint == fp0
-        assert delta.fingerprint == wl.fingerprint()
-        assert delta.version_to == wl.version
-        assert wl.lineage[-1] is delta
-
-    def test_lineage_is_bounded(self):
-        wl = make_workload(seed=5)
-        rng = np.random.default_rng(1)
-        for _ in range(MAX_LINEAGE + 5):
-            wl.apply_mutations(insert_batch(rng, wl, k=1))
-        assert len(wl.lineage) == MAX_LINEAGE
-
-    def test_functional_mutated_matches_inplace(self):
-        a, b = make_workload(seed=6), make_workload(seed=6)
-        parent_fp = b.fingerprint()
-        parent_trips = b.trip_counts.copy()
-        batch = insert_batch(np.random.default_rng(9), a)
-        delta_a = a.apply_mutations(batch)
-        child, delta_b = b.mutated(batch)
-        assert delta_a.fingerprint == delta_b.fingerprint
-        assert child.fingerprint() == a.fingerprint()
-        assert np.array_equal(child.trip_counts, a.trip_counts)
-        for sa, sc in zip(a.streams, child.streams):
-            assert np.array_equal(sa.addresses, sc.addresses)
-        # the parent snapshot is untouched
-        assert b.fingerprint() == parent_fp
-        assert np.array_equal(b.trip_counts, parent_trips)
-        assert child.version == b.version + 1
+        assert delta.fingerprint == child.fingerprint()
+        assert delta.version_to == child.version
+        # the parent snapshot is untouched, and shares no array or stream
+        assert (wl.fingerprint(), wl.version) == (fp0, v0)
+        assert np.array_equal(wl.trip_counts, trips0)
+        for stream, addresses, new in zip(wl.streams, addresses0,
+                                          child.streams):
+            assert np.array_equal(stream.addresses, addresses)
+            assert new is not stream
+            assert not np.shares_memory(new.addresses, stream.addresses)
 
     def test_batch_validation_errors(self):
         wl = make_workload(seed=7)
         with pytest.raises(WorkloadError):
-            wl.apply_mutations(MutationBatch())  # empty
+            wl.mutated(MutationBatch())  # empty
         with pytest.raises(WorkloadError):
-            wl.apply_mutations("not a batch")
+            wl.mutated("not a batch")
         with pytest.raises(WorkloadError):  # wrong stream count
-            wl.apply_mutations(MutationBatch(inserts=PairInserts(
+            wl.mutated(MutationBatch(inserts=PairInserts(
                 np.array([0]), [np.array([4])])))
         with pytest.raises(WorkloadError):  # delete out of range
-            wl.apply_mutations(MutationBatch(
+            wl.mutated(MutationBatch(
                 delete_pairs=np.array([wl.n_pairs])))
         plain = make_workload(seed=7, atomics=False)
         with pytest.raises(WorkloadError):  # atomics without atomics
-            plain.apply_mutations(MutationBatch(inserts=PairInserts(
+            plain.mutated(MutationBatch(inserts=PairInserts(
                 np.array([0]), [np.array([4]), np.array([8])],
                 atomic_targets=np.array([0]))))
 
@@ -235,113 +220,42 @@ class TestApplyMutations:
                     **{**inserts, **kwargs}))
             else:
                 batch = MutationBatch(**kwargs)
-            wl.apply_mutations(batch)
+            wl.mutated(batch)
         assert wl.fingerprint() == parent
 
     def test_empty_index_list_stays_valid(self):
         wl = make_workload(seed=7, outer=100)
-        delta = wl.apply_mutations(MutationBatch(delete_pairs=[],
-                                                 append_outer=1))
-        assert wl.outer_size == 101
+        child, delta = wl.mutated(MutationBatch(delete_pairs=[],
+                                                append_outer=1))
+        assert child.outer_size == 101
         assert delta.n_deleted == 0
 
 
-class TestIncrementalAnalysis:
-    def test_apply_delta_bit_identical(self):
-        wl = make_workload(seed=10)
-        rng = np.random.default_rng(2)
-        base = get_analysis(wl)
-        base.partition(2)  # memoize a threshold so it must be maintained
-        delta = wl.apply_mutations(insert_batch(rng, wl))
-        child = base.apply_delta(delta)
-        scratch = WorkloadAnalysis.from_workload(wl)
-        assert child is not None
-        assert child.fingerprint == scratch.fingerprint
-        assert np.array_equal(child.order, scratch.order)
-        assert np.array_equal(child.sorted_trips, scratch.sorted_trips)
-        assert np.array_equal(child.trip_values, scratch.trip_values)
-        assert np.array_equal(child.trip_freqs, scratch.trip_freqs)
-        for s in range(2):
-            assert np.array_equal(child.stream_segments(s),
-                                  scratch.stream_segments(s))
-        for side_c, side_s in zip(child.partition(2), scratch.partition(2)):
-            assert np.array_equal(side_c, side_s)
-        assert child.split_counts(2) == scratch.split_counts(2)
-
-    def test_apply_delta_never_mutates_parent(self):
-        wl = make_workload(seed=11)
-        rng = np.random.default_rng(3)
-        base = get_analysis(wl)
-        order0 = base.order.copy()
-        seg0 = base.stream_segments(0).copy()
-        delta = wl.apply_mutations(insert_batch(rng, wl))
-        base.apply_delta(delta)
-        assert np.array_equal(base.order, order0)
-        assert np.array_equal(base.stream_segments(0), seg0)
-
-    def test_apply_delta_rejects_wrong_parent(self):
-        wl = make_workload(seed=12)
-        other = make_workload(seed=13)
-        rng = np.random.default_rng(4)
-        foreign = get_analysis(other)
-        delta = wl.apply_mutations(insert_batch(rng, wl))
-        with pytest.raises(WorkloadError):
-            foreign.apply_delta(delta)
-
-    def test_large_delta_falls_back(self):
-        wl = make_workload(seed=14)
-        base = get_analysis(wl)
-        # touch well over REBUILD_FRACTION of the pairs
-        k = int(wl.n_pairs * (REBUILD_FRACTION + 0.3))
-        delta = wl.apply_mutations(MutationBatch(
-            delete_pairs=np.arange(k)))
-        assert base.apply_delta(delta) is None
-        clear_analysis_cache(reset_stats=True)
-        # through the cache: the walk counts one fallback, zero hits
-        wl2 = make_workload(seed=14)
-        get_analysis(wl2)
-        big = MutationBatch(delete_pairs=np.arange(int(wl2.n_pairs * 0.55)))
-        wl2.apply_mutations(big)
-        get_analysis(wl2)
-        stats = analysis_stats()
-        assert stats["delta_fallbacks"] == 1
-        assert stats["incremental_hits"] == 0
-
-    def test_chain_resolution_counts_hops(self):
-        wl = make_workload(seed=15)
-        rng = np.random.default_rng(5)
-        get_analysis(wl)
-        for _ in range(5):
-            wl.apply_mutations(insert_batch(rng, wl, k=1))
-        clear_analysis_cache(reset_stats=True)
-        get_analysis(make_workload(seed=15))  # re-anchor the base
-        got = get_analysis(wl)
-        assert got.fingerprint == wl.fingerprint()
-        assert analysis_stats()["incremental_hits"] == 5
-
-    def test_chain_compaction_writes_analysis_tier(self, tmp_path):
-        cache = configure_artifact_cache(tmp_path)
-        wl = make_workload(seed=16)
-        rng = np.random.default_rng(6)
-        get_analysis(wl)
-        for _ in range(6):
-            wl.apply_mutations(insert_batch(rng, wl, k=1))
-        clear_analysis_cache()
-        get_analysis(wl)  # walks >= _COMPACT_AFTER hops -> compacts
-        assert cache.get("analysis", ("nested", wl.fingerprint())) is not None
-        # a cold process (no in-object lineage) resolves via the disk tier
-        clear_analysis_cache(reset_stats=True)
-        cold = make_workload(seed=16)
-        cold.trip_counts = wl.trip_counts.copy()
-        for a, b in zip(cold.streams, wl.streams):
-            a.addresses = b.addresses.copy()
-        cold.atomic_targets = wl.atomic_targets.copy()
-        cold.invalidate_fingerprint()
-        assert cold.fingerprint() == wl.fingerprint()
-        got = get_analysis(cold)
-        assert analysis_stats()["disk_hits"] == 1
-        assert np.array_equal(got.order,
-                              WorkloadAnalysis.from_workload(cold).order)
+class TestMutatedAnalysis:
+    def test_mutated_snapshot_analysis_equals_from_workload(self):
+        """A mutated snapshot is analysed like any other workload, even
+        when its parent's analysis is cached: every fact equals a fresh
+        build's, the unit-stride record included.  An append-only batch
+        keeps SpMV's row streams (``col-index``, ``value``) unit-stride,
+        so the thread-mapped phases of the child count them from the
+        rows."""
+        wl = SpMVApp(citeseer_like(scale=0.01, seed=0)).workload()
+        parent = get_analysis(wl)
+        parent.partition(2)
+        child, _ = wl.mutated(MutationBatch(append_outer=3))
+        got = get_analysis(child)
+        fresh = WorkloadAnalysis.from_workload(child)
+        assert fresh.unit_stride == (True, True, False)
+        assert got.unit_stride == fresh.unit_stride
+        assert got.fingerprint == fresh.fingerprint == child.fingerprint()
+        for name in ("order", "sorted_trips", "trip_values", "trip_freqs"):
+            assert np.array_equal(getattr(got, name), getattr(fresh, name))
+        for s in range(len(child.streams)):
+            assert np.array_equal(got.stream_segments(s),
+                                  fresh.stream_segments(s))
+        for side_got, side_fresh in zip(got.partition(2), fresh.partition(2)):
+            assert np.array_equal(side_got, side_fresh)
+        assert got.split_counts(2) == fresh.split_counts(2)
 
 
 class TestStalePlanRegression:
@@ -358,7 +272,6 @@ class TestStalePlanRegression:
         wl.invalidate_fingerprint()
         assert wl.fingerprint() != fp0
         assert wl.version == v0 + 1
-        assert wl.lineage == []
         assert np.array_equal(np.diff(wl.pair_offsets), wl.trip_counts)
         # the re-run must match a pristine workload with identical arrays,
         # not the pre-edit plan
@@ -382,12 +295,12 @@ class TestStalePlanRegression:
         wl = make_workload(seed=22)
         rng = np.random.default_rng(7)
         repro.run(wl, "dbuf-global")  # populate plan cache pre-mutation
-        wl.apply_mutations(insert_batch(rng, wl))
-        after = repro.run(wl, "dbuf-global")
+        child, _ = wl.mutated(insert_batch(rng, wl))
+        after = repro.run(child, "dbuf-global")
         fresh = NestedLoopWorkload(
-            name=wl.name, trip_counts=wl.trip_counts.copy(),
+            name=child.name, trip_counts=child.trip_counts.copy(),
             streams=[AccessStream(s.name, s.addresses.copy(), s.kind,
-                                  s.element_bytes) for s in wl.streams],
-            atomic_targets=wl.atomic_targets.copy(),
+                                  s.element_bytes) for s in child.streams],
+            atomic_targets=child.atomic_targets.copy(),
         )
         assert after.result.cycles == repro.run(fresh, "dbuf-global").result.cycles

@@ -9,7 +9,7 @@ import pytest
 
 import repro
 from repro.core import artifactcache
-from repro.core.analysis import clear_analysis_cache
+from repro.core.analysis import WorkloadAnalysis, clear_analysis_cache
 from repro.core.mutation import MutationBatch, PairInserts
 from repro.core.plancache import default_cache
 from repro.core.workload import AccessStream, NestedLoopWorkload
@@ -148,6 +148,35 @@ class TestServiceStreams:
             assert stats["streams"]["g"]["version"] == 3
             assert stats["streams"]["g"]["mutations"] == 3
 
+    def test_mutation_analyses_nothing_until_queried(self, tmp_path,
+                                                     monkeypatch):
+        """``mutate_workload`` only commits the batch: with a disk cache
+        configured, the new head has no analysis at any level and the
+        cache directory stays empty.  The first query on the head builds
+        its analysis once, and a second query builds nothing."""
+        built = []
+        from_workload = WorkloadAnalysis.from_workload.__func__
+
+        def counting(cls, workload):
+            built.append(workload.fingerprint())
+            return from_workload(cls, workload)
+
+        monkeypatch.setattr(WorkloadAnalysis, "from_workload",
+                            classmethod(counting))
+        wl = make_workload(seed=8)
+        with repro.serve(max_batch=4, cache_dir=tmp_path) as svc:
+            svc.register_workload("g", wl)
+            svc.mutate_workload("g", insert_batch(np.random.default_rng(6),
+                                                  wl))
+            head = svc.service._streams["g"].head
+            assert built == []
+            assert artifactcache.tiered_cache().count("analysis") == 0
+            assert list(tmp_path.iterdir()) == []
+            for _ in range(2):
+                response = svc.request("thread-mapped", "g")
+                assert response.status == "ok"
+            assert built == [head.fingerprint()]
+
     def test_structured_errors(self):
         with repro.serve(max_batch=4) as svc:
             svc.register_workload("g", make_workload(seed=5), keep_versions=2)
@@ -179,8 +208,7 @@ class TestServiceStreams:
             def mutator():
                 rng = np.random.default_rng(4)
                 while not stop.is_set():
-                    svc.mutate_workload("g", insert_batch(rng, wl),
-                                        warm_analysis=False)
+                    svc.mutate_workload("g", insert_batch(rng, wl))
 
             thread = threading.Thread(target=mutator)
             thread.start()

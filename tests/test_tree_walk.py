@@ -19,7 +19,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.analysis import TreeAnalysis
-from repro.core.mutation import TRACE_SEGMENT_BYTES
 from repro.core.params import TemplateParams
 from repro.core.recursive import (
     FlatTreeTemplate,
@@ -28,6 +27,7 @@ from repro.core.recursive import (
     RecursiveTreeWorkload,
 )
 from repro.gpusim import atomics, coalesce
+from repro.gpusim.coalesce import TRACE_SEGMENT_BYTES
 from repro.gpusim.config import KEPLER_K20
 from repro.gpusim.costmodel import KernelCostBuilder
 from repro.gpusim.kernels import LaunchGraph

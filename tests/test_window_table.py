@@ -17,7 +17,6 @@ from repro.apps import BFSApp, SpMVApp, SSSPApp
 from repro.core import analysis as analysis_mod
 from repro.core.analysis import WorkloadAnalysis
 from repro.core.mapping import clear_phase_memo
-from repro.core.mutation import MutationBatch, PairInserts
 from repro.core.params import TemplateParams
 from repro.core.registry import resolve
 from repro.core.workload import AccessStream, NestedLoopWorkload
@@ -171,29 +170,3 @@ def test_row_windows_hold_the_trace_facts():
         assert table.mult[window] == top
     assert table.staged[0] is None and table.staged[1] is None
 
-
-def test_delta_derived_analysis_matches_from_workload():
-    wl = _synthetic()
-    parent = WorkloadAnalysis.from_workload(wl)
-    parent.warp_windows(wl, 64, 32)  # the parent's table must not leak
-    parent.buffer_windows(wl, np.arange(10), 4, 64, 32)
-    rng = np.random.default_rng(5)
-    batch = MutationBatch(
-        inserts=PairInserts(
-            outer_ids=rng.integers(0, wl.outer_size, 9),
-            stream_addresses=[rng.integers(0, 400, 9) * s.element_bytes
-                              for s in wl.streams],
-            atomic_targets=rng.integers(-1, 12, 9),
-        ),
-        delete_pairs=rng.choice(wl.n_pairs, size=9, replace=False),
-    )
-    child, delta = wl.mutated(batch)
-    derived = parent.apply_delta(delta)
-    assert derived is not None
-    assert derived._windows is None and not derived._buffer_windows
-    fresh = WorkloadAnalysis.from_workload(child)
-    for template in TEMPLATES:
-        for block in (64, 96, 48):
-            params = TemplateParams(lb_threshold=8, lb_block=block)
-            assert (_plan_state(*_build(template, child, derived, params))
-                    == _plan_state(*_build(template, child, fresh, params)))

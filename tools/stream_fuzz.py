@@ -2,23 +2,18 @@
 """Differential fuzz of streaming workload mutations.
 
 Fast gate (wired into ``make test`` as ``make stream-smoke``) over the
-incremental-analysis contract (docs/streaming.md): for random workloads
-under random mutation streams,
+snapshot contract (docs/streaming.md): for random workloads under random
+mutation chains,
 
-1. **bit-identity** — after every mutation step the incrementally
-   maintained :class:`~repro.core.analysis.WorkloadAnalysis` (delta
-   replay through ``get_analysis``) is *bit-identical* to a from-scratch
-   analysis of the mutated workload: sorted order, sorted trips, trip
-   histogram (values, frequencies, and dtypes), per-stream segment ids,
-   and the memoized threshold partitions / split counts;
-2. **in-place == functional** — ``apply_mutations`` (the in-place form)
-   and ``mutated`` (the snapshot form) produce identical arrays and the
-   same fingerprint for the same batch;
-3. **template equivalence** — every nested-loop template in the registry
-   produces cycle-identical results on the mutated workload whether its
-   analysis came from delta replay or from scratch;
-4. **the incremental path actually ran** — ``analysis.incremental_hits``
-   advanced (the fuzz would silently pass if every step fell back).
+1. **snapshots are immutable** — every ``mutated`` step leaves the parent
+   snapshot's arrays and fingerprint untouched, gives the child a new
+   fingerprint one version up, and returns a delta naming both;
+2. **no version is served another's artifacts** — after each chain, every
+   nested-loop template runs on the first and the last snapshot with the
+   caches warm from the whole chain (every version's analysis, then the
+   first snapshot's plans and runs); then the same runs repeat cold, with
+   every memory kind of the tiered cache cleared before each snapshot.
+   Both passes must give equal ``ExecutionResult``\ s.
 
 Exit code 0 = all checks passed across all seeds.  Keep this under a few
 seconds: sizes are smoke-scale, coverage comes from seeds x steps.
@@ -35,19 +30,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 import repro  # noqa: E402
-from repro.core import analysis as analysis_mod  # noqa: E402
-from repro.core.analysis import (  # noqa: E402
-    WorkloadAnalysis,
-    analysis_stats,
-    clear_analysis_cache,
-    get_analysis,
+from repro.core.analysis import get_analysis  # noqa: E402
+from repro.core.artifactcache import (  # noqa: E402
+    KINDS,
+    configure_artifact_cache,
+    tiered_cache,
 )
-from repro.core.artifactcache import configure_artifact_cache  # noqa: E402
 from repro.core.mutation import MutationBatch, PairInserts  # noqa: E402
 from repro.core.registry import NESTED_LOOP_TEMPLATES  # noqa: E402
 from repro.core.workload import AccessStream, NestedLoopWorkload  # noqa: E402
-
-THRESHOLDS = (0, 1, 2, 4, 8, 64)
 
 
 def fail(message: str) -> None:
@@ -102,71 +93,63 @@ def random_batch(rng: np.random.Generator, wl: NestedLoopWorkload) -> MutationBa
     return batch
 
 
-def check_bit_identity(inc: WorkloadAnalysis, wl: NestedLoopWorkload,
-                       label: str) -> None:
-    scratch = WorkloadAnalysis.from_workload(wl)
-    if inc.fingerprint != scratch.fingerprint:
-        fail(f"{label}: fingerprint mismatch")
-    pairs = [
-        ("order", inc.order, scratch.order),
-        ("sorted_trips", inc.sorted_trips, scratch.sorted_trips),
-        ("trip_values", inc.trip_values, scratch.trip_values),
-        ("trip_freqs", inc.trip_freqs, scratch.trip_freqs),
-    ]
-    for s in range(len(wl.streams)):
-        pairs.append((f"segments[{s}]", inc.stream_segments(s),
-                      scratch.stream_segments(s)))
-    for thr in THRESHOLDS:
-        for side, a, b in zip(("small", "large"), inc.partition(thr),
-                              scratch.partition(thr)):
-            pairs.append((f"partition({thr}).{side}", a, b))
-        if inc.split_counts(thr) != scratch.split_counts(thr):
-            fail(f"{label}: split_counts({thr}) diverged")
-    for name, a, b in pairs:
-        if a.dtype != b.dtype or not np.array_equal(a, b):
-            fail(f"{label}: {name} not bit-identical "
-                 f"(incremental {a.dtype}{a.shape} vs scratch {b.dtype}{b.shape})")
+def trace_of(wl: NestedLoopWorkload) -> list[np.ndarray]:
+    """Copies of every per-row and per-pair array of ``wl``."""
+    arrays = [wl.trip_counts, wl.pair_offsets]
+    arrays += [stream.addresses for stream in wl.streams]
+    if wl.atomic_targets is not None:
+        arrays.append(wl.atomic_targets)
+    return [a.copy() for a in arrays]
 
 
-def fuzz_seed(seed: int, steps: int) -> tuple[int, int]:
-    rng = np.random.default_rng(seed)
-    wl = random_workload(rng, seed)
-    twin = random_workload(np.random.default_rng(seed), seed)  # for in-place==functional
-    clear_analysis_cache(reset_stats=True)
-    get_analysis(wl)  # warm the base analysis the deltas chain from
-
+def mutate_chain(rng: np.random.Generator, first: NestedLoopWorkload,
+                 steps: int, label: str) -> list[NestedLoopWorkload]:
+    """``steps`` random ``mutated`` steps from ``first``; checks that each
+    leaves its parent untouched and warms every version's analysis."""
+    snapshots = [first]
+    get_analysis(first)
     for step in range(steps):
-        batch = random_batch(rng, wl)
-        snapshot, fdelta = twin.mutated(batch)
-        delta = wl.apply_mutations(batch)
-        label = f"seed {seed} step {step}"
-        if delta.fingerprint != fdelta.fingerprint:
-            fail(f"{label}: in-place and functional fingerprints diverged")
-        if not (np.array_equal(wl.trip_counts, snapshot.trip_counts)
-                and all(np.array_equal(a.addresses, b.addresses)
-                        for a, b in zip(wl.streams, snapshot.streams))
-                and np.array_equal(wl.atomic_targets, snapshot.atomic_targets)):
-            fail(f"{label}: in-place and functional arrays diverged")
-        twin = snapshot
-        check_bit_identity(get_analysis(wl), wl, label)
+        parent = snapshots[-1]
+        fingerprint, trace = parent.fingerprint(), trace_of(parent)
+        child, delta = parent.mutated(random_batch(rng, parent))
+        where = f"{label} step {step}"
+        if parent.fingerprint() != fingerprint or not all(
+                np.array_equal(a, b) for a, b in zip(trace, trace_of(parent))):
+            fail(f"{where}: mutated() changed the parent snapshot")
+        if (child.fingerprint() in {s.fingerprint() for s in snapshots}
+                or child.version != parent.version + 1):
+            fail(f"{where}: the child did not get a new identity")
+        if (delta.parent_fingerprint, delta.fingerprint, delta.version_to) != (
+                fingerprint, child.fingerprint(), child.version):
+            fail(f"{where}: the delta does not name parent and child")
+        get_analysis(child)
+        snapshots.append(child)
+    return snapshots
 
-    stats = analysis_stats()
-    inc_hits = stats.get("incremental_hits", 0)
-    if inc_hits == 0:
-        fail(f"seed {seed}: incremental path never taken "
-             f"(every step fell back to rebuild) — stats {stats}")
 
-    # template equivalence: incremental-analysis run vs cold from-scratch run
-    warm = {name: repro.run(wl, name).result.cycles
-            for name in NESTED_LOOP_TEMPLATES}
-    clear_analysis_cache()
-    wl.lineage.clear()  # force the cold path to re-analyze, not replay
-    for name, cycles in warm.items():
-        cold = repro.run(wl, name).result.cycles
-        if cold != cycles:
-            fail(f"seed {seed}: template {name} cycles diverged — "
-                 f"incremental {cycles} vs from-scratch {cold}")
-    return inc_hits, stats.get("delta_fallbacks", 0)
+def run_all(wl: NestedLoopWorkload, cold: bool) -> list:
+    """Every nested-loop template on ``wl``; ``cold`` first clears every
+    memory kind, so each artifact is built from ``wl``'s own trace."""
+    if cold:
+        cache = tiered_cache()
+        for kind in KINDS:
+            cache.clear(kind)
+    return [repro.run(wl, name).result for name in NESTED_LOOP_TEMPLATES]
+
+
+def fuzz_seed(seed: int, steps: int) -> None:
+    rng = np.random.default_rng(seed)
+    snapshots = mutate_chain(rng, random_workload(rng, seed), steps,
+                             f"seed {seed}")
+    ends = (snapshots[0], snapshots[-1])
+    warm = [r for wl in ends for r in run_all(wl, cold=False)]
+    cold = [r for wl in ends for r in run_all(wl, cold=True)]
+    names = [f"v{wl.version} {name}" for wl in ends
+             for name in NESTED_LOOP_TEMPLATES]
+    for name, a, b in zip(names, warm, cold):
+        if a != b:
+            fail(f"seed {seed}: {name} differs between warm and cold caches "
+                 f"({a.cycles} vs {b.cycles} cycles)")
 
 
 def main() -> None:
@@ -180,16 +163,12 @@ def main() -> None:
         fail("--seeds must be >= 5 (the gate's minimum coverage)")
 
     configure_artifact_cache(None)  # keep the fuzz hermetic: no disk reuse
-    total_hits = total_fallbacks = 0
     for seed in range(args.seeds):
-        hits, fallbacks = fuzz_seed(seed, args.steps)
-        total_hits += hits
-        total_fallbacks += fallbacks
+        fuzz_seed(seed, args.steps)
     print(
-        f"stream fuzz OK: {args.seeds} seeds x {args.steps} steps, "
-        f"{len(NESTED_LOOP_TEMPLATES)} templates cycle-identical, "
-        f"{total_hits} incremental hits, {total_fallbacks} rebuild fallbacks, "
-        f"analysis bit-identity held at every step"
+        f"stream fuzz OK: {args.seeds} seeds x {args.steps} steps, every "
+        f"parent snapshot untouched, {len(NESTED_LOOP_TEMPLATES)} templates "
+        f"equal on the first and last snapshot with warm and cleared caches"
     )
 
 
